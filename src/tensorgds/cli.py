@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,33 +22,11 @@ import numpy as np
 from . import dataio, pipeline
 from .errors import DegeneracyError, DimensionError, FormatError
 from .fisher import NModeFisher
-from .manifold import WeightVector
-from .pipeline import EvalMetrics, PipelineConfig
+from .pipeline import PipelineConfig
+from .subspace import eigh_descending, fix_column_signs
 
 MDS_SYMMETRY_TOL = 1e-9
 _FLOAT_FMT = ".17g"
-
-
-@dataclass
-class ReportBundle:
-    """Evaluation outputs gathered for writing: metrics, separability table,
-    weights, and optional distance matrix / embedding coordinates."""
-
-    metrics: EvalMetrics | None = None
-    fisher: NModeFisher | None = None
-    weights: WeightVector | None = None
-    distances: np.ndarray | None = None
-    coordinates: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (
-            self.coordinates is not None
-            and self.distances is not None
-            and self.coordinates.shape[0] != self.distances.shape[0]
-        ):
-            raise DimensionError(
-                "coordinate count does not match the sample count"
-            )
 
 
 def classical_mds(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,19 +52,12 @@ def classical_mds(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     j = np.eye(n) - np.full((n, n), 1.0 / n)
     b = -0.5 * j @ (d * d) @ j
     b = (b + b.T) / 2.0
-    evals, evecs = np.linalg.eigh(b)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    evecs = evecs[:, order]
+    evals, evecs = eigh_descending(b)
     kk = min(k, n)
     coords = evecs[:, :kk] * np.sqrt(np.clip(evals[:kk], 0.0, None))
     if kk < k:
         coords = np.hstack([coords, np.zeros((n, k - kk))])
-    for col in range(coords.shape[1]):
-        nz = np.flatnonzero(np.abs(coords[:, col]) > 1e-12)
-        if nz.size and coords[nz[0], col] < 0:
-            coords[:, col] = -coords[:, col]
-    return coords, evals
+    return fix_column_signs(coords), evals
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +152,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.lower().split("x"))
 
 
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return value == "true"
+
+
 def _load_config_file(path) -> dict[str, str]:
     out = {}
     try:
@@ -199,68 +176,44 @@ def _load_config_file(path) -> dict[str, str]:
     return out
 
 
+# Config-file key (also the flag name) -> PipelineConfig field and parser.
 _CONFIG_KEYS = {
-    "method": str,
-    "modes": _parse_modes,
-    "mu": float,
-    "mode-dims": _parse_modes,
-    "angles": _parse_modes,
-    "alpha-max": int,
-    "search": str,
-    "beta-search": lambda v: v.lower() == "true",
-    "karcher-tol": float,
-    "karcher-max-iter": int,
-    "classifier": str,
-    "weights": str,
-    "full-spectrum": lambda v: v.lower() == "true",
-    "seed": int,
+    "method": ("method", str),
+    "modes": ("modes_used", _parse_modes),
+    "mu": ("energy_mu", float),
+    "mode-dims": ("per_mode_dims", _parse_modes),
+    "angles": ("angle_counts", _parse_modes),
+    "alpha-max": ("gds_alpha_max", int),
+    "search": ("gds_search", str),
+    "beta-search": ("gds_beta_search", _parse_bool),
+    "karcher-tol": ("karcher_tol", float),
+    "karcher-max-iter": ("karcher_max_iter", int),
+    "classifier": ("classifier", str),
+    "weights": ("weights", str),
+    "full-spectrum": ("full_spectrum", _parse_bool),
+    "seed": ("seed", int),
 }
 
 
 def _build_pipeline_config(args) -> PipelineConfig:
+    """PipelineConfig from the keys set in the config file and by flags, flags
+    taking precedence; unset keys keep the PipelineConfig defaults."""
     values: dict = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
-        for key, value in file_cfg.items():
+    if args.config:
+        for key, text in _load_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
                 raise FormatError(f"unknown config key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value)
-    flag_map = {
-        "method": args.method,
-        "modes": args.modes,
-        "mu": args.mu,
-        "mode-dims": args.mode_dims,
-        "angles": args.angles,
-        "alpha-max": args.alpha_max,
-        "search": args.search,
-        "beta-search": args.beta_search,
-        "karcher-tol": args.karcher_tol,
-        "karcher-max-iter": args.karcher_max_iter,
-        "classifier": args.classifier,
-        "weights": args.weights,
-        "full-spectrum": args.full_spectrum,
-        "seed": args.seed,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
+            name, parse = _CONFIG_KEYS[key]
+            try:
+                values[name] = parse(text)
+            except ValueError as exc:
+                raise FormatError(f"config key {key!r}: bad value {text!r}") from exc
+    for key, (name, _) in _CONFIG_KEYS.items():
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is not None:
+            values[name] = flag
     try:
-        return PipelineConfig(
-            method=values.get("method", "nmode-wgds"),
-            modes_used=values.get("modes"),
-            energy_mu=values.get("mu", 0.90),
-            per_mode_dims=values.get("mode-dims"),
-            angle_counts=values.get("angles"),
-            gds_alpha_max=values.get("alpha-max", 6),
-            gds_search=values.get("search", "coordinate"),
-            gds_beta_search=values.get("beta-search", False),
-            karcher_tol=values.get("karcher-tol", 1e-8),
-            karcher_max_iter=values.get("karcher-max-iter", 100),
-            classifier=values.get("classifier", "nn"),
-            weights=values.get("weights", "auto"),
-            full_spectrum=values.get("full-spectrum", False),
-            seed=values.get("seed", 0),
-        )
+        return PipelineConfig(**values)
     except DimensionError:
         raise
     except ValueError as exc:
@@ -377,7 +330,6 @@ def _cmd_eval(args) -> int:
     model = dataio.read_model(args.model)
     manifest, samples, labels = _load_split(args, args.split)
     metrics = pipeline.evaluate(model, samples, labels)
-    bundle = ReportBundle(metrics=metrics, fisher=model.fisher, weights=model.weights)
     out = _outdir(args)
     _write_csv(
         out / "metrics.csv",
@@ -405,9 +357,9 @@ def _cmd_eval(args) -> int:
         {
             "command": "eval",
             "split": args.split,
-            "samples": bundle.metrics.count,
-            "accuracy": bundle.metrics.accuracy,
-            "mean_margin": bundle.metrics.mean_margin,
+            "samples": metrics.count,
+            "accuracy": metrics.accuracy,
+            "mean_margin": metrics.mean_margin,
         },
     )
     print(f"accuracy {metrics.accuracy:.4f} on {metrics.count} samples ({args.split})")
@@ -456,11 +408,10 @@ def _read_distance_csv(path) -> np.ndarray:
 def _cmd_mds(args) -> int:
     dist = _read_distance_csv(args.distances)
     coords, evals = classical_mds(dist, args.k)
-    bundle = ReportBundle(distances=dist, coordinates=coords)
     out = _outdir(args)
     _write_csv(
         out / "coords.csv",
-        ["index"] + [f"x{i + 1}" for i in range(bundle.coordinates.shape[1])],
+        ["index"] + [f"x{i + 1}" for i in range(coords.shape[1])],
         ([str(i)] + [_fmt(float(v)) for v in row] for i, row in enumerate(coords)),
     )
     total = float(np.sum(np.abs(evals)))

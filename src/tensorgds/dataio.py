@@ -32,11 +32,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .fisher import FisherReport, NModeFisher, nmode_fisher
+from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
 from .gds import GdsBasis
 from .manifold import ProductPoint, WeightVector
 from .pipeline import PipelineConfig, TrainedModel
-from .subspace import Subspace
+from .subspace import Subspace, qr_positive
 from .tensor import MAX_ORDER, DenseTensor, UnfoldedMatrix, mode_multiply, unfold
 
 TENSOR_MAGIC = b"NMT1"
@@ -305,15 +305,6 @@ class SynthSpec:
             )
 
 
-def _orth_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    if cols == 0:
-        return np.zeros((rows, 0))
-    q, r = np.linalg.qr(rng.standard_normal((rows, cols)))
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
-
-
 def planted_bases(
     spec: SynthSpec,
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
@@ -330,20 +321,17 @@ def planted_bases(
     for extent in spec.dims:
         total = s + m * c
         if total <= extent:
-            frame = _orth_columns(rng, extent, total)
+            frame = qr_positive(rng.standard_normal((extent, total)))
             shared = frame[:, :s]
             blocks = [frame[:, s + j * c : s + (j + 1) * c] for j in range(m)]
         else:
-            shared = _orth_columns(rng, extent, s)
+            shared = qr_positive(rng.standard_normal((extent, s)))
             blocks = []
             for _ in range(m):
                 raw = rng.standard_normal((extent, c))
                 if s:
                     raw -= shared @ (shared.T @ raw)
-                q, r = np.linalg.qr(raw)
-                signs = np.sign(np.diag(r))
-                signs[signs == 0] = 1.0
-                blocks.append(q * signs)
+                blocks.append(qr_positive(raw))
         out.append((shared, blocks))
     return out
 
@@ -382,10 +370,7 @@ def generate_synthetic(
                     noise = rng.standard_normal((extent, d)) * (
                         spec.within_noise / np.sqrt(extent)
                     )
-                    q, r = np.linalg.qr(frame + noise)
-                    signs = np.sign(np.diag(r))
-                    signs[signs == 0] = 1.0
-                    frame = q * signs
+                    frame = qr_positive(frame + noise)
                 frames.append(frame)
             core = rng.standard_normal((d,) * n)
             for axis in range(n):
@@ -515,10 +500,7 @@ def _fisher_from_conf(prefix: str, conf: dict) -> NModeFisher:
     flags = [None if x == "-" else x for x in conf[f"{prefix}_flags"].split(",")]
     reports = []
     for mode, b, w, fl in zip(modes, between, within, flags):
-        if w == 0.0:
-            score = math.inf if b > 0 else math.nan
-        else:
-            score = b / w
+        score, _ = separability_ratio(b, w)
         reports.append(FisherReport(mode, b, w, score, flag=fl))
     return nmode_fisher(reports)
 
@@ -648,22 +630,17 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
     gds = None
     if conf["has_gds"] == "true":
         alphas, betas, ranks = ints("alphas"), ints("betas"), ints("ranks")
-        parts = []
-        for p, mode in enumerate(modes):
-            eigvecs = matrices[f"gds{mode}_eigvecs"]
-            eigvals = matrices[f"gds{mode}_eigvals"].ravel()
-            parts.append(
-                GdsBasis(
-                    mode=mode,
-                    eigvecs=eigvecs,
-                    eigvals=eigvals,
-                    alpha=alphas[p],
-                    beta=betas[p],
-                    rank=ranks[p],
-                    basis=eigvecs[:, alphas[p] - 1 : betas[p]],
-                )
+        gds = tuple(
+            GdsBasis(
+                mode=mode,
+                eigvecs=matrices[f"gds{mode}_eigvecs"],
+                eigvals=matrices[f"gds{mode}_eigvals"].ravel(),
+                alpha=alphas[p],
+                beta=betas[p],
+                rank=ranks[p],
             )
-        gds = tuple(parts)
+            for p, mode in enumerate(modes)
+        )
     labels = ints("labels") if conf["labels"] else ()
     n_refs = int(conf["n_refs"])
     references = []

@@ -18,7 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, KarcherConvergenceWarning
-from .subspace import Subspace, geodesic_distance, projector
+from .subspace import (
+    Subspace,
+    eigh_descending,
+    geodesic_distance,
+    projector_mean,
+    qr_positive,
+)
 
 DEFAULT_KARCHER_TOL = 1e-8
 DEFAULT_KARCHER_MAX_ITER = 100
@@ -51,6 +57,17 @@ class NModeFisher:
     flag: str | None = None
 
 
+def separability_ratio(between: float, within: float) -> tuple[float, str | None]:
+    """Between over within, with the flag of `FisherReport`: zero within gives
+    inf ("infinite") when between is positive and nan ("indeterminate")
+    otherwise."""
+    if within == 0.0:
+        if between > 0.0:
+            return math.inf, "infinite"
+        return math.nan, "indeterminate"
+    return between / within, None
+
+
 def _log_map(base: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Tangent vector at span(base) pointing toward span(target)."""
     m = base.T @ target
@@ -63,11 +80,7 @@ def _exp_map(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     """Geodesic step from span(base) along a tangent vector."""
     w, s, vt = np.linalg.svd(tangent, full_matrices=False)
     y = (base @ vt.T) * np.cos(s) + w * np.sin(s)
-    y = y @ vt
-    q, r = np.linalg.qr(y)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    return qr_positive(y @ vt)
 
 
 def karcher_mean(
@@ -95,13 +108,8 @@ def karcher_mean(
     if len(subs) == 1:
         return subs[0]
 
-    avg = np.zeros((ambient, ambient))
-    for s in subs:
-        avg += projector(s)
-    avg /= len(subs)
-    evals, evecs = np.linalg.eigh(avg)
-    order = np.argsort(-evals, kind="stable")
-    y = np.ascontiguousarray(evecs[:, order[:k]])
+    _, evecs = eigh_descending(projector_mean(subs))
+    y = np.ascontiguousarray(evecs[:, :k])
 
     best_y = y
     best_norm = math.inf
@@ -163,12 +171,8 @@ def fisher_mode(
     within = (
         sum(sim(s, kj) for c, kj in zip(classes, class_means) for s in c) / total
     )
-
-    if within == 0.0:
-        if between > 0.0:
-            return FisherReport(mode, between, within, math.inf, flag="infinite")
-        return FisherReport(mode, between, within, math.nan, flag="indeterminate")
-    return FisherReport(mode, between, within, between / within)
+    score, flag = separability_ratio(between, within)
+    return FisherReport(mode, between, within, score, flag)
 
 
 def nmode_fisher(reports: Sequence[FisherReport]) -> NModeFisher:
@@ -178,10 +182,5 @@ def nmode_fisher(reports: Sequence[FisherReport]) -> NModeFisher:
         raise DimensionError("need at least one per-mode report")
     between_n = sum(r.between for r in reps) / len(reps)
     within_n = sum(r.within for r in reps) / len(reps)
-    if within_n == 0.0:
-        if between_n > 0.0:
-            return NModeFisher(reps, between_n, within_n, math.inf, flag="infinite")
-        return NModeFisher(
-            reps, between_n, within_n, math.nan, flag="indeterminate"
-        )
-    return NModeFisher(reps, between_n, within_n, between_n / within_n)
+    score, flag = separability_ratio(between_n, within_n)
+    return NModeFisher(reps, between_n, within_n, score, flag)

@@ -10,13 +10,18 @@ the canonical angles between classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .subspace import Subspace, projector
+from .subspace import (
+    Subspace,
+    eigh_descending,
+    fix_column_signs,
+    projector_mean,
+)
 
 # Gram eigenvalues at or below this threshold do not count toward the rank.
 GRAM_RANK_TOL = 1e-10
@@ -27,11 +32,24 @@ DEFAULT_PROJECTION_TOL = 1e-10
 @dataclass(frozen=True)
 class ModeGram:
     """Average of class-subspace projectors for one mode; symmetric with
-    eigenvalues in [0, 1]."""
+    eigenvalues in [0, 1].
+
+    The eigenpairs (descending, with a deterministic sign fix) and the rank
+    (eigenvalues above GRAM_RANK_TOL) are computed once, at construction.
+    """
 
     mode: int
     matrix: np.ndarray
     class_count: int
+    eigvals: np.ndarray = field(init=False, repr=False)
+    eigvecs: np.ndarray = field(init=False, repr=False)
+    rank: int = field(init=False)
+
+    def __post_init__(self):
+        evals, evecs = eigh_descending(self.matrix)
+        object.__setattr__(self, "eigvals", evals)
+        object.__setattr__(self, "eigvecs", fix_column_signs(evecs))
+        object.__setattr__(self, "rank", int(np.sum(evals > GRAM_RANK_TOL)))
 
 
 @dataclass(frozen=True)
@@ -49,7 +67,10 @@ class GdsBasis:
     alpha: int
     beta: int
     rank: int
-    basis: np.ndarray
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.eigvecs[:, self.alpha - 1 : self.beta]
 
     @property
     def width(self) -> int:
@@ -58,17 +79,6 @@ class GdsBasis:
     @property
     def ambient_dim(self) -> int:
         return self.eigvecs.shape[0]
-
-
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the first non-negligible entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
-    return out
 
 
 def mode_gram(class_subspaces: Sequence[Subspace], mode: int) -> ModeGram:
@@ -82,26 +92,19 @@ def mode_gram(class_subspaces: Sequence[Subspace], mode: int) -> ModeGram:
             raise DimensionError(
                 f"ambient mismatch: {s.ambient_dim} vs {ambient}"
             )
-    acc = np.zeros((ambient, ambient))
-    for s in subs:
-        acc += projector(s)
-    acc /= len(subs)
+    acc = projector_mean(subs)
     acc = (acc + acc.T) / 2.0
     return ModeGram(mode=mode, matrix=acc, class_count=len(subs))
 
 
 def gds_from_gram(gram: ModeGram, alpha: int, beta: int | None = None) -> GdsBasis:
-    """Eigen-decompose the mode Gram matrix and keep eigenvectors alpha..beta.
+    """Keep eigenvectors alpha..beta of the mode Gram matrix.
 
     Eigenvalues are sorted descending with stable ties; `beta` defaults to the
     numerical rank, so the usual call keeps the whole eigenvector tail below
     the discarded leading block. `alpha == beta` selects a single direction.
     """
-    evals, evecs = np.linalg.eigh(gram.matrix)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    evecs = _fix_signs(evecs[:, order])
-    rank = int(np.sum(evals > GRAM_RANK_TOL))
+    rank = gram.rank
     if rank == 0:
         raise DegeneracyError("mode Gram matrix has no positive eigenvalues")
     if beta is None:
@@ -117,12 +120,11 @@ def gds_from_gram(gram: ModeGram, alpha: int, beta: int | None = None) -> GdsBas
         )
     return GdsBasis(
         mode=gram.mode,
-        eigvecs=evecs,
-        eigvals=evals,
+        eigvecs=gram.eigvecs,
+        eigvals=gram.eigvals,
         alpha=alpha,
         beta=beta,
         rank=rank,
-        basis=evecs[:, alpha - 1 : beta],
     )
 
 

@@ -24,10 +24,11 @@ from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_mean, nmode_
 from .gds import GdsBasis, ModeGram, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesic
 from .subspace import (
-    RANK_RTOL,
     SingularSpectrum,
     Subspace,
     basis_from_unfolding,
+    leading_basis,
+    left_singular,
     mean_canonical_angle,
     select_dim,
 )
@@ -132,12 +133,6 @@ class GdsSearchResult:
     trace: tuple[dict, ...]
 
 
-def _sample_order(sample) -> int:
-    if isinstance(sample, DenseTensor):
-        return sample.order
-    return sample.order
-
-
 def _mode_matrix(sample, mode: int) -> UnfoldedMatrix:
     if isinstance(sample, DenseTensor):
         return unfold(sample, mode)
@@ -158,7 +153,7 @@ def extract_sample_point(sample, config: PipelineConfig) -> ProductPoint:
     """Raw product point of one sample: per selected mode, the subspace of the
     unfolding at the configured dimension (or the energy criterion when no
     fixed dimensions are set). No projection is applied."""
-    modes = _resolve_modes(config, _sample_order(sample))
+    modes = _resolve_modes(config, sample.order)
     if config.per_mode_dims is not None and len(config.per_mode_dims) != len(modes):
         raise DimensionError(
             f"per_mode_dims has {len(config.per_mode_dims)} entries for {len(modes)} modes"
@@ -173,27 +168,10 @@ def extract_sample_point(sample, config: PipelineConfig) -> ProductPoint:
     return ProductPoint(tuple(parts))
 
 
-def _energy_dim(matrix: UnfoldedMatrix, mu: float) -> int:
-    s = np.linalg.svd(matrix.matrix, compute_uv=False)
-    if s[0] <= 0.0:
-        raise DegeneracyError("all-zero unfolding spans no subspace")
-    lam = s * s
-    lam[s <= RANK_RTOL * s[0]] = 0.0
-    return select_dim(SingularSpectrum(lam), mu)
-
-
 def _group_by_class(points: Sequence[ProductPoint], class_ids, p: int):
     return [
         [pt.parts[p] for pt in points if pt.label == cid] for cid in class_ids
     ]
-
-
-def _combined_score(reports: Sequence[FisherReport]) -> float:
-    between = sum(r.between for r in reports) / len(reports)
-    within = sum(r.within for r in reports) / len(reports)
-    if within == 0.0:
-        return float("inf") if between > 0.0 else float("nan")
-    return between / within
 
 
 def optimize_gds_dims(
@@ -241,13 +219,8 @@ def optimize_gds_dims(
             cache[key] = report
         return cache[key]
 
-    ranks = []
-    for g in grams:
-        evals = np.linalg.eigvalsh(g.matrix)
-        ranks.append(int(np.sum(evals > 1e-10)))
-
     def candidate_pairs(p: int) -> list[tuple[int, int]]:
-        rank = ranks[p]
+        rank = grams[p].rank
         alphas = range(1, min(config.gds_alpha_max, rank) + 1)
         if config.gds_beta_search:
             return [(a, b) for a in alphas for b in range(rank, a - 1, -1)]
@@ -265,7 +238,7 @@ def optimize_gds_dims(
             reports = [evaluate(p, a, b) for p, (a, b) in enumerate(combo)]
             if any(r is None or r.flag is not None for r in reports):
                 continue
-            score = _combined_score(reports)
+            score = nmode_fisher(reports).score_n
             if not np.isfinite(score):
                 continue
             trace.append({"combo": combo, "score": score})
@@ -281,8 +254,8 @@ def optimize_gds_dims(
             tuple(best_pairs), tuple(best_reports), tuple(trace)
         )
 
-    current = [(1, ranks[p]) for p in range(n)]
-    reports = [evaluate(p, 1, ranks[p]) for p in range(n)]
+    current = [(1, g.rank) for g in grams]
+    reports = [evaluate(p, 1, g.rank) for p, g in enumerate(grams)]
     if any(r is None or r.flag is not None for r in reports):
         raise DegeneracyError(
             "separability is degenerate at the full eigenvector band; "
@@ -299,7 +272,7 @@ def optimize_gds_dims(
                     continue
                 trial = list(reports)
                 trial[p] = rep
-                score = _combined_score(trial)
+                score = nmode_fisher(trial).score_n
                 if not np.isfinite(score):
                     continue
                 if score > best_score:
@@ -328,6 +301,36 @@ def _class_pair_mean_angle(class_subspaces: Sequence[Subspace]) -> float:
     return float(np.mean(vals))
 
 
+def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
+    """One mode of `fit`: unfold every sample, take one SVD per unfolding,
+    fix the dimension (`dim`, or the median energy dimension when None), and
+    build the sample and class subspaces. Returns the ambient dimension, the
+    dimension, the sample subspaces and the class subspaces; the unfoldings
+    are released on return."""
+    mats = [_mode_matrix(s, mode) for s in samples]
+    rows = mats[0].rows
+    for i, m in enumerate(mats):
+        if m.rows != rows:
+            raise DimensionError(
+                f"mode {mode}: sample {i} has ambient {m.rows}, expected {rows}"
+            )
+    svds = [left_singular(m) for m in mats]
+    if dim is None:
+        energy_dims = [select_dim(SingularSpectrum(lam), mu) for _, lam in svds]
+        dim = int(round(float(np.median(energy_dims))))
+    else:
+        dim = int(dim)
+    parts = [leading_basis(u, lam, dim) for u, lam in svds]
+    class_subs = [
+        basis_from_unfolding(
+            np.hstack([m.matrix for m, label in zip(mats, labels) if label == cid]),
+            dim=dim,
+        )
+        for cid in class_ids
+    ]
+    return rows, dim, parts, class_subs
+
+
 def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> TrainedModel:
     """Train a model: fix per-mode dimensions, build sample and class
     subspaces, learn the per-mode projections and weights where the method
@@ -338,9 +341,9 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
         raise DimensionError("samples and labels differ in length")
     if not samples:
         raise DimensionError("empty training set")
-    order = _sample_order(samples[0])
+    order = samples[0].order
     for s in samples[1:]:
-        if _sample_order(s) != order:
+        if s.order != order:
             raise DimensionError("samples have differing mode counts")
     tensors = [s for s in samples if isinstance(s, DenseTensor)]
     data_dims = None
@@ -357,45 +360,20 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
 
     modes = _resolve_modes(config, order)
     n = len(modes)
-    mats = [[_mode_matrix(s, mode) for s in samples] for mode in modes]
-    ambients = []
-    for p, mode in enumerate(modes):
-        rows = mats[p][0].rows
-        for i, m in enumerate(mats[p]):
-            if m.rows != rows:
-                raise DimensionError(
-                    f"mode {mode}: sample {i} has ambient {m.rows}, expected {rows}"
-                )
-        ambients.append(rows)
-
-    if config.per_mode_dims is not None:
-        if len(config.per_mode_dims) != n:
-            raise DimensionError(
-                f"per_mode_dims has {len(config.per_mode_dims)} entries for {n} modes"
-            )
-        dims = tuple(int(d) for d in config.per_mode_dims)
-    else:
-        dims = tuple(
-            int(round(float(np.median([_energy_dim(m, config.energy_mu) for m in mats[p]]))))
-            for p in range(n)
+    fixed_dims = (None,) * n if config.per_mode_dims is None else config.per_mode_dims
+    if len(fixed_dims) != n:
+        raise DimensionError(
+            f"per_mode_dims has {len(fixed_dims)} entries for {n} modes"
         )
-
-    points = []
-    for i, label in enumerate(labels):
-        parts = tuple(
-            basis_from_unfolding(mats[p][i], dim=dims[p]) for p in range(n)
+    ambients, dims, parts, class_subs = zip(
+        *(
+            _fit_mode(samples, labels, class_ids, mode, dim, config.energy_mu)
+            for mode, dim in zip(modes, fixed_dims)
         )
-        points.append(ProductPoint(parts, label=label))
-
-    class_subs = []
-    for p in range(n):
-        per_class = []
-        for cid in class_ids:
-            concat = np.hstack(
-                [mats[p][i].matrix for i in range(len(samples)) if labels[i] == cid]
-            )
-            per_class.append(basis_from_unfolding(concat, dim=dims[p]))
-        class_subs.append(per_class)
+    )
+    points = [
+        ProductPoint(pt, label=label) for pt, label in zip(zip(*parts), labels)
+    ]
 
     raw_reports = [
         fisher_mode(
@@ -455,7 +433,7 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
         config=resolved,
         modes=modes,
         dims=dims,
-        mode_ambients=tuple(ambients),
+        mode_ambients=ambients,
         data_dims=data_dims,
         class_ids=class_ids,
         gds=bases,

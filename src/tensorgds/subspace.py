@@ -1,5 +1,7 @@
 """Orthonormal-basis subspaces, energy-based dimension selection, principal
-angles, and Grassmann geodesic distances.
+angles, Grassmann geodesic distances, and the linear-algebra helpers the
+other modules share (projector average, sorted eigenpairs, sign-fixed
+eigenvectors and QR factors).
 
 Bases are always the leading left-singular vectors of the raw unfolding; no
 mean is subtracted, so they coincide with the top eigenvectors of the
@@ -9,6 +11,7 @@ non-centered autocorrelation of the column samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -112,6 +115,16 @@ def basis_from_unfolding(
     """
     if (dim is None) == (energy is None):
         raise ValueError("specify exactly one of dim or energy")
+    u, lam = left_singular(matrix)
+    if energy is not None:
+        dim = select_dim(SingularSpectrum(lam), energy)
+    return leading_basis(u, lam, dim)
+
+
+def left_singular(matrix: UnfoldedMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left-singular vectors of a non-empty 2-D matrix and the eigenvalues of
+    its non-centered autocorrelation (the squared singular values), with the
+    values beyond the numerical rank set to zero."""
     mat = matrix.matrix if isinstance(matrix, UnfoldedMatrix) else np.asarray(
         matrix, dtype=np.float64
     )
@@ -120,19 +133,22 @@ def basis_from_unfolding(
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
     if s[0] <= 0.0:
         raise DegeneracyError("all-zero matrix spans no subspace")
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    if energy is not None:
-        lam = s * s
-        lam[rank:] = 0.0
-        k = select_dim(SingularSpectrum(lam), energy)
-    else:
-        k = int(dim)
-        if k < 1:
-            raise DimensionError(f"dim must be >= 1, got {k}")
-        if k > rank:
-            raise DegeneracyError(
-                f"requested {k} basis vectors but the numerical rank is {rank}"
-            )
+    lam = s * s
+    lam[s <= RANK_RTOL * s[0]] = 0.0
+    return u, lam
+
+
+def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> Subspace:
+    """Subspace of the first `dim` columns of `u`, as returned with `lam` by
+    `left_singular`; `dim` may not exceed the numerical rank."""
+    k = int(dim)
+    if k < 1:
+        raise DimensionError(f"dim must be >= 1, got {k}")
+    rank = int(np.count_nonzero(lam))
+    if k > rank:
+        raise DegeneracyError(
+            f"requested {k} basis vectors but the numerical rank is {rank}"
+        )
     return Subspace(u[:, :k])
 
 
@@ -175,3 +191,42 @@ def geodesic_distance(p: Subspace, q: Subspace) -> float:
 def projector(p: Subspace) -> np.ndarray:
     """Orthogonal projection matrix onto the subspace."""
     return p.basis @ p.basis.T
+
+
+def projector_mean(subspaces: Sequence[Subspace]) -> np.ndarray:
+    """Average of the projectors of subspaces sharing one ambient space."""
+    acc = np.zeros((subspaces[0].ambient_dim,) * 2)
+    for s in subspaces:
+        acc += projector(s)
+    acc /= len(subspaces)
+    return acc
+
+
+def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a symmetric matrix, eigenvalues descending; equal
+    eigenvalues keep the ascending order `eigh` returns them in."""
+    evals, evecs = np.linalg.eigh(matrix)
+    order = np.argsort(-evals, kind="stable")
+    return evals[order], evecs[:, order]
+
+
+def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
+    """Copy with each column negated where needed so that its first entry of
+    magnitude above 1e-12 is positive; all-negligible columns stay as they
+    are. The copy is C-ordered whatever the input layout, because the rounding
+    of later matrix products with it depends on the layout."""
+    significant = np.abs(vectors) > 1e-12
+    lead = vectors[np.argmax(significant, axis=0), np.arange(vectors.shape[1])]
+    flip = significant.any(axis=0) & (lead < 0)
+    out = vectors.copy()
+    out[:, flip] = -out[:, flip]
+    return out
+
+
+def qr_positive(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal Q factor of a reduced QR, with column signs chosen so that
+    R has a non-negative diagonal."""
+    q, r = np.linalg.qr(matrix)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return q * signs

@@ -252,5 +252,18 @@ def test_config_file_with_flag_override(dataset_dir, tmp_path):
     assert float(echo["mu"]) == 0.95  # 17-digit float echo parses back exactly
 
 
+@pytest.mark.parametrize("line", ["mu=abc", "modes=1,x", "beta-search=yes"])
+def test_config_file_bad_value_exits_2(dataset_dir, tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code = main([
+        "fit", "--manifest", str(dataset_dir / "manifest.txt"),
+        "--out", str(tmp_path / "fit"), "--config", str(cfg),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and repr(line.split("=")[0]) in err
+
+
 def test_main_in_process_exit_codes(tmp_path):
     assert main(["mds", "--distances", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]) == 2

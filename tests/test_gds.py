@@ -121,6 +121,18 @@ def test_gds_deterministic_signs(rng):
     assert np.array_equal(b1.eigvals, b2.eigvals)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_gds_bands_share_the_gram_eigenpairs(seed):
+    rng = np.random.default_rng(seed)
+    g = mode_gram([random_subspace(rng, 6, rng.integers(1, 4)) for _ in range(3)], mode=1)
+    for alpha in range(1, g.rank + 1):
+        band = gds_from_gram(g, alpha)
+        assert band.eigvecs is g.eigvecs and band.eigvals is g.eigvals
+        assert band.rank == g.rank
+        assert np.array_equal(band.basis, g.eigvecs[:, alpha - 1 : g.rank])
+
+
 def test_project_onto_gds_hand_example():
     # D = span{e2,e3}, P = span{e1,e2}: D^T [e1 e2] = [[0,1],[0,0]], so e1 is
     # annihilated and the projection is the first coordinate axis of D.

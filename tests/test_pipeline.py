@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgds import (
     DegeneracyError,
@@ -21,6 +23,7 @@ from tensorgds import (
     pairwise_distances,
     projector,
     transform,
+    unfold,
 )
 from tensorgds.dataio import SynthSpec, generate_synthetic
 from conftest import random_tensor
@@ -171,6 +174,31 @@ def test_msm_single_mode_equals_manual_nearest_neighbor():
         ]
         manual = model.references[int(np.argmin(dists))].label
         assert pred == manual
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extents=st.tuples(*[st.integers(2, 5)] * 3),
+    mu=st.floats(0.3, 1.0),
+)
+def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
+    # fit's one SVD per unfolding must give the dimensions and bases that
+    # per-sample extraction gives on its own
+    rng = np.random.default_rng(seed)
+    samples = [random_tensor(rng, extents) for _ in range(6)]
+    config = PipelineConfig(method="pgm", energy_mu=mu)
+    model = fit(samples, [0, 0, 0, 1, 1, 1], config)
+    energy_dims = np.array(
+        [[part.dim for part in extract_sample_point(t, config).parts] for t in samples]
+    )
+    assert model.dims == tuple(
+        int(round(float(np.median(energy_dims[:, p])))) for p in range(3)
+    )
+    for t, ref in zip(samples, model.references):
+        for p, mode in enumerate(model.modes):
+            want = basis_from_unfolding(unfold(t, mode), dim=model.dims[p])
+            assert np.array_equal(ref.parts[p].basis, want.basis)
 
 
 def test_fit_rejects_single_class(rng):
