@@ -5,8 +5,9 @@ Subcommands: gen (synthetic dataset), fit (train), eval (metrics), dist
 fisher (separability tables and weights).
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical degeneracy.
-Every run writes a `run_config.txt` echo sufficient to reproduce it; floats
-in CSV output carry 17 significant digits so they round-trip losslessly.
+Every run writes a `run_config.txt` echo; for fit, each settings line is a
+valid `--config` line, so the echo reproduces the run. Floats in CSV output
+carry 17 significant digits so they round-trip losslessly.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import dataio, pipeline
 from .errors import DegeneracyError, DimensionError, FormatError
 from .fisher import NModeFisher
-from .pipeline import PipelineConfig
+from .pipeline import CHOICES, SETTINGS, PipelineConfig
 from .subspace import eigh_descending, fix_column_signs
 
 MDS_SYMMETRY_TOL = 1e-9
@@ -144,19 +145,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_modes(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.lower().split("x"))
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.lower()
-    if value not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {text!r}")
-    return value == "true"
 
 
 def _load_config_file(path) -> dict[str, str]:
@@ -176,23 +166,8 @@ def _load_config_file(path) -> dict[str, str]:
     return out
 
 
-# Config-file key (also the flag name) -> PipelineConfig field and parser.
-_CONFIG_KEYS = {
-    "method": ("method", str),
-    "modes": ("modes_used", _parse_modes),
-    "mu": ("energy_mu", float),
-    "mode-dims": ("per_mode_dims", _parse_modes),
-    "angles": ("angle_counts", _parse_modes),
-    "alpha-max": ("gds_alpha_max", int),
-    "search": ("gds_search", str),
-    "beta-search": ("gds_beta_search", _parse_bool),
-    "karcher-tol": ("karcher_tol", float),
-    "karcher-max-iter": ("karcher_max_iter", int),
-    "classifier": ("classifier", str),
-    "weights": ("weights", str),
-    "full-spectrum": ("full_spectrum", _parse_bool),
-    "seed": ("seed", int),
-}
+# Config-file key (also the flag name and the run_config.txt key) -> setting.
+_CONFIG_KEYS = {s.key: s for s in SETTINGS if s.key is not None}
 
 
 def _build_pipeline_config(args) -> PipelineConfig:
@@ -203,45 +178,24 @@ def _build_pipeline_config(args) -> PipelineConfig:
         for key, text in _load_config_file(args.config).items():
             if key not in _CONFIG_KEYS:
                 raise FormatError(f"unknown config key {key!r}")
-            name, parse = _CONFIG_KEYS[key]
+            setting = _CONFIG_KEYS[key]
             try:
-                values[name] = parse(text)
+                values[setting.name] = setting.parse(text)
             except ValueError as exc:
                 raise FormatError(f"config key {key!r}: bad value {text!r}") from exc
-    for key, (name, _) in _CONFIG_KEYS.items():
-        flag = getattr(args, key.replace("-", "_"))
-        if flag is not None:
-            values[name] = flag
+    flags = vars(args)
+    for key, setting in _CONFIG_KEYS.items():
+        dest = key.replace("-", "_")
+        if dest in flags:
+            values[setting.name] = flags[dest]
     try:
         return PipelineConfig(**values)
-    except DimensionError:
-        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 class UsageError(Exception):
     pass
-
-
-def _config_echo_dict(config: PipelineConfig) -> dict:
-    return {
-        "method": config.method,
-        "modes": "auto" if config.modes_used is None else ",".join(map(str, config.modes_used)),
-        "mu": config.energy_mu,
-        "mode_dims": "auto" if config.per_mode_dims is None else ",".join(map(str, config.per_mode_dims)),
-        "angles": "auto" if config.angle_counts is None else ",".join(map(str, config.angle_counts)),
-        "alpha_max": config.gds_alpha_max,
-        "search": config.gds_search,
-        "beta_search": config.gds_beta_search,
-        "karcher_tol": config.karcher_tol,
-        "karcher_max_iter": config.karcher_max_iter,
-        "classifier": config.classifier,
-        "weights": config.weights,
-        "full_spectrum": config.full_spectrum,
-        "projection_tol": config.projection_tol,
-        "seed": config.seed,
-    }
 
 
 def _outdir(args) -> Path:
@@ -301,11 +255,11 @@ def _cmd_fit(args) -> int:
     out = _outdir(args)
     dataio.write_model(out / "model.nmdl", model)
     _write_fisher_tables(out, model)
-    _echo_config(
-        out,
-        "fit",
-        {"manifest": str(args.manifest), **_config_echo_dict(model.config)},
-    )
+    settings = {
+        key: setting.format(getattr(model.config, setting.name))
+        for key, setting in _CONFIG_KEYS.items()
+    }
+    _echo_config(out, "fit", {"manifest": str(args.manifest), **settings})
     _write_summary(
         out,
         {
@@ -451,21 +405,17 @@ def _cmd_fisher(args) -> int:
 
 
 def _add_fit_flags(p: argparse.ArgumentParser) -> None:
+    """`--config` plus one flag per config-file key; a flag the user does not
+    give leaves no attribute, so it cannot override the file."""
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--method", choices=pipeline.METHODS)
-    p.add_argument("--modes", type=_parse_modes, help="comma list, e.g. 1,2,3")
-    p.add_argument("--mu", type=float, help="energy fraction for dimension selection")
-    p.add_argument("--mode-dims", type=_parse_modes, help="fixed per-mode dims")
-    p.add_argument("--angles", type=_parse_modes, help="per-mode canonical angle counts")
-    p.add_argument("--alpha-max", type=int, help="search bound for the leading cut")
-    p.add_argument("--search", choices=pipeline.SEARCH_MODES)
-    p.add_argument("--beta-search", action="store_const", const=True, default=None)
-    p.add_argument("--karcher-tol", type=float)
-    p.add_argument("--karcher-max-iter", type=int)
-    p.add_argument("--classifier", choices=pipeline.CLASSIFIERS)
-    p.add_argument("--weights", choices=pipeline.WEIGHT_SCHEMES)
-    p.add_argument("--full-spectrum", action="store_const", const=True, default=None)
-    p.add_argument("--seed", type=int)
+    for key, setting in _CONFIG_KEYS.items():
+        if setting.kind is bool:
+            kind = dict(action="store_const", const=True)
+        else:
+            kind = dict(type=setting.parse, choices=CHOICES.get(setting.name))
+        p.add_argument(
+            f"--{key}", default=argparse.SUPPRESS, help=setting.help, **kind
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -35,7 +35,7 @@ from .errors import DimensionError, FormatError
 from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
 from .gds import GdsBasis
 from .manifold import ProductPoint, WeightVector
-from .pipeline import PipelineConfig, TrainedModel
+from .pipeline import SETTINGS, PipelineConfig, TrainedModel
 from .subspace import Subspace, qr_positive
 from .tensor import MAX_ORDER, DenseTensor, UnfoldedMatrix, mode_multiply, unfold
 
@@ -462,16 +462,12 @@ def ingest_feature_modes(
 # model container
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _fmt_tuple(values) -> str:
     return ",".join(str(v) for v in values)
 
 
 def _fmt_floats(values) -> str:
-    return ",".join(_fmt_float(v) for v in values)
+    return ",".join(format(float(v), ".17g") for v in values)
 
 
 def _section(tag: bytes, payload: bytes) -> bytes:
@@ -506,31 +502,18 @@ def _fisher_from_conf(prefix: str, conf: dict) -> NModeFisher:
 
 
 def model_to_bytes(model: TrainedModel) -> bytes:
-    cfg = model.config
     lines = [
         f"format_version={MODEL_VERSION}",
-        f"method={cfg.method}",
-        f"modes={_fmt_tuple(model.modes)}",
-        f"dims={_fmt_tuple(model.dims)}",
+        *(
+            f"{s.model_key}={s.format(getattr(model.config, s.name))}"
+            for s in SETTINGS
+        ),
         f"mode_ambients={_fmt_tuple(model.mode_ambients)}",
         "data_dims="
         + ("none" if model.data_dims is None else _fmt_tuple(model.data_dims)),
         f"class_ids={_fmt_tuple(model.class_ids)}",
         f"labels={_fmt_tuple(r.label for r in model.references)}",
         f"n_refs={len(model.references)}",
-        f"energy_mu={_fmt_float(cfg.energy_mu)}",
-        "angle_counts="
-        + ("none" if cfg.angle_counts is None else _fmt_tuple(cfg.angle_counts)),
-        f"gds_alpha_max={cfg.gds_alpha_max}",
-        f"gds_search={cfg.gds_search}",
-        f"gds_beta_search={str(cfg.gds_beta_search).lower()}",
-        f"karcher_tol={_fmt_float(cfg.karcher_tol)}",
-        f"karcher_max_iter={cfg.karcher_max_iter}",
-        f"classifier={cfg.classifier}",
-        f"weights_scheme={cfg.weights}",
-        f"full_spectrum={str(cfg.full_spectrum).lower()}",
-        f"projection_tol={_fmt_float(cfg.projection_tol)}",
-        f"seed={cfg.seed}",
         "has_gds=" + ("true" if model.gds is not None else "false"),
     ]
     if model.gds is not None:
@@ -608,25 +591,10 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
     def ints(key: str) -> tuple[int, ...]:
         return tuple(int(x) for x in conf[key].split(","))
 
-    modes = ints("modes")
-    dims = ints("dims")
     config = PipelineConfig(
-        method=conf["method"],
-        modes_used=modes,
-        energy_mu=float(conf["energy_mu"]),
-        per_mode_dims=dims,
-        angle_counts=None if conf["angle_counts"] == "none" else ints("angle_counts"),
-        gds_alpha_max=int(conf["gds_alpha_max"]),
-        gds_search=conf["gds_search"],
-        gds_beta_search=conf["gds_beta_search"] == "true",
-        karcher_tol=float(conf["karcher_tol"]),
-        karcher_max_iter=int(conf["karcher_max_iter"]),
-        classifier=conf["classifier"],
-        weights=conf["weights_scheme"],
-        full_spectrum=conf["full_spectrum"] == "true",
-        projection_tol=float(conf["projection_tol"]),
-        seed=int(conf["seed"]),
+        **{s.name: s.parse(conf[s.model_key]) for s in SETTINGS}
     )
+    modes, dims = config.modes_used, config.per_mode_dims
     gds = None
     if conf["has_gds"] == "true":
         alphas, betas, ranks = ints("alphas"), ints("betas"), ints("ranks")

@@ -14,6 +14,7 @@ with a learned projection before measuring distances.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,11 +35,15 @@ from .subspace import (
 )
 from .tensor import DenseTensor, UnfoldedMatrix, unfold
 
-METHODS = ("msm", "gds", "pgm", "nmode-gds", "nmode-wgds")
+# The values each string setting accepts: `PipelineConfig` checks them and
+# the CLI offers them as flag choices.
+CHOICES = {
+    "method": ("msm", "gds", "pgm", "nmode-gds", "nmode-wgds"),
+    "gds_search": ("coordinate", "exhaustive"),
+    "classifier": ("nn", "class-karcher"),
+    "weights": ("auto", "fisher", "uniform"),
+}
 GDS_METHODS = frozenset({"gds", "nmode-gds", "nmode-wgds"})
-SEARCH_MODES = ("coordinate", "exhaustive")
-CLASSIFIERS = ("nn", "class-karcher")
-WEIGHT_SCHEMES = ("auto", "fisher", "uniform")
 
 
 @dataclass(frozen=True)
@@ -67,18 +72,18 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.gds_search not in SEARCH_MODES:
-            raise ValueError(f"gds_search must be one of {SEARCH_MODES}")
-        if self.classifier not in CLASSIFIERS:
-            raise ValueError(f"classifier must be one of {CLASSIFIERS}")
-        if self.weights not in WEIGHT_SCHEMES:
-            raise ValueError(f"weights must be one of {WEIGHT_SCHEMES}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if not 0.0 < self.energy_mu <= 1.0:
             raise ValueError(f"energy_mu must be in (0, 1], got {self.energy_mu}")
         if self.gds_alpha_max < 1:
             raise ValueError("gds_alpha_max must be >= 1")
+        if not 0.0 < self.karcher_tol < math.inf:
+            raise ValueError(f"karcher_tol must be finite and > 0, got {self.karcher_tol}")
+        if self.karcher_max_iter < 1:
+            raise ValueError(f"karcher_max_iter must be >= 1, got {self.karcher_max_iter}")
         if self.modes_used is not None:
             modes = tuple(int(m) for m in self.modes_used)
             if not modes:
@@ -95,6 +100,64 @@ class PipelineConfig:
         if self.weights != "auto":
             return self.weights
         return "fisher" if self.method == "nmode-wgds" else "uniform"
+
+
+@dataclass(frozen=True)
+class Setting:
+    """How one `PipelineConfig` field is spelled as text.
+
+    `key` is the field's config-file key, fit flag (`--key`) and
+    `run_config.txt` key, or None for a library-only field; `model_key` is its
+    key in the `.nmdl` settings block. The text form follows the type of the
+    field's default: a comma list of ints or `none` for None, `true`/`false`,
+    a float with 17 significant digits (it parses back exactly), an int, a
+    string.
+    """
+
+    name: str
+    key: str | None
+    model_key: str
+    help: str | None = None
+
+    @property
+    def kind(self) -> type:
+        return type(PipelineConfig.__dataclass_fields__[self.name].default)
+
+    def format(self, value) -> str:
+        if self.kind is type(None):
+            return "none" if value is None else ",".join(str(v) for v in value)
+        if self.kind is float:
+            return format(float(value), ".17g")
+        return str(value).lower() if self.kind is bool else str(value)
+
+    def parse(self, text: str):
+        if self.kind is type(None):
+            return None if text == "none" else tuple(int(v) for v in text.split(","))
+        if self.kind is bool:
+            if text.lower() not in ("true", "false"):
+                raise ValueError(f"expected true or false, got {text!r}")
+            return text.lower() == "true"
+        return self.kind(text)
+
+
+# One row per PipelineConfig field, in field order.
+SETTINGS = (
+    Setting("method", "method", "method"),
+    Setting("modes_used", "modes", "modes", "comma list, e.g. 1,2,3"),
+    Setting("energy_mu", "mu", "energy_mu", "energy fraction for dimension selection"),
+    Setting("per_mode_dims", "mode-dims", "dims", "fixed per-mode dims"),
+    Setting("angle_counts", "angles", "angle_counts", "per-mode canonical angle counts"),
+    Setting("gds_alpha_max", "alpha-max", "gds_alpha_max", "search bound for the leading cut"),
+    Setting("gds_search", "search", "gds_search"),
+    Setting("gds_beta_search", "beta-search", "gds_beta_search"),
+    Setting("karcher_tol", "karcher-tol", "karcher_tol"),
+    Setting("karcher_max_iter", "karcher-max-iter", "karcher_max_iter"),
+    Setting("classifier", "classifier", "classifier"),
+    Setting("weights", "weights", "weights_scheme"),
+    Setting("full_spectrum", "full-spectrum", "full_spectrum"),
+    Setting("projection_tol", None, "projection_tol"),
+    Setting("seed", "seed", "seed"),
+)
 
 
 @dataclass
@@ -183,10 +246,11 @@ def optimize_gds_dims(
     combined separability score of the projected training subspaces.
 
     Coordinate ascent sweeps the leading cut `alpha` of one mode at a time
-    while the other modes stay at their current best, for two full rounds;
-    exhaustive search enumerates every combination instead. Candidates whose
-    projection collapses or whose score is degenerate are skipped; ties go to
-    the smallest alpha (then the largest beta when the beta search is on).
+    while the other modes stay at their current best, for at most two full
+    rounds, stopping after a round that changes no band; exhaustive search
+    enumerates every combination instead. Candidates whose projection
+    collapses or whose score is degenerate are skipped; ties go to the
+    smallest alpha (then the largest beta when the beta search is on).
     """
     points = list(train_points)
     class_ids = sorted({pt.label for pt in points})
@@ -262,6 +326,7 @@ def optimize_gds_dims(
             "the classes cannot be told apart"
         )
     for rnd in range(2):
+        start = list(current)
         for p in range(n):
             best_pair = current[p]
             best_report = reports[p]
@@ -290,6 +355,8 @@ def optimize_gds_dims(
                     "score": best_score,
                 }
             )
+        if current == start:
+            break
     return GdsSearchResult(tuple(current), tuple(reports), tuple(trace))
 
 
@@ -361,10 +428,10 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
     modes = _resolve_modes(config, order)
     n = len(modes)
     fixed_dims = (None,) * n if config.per_mode_dims is None else config.per_mode_dims
-    if len(fixed_dims) != n:
-        raise DimensionError(
-            f"per_mode_dims has {len(fixed_dims)} entries for {n} modes"
-        )
+    for name in ("per_mode_dims", "angle_counts"):
+        values = getattr(config, name)
+        if values is not None and len(values) != n:
+            raise DimensionError(f"{name} has {len(values)} entries for {n} modes")
     ambients, dims, parts, class_subs = zip(
         *(
             _fit_mode(samples, labels, class_ids, mode, dim, config.energy_mu)
@@ -419,6 +486,13 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
         references = tuple(points)
         fisher_final = fisher_raw
         angle_diag = tuple((a, None) for a in raw_angles)
+
+    for p, count in enumerate(config.angle_counts or ()):
+        top = min(ref.parts[p].dim for ref in references)
+        if not 1 <= count <= top:
+            raise DimensionError(
+                f"angle_counts entry {count} for mode {modes[p]} is outside 1..{top}"
+            )
 
     scheme = config.resolved_weight_scheme()
     if scheme == "fisher":

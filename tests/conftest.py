@@ -1,9 +1,17 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tensorgds import DenseTensor, Subspace
+
+# CLI tests run `python -m tensorgds` in a subprocess; let it import the
+# package from this source tree, as the test process does.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

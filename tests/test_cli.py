@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorgds.cli import classical_mds, main
+from tensorgds.cli import build_parser, classical_mds, main
 from tensorgds.errors import DimensionError
+from tensorgds.pipeline import SETTINGS
 
 
 def run_cli(*args):
@@ -267,3 +268,61 @@ def test_config_file_bad_value_exits_2(dataset_dir, tmp_path, capsys, line):
 
 def test_main_in_process_exit_codes(tmp_path):
     assert main(["mds", "--distances", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]) == 2
+
+
+def test_fit_flags_are_the_settings_keys():
+    subparsers = next(
+        a for a in build_parser()._actions if a.dest == "command"
+    )
+    flags = {
+        opt
+        for action in subparsers.choices["fit"]._actions
+        for opt in action.option_strings
+    } - {"-h", "--help", "--manifest", "--data-dir", "--out", "--config"}
+    assert flags == {f"--{s.key}" for s in SETTINGS if s.key is not None}
+    assert len(flags) == 14
+
+
+@pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
+def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
+    manifest = str(dataset_dir / "manifest.txt")
+    first = tmp_path / "flags"
+    assert main([
+        "fit", "--manifest", manifest, "--out", str(first),
+        "--method", "nmode-wgds", "--beta-search", "--alpha-max", "3",
+        "--angles", "1,1,1", "--full-spectrum", "--karcher-tol", "1e-7",
+        "--seed", "5",
+    ]) == 0
+    settings = [
+        line
+        for line in (first / "run_config.txt").read_text().splitlines()
+        if not line.startswith(("command=", "manifest="))
+    ]
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("\n".join(settings) + "\n")
+    second = tmp_path / "config"
+    assert main(
+        ["fit", "--manifest", manifest, "--out", str(second), "--config", str(cfg)]
+    ) == 0
+    assert (first / "model.nmdl").read_bytes() == (second / "model.nmdl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        (["--karcher-max-iter", "0"], None),
+        ([], "karcher-max-iter=0"),
+        ([], "karcher-tol=nan"),
+    ],
+)
+def test_bad_karcher_settings_exit_1(dataset_dir, tmp_path, capsys, flags, line):
+    if line is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        flags = ["--config", str(cfg)]
+    code = main([
+        "fit", "--manifest", str(dataset_dir / "manifest.txt"),
+        "--out", str(tmp_path / "fit"), *flags,
+    ])
+    assert code == 1
+    assert "karcher_" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from tensorgds import (
     unfold,
 )
 from tensorgds.dataio import SynthSpec, generate_synthetic
+from tensorgds.pipeline import CHOICES, SETTINGS
 from conftest import random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -127,6 +129,32 @@ def test_optimize_alpha_max_one_forces_full_band():
     assert result.pairs[0][0] == 1
 
 
+def test_coordinate_search_stops_after_an_unchanged_round():
+    # with one candidate the first round cannot move the band, so a second
+    # round would only repeat it
+    gram, points = tilted_two_class_points()
+    result = optimize_gds_dims(
+        [gram], points, PipelineConfig(method="nmode-gds", gds_alpha_max=1)
+    )
+    assert [e["round"] for e in result.trace] == [0]
+
+
+def test_coordinate_fixed_point_matches_exhaustive_score():
+    # the combined score is a ratio of per-mode sums, so a band choice that no
+    # single mode can improve is a global optimum
+    tr_s, tr_l, _, _ = benchmark_split()
+    coord = fit(tr_s, tr_l, PipelineConfig(method="nmode-gds", seed=7))
+    trace = coord.search_trace
+    picks = [
+        [(e["alpha"], e["beta"]) for e in trace if e["round"] == r] for r in (0, 1)
+    ]
+    assert trace[-1]["round"] == 0 or picks[1] == picks[0]  # a fixed point
+    exhaustive = fit(
+        tr_s, tr_l, PipelineConfig(method="nmode-gds", gds_search="exhaustive", seed=7)
+    )
+    assert coord.fisher.score_n == pytest.approx(exhaustive.fisher.score_n, rel=1e-12)
+
+
 def test_optimize_identical_classes_degenerate():
     e = np.eye(4)
     s = Subspace(e[:, [0, 1]])
@@ -199,6 +227,13 @@ def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
         for p, mode in enumerate(model.modes):
             want = basis_from_unfolding(unfold(t, mode), dim=model.dims[p])
             assert np.array_equal(ref.parts[p].basis, want.basis)
+
+
+@pytest.mark.parametrize("counts", [(9, 9, 9), (1,)])
+def test_fit_rejects_angle_counts_the_references_cannot_serve(counts):
+    tr_s, tr_l, _, _ = benchmark_split()
+    with pytest.raises(DimensionError, match="angle_counts"):
+        fit(tr_s, tr_l, PipelineConfig(method="pgm", angle_counts=counts))
 
 
 def test_fit_rejects_single_class(rng):
@@ -386,3 +421,49 @@ def test_class_karcher_classifier_runs():
     model = fit(tr_s, tr_l, cfg)
     metrics = evaluate(model, te_s, te_l)
     assert metrics.accuracy >= 0.75
+
+
+# --- settings -------------------------------------------------------------
+
+
+def test_settings_table_has_one_row_per_config_field():
+    assert [s.name for s in SETTINGS] == [
+        f.name for f in dataclasses.fields(PipelineConfig)
+    ]
+    keys = [s.key for s in SETTINGS if s.key is not None]
+    assert len(set(keys)) == len(keys) == 14
+    assert len({s.model_key for s in SETTINGS}) == len(SETTINGS)
+
+
+SETTING_VALUES = {
+    type(None): st.none() | st.lists(st.integers(), min_size=1, max_size=6).map(tuple),
+    bool: st.booleans(),
+    float: st.floats(allow_nan=False),
+    int: st.integers(),
+}
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids=lambda s: s.name)
+@given(data=st.data())
+def test_setting_text_round_trips(setting, data):
+    if setting.name in CHOICES:
+        value = data.draw(st.sampled_from(CHOICES[setting.name]))
+    else:
+        value = data.draw(SETTING_VALUES[setting.kind])
+    assert setting.parse(setting.format(value)) == value
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"karcher_max_iter": 0},
+        {"karcher_max_iter": -3},
+        {"karcher_tol": 0.0},
+        {"karcher_tol": -1e-8},
+        {"karcher_tol": math.nan},
+        {"karcher_tol": math.inf},
+    ],
+)
+def test_config_rejects_bad_karcher_settings(bad):
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        PipelineConfig(**bad)
