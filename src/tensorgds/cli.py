@@ -149,8 +149,8 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.lower().split("x"))
 
 
-def _load_config_file(path) -> dict[str, str]:
-    out = {}
+def _load_config_file(path) -> dataio.NamedValues:
+    out = dataio.NamedValues("config key")
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -175,14 +175,11 @@ def _build_pipeline_config(args) -> PipelineConfig:
     taking precedence; unset keys keep the PipelineConfig defaults."""
     values: dict = {}
     if args.config:
-        for key, text in _load_config_file(args.config).items():
+        config = _load_config_file(args.config)
+        for key in config:
             if key not in _CONFIG_KEYS:
                 raise FormatError(f"unknown config key {key!r}")
-            setting = _CONFIG_KEYS[key]
-            try:
-                values[setting.name] = setting.parse(text)
-            except ValueError as exc:
-                raise FormatError(f"config key {key!r}: bad value {text!r}") from exc
+            values[_CONFIG_KEYS[key].name] = config.parse(key, _CONFIG_KEYS[key].parse)
     flags = vars(args)
     for key, setting in _CONFIG_KEYS.items():
         dest = key.replace("-", "_")

@@ -51,6 +51,27 @@ MODEL_VERSION = 1
 SHARED_GAIN = 1.5
 
 
+class NamedValues(dict):
+    """Values by name read from a model or config file; a missing name, or a
+    value that its parser rejects, is a FormatError naming it."""
+
+    def __init__(self, what: str):
+        super().__init__()
+        self.what = what
+
+    def __missing__(self, name: str):
+        raise FormatError(f"no {self.what} {name!r}")
+
+    def parse(self, name: str, kind, many: bool = False):
+        """`kind` applied to the value, or with `many` to each item of its
+        comma list, returned as a tuple."""
+        text = self[name]
+        try:
+            return tuple(kind(x) for x in text.split(",")) if many else kind(text)
+        except ValueError as exc:
+            raise FormatError(f"{self.what} {name!r}: bad value {text!r}") from exc
+
+
 def _write_atomic(path, data: bytes) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}")
@@ -489,10 +510,10 @@ def _fisher_conf(prefix: str, nf: NModeFisher, lines: list[str]) -> None:
     )
 
 
-def _fisher_from_conf(prefix: str, conf: dict) -> NModeFisher:
-    modes = [int(x) for x in conf[f"{prefix}_modes"].split(",")]
-    between = [float(x) for x in conf[f"{prefix}_between"].split(",")]
-    within = [float(x) for x in conf[f"{prefix}_within"].split(",")]
+def _fisher_from_conf(prefix: str, conf: NamedValues) -> NModeFisher:
+    modes = conf.parse(f"{prefix}_modes", int, many=True)
+    between = conf.parse(f"{prefix}_between", float, many=True)
+    within = conf.parse(f"{prefix}_within", float, many=True)
     flags = [None if x == "-" else x for x in conf[f"{prefix}_flags"].split(",")]
     reports = []
     for mode, b, w, fl in zip(modes, between, within, flags):
@@ -564,8 +585,8 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
 
     pos = 6
     end = len(buf) - 4
-    conf: dict[str, str] = {}
-    matrices: dict[str, np.ndarray] = {}
+    conf = NamedValues("CONF key")
+    matrices = NamedValues("MATX section")
     while pos < end:
         if pos + 12 > end:
             raise FormatError(f"truncated section header at offset {pos}")
@@ -588,16 +609,15 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
         else:
             raise FormatError(f"unknown section tag {tag!r}")
 
-    def ints(key: str) -> tuple[int, ...]:
-        return tuple(int(x) for x in conf[key].split(","))
-
     config = PipelineConfig(
-        **{s.name: s.parse(conf[s.model_key]) for s in SETTINGS}
+        **{s.name: conf.parse(s.model_key, s.parse) for s in SETTINGS}
     )
     modes, dims = config.modes_used, config.per_mode_dims
     gds = None
     if conf["has_gds"] == "true":
-        alphas, betas, ranks = ints("alphas"), ints("betas"), ints("ranks")
+        alphas, betas, ranks = (
+            conf.parse(key, int, many=True) for key in ("alphas", "betas", "ranks")
+        )
         gds = tuple(
             GdsBasis(
                 mode=mode,
@@ -609,27 +629,31 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
             )
             for p, mode in enumerate(modes)
         )
-    labels = ints("labels") if conf["labels"] else ()
-    n_refs = int(conf["n_refs"])
+    labels = conf.parse("labels", int, many=True) if conf["labels"] else ()
+    n_refs = conf.parse("n_refs", int)
     references = []
     for i in range(n_refs):
         parts = tuple(
             Subspace(matrices[f"ref{i}_m{mode}"]) for mode in modes
         )
         references.append(ProductPoint(parts, label=labels[i]))
-    raw_angles = [float(x) for x in conf["angle_diag_raw"].split(",")]
+    raw_angles = conf.parse("angle_diag_raw", float, many=True)
     if conf["angle_diag_projected"] == "none":
         angle_diag = tuple((a, None) for a in raw_angles)
     else:
-        proj = [float(x) for x in conf["angle_diag_projected"].split(",")]
+        proj = conf.parse("angle_diag_projected", float, many=True)
         angle_diag = tuple(zip(raw_angles, proj))
     return TrainedModel(
         config=config,
         modes=modes,
         dims=dims,
-        mode_ambients=ints("mode_ambients"),
-        data_dims=None if conf["data_dims"] == "none" else ints("data_dims"),
-        class_ids=ints("class_ids"),
+        mode_ambients=conf.parse("mode_ambients", int, many=True),
+        data_dims=(
+            None
+            if conf["data_dims"] == "none"
+            else conf.parse("data_dims", int, many=True)
+        ),
+        class_ids=conf.parse("class_ids", int, many=True),
         gds=gds,
         weights=WeightVector(matrices["weights"].ravel()),
         references=tuple(references),

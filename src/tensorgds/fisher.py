@@ -68,12 +68,13 @@ def separability_ratio(between: float, within: float) -> tuple[float, str | None
     return between / within, None
 
 
-def _log_map(base: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Tangent vector at span(base) pointing toward span(target)."""
-    m = base.T @ target
-    g = (target - base @ m) @ np.linalg.pinv(m)
+def _log_map(base: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Tangent vectors at span(base) pointing toward the span of each basis
+    in an (N, d, k) stack, as an (N, d, k) stack."""
+    m = base.T @ stack
+    g = (stack - base @ m) @ np.linalg.pinv(m)
     w, s, vt = np.linalg.svd(g, full_matrices=False)
-    return (w * np.arctan(s)) @ vt
+    return (w * np.arctan(s)[:, None, :]) @ vt
 
 
 def _exp_map(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
@@ -97,29 +98,22 @@ def karcher_mean(
     mean tangent norm) is returned.
     """
     subs = list(subspaces)
-    if not subs:
-        raise DimensionError("cannot average an empty set of subspaces")
-    ambient, k = subs[0].ambient_dim, subs[0].dim
-    for s in subs[1:]:
-        if s.ambient_dim != ambient or s.dim != k:
-            raise DimensionError(
-                f"all subspaces must be {ambient}x{k}, got {s.ambient_dim}x{s.dim}"
-            )
+    shapes = sorted({s.basis.shape for s in subs})
+    if len(shapes) != 1:
+        raise DimensionError(f"need subspaces of one shape, got shapes {shapes}")
     if len(subs) == 1:
         return subs[0]
 
+    stack = np.stack([s.basis for s in subs])
     _, evecs = eigh_descending(projector_mean(subs))
-    y = np.ascontiguousarray(evecs[:, :k])
+    y = np.ascontiguousarray(evecs[:, : stack.shape[2]])
 
     best_y = y
     best_norm = math.inf
     step = 1.0
     prev_norm = math.inf
     for _ in range(max_iter):
-        mean_tangent = np.zeros_like(y)
-        for s in subs:
-            mean_tangent += _log_map(y, s.basis)
-        mean_tangent /= len(subs)
+        mean_tangent = _log_map(y, stack).sum(axis=0) / len(subs)
         tnorm = float(np.linalg.norm(mean_tangent))
         if tnorm < best_norm:
             best_y, best_norm = y, tnorm

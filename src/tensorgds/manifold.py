@@ -8,14 +8,13 @@ product-manifold distance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .subspace import Subspace, principal_angles
+from .subspace import Subspace, canonical_correlations
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -82,7 +81,18 @@ def weighted_geodesic(
     angle_counts: Sequence[int] | None = None,
     full_spectrum: bool = False,
 ) -> float:
-    """Weighted distance between two product points.
+    """Weighted distance between two product points (see `weighted_geodesics`)."""
+    return float(weighted_geodesics(a, [b], weights, angle_counts, full_spectrum)[0])
+
+
+def weighted_geodesics(
+    query: ProductPoint,
+    points: Sequence[ProductPoint],
+    weights: WeightVector,
+    angle_counts: Sequence[int] | None = None,
+    full_spectrum: bool = False,
+) -> np.ndarray:
+    """Weighted distance from `query` to each of `points`.
 
     Per mode, the contribution is the mean of the first `angle_counts[i]`
     canonical angles (or all available angles when no counts are given),
@@ -90,11 +100,9 @@ def weighted_geodesic(
     contributions. With `full_spectrum` the per-mode value is the root sum of
     squared angles instead of their mean.
     """
-    if a.mode_count != b.mode_count:
-        raise DimensionError(
-            f"mode counts differ: {a.mode_count} vs {b.mode_count}"
-        )
-    n = a.mode_count
+    n = query.mode_count
+    if any(b.mode_count != n for b in points):
+        raise DimensionError(f"mode counts differ from the query's {n}")
     if weights.weights.size != n:
         raise DimensionError(
             f"weight count {weights.weights.size} does not match {n} modes"
@@ -103,17 +111,23 @@ def weighted_geodesic(
         raise DimensionError(
             f"angle count vector has {len(angle_counts)} entries for {n} modes"
         )
-    terms = np.empty(n)
+    terms = np.empty((len(points), n))
     for i in range(n):
         count = None if angle_counts is None else int(angle_counts[i])
-        angles = principal_angles(a.parts[i], b.parts[i], count).angles
-        if full_spectrum:
-            value = math.sqrt(float(np.sum(angles * angles)))
-        else:
-            value = float(np.mean(angles))
-        terms[i] = weights.weights[i] * value
+        bases = [b.parts[i].basis for b in points]
+        # One stack per basis shape: projection can leave a part narrower
+        # than the rest, and padding it would change the SVD input.
+        for shape in {b.shape for b in bases}:
+            idx = [j for j, b in enumerate(bases) if b.shape == shape]
+            stack = np.stack([bases[j] for j in idx])
+            angles = np.arccos(canonical_correlations(query.parts[i], stack, count))
+            if full_spectrum:
+                values = np.sqrt(np.sum(angles * angles, axis=1))
+            else:
+                values = np.mean(angles, axis=1)
+            terms[idx, i] = weights.weights[i] * values
     if n == 1:
         # The single-factor metric is the bare weighted angle; skip the
         # square/sqrt round trip so the reduction is exact.
-        return abs(float(terms[0]))
-    return float(np.sqrt(np.sum(terms * terms)))
+        return np.abs(terms[:, 0])
+    return np.sqrt(np.sum(terms * terms, axis=1))

@@ -14,6 +14,7 @@ with a learned projection before measuring distances.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import DegeneracyError, DimensionError
 from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_mean, nmode_fisher
 from .gds import GdsBasis, ModeGram, gds_from_gram, mode_gram, project_onto_gds
-from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesic
+from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
 from .subspace import (
     SingularSpectrum,
     Subspace,
@@ -293,8 +294,6 @@ def optimize_gds_dims(
     trace: list[dict] = []
 
     if config.gds_search == "exhaustive":
-        import itertools
-
         best_pairs = None
         best_reports = None
         best_score = -np.inf
@@ -361,11 +360,8 @@ def optimize_gds_dims(
 
 
 def _class_pair_mean_angle(class_subspaces: Sequence[Subspace]) -> float:
-    vals = []
-    for a in range(len(class_subspaces)):
-        for b in range(a + 1, len(class_subspaces)):
-            vals.append(mean_canonical_angle(class_subspaces[a], class_subspaces[b]))
-    return float(np.mean(vals))
+    pairs = itertools.combinations(class_subspaces, 2)
+    return float(np.mean([mean_canonical_angle(a, b) for a, b in pairs]))
 
 
 def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
@@ -545,64 +541,67 @@ def transform(model: TrainedModel, sample) -> ProductPoint:
     return ProductPoint(tuple(parts))
 
 
-def point_distance(model: TrainedModel, a: ProductPoint, b: ProductPoint) -> float:
-    return weighted_geodesic(
-        a,
-        b,
+def point_distances(
+    model: TrainedModel, query: ProductPoint, points: Sequence[ProductPoint]
+) -> np.ndarray:
+    """Distance from `query` to each of `points` in the model's metric."""
+    return weighted_geodesics(
+        query,
+        points,
         model.weights,
         angle_counts=model.config.angle_counts,
         full_spectrum=model.config.full_spectrum,
     )
 
 
+def point_distance(model: TrainedModel, a: ProductPoint, b: ProductPoint) -> float:
+    return float(point_distances(model, a, [b])[0])
+
+
 def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> np.ndarray:
+    """Symmetric distance matrix with an exactly zero diagonal: each row is
+    computed against the later points only and mirrored."""
     pts = list(points)
-    n = len(pts)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = point_distance(model, pts[i], pts[j])
-            out[i, j] = d
-            out[j, i] = d
-    return out
+    upper = np.zeros((len(pts), len(pts)))
+    for i in range(len(pts) - 1):
+        upper[i, i + 1 :] = point_distances(model, pts[i], pts[i + 1 :])
+    return upper + upper.T
 
 
 def _class_mean_points(model: TrainedModel) -> tuple[ProductPoint, ...]:
     if "class_points" not in model._cache:
-        pts = []
-        for cid in model.class_ids:
-            parts = []
-            for p in range(len(model.modes)):
-                subs = [
-                    r.parts[p] for r in model.references if r.label == cid
-                ]
-                parts.append(
-                    karcher_mean(
-                        subs,
-                        tol=model.config.karcher_tol,
-                        max_iter=model.config.karcher_max_iter,
-                    )
+        means = [
+            [
+                karcher_mean(
+                    subs,
+                    tol=model.config.karcher_tol,
+                    max_iter=model.config.karcher_max_iter,
                 )
-            pts.append(ProductPoint(tuple(parts), label=cid))
-        model._cache["class_points"] = tuple(pts)
+                for subs in _group_by_class(model.references, model.class_ids, p)
+            ]
+            for p in range(len(model.modes))
+        ]
+        model._cache["class_points"] = tuple(
+            ProductPoint(parts, label=cid)
+            for cid, parts in zip(model.class_ids, zip(*means))
+        )
     return model._cache["class_points"]
 
 
 def classify(model: TrainedModel, sample) -> tuple[int, np.ndarray]:
     """Label a sample: nearest reference (nn) or nearest class mean point
     (class-karcher). Returns the winning class id and the per-class minimum
-    distances, ordered by class id; ties go to the smallest class id."""
+    distances, ordered by class id (inf for a class without references); ties
+    go to the smallest class id."""
     query = transform(model, sample)
-    scores = np.full(len(model.class_ids), np.inf)
     if model.config.classifier == "nn":
-        for ref in model.references:
-            d = point_distance(model, query, ref)
-            idx = model.class_ids.index(ref.label)
-            if d < scores[idx]:
-                scores[idx] = d
+        dists = point_distances(model, query, model.references)
+        labels = np.array([ref.label for ref in model.references])
+        scores = np.array(
+            [dists[labels == cid].min(initial=np.inf) for cid in model.class_ids]
+        )
     else:
-        for idx, mean_pt in enumerate(_class_mean_points(model)):
-            scores[idx] = point_distance(model, query, mean_pt)
+        scores = point_distances(model, query, _class_mean_points(model))
     return model.class_ids[int(np.argmin(scores))], scores
 
 

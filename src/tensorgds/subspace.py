@@ -152,27 +152,35 @@ def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> Subspace:
     return Subspace(u[:, :k])
 
 
-def principal_angles(
-    p: Subspace, q: Subspace, count: int | None = None
-) -> AngleSpectrum:
-    """Canonical correlations and angles between two subspaces.
-
-    Correlations are the singular values of the basis cross product, clamped
-    to [0, 1]; angles are their arccosines. Symmetric in the arguments.
-    """
-    if p.ambient_dim != q.ambient_dim:
+def canonical_correlations(
+    p: Subspace, bases: np.ndarray, count: int | None = None
+) -> np.ndarray:
+    """First `count` canonical correlations of `p` with a (d, k) basis, or
+    with each basis of an (N, d, k) stack as an (N, count) array: singular
+    values of the basis cross product, clamped to [0, 1]."""
+    ambient, k = bases.shape[-2:]
+    if p.ambient_dim != ambient:
         raise DimensionError(
-            f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}"
+            f"ambient dimensions differ: {p.ambient_dim} vs {ambient}"
         )
-    cmax = min(p.dim, q.dim)
+    cmax = min(p.dim, k)
     if count is None:
         count = cmax
     count = int(count)
     if not 1 <= count <= cmax:
         raise DimensionError(f"count must be in 1..{cmax}, got {count}")
-    s = np.linalg.svd(p.basis.T @ q.basis, compute_uv=False)[:count]
+    s = np.linalg.svd(p.basis.T @ bases, compute_uv=False)[..., :count]
     s = np.clip(s, 0.0, 1.0)
     s[s >= 1.0 - CORRELATION_SNAP] = 1.0
+    return s
+
+
+def principal_angles(
+    p: Subspace, q: Subspace, count: int | None = None
+) -> AngleSpectrum:
+    """Canonical correlations and angles between two subspaces; angles are
+    the arccosines of `canonical_correlations`. Symmetric in the arguments."""
+    s = canonical_correlations(p, q.basis, count)
     return AngleSpectrum(correlations=s, angles=np.arccos(s))
 
 

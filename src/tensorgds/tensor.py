@@ -45,9 +45,6 @@ class DenseTensor:
     def size(self) -> int:
         return self.data.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
 
 @dataclass(frozen=True)
 class UnfoldedMatrix:
@@ -67,10 +64,6 @@ class UnfoldedMatrix:
     @property
     def rows(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)

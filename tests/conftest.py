@@ -1,5 +1,7 @@
 import math
 import os
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -38,3 +40,13 @@ def line(degrees):
     """1-dim subspace of the plane at the given angle from the x axis."""
     t = math.radians(degrees)
     return Subspace(np.array([[math.cos(t)], [math.sin(t)]]))
+
+
+def edit_model_conf(buf: bytes, edit) -> bytes:
+    """Model file bytes with the CONF text (the first section) passed through
+    `edit`, re-framed and given a valid checksum."""
+    assert buf[6:10] == b"CONF"
+    length = struct.unpack_from("<Q", buf, 10)[0]
+    text = edit(buf[18 : 18 + length].decode()).encode()
+    body = buf[:10] + struct.pack("<Q", len(text)) + text + buf[18 + length : -4]
+    return body + struct.pack("<I", zlib.crc32(body))

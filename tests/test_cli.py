@@ -11,6 +11,7 @@ import pytest
 from tensorgds.cli import build_parser, classical_mds, main
 from tensorgds.errors import DimensionError
 from tensorgds.pipeline import SETTINGS
+from conftest import edit_model_conf
 
 
 def run_cli(*args):
@@ -264,6 +265,19 @@ def test_config_file_bad_value_exits_2(dataset_dir, tmp_path, capsys, line):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and repr(line.split("=")[0]) in err
+
+
+def test_malformed_model_file_exits_2(model_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.nmdl"
+    bad.write_bytes(
+        edit_model_conf(
+            (model_dir / "model.nmdl").read_bytes(),
+            lambda text: text.replace("has_gds=true\n", ""),
+        )
+    )
+    assert main(["fisher", "--model", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "'has_gds'" in err
 
 
 def test_main_in_process_exit_codes(tmp_path):

@@ -32,7 +32,7 @@ from tensorgds.dataio import (
     write_tensor,
 )
 from tensorgds.subspace import Subspace, basis_from_unfolding
-from conftest import random_tensor
+from conftest import edit_model_conf, random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
 
@@ -340,6 +340,44 @@ def test_model_corrupted_payload():
     buf[len(buf) // 2] ^= 0x10
     with pytest.raises(FormatError, match="checksum"):
         model_from_bytes(bytes(buf))
+
+
+def drop_conf_line(key):
+    return lambda text: "".join(
+        line for line in text.splitlines(keepends=True) if not line.startswith(key + "=")
+    )
+
+
+def set_conf_value(key, value):
+    return lambda text: "".join(
+        f"{key}={value}\n" if line.startswith(key + "=") else line
+        for line in text.splitlines(keepends=True)
+    )
+
+
+def test_model_missing_conf_key_names_it():
+    model, _, _ = trained_model()
+    buf = edit_model_conf(model_to_bytes(model), drop_conf_line("has_gds"))
+    with pytest.raises(FormatError, match="CONF key 'has_gds'"):
+        model_from_bytes(buf)
+
+
+def test_model_missing_matrix_section_names_it():
+    model, _, _ = trained_model()
+    n = len(model.references)
+    buf = edit_model_conf(model_to_bytes(model), set_conf_value("n_refs", n + 1))
+    with pytest.raises(FormatError, match=f"MATX section 'ref{n}_m1'"):
+        model_from_bytes(buf)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("n_refs", "12x"), ("energy_mu", "abc"), ("class_ids", "0,one")]
+)
+def test_model_unparsable_value_names_the_key(key, value):
+    model, _, _ = trained_model()
+    buf = edit_model_conf(model_to_bytes(model), set_conf_value(key, value))
+    with pytest.raises(FormatError, match=f"CONF key '{key}': bad value"):
+        model_from_bytes(buf)
 
 
 def test_model_dims_mismatch_at_classify(tmp_path, rng):

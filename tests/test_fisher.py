@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tensorgds import (
     projector,
 )
 from tensorgds.fisher import FisherReport
-from conftest import line, random_subspace
+from conftest import line, random_orthonormal, random_subspace
 
 
 def test_karcher_identical_inputs(rng):
@@ -163,3 +164,38 @@ def test_separability_monotone_in_between_angle():
         ]
         scores.append(nmode_fisher([fisher_mode(classes)]).score_n)
     assert scores[0] < scores[1] < scores[2]
+
+
+def members_near(rng, ambient, k, n, radius):
+    """`n` subspaces at geodesic distance at most `radius` from a random
+    center: exp-map images of tangent vectors of norm below `radius`."""
+    center = random_subspace(rng, ambient, k).basis
+    out = []
+    for _ in range(n):
+        h = rng.standard_normal((ambient, k))
+        h -= center @ (center.T @ h)
+        h *= rng.uniform(0.0, radius) / np.linalg.norm(h)
+        u, s, vt = np.linalg.svd(h, full_matrices=False)
+        y = (center @ vt.T) * np.cos(s) + u * np.sin(s)
+        out.append(Subspace(np.linalg.qr(y @ vt)[0]))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    k=st.integers(1, 3),
+    extra=st.integers(1, 4),
+)
+def test_karcher_commutes_with_rotation_and_converges(seed, n, k, extra):
+    rng = np.random.default_rng(seed)
+    ambient = k + extra
+    subs = members_near(rng, ambient, k, n, radius=0.35)
+    rot = random_orthonormal(rng, ambient, ambient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KarcherConvergenceWarning)
+        mean = karcher_mean(subs)
+        rotated = karcher_mean([Subspace(rot @ s.basis) for s in subs])
+    err = np.linalg.norm(projector(rotated) - rot @ projector(mean) @ rot.T)
+    assert err <= 1e-10

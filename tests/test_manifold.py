@@ -8,13 +8,21 @@ from hypothesis import strategies as st
 from tensorgds import (
     DegeneracyError,
     DimensionError,
+    PipelineConfig,
     ProductPoint,
     Subspace,
+    TrainedModel,
     WeightVector,
     mean_canonical_angle,
     mode_weights,
+    nmode_fisher,
+    pairwise_distances,
+    point_distance,
+    principal_angles,
     weighted_geodesic,
 )
+from tensorgds.fisher import FisherReport
+from tensorgds.manifold import weighted_geodesics
 from conftest import line, random_subspace
 
 
@@ -143,3 +151,90 @@ def test_weighted_geodesic_contract_errors(rng):
         weighted_geodesic(a, b2, WeightVector(np.ones(3)))
     with pytest.raises(DimensionError):
         weighted_geodesic(a, b2, w, angle_counts=(3, 1))  # exceeds dims
+
+
+def per_pair_distance(a, b, weights, angle_counts=None, full_spectrum=False):
+    """The weighted geodesic distance built from `principal_angles` one mode
+    at a time: the definition the batched distances must reproduce."""
+    terms = np.empty(a.mode_count)
+    for i, (p, q) in enumerate(zip(a.parts, b.parts)):
+        count = None if angle_counts is None else angle_counts[i]
+        angles = principal_angles(p, q, count).angles
+        if full_spectrum:
+            value = math.sqrt(float(np.sum(angles * angles)))
+        else:
+            value = float(np.mean(angles))
+        terms[i] = weights.weights[i] * value
+    if a.mode_count == 1:
+        return abs(float(terms[0]))
+    return float(np.sqrt(np.sum(terms * terms)))
+
+
+def mixed_width_points(rng, n_modes, n_points, ambient=6):
+    """A query and `n_points` points; in mode 1 the point widths vary from 1
+    to 3, as projection leaves them, and the other modes have width 2. One
+    point repeats the query, so one distance is exactly zero."""
+    widths = rng.integers(1, 4, size=n_points)
+
+    def point(width):
+        parts = [random_subspace(rng, ambient, int(width))]
+        parts += [random_subspace(rng, ambient, 2) for _ in range(n_modes - 1)]
+        return ProductPoint(tuple(parts))
+
+    query = point(3)
+    return query, [point(w) for w in widths] + [query]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.sampled_from([1, 3]),
+    n_points=st.integers(1, 8),
+    counted=st.booleans(),
+    full_spectrum=st.booleans(),
+)
+def test_batched_distances_equal_the_per_pair_definition(
+    seed, n_modes, n_points, counted, full_spectrum
+):
+    rng = np.random.default_rng(seed)
+    query, points = mixed_width_points(rng, n_modes, n_points)
+    weights = WeightVector(rng.uniform(0.1, 1.0, size=n_modes))
+    counts = (1,) + (2,) * (n_modes - 1) if counted else None
+    batched = weighted_geodesics(query, points, weights, counts, full_spectrum)
+    assert batched.shape == (len(points),)
+    for j, b in enumerate(points):
+        want = per_pair_distance(query, b, weights, counts, full_spectrum)
+        assert batched[j] == want
+        assert weighted_geodesic(query, b, weights, counts, full_spectrum) == want
+    assert batched[-1] == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_modes=st.sampled_from([1, 3]), full=st.booleans())
+def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(seed, n_modes, full):
+    rng = np.random.default_rng(seed)
+    query, points = mixed_width_points(rng, n_modes, 6)
+    points.append(query)  # a repeated point: an exactly zero off-diagonal pair
+    report = nmode_fisher([FisherReport(mode=1, between=1.0, within=1.0, score=1.0)])
+    config = PipelineConfig(method="pgm", full_spectrum=full)
+    model = TrainedModel(
+        config=config,
+        modes=tuple(range(1, n_modes + 1)),
+        dims=(2,) * n_modes,
+        mode_ambients=(6,) * n_modes,
+        data_dims=None,
+        class_ids=(0,),
+        gds=None,
+        weights=WeightVector(rng.uniform(0.1, 1.0, size=n_modes)),
+        references=(),
+        fisher_raw=report,
+        fisher=report,
+        angle_diag=((0.0, None),) * n_modes,
+    )
+    d = pairwise_distances(model, points)
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert d[-1, -2] == 0.0
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            assert d[i, j] == point_distance(model, points[i], points[j])
