@@ -57,6 +57,8 @@ CONFIGS = {
     "pgm": (PipelineConfig(method="pgm"), False),
     "nmode-gds": (PipelineConfig(method="nmode-gds"), False),
     "nmode-wgds": (PipelineConfig(method="nmode-wgds"), False),
+    # the legacy `gds_search` spelling: it runs the one band search, so its
+    # outputs must be the coordinate model's (bytes apart from that setting)
     "nmode-wgds-exhaustive": (
         PipelineConfig(method="nmode-wgds", gds_search="exhaustive", gds_alpha_max=3),
         False,

@@ -609,9 +609,15 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
         else:
             raise FormatError(f"unknown section tag {tag!r}")
 
-    config = PipelineConfig(
-        **{s.name: conf.parse(s.model_key, s.parse) for s in SETTINGS}
-    )
+    values = {s.name: conf.parse(s.model_key, s.parse) for s in SETTINGS}
+    for s in SETTINGS:  # PipelineConfig checks each field on its own
+        try:
+            PipelineConfig(**{s.name: values[s.name]})
+        except ValueError as exc:
+            raise FormatError(
+                f"CONF key {s.model_key!r}: bad value {conf[s.model_key]!r} ({exc})"
+            ) from exc
+    config = PipelineConfig(**values)
     modes, dims = config.modes_used, config.per_mode_dims
     gds = None
     if conf["has_gds"] == "true":

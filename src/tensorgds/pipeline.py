@@ -54,6 +54,11 @@ class PipelineConfig:
     `modes_used`, `per_mode_dims`, and `angle_counts` are aligned with each
     other; None means "all modes", "median of the energy-selected dimensions",
     and "all available angles" respectively.
+
+    `gds_search` selects no code: both of its values run coordinate ascent
+    to a fixed point, which is already the best band combination (see
+    `optimize_gds_dims`). It stays so that models, config files and
+    `run_config.txt` echoes that spell `exhaustive` still load and fit.
     """
 
     method: str = "nmode-wgds"
@@ -149,7 +154,7 @@ SETTINGS = (
     Setting("per_mode_dims", "mode-dims", "dims", "fixed per-mode dims"),
     Setting("angle_counts", "angles", "angle_counts", "per-mode canonical angle counts"),
     Setting("gds_alpha_max", "alpha-max", "gds_alpha_max", "search bound for the leading cut"),
-    Setting("gds_search", "search", "gds_search"),
+    Setting("gds_search", "search", "gds_search", "both values run the one band search"),
     Setting("gds_beta_search", "beta-search", "gds_beta_search"),
     Setting("karcher_tol", "karcher-tol", "karcher_tol"),
     Setting("karcher_max_iter", "karcher-max-iter", "karcher_max_iter"),
@@ -192,9 +197,14 @@ class EvalMetrics:
 
 @dataclass(frozen=True)
 class GdsSearchResult:
+    """The chosen (alpha, beta) band per mode, its report, the search trace,
+    and per mode the training parts projected onto the chosen band, in
+    sample order."""
+
     pairs: tuple[tuple[int, int], ...]
     reports: tuple[FisherReport, ...]
     trace: tuple[dict, ...]
+    parts: tuple[tuple[Subspace, ...], ...]
 
 
 def _mode_matrix(sample, mode: int) -> UnfoldedMatrix:
@@ -246,42 +256,49 @@ def optimize_gds_dims(
     """Choose the retained eigenvector band per mode by maximizing the
     combined separability score of the projected training subspaces.
 
-    Coordinate ascent sweeps the leading cut `alpha` of one mode at a time
-    while the other modes stay at their current best, for at most two full
-    rounds, stopping after a round that changes no band; exhaustive search
-    enumerates every combination instead. Candidates whose projection
-    collapses or whose score is degenerate are skipped; ties go to the
-    smallest alpha (then the largest beta when the beta search is on).
+    Coordinate ascent sweeps the candidate bands of one mode at a time while
+    the other modes stay at their current best, starting from the full band,
+    until a round changes no band. Candidates whose projection collapses or
+    whose score is degenerate are skipped; ties go to the smallest alpha
+    (then the largest beta when the beta search is on).
+
+    The fixed point is a global optimum: the combined score is a ratio of
+    per-mode sums, so at a fixed point with ratio r each mode's band
+    maximizes its between - r * within, and no combination of bands can beat
+    r (Dinkelbach 1967). `config.gds_search` therefore selects nothing; both
+    of its values run this search.
     """
     points = list(train_points)
     class_ids = sorted({pt.label for pt in points})
     if len(class_ids) < 2 or None in class_ids:
         raise DimensionError("need labeled points from at least 2 classes")
-    n = len(grams)
+    members = [
+        [i for i, pt in enumerate(points) if pt.label == cid] for cid in class_ids
+    ]
 
-    cache: dict[tuple[int, int, int], FisherReport | None] = {}
+    cache: dict[tuple[int, int, int], tuple | None] = {}
 
-    def evaluate(p: int, alpha: int, beta: int) -> FisherReport | None:
+    def evaluate(p: int, alpha: int, beta: int):
+        """The candidate's report and its projected training parts, in sample
+        order, or None when the candidate is unusable."""
         key = (p, alpha, beta)
         if key not in cache:
             try:
                 basis = gds_from_gram(grams[p], alpha, beta)
-                grouped = [
-                    [
-                        project_onto_gds(basis, s, config.projection_tol)
-                        for s in cls
-                    ]
-                    for cls in _group_by_class(points, class_ids, p)
-                ]
+                parts = tuple(
+                    project_onto_gds(basis, pt.parts[p], config.projection_tol)
+                    for pt in points
+                )
                 report = fisher_mode(
-                    grouped,
+                    [[parts[i] for i in idx] for idx in members],
                     mode=grams[p].mode,
                     karcher_tol=config.karcher_tol,
                     karcher_max_iter=config.karcher_max_iter,
                 )
             except (DegeneracyError, DimensionError):
                 report = None
-            cache[key] = report
+            usable = report is not None and report.flag is None
+            cache[key] = (report, parts) if usable else None
         return cache[key]
 
     def candidate_pairs(p: int) -> list[tuple[int, int]]:
@@ -291,72 +308,45 @@ def optimize_gds_dims(
             return [(a, b) for a in alphas for b in range(rank, a - 1, -1)]
         return [(a, rank) for a in alphas]
 
-    trace: list[dict] = []
-
-    if config.gds_search == "exhaustive":
-        best_pairs = None
-        best_reports = None
-        best_score = -np.inf
-        for combo in itertools.product(*(candidate_pairs(p) for p in range(n))):
-            reports = [evaluate(p, a, b) for p, (a, b) in enumerate(combo)]
-            if any(r is None or r.flag is not None for r in reports):
-                continue
-            score = nmode_fisher(reports).score_n
-            if not np.isfinite(score):
-                continue
-            trace.append({"combo": combo, "score": score})
-            if score > best_score:
-                best_score = score
-                best_pairs = combo
-                best_reports = reports
-        if best_pairs is None:
-            raise DegeneracyError(
-                "no usable eigenvector band: every candidate was degenerate"
-            )
-        return GdsSearchResult(
-            tuple(best_pairs), tuple(best_reports), tuple(trace)
-        )
-
     current = [(1, g.rank) for g in grams]
-    reports = [evaluate(p, 1, g.rank) for p, g in enumerate(grams)]
-    if any(r is None or r.flag is not None for r in reports):
+    chosen = [evaluate(p, *pair) for p, pair in enumerate(current)]
+    if any(c is None for c in chosen):
         raise DegeneracyError(
             "separability is degenerate at the full eigenvector band; "
             "the classes cannot be told apart"
         )
-    for rnd in range(2):
+    trace: list[dict] = []
+    # A band changes only to a candidate with a higher combined score, or an
+    # equal score and an earlier place in the candidate order, so each change
+    # raises (score, -sum of candidate indices) lexicographically and the
+    # loop ends. Every evaluation is cached: the confirming round scores
+    # nothing anew.
+    for rnd in itertools.count():
         start = list(current)
-        for p in range(n):
-            best_pair = current[p]
-            best_report = reports[p]
+        for p in range(len(grams)):
             best_score = -np.inf
-            for a, b in candidate_pairs(p):
-                rep = evaluate(p, a, b)
-                if rep is None or rep.flag is not None:
+            for pair in candidate_pairs(p):
+                candidate = evaluate(p, *pair)
+                if candidate is None:
                     continue
-                trial = list(reports)
-                trial[p] = rep
+                trial = [report for report, _ in chosen]
+                trial[p] = candidate[0]
                 score = nmode_fisher(trial).score_n
-                if not np.isfinite(score):
-                    continue
-                if score > best_score:
-                    best_score = score
-                    best_pair = (a, b)
-                    best_report = rep
-            current[p] = best_pair
-            reports[p] = best_report
+                if np.isfinite(score) and score > best_score:
+                    best_score, current[p], chosen[p] = score, pair, candidate
             trace.append(
                 {
                     "round": rnd,
                     "mode": grams[p].mode,
-                    "alpha": best_pair[0],
-                    "beta": best_pair[1],
+                    "alpha": current[p][0],
+                    "beta": current[p][1],
                     "score": best_score,
                 }
             )
         if current == start:
             break
-    return GdsSearchResult(tuple(current), tuple(reports), tuple(trace))
+    reports, parts = zip(*chosen)
+    return GdsSearchResult(tuple(current), reports, tuple(trace), parts)
 
 
 def _class_pair_mean_angle(class_subspaces: Sequence[Subspace]) -> float:
@@ -460,14 +450,8 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
         )
         search_trace = result.trace
         references = tuple(
-            ProductPoint(
-                tuple(
-                    project_onto_gds(bases[p], pt.parts[p], config.projection_tol)
-                    for p in range(n)
-                ),
-                label=pt.label,
-            )
-            for pt in points
+            ProductPoint(pt, label=label)
+            for pt, label in zip(zip(*result.parts), labels)
         )
         fisher_final = nmode_fisher(result.reports)
         proj_angles = []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -278,6 +279,35 @@ def test_malformed_model_file_exits_2(model_dir, tmp_path, capsys):
     assert main(["fisher", "--model", str(bad), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and "'has_gds'" in err
+
+
+@pytest.mark.parametrize("key", ["method", "gds_search"])
+def test_model_with_rejected_setting_exits_2(dataset_dir, model_dir, tmp_path, capsys, key):
+    bad = tmp_path / "bad.nmdl"
+    bad.write_bytes(
+        edit_model_conf(
+            (model_dir / "model.nmdl").read_bytes(),
+            lambda text: re.sub(rf"^{key}=.*$", f"{key}=foo", text, flags=re.M),
+        )
+    )
+    assert main([
+        "eval", "--model", str(bad), "--manifest", str(dataset_dir / "manifest.txt"),
+        "--split", "test", "--out", str(tmp_path / "eval"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and f"'{key}': bad value 'foo'" in err
+
+
+@pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
+def test_config_file_legacy_search_value_still_fits(dataset_dir, tmp_path):
+    cfg = tmp_path / "legacy.cfg"
+    cfg.write_text("search=exhaustive\n")
+    out = tmp_path / "fit"
+    assert main([
+        "fit", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+        "--config", str(cfg),
+    ]) == 0
+    assert "search=exhaustive" in (out / "run_config.txt").read_text().splitlines()
 
 
 def test_main_in_process_exit_codes(tmp_path):

@@ -371,13 +371,46 @@ def test_model_missing_matrix_section_names_it():
 
 
 @pytest.mark.parametrize(
-    "key, value", [("n_refs", "12x"), ("energy_mu", "abc"), ("class_ids", "0,one")]
+    "key, value",
+    [
+        ("n_refs", "12x"),
+        ("energy_mu", "abc"),
+        ("class_ids", "0,one"),
+        # values that parse but that PipelineConfig rejects
+        ("method", "foo"),
+        ("gds_search", "foo"),
+        ("weights_scheme", "foo"),
+        ("karcher_max_iter", "0"),
+    ],
 )
 def test_model_unparsable_value_names_the_key(key, value):
     model, _, _ = trained_model()
     buf = edit_model_conf(model_to_bytes(model), set_conf_value(key, value))
     with pytest.raises(FormatError, match=f"CONF key '{key}': bad value"):
         model_from_bytes(buf)
+
+
+def test_legacy_exhaustive_model_matches_the_coordinate_model():
+    # both gds_search values run the one band search, so the models differ
+    # only in that CONF value and the checksum
+    spec = bench_spec(
+        classes=4, samples_per_class=10, dims=(12, 12, 12), within_noise=0.15, seed=7
+    )
+    samples, manifest = generate_synthetic(spec)
+    labels = [e.label for e in manifest.entries]
+    legacy, coordinate = (
+        model_to_bytes(
+            fit(
+                samples,
+                labels,
+                PipelineConfig(method="nmode-wgds", gds_search=search, gds_alpha_max=3),
+            )
+        )
+        for search in ("exhaustive", "coordinate")
+    )
+    assert model_to_bytes(model_from_bytes(legacy)) == legacy
+    assert legacy != coordinate
+    assert edit_model_conf(legacy, set_conf_value("gds_search", "coordinate")) == coordinate
 
 
 def test_model_dims_mismatch_at_classify(tmp_path, rng):

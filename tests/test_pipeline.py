@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -17,11 +18,15 @@ from tensorgds import (
     classify,
     evaluate,
     extract_sample_point,
+    fisher_mode,
     fit,
+    gds_from_gram,
     mean_canonical_angle,
     mode_gram,
+    nmode_fisher,
     optimize_gds_dims,
     pairwise_distances,
+    project_onto_gds,
     projector,
     transform,
     unfold,
@@ -109,15 +114,82 @@ def test_extract_mode_subset(rng):
 # --- search ---------------------------------------------------------------
 
 
+def brute_force_search(grams, points, config):
+    """Best combined score over every combination of usable bands and its
+    first-found pairs: per mode, every candidate band is built with
+    `gds_from_gram`, the training parts are projected with `project_onto_gds`
+    and scored with `fisher_mode`; the combinations are then ranked by
+    `nmode_fisher`. The reference the band search must reach."""
+    class_ids = sorted({pt.label for pt in points})
+    usable = []
+    for p, gram in enumerate(grams):
+        found = []
+        for a in range(1, min(config.gds_alpha_max, gram.rank) + 1):
+            betas = range(gram.rank, a - 1, -1) if config.gds_beta_search else [gram.rank]
+            for b in betas:
+                try:
+                    basis = gds_from_gram(gram, a, b)
+                    grouped = [
+                        [
+                            project_onto_gds(basis, pt.parts[p], config.projection_tol)
+                            for pt in points
+                            if pt.label == cid
+                        ]
+                        for cid in class_ids
+                    ]
+                    report = fisher_mode(
+                        grouped,
+                        mode=gram.mode,
+                        karcher_tol=config.karcher_tol,
+                        karcher_max_iter=config.karcher_max_iter,
+                    )
+                except (DegeneracyError, DimensionError):
+                    continue
+                if report.flag is None:
+                    found.append(((a, b), report))
+        usable.append(found)
+    best_score, best_pairs = -math.inf, None
+    for combo in itertools.product(*usable):
+        score = nmode_fisher([report for _, report in combo]).score_n
+        if score > best_score:
+            best_score, best_pairs = score, tuple(pair for pair, _ in combo)
+    return best_score, best_pairs
+
+
+def fit_search_inputs(samples, labels, model):
+    """The mode Gram matrices and raw training points `fit` hands to the band
+    search, rebuilt from the fitted model's modes and dimensions."""
+    config = PipelineConfig(
+        method="pgm", modes_used=model.modes, per_mode_dims=model.dims
+    )
+    points = [
+        ProductPoint(extract_sample_point(s, config).parts, label=label)
+        for s, label in zip(samples, labels)
+    ]
+    grams = [
+        mode_gram(
+            [
+                basis_from_unfolding(
+                    np.hstack(
+                        [unfold(s, mode).matrix for s, l in zip(samples, labels) if l == cid]
+                    ),
+                    dim=dim,
+                )
+                for cid in model.class_ids
+            ],
+            mode,
+        )
+        for mode, dim in zip(model.modes, model.dims)
+    ]
+    return grams, points
+
+
 def test_optimize_drops_shared_direction():
     gram, points = tilted_two_class_points()
-    oracle = optimize_gds_dims(
-        [gram], points, PipelineConfig(method="nmode-gds", gds_search="exhaustive", gds_alpha_max=3)
-    )
-    result = optimize_gds_dims(
-        [gram], points, PipelineConfig(method="nmode-gds", gds_search="coordinate", gds_alpha_max=3)
-    )
-    assert oracle.pairs == result.pairs
+    config = PipelineConfig(method="nmode-gds", gds_alpha_max=3)
+    _, oracle_pairs = brute_force_search([gram], points, config)
+    result = optimize_gds_dims([gram], points, config)
+    assert oracle_pairs == result.pairs
     assert result.pairs[0][0] == 2  # the leading shared direction is discarded
 
 
@@ -143,16 +215,81 @@ def test_coordinate_fixed_point_matches_exhaustive_score():
     # the combined score is a ratio of per-mode sums, so a band choice that no
     # single mode can improve is a global optimum
     tr_s, tr_l, _, _ = benchmark_split()
-    coord = fit(tr_s, tr_l, PipelineConfig(method="nmode-gds", seed=7))
+    config = PipelineConfig(method="nmode-gds", seed=7)
+    coord = fit(tr_s, tr_l, config)
     trace = coord.search_trace
     picks = [
         [(e["alpha"], e["beta"]) for e in trace if e["round"] == r] for r in (0, 1)
     ]
     assert trace[-1]["round"] == 0 or picks[1] == picks[0]  # a fixed point
-    exhaustive = fit(
-        tr_s, tr_l, PipelineConfig(method="nmode-gds", gds_search="exhaustive", seed=7)
+    best_score, _ = brute_force_search(*fit_search_inputs(tr_s, tr_l, coord), config)
+    assert coord.fisher.score_n == pytest.approx(best_score, rel=1e-12)
+
+
+def labelled_points(seed, classes, modes, per_class=3):
+    """Product points of `classes` classes scattered around random per-class
+    centres, with the mode Gram matrices of the class subspaces."""
+    rng = np.random.default_rng(seed)
+    shapes = [(int(rng.integers(3, 6)), int(rng.integers(1, 3))) for _ in range(modes)]
+    labels = [cid for cid in range(classes) for _ in range(per_class)]
+    centres = [
+        [rng.standard_normal((d, k)) for cid in range(classes)] for d, k in shapes
+    ]
+    parts = [
+        [
+            Subspace(np.linalg.qr(centre[cid] + 0.4 * rng.standard_normal(centre[cid].shape))[0])
+            for cid in labels
+        ]
+        for centre in centres
+    ]
+    points = [ProductPoint(pt, label=label) for pt, label in zip(zip(*parts), labels)]
+    grams = [
+        mode_gram(
+            [
+                basis_from_unfolding(
+                    np.hstack([s.basis for s, l in zip(subs, labels) if l == cid]), dim=k
+                )
+                for cid in range(classes)
+            ],
+            mode=p + 1,
+        )
+        for p, (subs, (_, k)) in enumerate(zip(parts, shapes))
+    ]
+    return grams, points
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    classes=st.integers(2, 3),
+    modes=st.integers(1, 3),
+    alpha_max=st.integers(1, 3),
+    beta_search=st.booleans(),
+)
+def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha_max, beta_search):
+    grams, points = labelled_points(seed, classes, modes)
+    config = PipelineConfig(
+        method="nmode-gds", gds_alpha_max=alpha_max, gds_beta_search=beta_search
     )
-    assert coord.fisher.score_n == pytest.approx(exhaustive.fisher.score_n, rel=1e-12)
+    result = optimize_gds_dims(grams, points, config)
+    best_score, _ = brute_force_search(grams, points, config)
+    assert nmode_fisher(result.reports).score_n == pytest.approx(best_score, rel=1e-12)
+    last = result.trace[-1]["round"]
+    picks = [
+        [(e["alpha"], e["beta"]) for e in result.trace if e["round"] == r]
+        for r in (last - 1, last)
+    ]
+    before = picks[0] if last > 0 else [(1, g.rank) for g in grams]
+    assert picks[1] == before == list(result.pairs)  # the last round moved nothing
+    for p, (gram, pair) in enumerate(zip(grams, result.pairs)):
+        basis = gds_from_gram(gram, *pair)
+        for pt, part in zip(points, result.parts[p], strict=True):
+            want = project_onto_gds(basis, pt.parts[p], config.projection_tol)
+            assert np.array_equal(part.basis, want.basis)  # in sample order
+    legacy = optimize_gds_dims(
+        grams, points, dataclasses.replace(config, gds_search="exhaustive")
+    )
+    assert legacy.pairs == result.pairs
 
 
 def test_optimize_identical_classes_degenerate():
