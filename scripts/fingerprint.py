@@ -5,7 +5,9 @@ Each hash covers the saved model bytes, the per-class `classify` scores of
 every test sample for the fitted and for the reloaded model, the test-split
 `pairwise_distances` matrix, its `classical_mds` coordinates and
 eigenvalues, the band search trace and the number of Karcher convergence
-warnings; a fit that fails hashes its error instead. Two source trees that
+warnings; a fit that fails hashes its error instead. The `seed7-unbalanced`
+runs drop the first j training samples of class j from the seed-7 set, so
+its class stacks differ in size. Two source trees that
 print the same lines give bit-identical outputs on these configurations, so
 a change meant to keep outputs exact is checked by diffing this script's
 output before and after it.
@@ -16,6 +18,7 @@ Usage, from the root of a source checkout (under a minute):
 
 import hashlib
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -80,19 +83,28 @@ CONFIGS = {
 
 
 def configurations():
-    """(name, config, spec, mode-view flag) for every fingerprinted run."""
+    """(name, config, spec, mode-view flag, unbalanced flag) for every
+    fingerprinted run."""
     runs = [
-        (f"{set_name}/{name}", config, spec, view)
+        (f"{set_name}/{name}", config, spec, view, False)
         for set_name, spec in SETS.items()
         for name, (config, view) in CONFIGS.items()
     ]
-    runs.append(("8x25-16^3/nmode-wgds", CONFIGS["nmode-wgds"][0], LARGE, False))
-    runs.append(("8x25-16^3/nmode-gds-class-karcher", CONFIGS["nmode-gds-class-karcher"][0], LARGE, False))
+    runs.append(("8x25-16^3/nmode-wgds", CONFIGS["nmode-wgds"][0], LARGE, False, False))
+    runs.append(("8x25-16^3/nmode-gds-class-karcher", CONFIGS["nmode-gds-class-karcher"][0], LARGE, False, False))
+    runs += [
+        (f"seed7-unbalanced/{name}", config, SETS["seed7"], view, True)
+        for name, (config, view) in CONFIGS.items()
+    ]
     return runs
 
 
-def fingerprint(config: PipelineConfig, spec: SynthSpec, view: bool = False) -> str:
-    """SHA-256 over the outputs of one fit on `spec` and its test split."""
+def fingerprint(
+    config: PipelineConfig, spec: SynthSpec, view: bool = False, unbalanced: bool = False
+) -> str:
+    """SHA-256 over the outputs of one fit on `spec` and its test split; with
+    `unbalanced`, class j (in label order) loses its first j training
+    samples."""
     samples, manifest = generate_synthetic(spec, train_fraction=0.7)
     if view:
         samples = ingest_feature_modes(samples, {1: [unfold(t, 1).matrix for t in samples]})
@@ -100,6 +112,16 @@ def fingerprint(config: PipelineConfig, spec: SynthSpec, view: bool = False) -> 
     for sample, entry in zip(samples, manifest.entries):
         split[entry.split][0].append(sample)
         split[entry.split][1].append(entry.label)
+    if unbalanced:
+        rank = {label: j for j, label in enumerate(sorted(set(split["train"][1])))}
+        seen = Counter()
+        kept = ([], [])
+        for sample, label in zip(*split["train"]):
+            seen[label] += 1
+            if seen[label] > rank[label]:
+                kept[0].append(sample)
+                kept[1].append(label)
+        split["train"] = kept
     digest = hashlib.sha256()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", KarcherConvergenceWarning)
@@ -124,8 +146,8 @@ def fingerprint(config: PipelineConfig, spec: SynthSpec, view: bool = False) -> 
 
 
 def main() -> int:
-    for name, config, spec, view in configurations():
-        print(f"{fingerprint(config, spec, view)}  {name}", flush=True)
+    for name, config, spec, view, unbalanced in configurations():
+        print(f"{fingerprint(config, spec, view, unbalanced)}  {name}", flush=True)
     return 0
 
 

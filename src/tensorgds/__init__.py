@@ -8,7 +8,8 @@ from .errors import (
     FormatError,
     KarcherConvergenceWarning,
 )
-from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_mean, nmode_fisher
+from .fisher import FisherReport, NModeFisher, fisher_mode, nmode_fisher
+from .fisher import karcher_mean, karcher_means
 from .gds import GdsBasis, ModeGram, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesic
 from .pipeline import (
@@ -78,6 +79,7 @@ __all__ = [
     "geodesic_distance",
     "hosvd",
     "karcher_mean",
+    "karcher_means",
     "mean_canonical_angle",
     "mode_gram",
     "mode_multiply",

@@ -22,6 +22,7 @@ from .subspace import (
     Subspace,
     eigh_descending,
     geodesic_distance,
+    group_by_shape,
     projector_mean,
     qr_positive,
 )
@@ -69,19 +70,76 @@ def separability_ratio(between: float, within: float) -> tuple[float, str | None
 
 
 def _log_map(base: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Tangent vectors at span(base) pointing toward the span of each basis
-    in an (N, d, k) stack, as an (N, d, k) stack."""
-    m = base.T @ stack
+    """Tangent vectors at each span in a (C, d, k) base toward the spans of
+    its row of a (C, N, d, k) stack, as a (C, N, d, k) stack."""
+    base = base[:, None]
+    m = np.swapaxes(base, -1, -2) @ stack
     g = (stack - base @ m) @ np.linalg.pinv(m)
     w, s, vt = np.linalg.svd(g, full_matrices=False)
-    return (w * np.arctan(s)[:, None, :]) @ vt
+    return (w * np.arctan(s)[..., None, :]) @ vt
 
 
 def _exp_map(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Geodesic step from span(base) along a tangent vector."""
+    """Geodesic step from each span(base) along its tangent, both (C, d, k)."""
     w, s, vt = np.linalg.svd(tangent, full_matrices=False)
-    y = (base @ vt.T) * np.cos(s) + w * np.sin(s)
+    s = s[..., None, :]
+    y = (base @ np.swapaxes(vt, -1, -2)) * np.cos(s) + w * np.sin(s)
     return qr_positive(y @ vt)
+
+
+def karcher_means(
+    sets: Sequence[Sequence[Subspace]],
+    tol: float = DEFAULT_KARCHER_TOL,
+    max_iter: int = DEFAULT_KARCHER_MAX_ITER,
+) -> list[Subspace]:
+    """Intrinsic mean of each set of equal-dimension subspaces.
+
+    A mean starts from the dominant eigenvectors of its set's averaged
+    projectors and steps along the exp map of the mean log map until the mean
+    tangent norm drops below `tol`. Sets of one stack shape iterate as one
+    (C, N, d, k) array, each with its own step damping, best iterate and
+    stop, so every mean equals its set's solo run. At the iteration cap a set
+    warns (KarcherConvergenceWarning) and yields its best iterate, the one of
+    smallest mean tangent norm. A one-member set yields its member.
+    """
+    sets = [list(subs) for subs in sets]
+    for subs in sets:
+        shapes = sorted({s.basis.shape for s in subs})
+        if len(shapes) != 1:
+            raise DimensionError(f"need subspaces of one shape, got shapes {shapes}")
+    means = [subs[0] for subs in sets]
+    stacks = [np.stack([s.basis for s in subs]) for subs in sets]
+    for idx, stack in group_by_shape(stacks):
+        count, n, d, k = stack.shape
+        if n == 1:
+            continue
+        _, evecs = eigh_descending(projector_mean(stack))
+        y = best_y = np.ascontiguousarray(evecs[..., :k])
+        # per-set state, shaped (C, 1, 1) to broadcast against the iterates
+        best_norm = prev_norm = np.full((count, 1, 1), math.inf)
+        step, done = np.ones_like(best_norm), np.zeros(best_norm.shape, dtype=bool)
+        for _ in range(max_iter):
+            mean_tangent = _log_map(y, stack).sum(axis=1) / n
+            # one norm per set: a batched axis=(1, 2) norm rounds differently
+            tnorm = np.array([[[np.linalg.norm(t)]] for t in mean_tangent])
+            best_y = np.where(tnorm < best_norm, y, best_y)
+            best_norm = np.fmin(tnorm, best_norm)
+            done |= tnorm < tol
+            if done.all():
+                break
+            # oscillation near the cut locus; damp the step
+            step = np.where(tnorm > prev_norm, 0.5 * step, step)
+            prev_norm = tnorm
+            y = np.where(done, y, _exp_map(y, step * mean_tangent))
+        for c, converged, norm, mean in zip(idx, done.flat, best_norm.flat, best_y):
+            means[c] = Subspace(mean)
+            if not converged:
+                warnings.warn(
+                    f"Karcher mean of {n} subspaces ({d}x{k}) stopped after {max_iter} "
+                    f"iterations (mean tangent norm {norm:.3e} > tol {tol:.3e})",
+                    KarcherConvergenceWarning,
+                )
+    return means
 
 
 def karcher_mean(
@@ -89,61 +147,23 @@ def karcher_mean(
     tol: float = DEFAULT_KARCHER_TOL,
     max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> Subspace:
-    """Intrinsic mean of equal-dimension subspaces.
-
-    Starts from the dominant eigenvectors of the averaged projectors and
-    refines by averaging log maps and stepping along the exp map until the
-    mean tangent norm drops below `tol`. If the iteration cap is reached, a
-    KarcherConvergenceWarning is emitted and the best iterate seen (smallest
-    mean tangent norm) is returned.
-    """
-    subs = list(subspaces)
-    shapes = sorted({s.basis.shape for s in subs})
-    if len(shapes) != 1:
-        raise DimensionError(f"need subspaces of one shape, got shapes {shapes}")
-    if len(subs) == 1:
-        return subs[0]
-
-    stack = np.stack([s.basis for s in subs])
-    _, evecs = eigh_descending(projector_mean(subs))
-    y = np.ascontiguousarray(evecs[:, : stack.shape[2]])
-
-    best_y = y
-    best_norm = math.inf
-    step = 1.0
-    prev_norm = math.inf
-    for _ in range(max_iter):
-        mean_tangent = _log_map(y, stack).sum(axis=0) / len(subs)
-        tnorm = float(np.linalg.norm(mean_tangent))
-        if tnorm < best_norm:
-            best_y, best_norm = y, tnorm
-        if tnorm < tol:
-            return Subspace(y)
-        if tnorm > prev_norm:
-            # oscillation near the cut locus; damp the step
-            step *= 0.5
-        prev_norm = tnorm
-        y = _exp_map(y, step * mean_tangent)
-    warnings.warn(
-        f"Karcher mean stopped after {max_iter} iterations "
-        f"(mean tangent norm {best_norm:.3e} > tol {tol:.3e})",
-        KarcherConvergenceWarning,
-    )
-    return Subspace(best_y)
+    """Intrinsic mean of equal-dimension subspaces (see `karcher_means`)."""
+    return karcher_means([subspaces], tol, max_iter)[0]
 
 
 def fisher_mode(
     subspaces_by_class: Sequence[Sequence[Subspace]],
     mode: int = 0,
-    sim: Callable[[Subspace, Subspace], float] | None = None,
+    sim: Callable[[np.ndarray, Subspace], np.ndarray] | None = None,
     karcher_tol: float = DEFAULT_KARCHER_TOL,
     karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> FisherReport:
     """Between/within separability of one mode's class-grouped subspaces.
 
-    `sim` is the subspace dissimilarity, defaulting to the geodesic distance;
-    it enters the between and within sums only, so rescaling it leaves the
-    score unchanged.
+    `sim` is the subspace dissimilarity, defaulting to the geodesic distance.
+    It takes an (N, d, k) stack of bases and one subspace and returns one
+    value per basis. It enters the between and within sums only, so
+    rescaling it leaves the score unchanged.
     """
     if sim is None:
         sim = geodesic_distance
@@ -154,17 +174,15 @@ def fisher_mode(
         if not c:
             raise DimensionError(f"class {j} has no subspaces")
 
-    class_means = [
-        karcher_mean(c, tol=karcher_tol, max_iter=karcher_max_iter) for c in classes
+    class_means = karcher_means(classes, karcher_tol, karcher_max_iter)
+    (grand_mean,) = karcher_means([class_means], karcher_tol, karcher_max_iter)
+    # left-to-right Python sums: numpy's pairwise summation rounds differently
+    means = np.stack([kj.basis for kj in class_means])
+    between = sum(sim(means, grand_mean).tolist()) / len(classes)
+    spreads = [
+        sim(np.stack([s.basis for s in c]), kj) for c, kj in zip(classes, class_means)
     ]
-    grand_mean = karcher_mean(
-        class_means, tol=karcher_tol, max_iter=karcher_max_iter
-    )
-    between = sum(sim(kj, grand_mean) for kj in class_means) / len(classes)
-    total = sum(len(c) for c in classes)
-    within = (
-        sum(sim(s, kj) for c, kj in zip(classes, class_means) for s in c) / total
-    )
+    within = sum(np.concatenate(spreads).tolist()) / sum(len(c) for c in classes)
     score, flag = separability_ratio(between, within)
     return FisherReport(mode, between, within, score, flag)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .subspace import Subspace, canonical_correlations
+from .subspace import Subspace, canonical_correlations, group_by_shape
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -114,12 +114,9 @@ def weighted_geodesics(
     terms = np.empty((len(points), n))
     for i in range(n):
         count = None if angle_counts is None else int(angle_counts[i])
-        bases = [b.parts[i].basis for b in points]
         # One stack per basis shape: projection can leave a part narrower
         # than the rest, and padding it would change the SVD input.
-        for shape in {b.shape for b in bases}:
-            idx = [j for j, b in enumerate(bases) if b.shape == shape]
-            stack = np.stack([bases[j] for j in idx])
+        for idx, stack in group_by_shape([b.parts[i].basis for b in points]):
             angles = np.arccos(canonical_correlations(query.parts[i], stack, count))
             if full_spectrum:
                 values = np.sqrt(np.sum(angles * angles, axis=1))

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_mean, nmode_fisher
+from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_means, nmode_fisher
 from .gds import GdsBasis, ModeGram, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
 from .subspace import (
@@ -555,14 +555,11 @@ def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> n
 def _class_mean_points(model: TrainedModel) -> tuple[ProductPoint, ...]:
     if "class_points" not in model._cache:
         means = [
-            [
-                karcher_mean(
-                    subs,
-                    tol=model.config.karcher_tol,
-                    max_iter=model.config.karcher_max_iter,
-                )
-                for subs in _group_by_class(model.references, model.class_ids, p)
-            ]
+            karcher_means(
+                _group_by_class(model.references, model.class_ids, p),
+                tol=model.config.karcher_tol,
+                max_iter=model.config.karcher_max_iter,
+            )
             for p in range(len(model.modes))
         ]
         model._cache["class_points"] = tuple(

@@ -87,7 +87,7 @@ class AngleSpectrum:
 
     @property
     def count(self) -> int:
-        return self.correlations.size
+        return self.correlations.shape[-1]
 
 
 def select_dim(spectrum: SingularSpectrum, mu: float) -> int:
@@ -152,35 +152,31 @@ def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> Subspace:
     return Subspace(u[:, :k])
 
 
-def canonical_correlations(
-    p: Subspace, bases: np.ndarray, count: int | None = None
-) -> np.ndarray:
-    """First `count` canonical correlations of `p` with a (d, k) basis, or
-    with each basis of an (N, d, k) stack as an (N, count) array: singular
-    values of the basis cross product, clamped to [0, 1]."""
-    ambient, k = bases.shape[-2:]
-    if p.ambient_dim != ambient:
+def canonical_correlations(p, q, count: int | None = None) -> np.ndarray:
+    """First `count` canonical correlations of `p` with `q`, each a `Subspace`,
+    a (d, k) basis or an (N, d, k) stack, which broadcasts to (N, count):
+    singular values of the basis cross products, clamped to [0, 1]."""
+    p, q = (np.asarray(getattr(x, "basis", x)) for x in (p, q))
+    if p.shape[-2] != q.shape[-2]:
         raise DimensionError(
-            f"ambient dimensions differ: {p.ambient_dim} vs {ambient}"
+            f"ambient dimensions differ: {p.shape[-2]} vs {q.shape[-2]}"
         )
-    cmax = min(p.dim, k)
+    cmax = min(p.shape[-1], q.shape[-1])
     if count is None:
         count = cmax
     count = int(count)
     if not 1 <= count <= cmax:
         raise DimensionError(f"count must be in 1..{cmax}, got {count}")
-    s = np.linalg.svd(p.basis.T @ bases, compute_uv=False)[..., :count]
+    s = np.linalg.svd(np.swapaxes(p, -1, -2) @ q, compute_uv=False)[..., :count]
     s = np.clip(s, 0.0, 1.0)
     s[s >= 1.0 - CORRELATION_SNAP] = 1.0
     return s
 
 
-def principal_angles(
-    p: Subspace, q: Subspace, count: int | None = None
-) -> AngleSpectrum:
-    """Canonical correlations and angles between two subspaces; angles are
-    the arccosines of `canonical_correlations`. Symmetric in the arguments."""
-    s = canonical_correlations(p, q.basis, count)
+def principal_angles(p, q, count: int | None = None) -> AngleSpectrum:
+    """`canonical_correlations` and their arccosines, the canonical angles.
+    Symmetric in the arguments."""
+    s = canonical_correlations(p, q, count)
     return AngleSpectrum(correlations=s, angles=np.arccos(s))
 
 
@@ -189,11 +185,12 @@ def mean_canonical_angle(p: Subspace, q: Subspace, count: int | None = None) -> 
     return float(np.mean(principal_angles(p, q, count).angles))
 
 
-def geodesic_distance(p: Subspace, q: Subspace) -> float:
+def geodesic_distance(p, q):
     """Geodesic (arc-length) distance: root sum of squared canonical angles
-    over min(dim p, dim q) angles."""
+    over min(dim p, dim q) angles; a float for a pair, an array for a stack."""
     angles = principal_angles(p, q).angles
-    return float(np.sqrt(np.sum(angles * angles)))
+    dist = np.sqrt(np.sum(angles * angles, axis=-1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def projector(p: Subspace) -> np.ndarray:
@@ -201,21 +198,30 @@ def projector(p: Subspace) -> np.ndarray:
     return p.basis @ p.basis.T
 
 
-def projector_mean(subspaces: Sequence[Subspace]) -> np.ndarray:
-    """Average of the projectors of subspaces sharing one ambient space."""
-    acc = np.zeros((subspaces[0].ambient_dim,) * 2)
-    for s in subspaces:
-        acc += projector(s)
-    acc /= len(subspaces)
-    return acc
+def projector_mean(subspaces) -> np.ndarray:
+    """Average of the projectors of subspaces sharing one ambient space: a
+    sequence of `Subspace`s, whose dimensions may differ, or an
+    (..., N, d, k) stack averaged over its N axis."""
+    if isinstance(subspaces, np.ndarray):
+        return np.mean(subspaces @ np.swapaxes(subspaces, -1, -2), axis=-3)
+    return np.mean([projector(s) for s in subspaces], axis=0)
 
 
 def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix, eigenvalues descending; equal
-    eigenvalues keep the ascending order `eigh` returns them in."""
+    """Eigenpairs of a symmetric matrix or stack, eigenvalues descending;
+    equal eigenvalues keep the ascending order `eigh` returns them in."""
     evals, evecs = np.linalg.eigh(matrix)
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], evecs[:, order]
+    order = np.argsort(-evals, axis=-1, kind="stable")
+    evecs = np.take_along_axis(evecs, order[..., None, :], -1)
+    return np.take_along_axis(evals, order, -1), evecs
+
+
+def group_by_shape(arrays: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """Per shape, in order of first appearance: the indices and the stack."""
+    groups: dict[tuple, list[int]] = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(a.shape, []).append(i)
+    return [(idx, np.stack([arrays[i] for i in idx])) for idx in groups.values()]
 
 
 def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -232,9 +238,9 @@ def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def qr_positive(matrix: np.ndarray) -> np.ndarray:
-    """Orthonormal Q factor of a reduced QR, with column signs chosen so that
-    R has a non-negative diagonal."""
+    """Orthonormal Q factor of a reduced QR of a matrix, or of each in a
+    stack, with column signs chosen so that R has a non-negative diagonal."""
     q, r = np.linalg.qr(matrix)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]

@@ -13,10 +13,12 @@ from tensorgds import (
     fisher_mode,
     geodesic_distance,
     karcher_mean,
+    karcher_means,
     nmode_fisher,
     projector,
 )
 from tensorgds.fisher import FisherReport
+from tensorgds.subspace import canonical_correlations
 from conftest import line, random_orthonormal, random_subspace
 
 
@@ -75,7 +77,10 @@ def test_karcher_errors_and_warning(rng):
     with pytest.raises(DimensionError):
         karcher_mean([random_subspace(rng, 4, 2), random_subspace(rng, 4, 1)])
     spread = [random_subspace(rng, 6, 2) for _ in range(4)]
-    with pytest.warns(KarcherConvergenceWarning):
+    with pytest.warns(
+        KarcherConvergenceWarning,
+        match=r"Karcher mean of 4 subspaces \(6x2\) stopped after 2 iterations",
+    ):
         karcher_mean(spread, tol=1e-15, max_iter=2)
 
 
@@ -199,3 +204,157 @@ def test_karcher_commutes_with_rotation_and_converges(seed, n, k, extra):
         rotated = karcher_mean([Subspace(rot @ s.basis) for s in subs])
     err = np.linalg.norm(projector(rotated) - rot @ projector(mean) @ rot.T)
     assert err <= 1e-10
+
+
+def solo_karcher_mean(subs, tol=1e-8, max_iter=100):
+    """Oracle: the per-set Karcher loop that `karcher_means` batches, with its
+    own 2-D log map, exp map, projector average and eigen and QR helpers.
+    Returns the mean basis, whether the iteration converged and the mean
+    tangent norms it saw."""
+    stack = np.stack([s.basis for s in subs])
+    norms = []
+    if len(subs) == 1:
+        return subs[0].basis, True, norms
+
+    def log_map(base):
+        m = base.T @ stack
+        g = (stack - base @ m) @ np.linalg.pinv(m)
+        w, s, vt = np.linalg.svd(g, full_matrices=False)
+        return (w * np.arctan(s)[:, None, :]) @ vt
+
+    def exp_map(base, tangent):
+        w, s, vt = np.linalg.svd(tangent, full_matrices=False)
+        q, r = np.linalg.qr(((base @ vt.T) * np.cos(s) + w * np.sin(s)) @ vt)
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        return q * signs
+
+    acc = np.zeros((stack.shape[1],) * 2)
+    for s in subs:
+        acc += s.basis @ s.basis.T
+    acc /= len(subs)
+    evals, evecs = np.linalg.eigh(acc)
+    order = np.argsort(-evals, kind="stable")
+    y = np.ascontiguousarray(evecs[:, order][:, : stack.shape[2]])
+    best_y, best_norm, step, prev_norm = y, math.inf, 1.0, math.inf
+    for _ in range(max_iter):
+        mean_tangent = log_map(y).sum(axis=0) / len(subs)
+        tnorm = float(np.linalg.norm(mean_tangent))
+        norms.append(tnorm)
+        if tnorm < best_norm:
+            best_y, best_norm = y, tnorm
+        if tnorm < tol:
+            return y, True, norms
+        if tnorm > prev_norm:
+            step *= 0.5
+        prev_norm = tnorm
+        y = exp_map(y, step * mean_tangent)
+    return best_y, False, norms
+
+
+# (ambient, dim) pairs few enough that sets often share a stack shape
+SHAPES = [(4, 1), (4, 2), (5, 2), (6, 3)]
+
+
+@st.composite
+def subspace_sets(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        ambient, k = SHAPES[draw(st.integers(0, len(SHAPES) - 1))]
+        size = draw(st.integers(1, 10))
+        sets.append([random_subspace(rng, ambient, k) for _ in range(size)])
+    return sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sets=subspace_sets(),
+    max_iter=st.integers(1, 100),
+    # below rounding level the iteration never stops, and the step damping
+    # and the best iterate act on tangent norms that are rounding noise
+    tol=st.sampled_from([1e-8, 1e-300]),
+)
+def test_karcher_means_match_per_set_loop_bitwise(sets, max_iter, tol):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", KarcherConvergenceWarning)
+        means = karcher_means(sets, tol=tol, max_iter=max_iter)
+    expected = [solo_karcher_mean(subs, tol=tol, max_iter=max_iter) for subs in sets]
+    assert len(means) == len(sets)
+    for mean, (basis, _, _) in zip(means, expected):
+        assert mean.basis.tobytes() == np.ascontiguousarray(basis).tobytes()
+    unconverged = sum(not converged for _, converged, _ in expected)
+    assert len(caught) == unconverged
+    assert all(issubclass(w.category, KarcherConvergenceWarning) for w in caught)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sets=subspace_sets())
+def test_karcher_means_stop_on_the_last_bit_of_the_tangent_norm(sets):
+    # tolerances at and one ulp above each tangent norm the per-set loop
+    # computes, so that the stop hangs on the last bit of that norm
+    norms = solo_karcher_mean(sets[0], tol=0.0, max_iter=10)[2]
+    for tol in [t for norm in norms for t in (norm, float(np.nextafter(norm, np.inf)))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KarcherConvergenceWarning)
+            means = karcher_means(sets, tol=tol, max_iter=10)
+        for mean, subs in zip(means, sets):
+            basis = solo_karcher_mean(subs, tol=tol, max_iter=10)[0]
+            assert mean.basis.tobytes() == np.ascontiguousarray(basis).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    k=st.integers(1, 3),
+)
+def test_fisher_spreads_match_per_pair_sums_bitwise(seed, sizes, k):
+    rng = np.random.default_rng(seed)
+    classes = [[random_subspace(rng, 6, k) for _ in range(n)] for n in sizes]
+    report = fisher_mode(classes)
+    class_means = [karcher_mean(c) for c in classes]
+    grand_mean = karcher_mean(class_means)
+    between = sum(geodesic_distance(kj, grand_mean) for kj in class_means) / len(classes)
+    within = sum(
+        geodesic_distance(s, kj) for c, kj in zip(classes, class_means) for s in c
+    ) / sum(sizes)
+    assert type(report.between) is float and type(report.within) is float
+    assert report.between == between and report.within == within
+
+
+def pair_correlations(a, b):
+    """Oracle: clamped singular values of a.T @ b, snapped to 1 as
+    `canonical_correlations` does."""
+    s = np.clip(np.linalg.svd(a.T @ b, compute_uv=False), 0.0, 1.0)
+    s[s >= 1.0 - 1e-13] = 1.0
+    return s
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    kp=st.integers(1, 3),
+    kq=st.integers(1, 3),
+)
+def test_canonical_correlations_broadcast_match_per_pair(seed, n, kp, kq):
+    rng = np.random.default_rng(seed)
+    p = random_subspace(rng, 5, kp)
+    stack = np.stack([random_orthonormal(rng, 5, kq) for _ in range(n)])
+    right = canonical_correlations(p, stack)
+    left = canonical_correlations(stack, p)
+    for i, basis in enumerate(stack):
+        q = Subspace(basis)
+        # the cross product's orientation is pinned: the SVD of a transpose
+        # differs in the last bit
+        assert right[i].tobytes() == pair_correlations(p.basis, basis).tobytes()
+        assert left[i].tobytes() == pair_correlations(basis, p.basis).tobytes()
+        assert right[i].tobytes() == canonical_correlations(p, q).tobytes()
+        assert left[i].tobytes() == canonical_correlations(q, p).tobytes()
+        assert geodesic_distance(stack, p)[i] == geodesic_distance(q, p)
+    assert isinstance(geodesic_distance(p, Subspace(stack[0])), float)
+    with pytest.raises(DimensionError):
+        canonical_correlations(random_subspace(rng, 4, 1), stack)
+    with pytest.raises(DimensionError):
+        canonical_correlations(stack, random_orthonormal(rng, 6, 1))

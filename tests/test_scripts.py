@@ -29,5 +29,6 @@ def test_fingerprint_small_spec():
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert script["fingerprint"](config, spec) == digest  # deterministic
     assert script["fingerprint"](config, spec, view=True) != digest  # data_dims differ
+    assert script["fingerprint"](config, spec, unbalanced=True) != digest  # fewer samples
     names = [name for name, *_ in script["configurations"]()]
-    assert len(names) == len(set(names)) == 32
+    assert len(names) == len(set(names)) == 42
