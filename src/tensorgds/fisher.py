@@ -115,30 +115,38 @@ def karcher_means(
             continue
         _, evecs = eigh_descending(projector_mean(stack))
         y = best_y = np.ascontiguousarray(evecs[..., :k])
-        # per-set state, shaped (C, 1, 1) to broadcast against the iterates
+        # per-set state, shaped (C, 1, 1) to broadcast against the iterates;
+        # a set that stops leaves every array and its mean goes to `out`
         best_norm = prev_norm = np.full((count, 1, 1), math.inf)
-        step, done = np.ones_like(best_norm), np.zeros(best_norm.shape, dtype=bool)
+        step, live, out = np.ones_like(best_norm), np.arange(count), np.empty_like(y)
         for _ in range(max_iter):
             mean_tangent = _log_map(y, stack).sum(axis=1) / n
             # one norm per set: a batched axis=(1, 2) norm rounds differently
             tnorm = np.array([[[np.linalg.norm(t)]] for t in mean_tangent])
             best_y = np.where(tnorm < best_norm, y, best_y)
             best_norm = np.fmin(tnorm, best_norm)
-            done |= tnorm < tol
-            if done.all():
-                break
+            stop = tnorm.ravel() < tol
+            if stop.any():
+                out[live[stop]] = best_y[stop]
+                live, y, stack, mean_tangent, tnorm, best_y, best_norm, step, prev_norm = (
+                    a[~stop]
+                    for a in (live, y, stack, mean_tangent, tnorm, best_y, best_norm, step, prev_norm)
+                )
+                if not live.size:
+                    break
             # oscillation near the cut locus; damp the step
             step = np.where(tnorm > prev_norm, 0.5 * step, step)
             prev_norm = tnorm
-            y = np.where(done, y, _exp_map(y, step * mean_tangent))
-        for c, converged, norm, mean in zip(idx, done.flat, best_norm.flat, best_y):
+            y = _exp_map(y, step * mean_tangent)
+        out[live] = best_y
+        for c, mean in zip(idx, out):
             means[c] = Subspace(mean)
-            if not converged:
-                warnings.warn(
-                    f"Karcher mean of {n} subspaces ({d}x{k}) stopped after {max_iter} "
-                    f"iterations (mean tangent norm {norm:.3e} > tol {tol:.3e})",
-                    KarcherConvergenceWarning,
-                )
+        for norm in best_norm.flat:  # the sets that never stopped
+            warnings.warn(
+                f"Karcher mean of {n} subspaces ({d}x{k}) stopped after {max_iter} "
+                f"iterations (mean tangent norm {norm:.3e} > tol {tol:.3e})",
+                KarcherConvergenceWarning,
+            )
     return means
 
 

@@ -17,6 +17,7 @@ from tensorgds import (
     nmode_fisher,
     projector,
 )
+from tensorgds import fisher
 from tensorgds.fisher import FisherReport
 from tensorgds.subspace import canonical_correlations
 from conftest import line, random_orthonormal, random_subspace
@@ -286,6 +287,27 @@ def test_karcher_means_match_per_set_loop_bitwise(sets, max_iter, tol):
     unconverged = sum(not converged for _, converged, _ in expected)
     assert len(caught) == unconverged
     assert all(issubclass(w.category, KarcherConvergenceWarning) for w in caught)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sets=subspace_sets(), max_iter=st.integers(0, 100))
+def test_karcher_means_log_map_only_the_sets_still_iterating(sets, max_iter):
+    # a set that has stopped leaves the batch: the member log maps computed
+    # are exactly those of the per-set loops, iteration by iteration
+    computed = []
+    log_map = fisher._log_map
+
+    def counting(base, stack):
+        computed.append(stack.shape[0] * stack.shape[1])
+        return log_map(base, stack)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fisher, "_log_map", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KarcherConvergenceWarning)
+            karcher_means(sets, max_iter=max_iter)
+    solo = [solo_karcher_mean(subs, max_iter=max_iter)[2] for subs in sets]
+    assert sum(computed) == sum(len(norms) * len(subs) for norms, subs in zip(solo, sets))
 
 
 @settings(max_examples=20, deadline=None)
