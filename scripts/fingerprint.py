@@ -12,10 +12,22 @@ print the same lines give bit-identical outputs on these configurations, so
 a change meant to keep outputs exact is checked by diffing this script's
 output before and after it.
 
-Usage, from the root of a source checkout (under a minute):
+A change that is meant to move outputs by rounding only is checked with
+`--dump`, which also saves the arrays behind each hash (bands, dims,
+decisions, scores, distances, weights, search trace and warning count) to
+an .npz file, and `--compare`, which reads two such files and prints, per
+configuration, whether the discrete outputs match (error, bands, dims, both
+models' decisions, the search trace's bands and the warning count) and the
+largest absolute deviation of each other array. `--compare` exits 1 when
+any discrete output differs.
+
+Usage, from the root of a source checkout (under a minute per run):
     PYTHONPATH=src python scripts/fingerprint.py
+    PYTHONPATH=src python scripts/fingerprint.py --dump after.npz
+    PYTHONPATH=src python scripts/fingerprint.py --compare before.npz after.npz
 """
 
+import argparse
 import hashlib
 import warnings
 from collections import Counter
@@ -99,12 +111,19 @@ def configurations():
     return runs
 
 
-def fingerprint(
+# outputs that must match exactly; every other array is compared by its
+# largest absolute deviation
+DISCRETE = (
+    "error", "bands", "dims", "decisions", "reloaded_decisions", "trace_bands", "karcher_warnings"
+)
+
+
+def run(
     config: PipelineConfig, spec: SynthSpec, view: bool = False, unbalanced: bool = False
-) -> str:
-    """SHA-256 over the outputs of one fit on `spec` and its test split; with
-    `unbalanced`, class j (in label order) loses its first j training
-    samples."""
+) -> tuple[str, dict]:
+    """SHA-256 over the outputs of one fit on `spec` and its test split, and
+    the arrays behind it keyed by output name; with `unbalanced`, class j (in
+    label order) loses its first j training samples."""
     samples, manifest = generate_synthetic(spec, train_fraction=0.7)
     if view:
         samples = ingest_feature_modes(samples, {1: [unfold(t, 1).matrix for t in samples]})
@@ -123,29 +142,109 @@ def fingerprint(
                 kept[1].append(label)
         split["train"] = kept
     digest = hashlib.sha256()
+    out = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", KarcherConvergenceWarning)
         try:
             model = fit(*split["train"], config)
             blob = model_to_bytes(model)
             digest.update(blob)
-            for m in (model, model_from_bytes(blob)):
+            out["dims"] = np.array(model.dims)
+            out["bands"] = np.array([(g.alpha, g.beta) for g in model.gds or ()], dtype=int)
+            out["weights"] = model.weights.weights
+            for tag, m in (("", model), ("reloaded_", model_from_bytes(blob))):
+                decisions, scores = [], []
                 for sample in split["test"][0]:
-                    label, scores = classify(m, sample)
-                    digest.update(repr(label).encode() + scores.tobytes())
+                    label, row = classify(m, sample)
+                    digest.update(repr(label).encode() + row.tobytes())
+                    decisions.append(label)
+                    scores.append(row)
+                out[tag + "decisions"] = np.array(decisions)
+                out[tag + "scores"] = np.array(scores)
             dist = pairwise_distances(model, [transform(model, s) for s in split["test"][0]])
             coords, evals = classical_mds(dist, 3)
             for arr in (dist, coords, evals):
                 digest.update(np.ascontiguousarray(arr).tobytes())
-            digest.update(repr(model.search_trace).encode())
+            out["distances"] = dist
+            trace = model.search_trace
+            digest.update(repr(trace).encode())
+            out["trace_bands"] = np.array(
+                [(t["round"], t["mode"], t["alpha"], t["beta"]) for t in trace], dtype=int
+            )
+            out["trace_scores"] = np.array([t["score"] for t in trace], dtype=float)
         except Exception as exc:  # a failing fit is an output too
-            digest.update(f"{type(exc).__name__}: {exc}".encode())
+            error = f"{type(exc).__name__}: {exc}"
+            digest.update(error.encode())
+            out["error"] = np.array(error)
     unconverged = sum(issubclass(w.category, KarcherConvergenceWarning) for w in caught)
     digest.update(f"karcher_warnings={unconverged}".encode())
-    return digest.hexdigest()
+    out["karcher_warnings"] = np.array(unconverged)
+    return digest.hexdigest(), out
 
 
-def main() -> int:
+def fingerprint(
+    config: PipelineConfig, spec: SynthSpec, view: bool = False, unbalanced: bool = False
+) -> str:
+    """The SHA-256 of `run`."""
+    return run(config, spec, view, unbalanced)[0]
+
+
+def dump(path, runs) -> None:
+    """Print the hash of each (name, config, spec, view, unbalanced) run and
+    save its arrays to the .npz file `path` under "<name>|<output>" keys."""
+    arrays = {}
+    for name, config, spec, view, unbalanced in runs:
+        digest, out = run(config, spec, view, unbalanced)
+        print(f"{digest}  {name}", flush=True)
+        arrays.update({f"{name}|{key}": value for key, value in out.items()})
+    np.savez(path, **arrays)
+
+
+def _grouped(npz) -> dict:
+    runs = {}
+    for key in npz.files:
+        name, output = key.rsplit("|", 1)
+        runs.setdefault(name, {})[output] = npz[key]
+    return runs
+
+
+def compare(path_a, path_b) -> int:
+    """Print, per configuration of two `dump` files, whether the discrete
+    outputs match and the largest absolute deviation of each other array;
+    0 when every discrete output matches, else 1."""
+    with np.load(path_a) as a, np.load(path_b) as b:
+        runs_a, runs_b = _grouped(a), _grouped(b)
+    status = 0
+    for name in list(runs_a) + [n for n in runs_b if n not in runs_a]:
+        if name not in runs_a or name not in runs_b:
+            print(f"{name}: only in {path_a if name in runs_a else path_b}")
+            status = 1
+            continue
+        ra, rb = runs_a[name], runs_b[name]
+        # an output present on one side only differs too
+        differ = [key for key in DISCRETE if not np.array_equal(ra.get(key), rb.get(key))]
+        status |= bool(differ)
+        fields = ["discrete " + (f"DIFFER ({', '.join(differ)})" if differ else "match")]
+        for key in sorted(set(ra) & set(rb) - set(DISCRETE)):
+            if ra[key].shape != rb[key].shape:
+                fields.append(f"{key} shape {ra[key].shape} vs {rb[key].shape}")
+            elif ra[key].size:
+                fields.append(f"{key} {np.max(np.abs(ra[key] - rb[key])):.1e}")
+        print(f"{name}: " + "; ".join(fields))
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--dump", metavar="FILE.npz", help="also save the hashed arrays")
+    action.add_argument("--compare", nargs=2, metavar=("A.npz", "B.npz"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.dump:
+        dump(args.dump, configurations())
+        return 0
     for name, config, spec, view, unbalanced in configurations():
         print(f"{fingerprint(config, spec, view, unbalanced)}  {name}", flush=True)
     return 0

@@ -31,6 +31,7 @@ from .subspace import (
     basis_from_unfolding,
     leading_basis,
     left_singular,
+    lq_factor,
     mean_canonical_angle,
     select_dim,
 )
@@ -355,19 +356,20 @@ def _class_pair_mean_angle(class_subspaces: Sequence[Subspace]) -> float:
 
 
 def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
-    """One mode of `fit`: unfold every sample, take one SVD per unfolding,
-    fix the dimension (`dim`, or the median energy dimension when None), and
-    build the sample and class subspaces. Returns the ambient dimension, the
-    dimension, the sample subspaces and the class subspaces; the unfoldings
-    are released on return."""
-    mats = [_mode_matrix(s, mode) for s in samples]
-    rows = mats[0].rows
-    for i, m in enumerate(mats):
-        if m.rows != rows:
+    """One mode of `fit`: compress every sample's unfolding to its
+    `lq_factor`, take one SVD per factor, fix the dimension (`dim`, or the
+    median energy dimension when None), and build the sample subspaces and,
+    from the stacked factors of each class, the class subspaces. Returns the
+    ambient dimension, the dimension, the sample subspaces and the class
+    subspaces; each unfolding is released once it is compressed."""
+    factors = [lq_factor(_mode_matrix(s, mode)) for s in samples]
+    rows = factors[0].shape[0]
+    for i, f in enumerate(factors):
+        if f.shape[0] != rows:
             raise DimensionError(
-                f"mode {mode}: sample {i} has ambient {m.rows}, expected {rows}"
+                f"mode {mode}: sample {i} has ambient {f.shape[0]}, expected {rows}"
             )
-    svds = [left_singular(m) for m in mats]
+    svds = [left_singular(f) for f in factors]
     if dim is None:
         energy_dims = [select_dim(SingularSpectrum(lam), mu) for _, lam in svds]
         dim = int(round(float(np.median(energy_dims))))
@@ -376,7 +378,7 @@ def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float)
     parts = [leading_basis(u, lam, dim) for u, lam in svds]
     class_subs = [
         basis_from_unfolding(
-            np.hstack([m.matrix for m, label in zip(mats, labels) if label == cid]),
+            np.hstack([f for f, label in zip(factors, labels) if label == cid]),
             dim=dim,
         )
         for cid in class_ids

@@ -5,7 +5,12 @@ eigenvectors and QR factors).
 
 Bases are always the leading left-singular vectors of the raw unfolding; no
 mean is subtracted, so they coincide with the top eigenvectors of the
-non-centered autocorrelation of the column samples.
+non-centered autocorrelation of the column samples. They are taken through
+the unfolding's R factor: a Householder QR of the transposed unfolding,
+then the SVD of the small triangular factor (the R-SVD, Chan 1982; Golub &
+Van Loan, section 8.6). Both steps are backward stable, so the vectors and
+values are exact for a matrix within O(eps * ||X||) of the unfolding X, as
+a direct SVD's are.
 """
 
 from __future__ import annotations
@@ -121,16 +126,35 @@ def basis_from_unfolding(
     return leading_basis(u, lam, dim)
 
 
-def left_singular(matrix: UnfoldedMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left-singular vectors of a non-empty 2-D matrix and the eigenvalues of
-    its non-centered autocorrelation (the squared singular values), with the
-    values beyond the numerical rank set to zero."""
+def lq_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
+    """Lower-triangular factor L of `matrix = L Q^T`, with Q column-orthonormal:
+    the transposed R factor of a Householder QR of `matrix^T`, shaped
+    rows x min(rows, cols). L has the left-singular vectors and singular
+    values of `matrix`, and the horizontal stack of several matrices' L
+    factors has those of the stack of the matrices (the block-diagonal of
+    their Q factors is column-orthonormal)."""
     mat = matrix.matrix if isinstance(matrix, UnfoldedMatrix) else np.asarray(
         matrix, dtype=np.float64
     )
     if mat.ndim != 2 or mat.size == 0:
         raise DimensionError("unfolding must be a non-empty 2-D matrix")
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    return np.linalg.qr(mat.T, mode="r").T
+
+
+def left_singular(matrix: UnfoldedMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Left-singular vectors of a non-empty 2-D matrix and the eigenvalues of
+    its non-centered autocorrelation (the squared singular values), with the
+    values beyond the numerical rank set to zero.
+
+    They are taken from the SVD of the matrix's `lq_factor` (the R-SVD of
+    Chan 1982), so the long right factor of a wide unfolding is never formed.
+    Householder QR is backward stable, so the result is the exact (U, s) of
+    a matrix within O(eps * s_0) of the input, the guarantee a direct SVD
+    gives. The rank cut-off `RANK_RTOL * s_0` lies six orders above that
+    perturbation, so only a singular value within about eps * s_0 of the
+    cut-off could land on the other side of it.
+    """
+    u, s, _ = np.linalg.svd(lq_factor(matrix), full_matrices=False)
     if s[0] <= 0.0:
         raise DegeneracyError("all-zero matrix spans no subspace")
     lam = s * s

@@ -32,7 +32,7 @@ from tensorgds import (
     unfold,
 )
 from tensorgds.dataio import SynthSpec, generate_synthetic
-from tensorgds.pipeline import CHOICES, SETTINGS
+from tensorgds.pipeline import CHOICES, SETTINGS, _fit_mode
 from conftest import random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -364,6 +364,31 @@ def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
         for p, mode in enumerate(model.modes):
             want = basis_from_unfolding(unfold(t, mode), dim=model.dims[p])
             assert np.array_equal(ref.parts[p].basis, want.basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extents=st.tuples(*[st.integers(2, 6)] * 3),
+    sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    mode=st.integers(1, 3),
+)
+def test_fit_class_subspaces_from_stacked_factors_match_the_raw_stack(
+    seed, extents, sizes, mode
+):
+    # fit stacks the members' L factors, not their unfoldings; the two stacks
+    # differ by an orthonormal block-diagonal, so their leading subspaces agree
+    rng = np.random.default_rng(seed)
+    labels = [j for j, size in enumerate(sizes) for _ in range(size)]
+    samples = [random_tensor(rng, extents) for _ in labels]
+    _, dim, _, class_subs = _fit_mode(samples, labels, (0, 1), mode, None, 0.9)
+    for cid, sub in enumerate(class_subs):
+        raw = np.hstack([unfold(t, mode).matrix for t, l in zip(samples, labels) if l == cid])
+        u, s, _ = np.linalg.svd(raw, full_matrices=False)
+        if dim < s.size and s[dim - 1] - s[dim] < 1e-2 * s[0]:
+            continue  # no gap: the leading subspace is ill-defined
+        want = u[:, :dim] @ u[:, :dim].T
+        assert np.max(np.abs(projector(sub) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("counts", [(9, 9, 9), (1,)])

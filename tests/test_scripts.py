@@ -32,3 +32,45 @@ def test_fingerprint_small_spec():
     assert script["fingerprint"](config, spec, unbalanced=True) != digest  # fewer samples
     names = [name for name, *_ in script["configurations"]()]
     assert len(names) == len(set(names)) == 42
+
+
+def test_fingerprint_dump_and_compare(tmp_path, capsys):
+    script = runpy.run_path(str(SCRIPTS / "fingerprint.py"))
+    spec = script["SynthSpec"](2, 4, (6, 6, 6), shared_dim=1, class_dim=2, within_noise=0.2, seed=1)
+    config = script["PipelineConfig"]
+    runs = [
+        ("small/nmode-wgds", config(method="nmode-wgds"), spec, False, False),
+        # angle counts beyond the references' dimensions: the fit fails
+        ("small/pgm-failing", config(method="pgm", angle_counts=(9, 9, 9)), spec, False, False),
+    ]
+    before = tmp_path / "before.npz"
+    script["dump"](before, runs)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{script['fingerprint'](*run[1:])}  {run[0]}" for run in runs
+    ]
+    with np.load(before) as npz:
+        arrays = dict(npz)
+    assert arrays["small/nmode-wgds|bands"].shape == (3, 2)
+    assert arrays["small/nmode-wgds|distances"].shape == (2, 2)
+    assert str(arrays["small/pgm-failing|error"]).startswith("DimensionError")
+
+    main = script["main"]
+    assert main(["--compare", str(before), str(before)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("small/nmode-wgds: discrete match;") and "scores 0.0e+00" in lines[0]
+    assert lines[1] == "small/pgm-failing: discrete match"
+
+    arrays["small/nmode-wgds|scores"] = arrays["small/nmode-wgds|scores"] + 1e-9
+    rounded = tmp_path / "rounded.npz"
+    np.savez(rounded, **arrays)
+    assert main(["--compare", str(before), str(rounded)]) == 0
+    assert "; scores 1.0e-09" in capsys.readouterr().out
+
+    arrays["small/nmode-wgds|karcher_warnings"] = arrays["small/nmode-wgds|karcher_warnings"] + 1
+    del arrays["small/pgm-failing|error"]
+    changed = tmp_path / "changed.npz"
+    np.savez(changed, **arrays)
+    assert main(["--compare", str(before), str(changed)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "discrete DIFFER (karcher_warnings)" in lines[0]
+    assert lines[1] == "small/pgm-failing: discrete DIFFER (error)"

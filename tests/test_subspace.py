@@ -17,6 +17,7 @@ from tensorgds import (
     projector,
     select_dim,
 )
+from tensorgds.subspace import left_singular, lq_factor
 from conftest import random_orthonormal, random_subspace
 
 
@@ -59,6 +60,61 @@ def test_basis_errors():
         basis_from_unfolding(np.eye(3))  # neither dim nor energy
     with pytest.raises(ValueError):
         basis_from_unfolding(np.eye(3), dim=1, energy=0.9)
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 40),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_left_singular_matches_the_direct_svd(seed, rows, cols, scale):
+    # the R-factor route against np.linalg.svd on wide, tall and square
+    # matrices: the same singular values and, wherever the spectrum has a
+    # gap, the same leading subspaces
+    mat = scale * np.random.default_rng(seed).standard_normal((rows, cols))
+    u, lam = left_singular(mat)
+    w, s, _ = np.linalg.svd(mat, full_matrices=False)
+    assert u.shape == w.shape and lam.shape == s.shape
+    assert np.max(np.abs(np.sqrt(lam) - s)) <= 64 * EPS * s[0]
+    assert np.allclose(u.T @ u, np.eye(u.shape[1]), rtol=0.0, atol=1e-13)
+    assert np.array_equal(lq_factor(mat), np.tril(lq_factor(mat)))
+    for k in range(1, s.size):
+        gap = s[k - 1] - s[k]
+        if gap > 1e-6 * s[0]:
+            diff = u[:, :k] @ u[:, :k].T - w[:, :k] @ w[:, :k].T
+            assert np.linalg.norm(diff, 2) <= 256 * EPS * s[0] / gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 9),
+    cols=st.integers(1, 40),
+    rank=st.integers(1, 9),
+    scale=st.sampled_from([1e-8, 1.0, 1e8]),
+)
+def test_left_singular_counts_the_rank_of_a_product(seed, rows, cols, rank, scale):
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows, cols)
+    mat = scale * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+    _, lam = left_singular(mat)
+    assert np.count_nonzero(lam) == rank
+    assert np.all(lam[:rank] > 0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (4, 4)])
+def test_left_singular_rejects_zero_and_empty_matrices(shape):
+    with pytest.raises(DegeneracyError):
+        left_singular(np.zeros(shape))
+    with pytest.raises(DimensionError):
+        left_singular(np.zeros((shape[0], 0)))
+    with pytest.raises(DimensionError):
+        left_singular(np.zeros(shape[0]))
 
 
 @pytest.mark.parametrize(
