@@ -30,8 +30,8 @@ from .subspace import (
     Subspace,
     basis_from_unfolding,
     leading_basis,
+    left_factor,
     left_singular,
-    lq_factor,
     mean_canonical_angle,
     select_dim,
 )
@@ -357,12 +357,12 @@ def _class_pair_mean_angle(class_subspaces: Sequence[Subspace]) -> float:
 
 def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
     """One mode of `fit`: compress every sample's unfolding to its
-    `lq_factor`, take one SVD per factor, fix the dimension (`dim`, or the
+    `left_factor`, take one SVD per factor, fix the dimension (`dim`, or the
     median energy dimension when None), and build the sample subspaces and,
     from the stacked factors of each class, the class subspaces. Returns the
     ambient dimension, the dimension, the sample subspaces and the class
     subspaces; each unfolding is released once it is compressed."""
-    factors = [lq_factor(_mode_matrix(s, mode)) for s in samples]
+    factors = [left_factor(_mode_matrix(s, mode)) for s in samples]
     rows = factors[0].shape[0]
     for i, f in enumerate(factors):
         if f.shape[0] != rows:

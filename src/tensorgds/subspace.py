@@ -5,8 +5,8 @@ eigenvectors and QR factors).
 
 Bases are always the leading left-singular vectors of the raw unfolding; no
 mean is subtracted, so they coincide with the top eigenvectors of the
-non-centered autocorrelation of the column samples. They are taken through
-the unfolding's R factor: a Householder QR of the transposed unfolding,
+non-centered autocorrelation of the column samples. A wide unfolding is
+taken through its R factor: a Householder QR of the transposed unfolding,
 then the SVD of the small triangular factor (the R-SVD, Chan 1982; Golub &
 Van Loan, section 8.6). Both steps are backward stable, so the vectors and
 values are exact for a matrix within O(eps * ||X||) of the unfolding X, as
@@ -126,6 +126,15 @@ def basis_from_unfolding(
     return leading_basis(u, lam, dim)
 
 
+def _as_matrix(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
+    mat = matrix.matrix if isinstance(matrix, UnfoldedMatrix) else np.asarray(
+        matrix, dtype=np.float64
+    )
+    if mat.ndim != 2 or mat.size == 0:
+        raise DimensionError("unfolding must be a non-empty 2-D matrix")
+    return mat
+
+
 def lq_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
     """Lower-triangular factor L of `matrix = L Q^T`, with Q column-orthonormal:
     the transposed R factor of a Householder QR of `matrix^T`, shaped
@@ -133,12 +142,17 @@ def lq_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
     values of `matrix`, and the horizontal stack of several matrices' L
     factors has those of the stack of the matrices (the block-diagonal of
     their Q factors is column-orthonormal)."""
-    mat = matrix.matrix if isinstance(matrix, UnfoldedMatrix) else np.asarray(
-        matrix, dtype=np.float64
-    )
-    if mat.ndim != 2 or mat.size == 0:
-        raise DimensionError("unfolding must be a non-empty 2-D matrix")
-    return np.linalg.qr(mat.T, mode="r").T
+    return np.linalg.qr(_as_matrix(matrix).T, mode="r").T
+
+
+def left_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
+    """A matrix with the left-singular vectors and singular values of
+    `matrix` and no more columns than rows: for a wide matrix its
+    `lq_factor` (the R-SVD of Chan 1982), so the long right factor is never
+    formed; a square or tall one, such as a factor already taken, as it is,
+    since a QR would save its SVD nothing."""
+    mat = _as_matrix(matrix)
+    return lq_factor(mat) if mat.shape[1] > mat.shape[0] else mat
 
 
 def left_singular(matrix: UnfoldedMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +160,14 @@ def left_singular(matrix: UnfoldedMatrix | np.ndarray) -> tuple[np.ndarray, np.n
     its non-centered autocorrelation (the squared singular values), with the
     values beyond the numerical rank set to zero.
 
-    They are taken from the SVD of the matrix's `lq_factor` (the R-SVD of
-    Chan 1982), so the long right factor of a wide unfolding is never formed.
-    Householder QR is backward stable, so the result is the exact (U, s) of
-    a matrix within O(eps * s_0) of the input, the guarantee a direct SVD
-    gives. The rank cut-off `RANK_RTOL * s_0` lies six orders above that
-    perturbation, so only a singular value within about eps * s_0 of the
-    cut-off could land on the other side of it.
+    They come from the SVD of the matrix's `left_factor`. Householder QR is
+    backward stable, so the result is the exact (U, s) of a matrix within
+    O(eps * s_0) of the input, the guarantee a direct SVD gives. The rank
+    cut-off `RANK_RTOL * s_0` lies six orders above that perturbation, so
+    only a singular value within about eps * s_0 of the cut-off could land
+    on the other side of it.
     """
-    u, s, _ = np.linalg.svd(lq_factor(matrix), full_matrices=False)
+    u, s, _ = np.linalg.svd(left_factor(matrix), full_matrices=False)
     if s[0] <= 0.0:
         raise DegeneracyError("all-zero matrix spans no subspace")
     lam = s * s

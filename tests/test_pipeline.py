@@ -391,6 +391,17 @@ def test_fit_class_subspaces_from_stacked_factors_match_the_raw_stack(
         assert np.max(np.abs(projector(sub) - want)) <= 1e-12
 
 
+def test_fit_mode_factors_each_unfolding_once(monkeypatch, rng):
+    # one QR per (wide) sample unfolding and one per class stack of factors;
+    # the square factors go straight to their SVD
+    samples = [random_tensor(rng, (4, 5, 6)) for _ in range(7)]
+    labels = [0, 0, 0, 1, 1, 1, 1]
+    qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+    _fit_mode(samples, labels, (0, 1), 1, 2, 0.9)
+    assert len(calls) == len(samples) + 2
+
+
 @pytest.mark.parametrize("counts", [(9, 9, 9), (1,)])
 def test_fit_rejects_angle_counts_the_references_cannot_serve(counts):
     tr_s, tr_l, _, _ = benchmark_split()
