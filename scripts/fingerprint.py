@@ -15,11 +15,13 @@ output before and after it.
 A change that is meant to move outputs by rounding only is checked with
 `--dump`, which also saves the arrays behind each hash (bands, dims,
 decisions, scores, distances, weights, search trace and warning count) to
-an .npz file, and `--compare`, which reads two such files and prints, per
-configuration, whether the discrete outputs match (error, bands, dims, both
-models' decisions, the search trace's bands and the warning count) and the
-largest absolute deviation of each other array. `--compare` exits 1 when
-any discrete output differs.
+an .npz file, together with one unhashed array, `reference_projectors`:
+per model reference, the concatenated projectors B B^T of its parts, which
+a change that only rotates the stored bases leaves alone. `--compare`
+reads two such files and prints, per configuration, whether the discrete
+outputs match (error, bands, dims, both models' decisions, the search
+trace's bands and the warning count) and the largest absolute deviation of
+each other array. `--compare` exits 1 when any discrete output differs.
 
 Usage, from the root of a source checkout (under a minute per run):
     PYTHONPATH=src python scripts/fingerprint.py
@@ -152,6 +154,13 @@ def run(
             out["dims"] = np.array(model.dims)
             out["bands"] = np.array([(g.alpha, g.beta) for g in model.gds or ()], dtype=int)
             out["weights"] = model.weights.weights
+            # not hashed, so the printed hashes of a tree stay as they were
+            out["reference_projectors"] = np.array(
+                [
+                    np.concatenate([(p.basis @ p.basis.T).ravel() for p in ref.parts])
+                    for ref in model.references
+                ]
+            )
             for tag, m in (("", model), ("reloaded_", model_from_bytes(blob))):
                 decisions, scores = [], []
                 for sample in split["test"][0]:

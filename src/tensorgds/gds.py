@@ -6,6 +6,11 @@ classes share; dropping them and keeping the eigenvector tail yields a basis
 that carries the difference information between classes. Projecting class or
 sample subspaces onto that basis acts as a quasi-orthogonalization, enlarging
 the canonical angles between classes.
+
+A whole stack of bases U is projected at once: one SVD of G^T U gives each
+projection its orthonormal basis, and drops the directions whose singular
+value, the cosine of a canonical angle between span(U) and the GDS, is
+negligible.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 from .subspace import (
+    RANK_RTOL,
     Subspace,
     eigh_descending,
     fix_column_signs,
@@ -25,8 +31,6 @@ from .subspace import (
 
 # Gram eigenvalues at or below this threshold do not count toward the rank.
 GRAM_RANK_TOL = 1e-10
-# Default relative drop threshold for Gram-Schmidt after projection.
-DEFAULT_PROJECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -128,42 +132,26 @@ def gds_from_gram(gram: ModeGram, alpha: int, beta: int | None = None) -> GdsBas
     )
 
 
-def _gram_schmidt(columns: np.ndarray, threshold: float) -> np.ndarray:
-    """Modified Gram-Schmidt with a second orthogonalization pass; columns
-    whose residual norm falls at or below `threshold` are dropped."""
-    kept: list[np.ndarray] = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j].copy()
-        for _ in range(2):
-            for u in kept:
-                v -= u * (u @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm > threshold:
-            kept.append(v / nrm)
-    if not kept:
-        return np.empty((columns.shape[0], 0))
-    return np.column_stack(kept)
+def project_onto_gds(gds: GdsBasis, subspaces):
+    """Project one `Subspace`, or each basis U of an (N, d, k) stack, onto the
+    difference subspace G: a `Subspace`, or a list of N in stack order, in an
+    ambient space as wide as the GDS.
 
-
-def project_onto_gds(
-    gds: GdsBasis, subspace: Subspace, tol: float = DEFAULT_PROJECTION_TOL
-) -> Subspace:
-    """Project a subspace onto the difference subspace.
-
-    The basis is expressed in GDS coordinates and re-orthonormalized by
-    Gram-Schmidt; vectors whose residual norm is below `tol` relative to the
-    largest projected column are dropped. The result lives in an ambient
-    space whose dimension equals the GDS width.
+    Each result is spanned by G^T U. One SVD of the stack gives its basis:
+    the left-singular vectors whose singular values exceed `RANK_RTOL` times
+    the largest (the rank rule of `left_singular`). The singular values are
+    the cosines of the canonical angles between span(U) and the GDS (Bjorck
+    & Golub 1973), so the dropped directions are those the GDS cannot see.
     """
-    if gds.ambient_dim != subspace.ambient_dim:
-        raise DimensionError(
-            f"ambient mismatch: GDS {gds.ambient_dim} vs subspace {subspace.ambient_dim}"
-        )
-    coords = gds.basis.T @ subspace.basis
-    scale = float(np.max(np.linalg.norm(coords, axis=0), initial=0.0))
-    ortho = _gram_schmidt(coords, tol * scale)
-    if ortho.shape[1] == 0:
+    single = isinstance(subspaces, Subspace)
+    stack = subspaces.basis[None] if single else np.asarray(subspaces)
+    if stack.ndim != 3 or stack.shape[1] != gds.ambient_dim:
+        raise DimensionError(f"ambient mismatch: GDS {gds.ambient_dim} vs bases {stack.shape}")
+    u, s, _ = np.linalg.svd(gds.basis.T @ stack, full_matrices=False)
+    if np.any(s[:, 0] <= 0.0):
         raise DegeneracyError(
             "subspace is orthogonal to the difference subspace within tolerance"
         )
-    return Subspace(ortho)
+    widths = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+    projected = [Subspace(b[:, :w]) for b, w in zip(u, widths)]
+    return projected[0] if single else projected

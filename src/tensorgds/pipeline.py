@@ -75,7 +75,6 @@ class PipelineConfig:
     classifier: str = "nn"
     weights: str = "auto"
     full_spectrum: bool = False
-    projection_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -162,7 +161,6 @@ SETTINGS = (
     Setting("classifier", "classifier", "classifier"),
     Setting("weights", "weights", "weights_scheme"),
     Setting("full_spectrum", "full-spectrum", "full_spectrum"),
-    Setting("projection_tol", None, "projection_tol"),
     Setting("seed", "seed", "seed"),
 )
 
@@ -261,7 +259,8 @@ def optimize_gds_dims(
     the other modes stay at their current best, starting from the full band,
     until a round changes no band. Candidates whose projection collapses or
     whose score is degenerate are skipped; ties go to the smallest alpha
-    (then the largest beta when the beta search is on).
+    (then the largest beta when the beta search is on). The training parts
+    of one mode must share one shape; each mode's are projected as one stack.
 
     The fixed point is a global optimum: the combined score is a ratio of
     per-mode sums, so at a fixed point with ratio r each mode's band
@@ -276,6 +275,11 @@ def optimize_gds_dims(
     members = [
         [i for i, pt in enumerate(points) if pt.label == cid] for cid in class_ids
     ]
+    stacks = []
+    for gram, mode_parts in zip(grams, zip(*(pt.parts for pt in points))):
+        if len({part.basis.shape for part in mode_parts}) > 1:
+            raise DimensionError(f"mode {gram.mode}: training parts differ in shape")
+        stacks.append(np.stack([part.basis for part in mode_parts]))
 
     cache: dict[tuple[int, int, int], tuple | None] = {}
 
@@ -285,11 +289,7 @@ def optimize_gds_dims(
         key = (p, alpha, beta)
         if key not in cache:
             try:
-                basis = gds_from_gram(grams[p], alpha, beta)
-                parts = tuple(
-                    project_onto_gds(basis, pt.parts[p], config.projection_tol)
-                    for pt in points
-                )
+                parts = tuple(project_onto_gds(gds_from_gram(grams[p], alpha, beta), stacks[p]))
                 report = fisher_mode(
                     [[parts[i] for i in idx] for idx in members],
                     mode=grams[p].mode,
@@ -456,13 +456,10 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
             for pt, label in zip(zip(*result.parts), labels)
         )
         fisher_final = nmode_fisher(result.reports)
-        proj_angles = []
-        for p in range(n):
-            projected = [
-                project_onto_gds(bases[p], cs, config.projection_tol)
-                for cs in class_subs[p]
-            ]
-            proj_angles.append(_class_pair_mean_angle(projected))
+        proj_angles = [
+            _class_pair_mean_angle(project_onto_gds(b, np.stack([c.basis for c in subs])))
+            for b, subs in zip(bases, class_subs)
+        ]
         angle_diag = tuple(zip(raw_angles, proj_angles))
     else:
         references = tuple(points)
@@ -520,9 +517,7 @@ def transform(model: TrainedModel, sample) -> ProductPoint:
             )
         part = basis_from_unfolding(mat, dim=model.dims[p])
         if model.gds is not None:
-            part = project_onto_gds(
-                model.gds[p], part, model.config.projection_tol
-            )
+            part = project_onto_gds(model.gds[p], part)
         parts.append(part)
     return ProductPoint(tuple(parts))
 

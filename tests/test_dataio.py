@@ -413,6 +413,28 @@ def test_legacy_exhaustive_model_matches_the_coordinate_model():
     assert edit_model_conf(legacy, set_conf_value("gds_search", "coordinate")) == coordinate
 
 
+def test_model_with_the_retired_projection_tol_key_still_loads():
+    # no setting reads the key any more, so the reader ignores it
+    spec = bench_spec(
+        classes=4, samples_per_class=10, dims=(12, 12, 12), within_noise=0.15, seed=7
+    )
+    samples, manifest = generate_synthetic(spec)
+    split = {"train": ([], []), "test": ([], [])}
+    for sample, entry in zip(samples, manifest.entries):
+        split[entry.split][0].append(sample)
+        split[entry.split][1].append(entry.label)
+    model = fit(*split["train"], PipelineConfig(method="nmode-wgds"))
+    buf = edit_model_conf(
+        model_to_bytes(model), lambda text: text + "projection_tol=1.0000000000000001e-10\n"
+    )
+    back = model_from_bytes(buf)
+    for t in split["test"][0]:
+        p1, s1 = classify(model, t)
+        p2, s2 = classify(back, t)
+        assert p1 == p2
+        assert np.array_equal(s1, s2)
+
+
 def test_model_dims_mismatch_at_classify(tmp_path, rng):
     model, _, _ = trained_model()
     path = tmp_path / "model.nmdl"

@@ -15,7 +15,6 @@ from tensorgds import (
     project_onto_gds,
     projector,
 )
-from tensorgds.gds import _gram_schmidt
 from conftest import random_subspace
 
 
@@ -163,6 +162,10 @@ def test_project_orthogonal_subspace_errors():
     d = gds_from_gram(g, alpha=2)  # span{e2,e3}
     with pytest.raises(DegeneracyError):
         project_onto_gds(d, Subspace(e[:, [3]]))
+    with pytest.raises(DegeneracyError):  # one orthogonal member fails the stack
+        project_onto_gds(d, np.stack([e[:, [1]], e[:, [3]]]))
+    with pytest.raises(DimensionError):
+        project_onto_gds(d, np.eye(5)[None, :, :2])
 
 
 def test_projection_idempotent_on_range(rng):
@@ -175,14 +178,72 @@ def test_projection_idempotent_on_range(rng):
     assert np.linalg.norm(projector(back) - projector(inside)) <= 1e-10
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_gram_schmidt_orthonormal_and_rank(seed):
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 8),
+    n=st.integers(1, 4),
+    data=st.data(),
+)
+def test_project_onto_gds_stack_rank_and_span(seed, d, n, data):
+    # each basis spans k_in directions inside the band and k - k_in outside
+    # it, so G^T U has rank k_in and a largest singular value of 1
     rng = np.random.default_rng(seed)
-    cols = rng.standard_normal((6, 4))
-    q = _gram_schmidt(cols, 1e-10 * float(np.max(np.linalg.norm(cols, axis=0))))
-    assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= 1e-10
-    assert q.shape[1] == np.linalg.matrix_rank(cols, tol=1e-8)
+    g = mode_gram([random_subspace(rng, d, rng.integers(1, d + 1)) for _ in range(3)], mode=1)
+    band = gds_from_gram(g, data.draw(st.integers(1, g.rank), label="alpha"))
+    inside = band.basis
+    outside = np.delete(band.eigvecs, np.s_[band.alpha - 1 : band.beta], axis=1)
+    w = inside.shape[1]
+    k = data.draw(st.integers(1, d), label="k")
+    k_in = [
+        data.draw(st.integers(max(1, k - (d - w)), min(w, k)), label="k_in")
+        for _ in range(n)
+    ]
+    stack = np.stack(
+        [
+            np.linalg.qr(
+                np.hstack(
+                    [
+                        inside @ rng.standard_normal((w, j)),
+                        outside @ rng.standard_normal((d - w, k - j)),
+                    ]
+                )
+            )[0]
+            for j in k_in
+        ]
+    )
+    out = project_onto_gds(band, stack)
+    assert len(out) == n
+    for u, j, sub in zip(stack, k_in, out):
+        coords = inside.T @ u
+        assert sub.ambient_dim == w
+        assert sub.dim == j == np.linalg.matrix_rank(coords, tol=1e-8)  # s_0 is 1
+        assert np.max(np.abs(sub.basis.T @ sub.basis - np.eye(j))) <= 1e-12
+        assert np.array_equal(project_onto_gds(band, Subspace(u)).basis, sub.basis)
+        if j == k:  # oracle: the QR basis of G G^T U spans the projection
+            q = np.linalg.qr(inside @ coords)[0]
+            lifted = inside @ sub.basis
+            assert np.max(np.abs(lifted @ lifted.T - q @ q.T)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 9), classes=st.integers(2, 4))
+def test_projection_removes_an_exactly_shared_direction(seed, d, classes):
+    # every class contains e, so e is a Gram eigenvector with eigenvalue 1;
+    # the band from alpha = 2 excludes it and a sample containing e loses it
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal(d)
+    e /= np.linalg.norm(e)
+    k = int(rng.integers(2, (d + 1) // 2 + 1))
+
+    def containing_e(width):
+        return Subspace(np.linalg.qr(np.column_stack([e, rng.standard_normal((d, width - 1))]))[0])
+
+    g = mode_gram([containing_e(k) for _ in range(classes)], mode=1)
+    assert abs(g.eigvals[0] - 1.0) <= 1e-12
+    band = gds_from_gram(g, 2)
+    assert np.max(np.abs(band.basis.T @ e)) <= 1e-10
+    assert project_onto_gds(band, containing_e(k)).dim == k - 1
 
 
 def test_quasi_orthogonalization():

@@ -131,7 +131,7 @@ def brute_force_search(grams, points, config):
                     basis = gds_from_gram(gram, a, b)
                     grouped = [
                         [
-                            project_onto_gds(basis, pt.parts[p], config.projection_tol)
+                            project_onto_gds(basis, pt.parts[p])
                             for pt in points
                             if pt.label == cid
                         ]
@@ -284,7 +284,7 @@ def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha
     for p, (gram, pair) in enumerate(zip(grams, result.pairs)):
         basis = gds_from_gram(gram, *pair)
         for pt, part in zip(points, result.parts[p], strict=True):
-            want = project_onto_gds(basis, pt.parts[p], config.projection_tol)
+            want = project_onto_gds(basis, pt.parts[p])
             assert np.array_equal(part.basis, want.basis)  # in sample order
     legacy = optimize_gds_dims(
         grams, points, dataclasses.replace(config, gds_search="exhaustive")
@@ -298,6 +298,17 @@ def test_optimize_identical_classes_degenerate():
     points = [ProductPoint((s,), label=lab) for lab in (0, 0, 1, 1)]
     gram = mode_gram([s, s], mode=1)
     with pytest.raises(DegeneracyError):
+        optimize_gds_dims([gram], points, PipelineConfig(method="nmode-gds"))
+
+
+def test_optimize_rejects_mixed_part_shapes_in_one_mode():
+    e = np.eye(4)
+    narrow, wide = Subspace(e[:, [0]]), Subspace(e[:, [1, 2]])
+    points = [
+        ProductPoint((s,), label=lab) for s, lab in ((narrow, 0), (wide, 0), (wide, 1), (wide, 1))
+    ]
+    gram = mode_gram([narrow, wide], mode=2)
+    with pytest.raises(DimensionError, match="mode 2"):
         optimize_gds_dims([gram], points, PipelineConfig(method="nmode-gds"))
 
 

@@ -52,6 +52,11 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
         arrays = dict(npz)
     assert arrays["small/nmode-wgds|bands"].shape == (3, 2)
     assert arrays["small/nmode-wgds|distances"].shape == (2, 2)
+    # per training reference, one flattened w x w projector per mode, w the
+    # width of the mode's band
+    alpha, beta = arrays["small/nmode-wgds|bands"].T
+    widths = beta - alpha + 1
+    assert arrays["small/nmode-wgds|reference_projectors"].shape == (6, np.sum(widths**2))
     assert str(arrays["small/pgm-failing|error"]).startswith("DimensionError")
 
     main = script["main"]
