@@ -21,7 +21,9 @@ a change that only rotates the stored bases leaves alone. `--compare`
 reads two such files and prints, per configuration, whether the discrete
 outputs match (error, bands, dims, both models' decisions, the search
 trace's bands and the warning count) and the largest absolute deviation of
-each other array. `--compare` exits 1 when any discrete output differs.
+each other array, then one `largest:` line per such array with its largest
+deviation over all configurations and the configuration where it occurs.
+`--compare` exits 1 when any discrete output differs.
 
 Usage, from the root of a source checkout (under a minute per run):
     PYTHONPATH=src python scripts/fingerprint.py
@@ -219,11 +221,13 @@ def _grouped(npz) -> dict:
 
 def compare(path_a, path_b) -> int:
     """Print, per configuration of two `dump` files, whether the discrete
-    outputs match and the largest absolute deviation of each other array;
-    0 when every discrete output matches, else 1."""
+    outputs match and the largest absolute deviation of each other array,
+    then that array's largest deviation over all configurations; 0 when
+    every discrete output matches, else 1."""
     with np.load(path_a) as a, np.load(path_b) as b:
         runs_a, runs_b = _grouped(a), _grouped(b)
     status = 0
+    largest = {}  # output -> (deviation, configuration)
     for name in list(runs_a) + [n for n in runs_b if n not in runs_a]:
         if name not in runs_a or name not in runs_b:
             print(f"{name}: only in {path_a if name in runs_a else path_b}")
@@ -238,8 +242,13 @@ def compare(path_a, path_b) -> int:
             if ra[key].shape != rb[key].shape:
                 fields.append(f"{key} shape {ra[key].shape} vs {rb[key].shape}")
             elif ra[key].size:
-                fields.append(f"{key} {np.max(np.abs(ra[key] - rb[key])):.1e}")
+                deviation = np.max(np.abs(ra[key] - rb[key]))
+                fields.append(f"{key} {deviation:.1e}")
+                if key not in largest or deviation > largest[key][0]:
+                    largest[key] = (deviation, name)
         print(f"{name}: " + "; ".join(fields))
+    for key, (deviation, name) in sorted(largest.items()):
+        print(f"largest: {key} {deviation:.1e} ({name})")
     return status
 
 

@@ -207,6 +207,78 @@ def test_karcher_commutes_with_rotation_and_converges(seed, n, k, extra):
     assert err <= 1e-10
 
 
+def test_log_map_reaches_a_member_at_the_cut_locus():
+    # span(e1, e3) meets span(e1, e2) at angles (0, pi/2): M = Y^T X is
+    # singular, and a pseudo-inverse would drop the direction e3 and return
+    # the zero tangent, as if the member were the base
+    eye = np.eye(4)
+    y, x = eye[:, [0, 1]], eye[:, [0, 2]]
+    tangent = fisher._log_map(y[None], x[None, None])[0, 0]
+    s = np.linalg.svd(tangent, compute_uv=False)
+    assert np.allclose(s, [math.pi / 2, 0.0], rtol=0.0, atol=1e-12)
+    reached = fisher._exp_map(y[None], tangent[None])[0]
+    assert np.max(np.abs(reached @ reached.T - x @ x.T)) <= 1e-12
+
+
+def retired_log_map(base, stack):
+    """The log map before the closed form: arctan of the singular values of
+    (X - Y M) pinv(M), which loses every direction where M is singular."""
+    base = base[:, None]
+    m = np.swapaxes(base, -1, -2) @ stack
+    g = (stack - base @ m) @ np.linalg.pinv(m)
+    w, s, vt = np.linalg.svd(g, full_matrices=False)
+    return (w * np.arctan(s)[..., None, :]) @ vt
+
+
+def members_at_angles(rng, base, n):
+    """`n` bases at canonical angles to `base` mixing random angles with
+    exact, near and far cut-locus angles, each in a random basis."""
+    d, k = base.shape
+    r = min(k, d - k)  # angles that can be nonzero
+    choices = [
+        lambda: rng.uniform(0.0, math.pi / 2),
+        lambda: math.pi / 2,
+        lambda: math.pi / 2 - 10.0 ** -rng.uniform(3, 12),
+        lambda: 10.0 ** -rng.uniform(0, 12),
+        lambda: 0.0,
+    ]
+    out = []
+    for _ in range(n):
+        theta = np.zeros(k)
+        theta[:r] = [choices[rng.integers(len(choices))]() for _ in range(r)]
+        # directions orthogonal to span(base), one per angle
+        perp = np.linalg.qr(np.hstack([base, rng.standard_normal((d, k))]))[0][:, k:]
+        perp = np.hstack([perp[:, :r], np.zeros((d, k - r))])
+        v = random_orthonormal(rng, k, k)
+        x = (base @ v) * np.cos(theta) + perp * np.sin(theta)
+        out.append(x @ random_orthonormal(rng, k, k))
+    return np.stack(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 9),
+    k=st.integers(1, 3),
+    n=st.integers(1, 7),
+)
+def test_log_map_inverts_the_exp_map_and_matches_the_retired_formula(seed, d, k, n):
+    rng = np.random.default_rng(seed)
+    k = min(k, d)
+    base = random_orthonormal(rng, d, k)
+    stack = members_at_angles(rng, base, n)
+    tangents = fisher._log_map(base[None], stack[None])[0]
+    for x, tangent in zip(stack, tangents):
+        reached = fisher._exp_map(base[None], tangent[None])[0]
+        assert np.max(np.abs(reached @ reached.T - x @ x.T)) <= 1e-12
+    # away from the cut locus the pseudo-inverse is an inverse, and the two
+    # formulas are one map
+    cosines = np.linalg.svd(base.T @ stack, compute_uv=False).min(axis=-1)
+    far = cosines >= 1e-3
+    retired = retired_log_map(base[None], stack[None])[0]
+    assert np.max(np.abs(tangents[far] - retired[far]), initial=0.0) <= 1e-11
+
+
 def solo_karcher_mean(subs, tol=1e-8, max_iter=100):
     """Oracle: the per-set Karcher loop that `karcher_means` batches, with its
     own 2-D log map, exp map, projector average and eigen and QR helpers.
@@ -219,9 +291,10 @@ def solo_karcher_mean(subs, tol=1e-8, max_iter=100):
 
     def log_map(base):
         m = base.T @ stack
-        g = (stack - base @ m) @ np.linalg.pinv(m)
-        w, s, vt = np.linalg.svd(g, full_matrices=False)
-        return (w * np.arctan(s)[:, None, :]) @ vt
+        p, c, qt = np.linalg.svd(m)
+        scale = 1.0 / np.sinc(np.arccos(np.clip(c, 0.0, 1.0)) / np.pi)
+        w = (stack - base @ m) @ np.swapaxes(qt, -1, -2)
+        return (w * scale[:, None, :]) @ np.swapaxes(p, -1, -2)
 
     def exp_map(base, tangent):
         w, s, vt = np.linalg.svd(tangent, full_matrices=False)

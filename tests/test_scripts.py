@@ -64,12 +64,19 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("small/nmode-wgds: discrete match;") and "scores 0.0e+00" in lines[0]
     assert lines[1] == "small/pgm-failing: discrete match"
+    # then one summary line per compared array, named by configuration
+    compared = [
+        "distances", "reference_projectors", "reloaded_scores", "scores", "trace_scores", "weights"
+    ]
+    assert lines[2:] == [f"largest: {key} 0.0e+00 (small/nmode-wgds)" for key in compared]
 
     arrays["small/nmode-wgds|scores"] = arrays["small/nmode-wgds|scores"] + 1e-9
     rounded = tmp_path / "rounded.npz"
     np.savez(rounded, **arrays)
     assert main(["--compare", str(before), str(rounded)]) == 0
-    assert "; scores 1.0e-09" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "; scores 1.0e-09" in out
+    assert "largest: scores 1.0e-09 (small/nmode-wgds)" in out.splitlines()
 
     arrays["small/nmode-wgds|karcher_warnings"] = arrays["small/nmode-wgds|karcher_warnings"] + 1
     del arrays["small/pgm-failing|error"]
