@@ -8,10 +8,9 @@ from .errors import (
     FormatError,
     KarcherConvergenceWarning,
 )
-from .fisher import FisherReport, NModeFisher, fisher_mode, nmode_fisher
-from .fisher import karcher_mean, karcher_means
+from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_means, nmode_fisher
 from .gds import GdsBasis, ModeGram, gds_from_gram, mode_gram, project_onto_gds
-from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesic
+from .manifold import ProductPoint, WeightVector, mode_weights
 from .pipeline import (
     EvalMetrics,
     PipelineConfig,
@@ -22,7 +21,6 @@ from .pipeline import (
     fit,
     optimize_gds_dims,
     pairwise_distances,
-    point_distance,
     transform,
 )
 from .subspace import (
@@ -78,7 +76,6 @@ __all__ = [
     "gds_from_gram",
     "geodesic_distance",
     "hosvd",
-    "karcher_mean",
     "karcher_means",
     "mean_canonical_angle",
     "mode_gram",
@@ -87,12 +84,10 @@ __all__ = [
     "nmode_fisher",
     "optimize_gds_dims",
     "pairwise_distances",
-    "point_distance",
     "principal_angles",
     "project_onto_gds",
     "projector",
     "select_dim",
     "transform",
     "unfold",
-    "weighted_geodesic",
 ]

@@ -45,6 +45,8 @@ def classical_mds(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
         raise DimensionError(f"k must be >= 1, got {k}")
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DimensionError(f"distance matrix must be square, got {d.shape}")
+    if not np.all(np.isfinite(d)):
+        raise DimensionError("distance matrix has non-finite entries")
     if np.max(np.abs(d - d.T), initial=0.0) > MDS_SYMMETRY_TOL:
         raise DimensionError("distance matrix is not symmetric")
     if np.max(np.abs(np.diag(d)), initial=0.0) > 1e-12:
@@ -206,16 +208,19 @@ def _outdir(args) -> Path:
 
 
 def _cmd_gen(args) -> int:
-    spec = dataio.SynthSpec(
-        classes=args.classes,
-        samples_per_class=args.samples_per_class,
-        dims=_parse_dims(args.dims) if isinstance(args.dims, str) else args.dims,
-        shared_dim=args.shared_dim,
-        class_dim=args.class_dim,
-        within_noise=args.noise,
-        seed=args.seed,
-    )
-    samples, manifest = dataio.generate_synthetic(spec, train_fraction=args.train_frac)
+    try:
+        spec = dataio.SynthSpec(
+            classes=args.classes,
+            samples_per_class=args.samples_per_class,
+            dims=_parse_dims(args.dims) if isinstance(args.dims, str) else args.dims,
+            shared_dim=args.shared_dim,
+            class_dim=args.class_dim,
+            within_noise=args.noise,
+            seed=args.seed,
+        )
+        samples, manifest = dataio.generate_synthetic(spec, train_fraction=args.train_frac)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = _outdir(args)
     for sample, entry in zip(samples, manifest.entries):
         dataio.write_tensor(out / entry.path, sample)
@@ -345,15 +350,18 @@ def _cmd_dist(args) -> int:
 
 def _read_distance_csv(path) -> np.ndarray:
     try:
-        rows = [
-            [float(x) for x in line.split(",")]
-            for line in Path(path).read_text().strip().splitlines()
-        ]
+        return np.array(
+            [
+                [float(x) for x in line.split(",")]
+                for line in Path(path).read_text().strip().splitlines()
+            ]
+        )
     except OSError as exc:
         raise FormatError(f"cannot read distance matrix {path}: {exc}") from exc
     except ValueError as exc:
-        raise FormatError(f"distance matrix {path} has non-numeric entries") from exc
-    return np.asarray(rows)
+        raise FormatError(
+            f"distance matrix {path} has non-numeric entries or ragged rows"
+        ) from exc
 
 
 def _cmd_mds(args) -> int:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DimensionError, KarcherConvergenceWarning
 from .subspace import (
     Subspace,
+    basis_stack,
     eigh_descending,
     geodesic_distance,
     group_by_shape,
@@ -110,11 +111,12 @@ def _exp_map(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
 
 
 def karcher_means(
-    sets: Sequence[Sequence[Subspace]],
+    sets: Sequence,
     tol: float = DEFAULT_KARCHER_TOL,
     max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> list[Subspace]:
-    """Intrinsic mean of each set of equal-dimension subspaces.
+    """Intrinsic mean of each set of equal-dimension subspaces, a sequence
+    of `Subspace`s or an (N, d, k) stack of bases (see `basis_stack`).
 
     A mean starts from the dominant eigenvectors of its set's averaged
     projectors and steps along the exp map of the mean log map until the mean
@@ -124,16 +126,13 @@ def karcher_means(
     warns (KarcherConvergenceWarning) and yields its best iterate, the one of
     smallest mean tangent norm. A one-member set yields its member.
     """
-    sets = [list(subs) for subs in sets]
-    for subs in sets:
-        shapes = sorted({s.basis.shape for s in subs})
-        if len(shapes) != 1:
-            raise DimensionError(f"need subspaces of one shape, got shapes {shapes}")
-    means = [subs[0] for subs in sets]
-    stacks = [np.stack([s.basis for s in subs]) for subs in sets]
+    stacks = [basis_stack(subs) for subs in sets]
+    means = [None] * len(stacks)
     for idx, stack in group_by_shape(stacks):
         count, n, d, k = stack.shape
         if n == 1:
+            for c, member in zip(idx, stack[:, 0]):
+                means[c] = Subspace(member)
             continue
         _, evecs = eigh_descending(projector_mean(stack))
         y = best_y = np.ascontiguousarray(evecs[..., :k])
@@ -172,23 +171,15 @@ def karcher_means(
     return means
 
 
-def karcher_mean(
-    subspaces: Sequence[Subspace],
-    tol: float = DEFAULT_KARCHER_TOL,
-    max_iter: int = DEFAULT_KARCHER_MAX_ITER,
-) -> Subspace:
-    """Intrinsic mean of equal-dimension subspaces (see `karcher_means`)."""
-    return karcher_means([subspaces], tol, max_iter)[0]
-
-
 def fisher_mode(
-    subspaces_by_class: Sequence[Sequence[Subspace]],
+    subspaces_by_class: Sequence,
     mode: int = 0,
     sim: Callable[[np.ndarray, Subspace], np.ndarray] | None = None,
     karcher_tol: float = DEFAULT_KARCHER_TOL,
     karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> FisherReport:
-    """Between/within separability of one mode's class-grouped subspaces.
+    """Between/within separability of one mode's class-grouped subspaces,
+    each class a sequence of `Subspace`s or an (N, d, k) stack of bases.
 
     `sim` is the subspace dissimilarity, defaulting to the geodesic distance.
     It takes an (N, d, k) stack of bases and one subspace and returns one
@@ -197,21 +188,16 @@ def fisher_mode(
     """
     if sim is None:
         sim = geodesic_distance
-    classes = [list(c) for c in subspaces_by_class]
+    classes = [basis_stack(c) for c in subspaces_by_class]
     if len(classes) < 2:
         raise DimensionError(f"need at least 2 classes, got {len(classes)}")
-    for j, c in enumerate(classes):
-        if not c:
-            raise DimensionError(f"class {j} has no subspaces")
 
     class_means = karcher_means(classes, karcher_tol, karcher_max_iter)
-    (grand_mean,) = karcher_means([class_means], karcher_tol, karcher_max_iter)
+    means = basis_stack(class_means)
+    (grand_mean,) = karcher_means([means], karcher_tol, karcher_max_iter)
     # left-to-right Python sums: numpy's pairwise summation rounds differently
-    means = np.stack([kj.basis for kj in class_means])
     between = sum(sim(means, grand_mean).tolist()) / len(classes)
-    spreads = [
-        sim(np.stack([s.basis for s in c]), kj) for c, kj in zip(classes, class_means)
-    ]
+    spreads = [sim(c, kj) for c, kj in zip(classes, class_means)]
     within = sum(np.concatenate(spreads).tolist()) / sum(len(c) for c in classes)
     score, flag = separability_ratio(between, within)
     return FisherReport(mode, between, within, score, flag)

@@ -134,8 +134,8 @@ def gds_from_gram(gram: ModeGram, alpha: int, beta: int | None = None) -> GdsBas
 
 def project_onto_gds(gds: GdsBasis, subspaces):
     """Project one `Subspace`, or each basis U of an (N, d, k) stack, onto the
-    difference subspace G: a `Subspace`, or a list of N in stack order, in an
-    ambient space as wide as the GDS.
+    difference subspace G: a `Subspace`, or a list of N bases in stack order,
+    in an ambient space as wide as the GDS.
 
     Each result is spanned by G^T U. One SVD of the stack gives its basis:
     the left-singular vectors whose singular values exceed `RANK_RTOL` times
@@ -153,5 +153,5 @@ def project_onto_gds(gds: GdsBasis, subspaces):
             "subspace is orthogonal to the difference subspace within tolerance"
         )
     widths = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
-    projected = [Subspace(b[:, :w]) for b, w in zip(u, widths)]
-    return projected[0] if single else projected
+    projected = [b[:, :w] for b, w in zip(u, widths)]
+    return Subspace(projected[0]) if single else projected

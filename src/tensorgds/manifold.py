@@ -74,17 +74,6 @@ def mode_weights(scores: Sequence[float]) -> WeightVector:
     return WeightVector(arr / total)
 
 
-def weighted_geodesic(
-    a: ProductPoint,
-    b: ProductPoint,
-    weights: WeightVector,
-    angle_counts: Sequence[int] | None = None,
-    full_spectrum: bool = False,
-) -> float:
-    """Weighted distance between two product points (see `weighted_geodesics`)."""
-    return float(weighted_geodesics(a, [b], weights, angle_counts, full_spectrum)[0])
-
-
 def weighted_geodesics(
     query: ProductPoint,
     points: Sequence[ProductPoint],

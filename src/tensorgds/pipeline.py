@@ -29,6 +29,7 @@ from .subspace import (
     SingularSpectrum,
     Subspace,
     basis_from_unfolding,
+    basis_stack,
     leading_basis,
     left_factor,
     left_singular,
@@ -197,13 +198,13 @@ class EvalMetrics:
 @dataclass(frozen=True)
 class GdsSearchResult:
     """The chosen (alpha, beta) band per mode, its report, the search trace,
-    and per mode the training parts projected onto the chosen band, in
-    sample order."""
+    and per mode the (N, w, k) stack of the training bases projected onto
+    the chosen band, in sample order."""
 
     pairs: tuple[tuple[int, int], ...]
     reports: tuple[FisherReport, ...]
     trace: tuple[dict, ...]
-    parts: tuple[tuple[Subspace, ...], ...]
+    parts: tuple[np.ndarray, ...]
 
 
 def _mode_matrix(sample, mode: int) -> UnfoldedMatrix:
@@ -241,26 +242,27 @@ def extract_sample_point(sample, config: PipelineConfig) -> ProductPoint:
     return ProductPoint(tuple(parts))
 
 
-def _group_by_class(points: Sequence[ProductPoint], class_ids, p: int):
-    return [
-        [pt.parts[p] for pt in points if pt.label == cid] for cid in class_ids
-    ]
+def _class_members(labels, class_ids) -> list[list[int]]:
+    """Per class id, the indices of the samples that carry it."""
+    return [[i for i, label in enumerate(labels) if label == cid] for cid in class_ids]
 
 
 def optimize_gds_dims(
     grams: Sequence[ModeGram],
-    train_points: Sequence[ProductPoint],
+    stacks: Sequence[np.ndarray],
+    labels: Sequence[int],
     config: PipelineConfig,
 ) -> GdsSearchResult:
     """Choose the retained eigenvector band per mode by maximizing the
     combined separability score of the projected training subspaces.
 
-    Coordinate ascent sweeps the candidate bands of one mode at a time while
-    the other modes stay at their current best, starting from the full band,
-    until a round changes no band. Candidates whose projection collapses or
+    `stacks` holds, per mode of `grams`, the (N, d, k) stack of the training
+    bases, in the order of `labels`. Coordinate ascent sweeps the candidate
+    bands of one mode at a time while the other modes stay at their current
+    best, starting from the full band, until a round changes no band.
+    Candidates whose projection collapses, leaves bases of unequal width or
     whose score is degenerate are skipped; ties go to the smallest alpha
-    (then the largest beta when the beta search is on). The training parts
-    of one mode must share one shape; each mode's are projected as one stack.
+    (then the largest beta when the beta search is on).
 
     The fixed point is a global optimum: the combined score is a ratio of
     per-mode sums, so at a fixed point with ratio r each mode's band
@@ -268,38 +270,42 @@ def optimize_gds_dims(
     r (Dinkelbach 1967). `config.gds_search` therefore selects nothing; both
     of its values run this search.
     """
-    points = list(train_points)
-    class_ids = sorted({pt.label for pt in points})
-    if len(class_ids) < 2 or None in class_ids:
-        raise DimensionError("need labeled points from at least 2 classes")
-    members = [
-        [i for i, pt in enumerate(points) if pt.label == cid] for cid in class_ids
-    ]
-    stacks = []
-    for gram, mode_parts in zip(grams, zip(*(pt.parts for pt in points))):
-        if len({part.basis.shape for part in mode_parts}) > 1:
-            raise DimensionError(f"mode {gram.mode}: training parts differ in shape")
-        stacks.append(np.stack([part.basis for part in mode_parts]))
+    members = _class_members(labels, sorted(set(labels)))
+    if len(members) < 2:
+        raise DimensionError("need labeled samples from at least 2 classes")
+    if len(stacks) != len(grams):
+        raise DimensionError(
+            f"{len(stacks)} basis stacks for the modes {[g.mode for g in grams]}"
+        )
+    for gram, stack in zip(grams, stacks):
+        if len(stack) != len(labels):
+            raise DimensionError(
+                f"mode {gram.mode}: {len(stack)} training bases for {len(labels)} labels"
+            )
 
     cache: dict[tuple[int, int, int], tuple | None] = {}
 
     def evaluate(p: int, alpha: int, beta: int):
-        """The candidate's report and its projected training parts, in sample
-        order, or None when the candidate is unusable."""
+        """The candidate's report and its (N, w, k) stack of projected
+        training bases, or None when the candidate is unusable."""
         key = (p, alpha, beta)
         if key not in cache:
+            cache[key] = None
             try:
-                parts = tuple(project_onto_gds(gds_from_gram(grams[p], alpha, beta), stacks[p]))
+                parts = project_onto_gds(gds_from_gram(grams[p], alpha, beta), stacks[p])
+            except (DegeneracyError, DimensionError):
+                return None
+            # a basis the band narrowed leaves no common stack to average
+            if len({b.shape for b in parts}) == 1:
+                proj = np.stack(parts)
                 report = fisher_mode(
-                    [[parts[i] for i in idx] for idx in members],
+                    [proj[idx] for idx in members],
                     mode=grams[p].mode,
                     karcher_tol=config.karcher_tol,
                     karcher_max_iter=config.karcher_max_iter,
                 )
-            except (DegeneracyError, DimensionError):
-                report = None
-            usable = report is not None and report.flag is None
-            cache[key] = (report, parts) if usable else None
+                if report.flag is None:
+                    cache[key] = (report, proj)
         return cache[key]
 
     def candidate_pairs(p: int) -> list[tuple[int, int]]:
@@ -350,7 +356,7 @@ def optimize_gds_dims(
     return GdsSearchResult(tuple(current), reports, tuple(trace), parts)
 
 
-def _class_pair_mean_angle(class_subspaces: Sequence[Subspace]) -> float:
+def _class_pair_mean_angle(class_subspaces: Sequence) -> float:
     pairs = itertools.combinations(class_subspaces, 2)
     return float(np.mean([mean_canonical_angle(a, b) for a, b in pairs]))
 
@@ -358,10 +364,11 @@ def _class_pair_mean_angle(class_subspaces: Sequence[Subspace]) -> float:
 def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
     """One mode of `fit`: compress every sample's unfolding to its
     `left_factor`, take one SVD per factor, fix the dimension (`dim`, or the
-    median energy dimension when None), and build the sample subspaces and,
+    median energy dimension when None), and build the sample bases and,
     from the stacked factors of each class, the class subspaces. Returns the
-    ambient dimension, the dimension, the sample subspaces and the class
-    subspaces; each unfolding is released once it is compressed."""
+    ambient dimension, the dimension, the (N, d, dim) stack of sample bases
+    and the class subspaces; each unfolding is released once it is
+    compressed."""
     factors = [left_factor(_mode_matrix(s, mode)) for s in samples]
     rows = factors[0].shape[0]
     for i, f in enumerate(factors):
@@ -375,7 +382,7 @@ def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float)
         dim = int(round(float(np.median(energy_dims))))
     else:
         dim = int(dim)
-    parts = [leading_basis(u, lam, dim) for u, lam in svds]
+    stack = np.stack([leading_basis(u, lam, dim) for u, lam in svds])
     class_subs = [
         basis_from_unfolding(
             np.hstack([f for f, label in zip(factors, labels) if label == cid]),
@@ -383,7 +390,7 @@ def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float)
         )
         for cid in class_ids
     ]
-    return rows, dim, parts, class_subs
+    return rows, dim, stack, class_subs
 
 
 def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> TrainedModel:
@@ -420,19 +427,17 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
         values = getattr(config, name)
         if values is not None and len(values) != n:
             raise DimensionError(f"{name} has {len(values)} entries for {n} modes")
-    ambients, dims, parts, class_subs = zip(
+    ambients, dims, stacks, class_subs = zip(
         *(
             _fit_mode(samples, labels, class_ids, mode, dim, config.energy_mu)
             for mode, dim in zip(modes, fixed_dims)
         )
     )
-    points = [
-        ProductPoint(pt, label=label) for pt, label in zip(zip(*parts), labels)
-    ]
+    members = _class_members(labels, class_ids)
 
     raw_reports = [
         fisher_mode(
-            _group_by_class(points, class_ids, p),
+            [stacks[p][idx] for idx in members],
             mode=modes[p],
             karcher_tol=config.karcher_tol,
             karcher_max_iter=config.karcher_max_iter,
@@ -446,28 +451,28 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
     search_trace: tuple = ()
     if config.uses_gds:
         grams = [mode_gram(class_subs[p], modes[p]) for p in range(n)]
-        result = optimize_gds_dims(grams, points, config)
+        result = optimize_gds_dims(grams, stacks, labels, config)
         bases = tuple(
             gds_from_gram(grams[p], a, b) for p, (a, b) in enumerate(result.pairs)
         )
         search_trace = result.trace
-        references = tuple(
-            ProductPoint(pt, label=label)
-            for pt, label in zip(zip(*result.parts), labels)
-        )
+        stacks = result.parts  # the references keep the projected bases
         fisher_final = nmode_fisher(result.reports)
         proj_angles = [
-            _class_pair_mean_angle(project_onto_gds(b, np.stack([c.basis for c in subs])))
+            _class_pair_mean_angle(project_onto_gds(b, basis_stack(subs)))
             for b, subs in zip(bases, class_subs)
         ]
         angle_diag = tuple(zip(raw_angles, proj_angles))
     else:
-        references = tuple(points)
         fisher_final = fisher_raw
         angle_diag = tuple((a, None) for a in raw_angles)
+    references = tuple(
+        ProductPoint(tuple(map(Subspace, parts)), label=label)
+        for parts, label in zip(zip(*stacks), labels)
+    )
 
     for p, count in enumerate(config.angle_counts or ()):
-        top = min(ref.parts[p].dim for ref in references)
+        top = stacks[p].shape[2]
         if not 1 <= count <= top:
             raise DimensionError(
                 f"angle_counts entry {count} for mode {modes[p]} is outside 1..{top}"
@@ -535,10 +540,6 @@ def point_distances(
     )
 
 
-def point_distance(model: TrainedModel, a: ProductPoint, b: ProductPoint) -> float:
-    return float(point_distances(model, a, [b])[0])
-
-
 def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> np.ndarray:
     """Symmetric distance matrix with an exactly zero diagonal: each row is
     computed against the later points only and mirrored."""
@@ -551,9 +552,11 @@ def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> n
 
 def _class_mean_points(model: TrainedModel) -> tuple[ProductPoint, ...]:
     if "class_points" not in model._cache:
+        refs = model.references
+        members = _class_members([ref.label for ref in refs], model.class_ids)
         means = [
             karcher_means(
-                _group_by_class(model.references, model.class_ids, p),
+                [[refs[i].parts[p] for i in idx] for idx in members],
                 tol=model.config.karcher_tol,
                 max_iter=model.config.karcher_max_iter,
             )

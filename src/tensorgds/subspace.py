@@ -123,7 +123,7 @@ def basis_from_unfolding(
     u, lam = left_singular(matrix)
     if energy is not None:
         dim = select_dim(SingularSpectrum(lam), energy)
-    return leading_basis(u, lam, dim)
+    return Subspace(leading_basis(u, lam, dim))
 
 
 def _as_matrix(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
@@ -175,8 +175,8 @@ def left_singular(matrix: UnfoldedMatrix | np.ndarray) -> tuple[np.ndarray, np.n
     return u, lam
 
 
-def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> Subspace:
-    """Subspace of the first `dim` columns of `u`, as returned with `lam` by
+def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> np.ndarray:
+    """The first `dim` columns of `u`, as returned with `lam` by
     `left_singular`; `dim` may not exceed the numerical rank."""
     k = int(dim)
     if k < 1:
@@ -186,7 +186,22 @@ def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> Subspace:
         raise DegeneracyError(
             f"requested {k} basis vectors but the numerical rank is {rank}"
         )
-    return Subspace(u[:, :k])
+    return u[:, :k]
+
+
+def basis_stack(subspaces) -> np.ndarray:
+    """A non-empty set of subspaces as one (N, d, k) stack of bases: an array
+    is taken as it is, a sequence of `Subspace`s must share one shape and is
+    stacked in order."""
+    if not isinstance(subspaces, np.ndarray):
+        bases = [s.basis for s in subspaces]
+        shapes = sorted({b.shape for b in bases})
+        if len(shapes) > 1:
+            raise DimensionError(f"need subspaces of one shape, got shapes {shapes}")
+        subspaces = np.array(bases)
+    if subspaces.ndim != 3 or not len(subspaces):
+        raise DimensionError(f"need a non-empty (N, d, k) stack, got shape {subspaces.shape}")
+    return subspaces
 
 
 def canonical_correlations(p, q, count: int | None = None) -> np.ndarray:

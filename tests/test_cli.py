@@ -314,6 +314,32 @@ def test_main_in_process_exit_codes(tmp_path):
     assert main(["mds", "--distances", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1\n1\n", "ragged rows"),
+        ("0,nan\nnan,0\n", "non-finite"),
+        ("0,inf\ninf,0\n", "non-finite"),
+    ],
+)
+def test_mds_rejects_ragged_and_non_finite_matrices(tmp_path, capsys, text, message):
+    path = tmp_path / "distances.csv"
+    path.write_text(text)
+    assert main(["mds", "--distances", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "coords.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--classes", "1"], ["--train-frac", "0"], ["--noise", "-1"], ["--dims", "12xab"]],
+)
+def test_gen_invalid_parameters_exit_1(tmp_path, capsys, flags):
+    assert main(["gen", "--out", str(tmp_path / "gen"), *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_fit_flags_are_the_settings_keys():
     subparsers = next(
         a for a in build_parser()._actions if a.dest == "command"

@@ -12,7 +12,6 @@ from tensorgds import (
     Subspace,
     fisher_mode,
     geodesic_distance,
-    karcher_mean,
     karcher_means,
     nmode_fisher,
     projector,
@@ -25,13 +24,14 @@ from conftest import line, random_orthonormal, random_subspace
 
 def test_karcher_identical_inputs(rng):
     s = random_subspace(rng, 5, 2)
-    mean = karcher_mean([s, s, s])
+    (mean,) = karcher_means([[s, s, s]])
     assert geodesic_distance(mean, s) <= 1e-10
 
 
 def test_karcher_singleton(rng):
     s = random_subspace(rng, 4, 2)
-    assert karcher_mean([s]) is s
+    (mean,) = karcher_means([[s]])
+    assert np.array_equal(mean.basis, s.basis)
 
 
 def test_karcher_two_lines_bisector():
@@ -45,14 +45,14 @@ def test_karcher_two_lines_bisector():
     ]
     g_star = grid[int(np.argmin(costs))]
     assert abs(g_star - 20.0) <= 0.05  # grid resolution
-    mean = karcher_mean([a, b])
+    (mean,) = karcher_means([[a, b]])
     assert geodesic_distance(mean, line(20.0)) <= 1e-8
 
 
 def test_karcher_permutation_invariance(rng):
     subs = [random_subspace(rng, 6, 2) for _ in range(4)]
-    m1 = karcher_mean(subs)
-    m2 = karcher_mean(subs[::-1])
+    (m1,) = karcher_means([subs])
+    (m2,) = karcher_means([subs[::-1]])
     assert np.linalg.norm(projector(m1) - projector(m2)) <= 1e-8
 
 
@@ -65,7 +65,7 @@ def test_karcher_stays_between_inputs(seed):
     for _ in range(3):
         q, _ = np.linalg.qr(base.basis + 0.2 * rng.standard_normal((6, 2)))
         subs.append(Subspace(q[:, :2]))
-    mean = karcher_mean(subs)
+    (mean,) = karcher_means([subs])
     max_pair = max(
         geodesic_distance(a, b) for i, a in enumerate(subs) for b in subs[i + 1:]
     )
@@ -74,15 +74,18 @@ def test_karcher_stays_between_inputs(seed):
 
 def test_karcher_errors_and_warning(rng):
     with pytest.raises(DimensionError):
-        karcher_mean([])
+        karcher_means([[]])
     with pytest.raises(DimensionError):
-        karcher_mean([random_subspace(rng, 4, 2), random_subspace(rng, 4, 1)])
+        karcher_means([[random_subspace(rng, 4, 2), random_subspace(rng, 4, 1)]])
+    for bad in (np.empty((0, 4, 2)), np.eye(4)[:, :2]):  # empty, or one bare basis
+        with pytest.raises(DimensionError, match="non-empty"):
+            karcher_means([bad])
     spread = [random_subspace(rng, 6, 2) for _ in range(4)]
     with pytest.warns(
         KarcherConvergenceWarning,
         match=r"Karcher mean of 4 subspaces \(6x2\) stopped after 2 iterations",
     ):
-        karcher_mean(spread, tol=1e-15, max_iter=2)
+        karcher_means([spread], tol=1e-15, max_iter=2)
 
 
 def test_fisher_planar_two_class_score():
@@ -201,8 +204,8 @@ def test_karcher_commutes_with_rotation_and_converges(seed, n, k, extra):
     rot = random_orthonormal(rng, ambient, ambient)
     with warnings.catch_warnings():
         warnings.simplefilter("error", KarcherConvergenceWarning)
-        mean = karcher_mean(subs)
-        rotated = karcher_mean([Subspace(rot @ s.basis) for s in subs])
+        (mean,) = karcher_means([subs])
+        (rotated,) = karcher_means([[Subspace(rot @ s.basis) for s in subs]])
     err = np.linalg.norm(projector(rotated) - rot @ projector(mean) @ rot.T)
     assert err <= 1e-10
 
@@ -408,14 +411,37 @@ def test_fisher_spreads_match_per_pair_sums_bitwise(seed, sizes, k):
     rng = np.random.default_rng(seed)
     classes = [[random_subspace(rng, 6, k) for _ in range(n)] for n in sizes]
     report = fisher_mode(classes)
-    class_means = [karcher_mean(c) for c in classes]
-    grand_mean = karcher_mean(class_means)
+    class_means = [karcher_means([c])[0] for c in classes]
+    (grand_mean,) = karcher_means([class_means])
     between = sum(geodesic_distance(kj, grand_mean) for kj in class_means) / len(classes)
     within = sum(
         geodesic_distance(s, kj) for c, kj in zip(classes, class_means) for s in c
     ) / sum(sizes)
     assert type(report.between) is float and type(report.within) is float
     assert report.between == between and report.within == within
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    d=st.integers(2, 6),
+    data=st.data(),
+)
+def test_stacks_and_subspace_sequences_give_bit_identical_results(seed, sizes, d, data):
+    # classes of unequal size, one-member classes included, given as (n, d, k)
+    # stacks of bases or as the equivalent sequences of Subspaces
+    k = data.draw(st.integers(1, d - 1), label="k")
+    rng = np.random.default_rng(seed)
+    stacks = [np.stack([random_orthonormal(rng, d, k) for _ in range(n)]) for n in sizes]
+    sequences = [[Subspace(b) for b in stack] for stack in stacks]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KarcherConvergenceWarning)
+        # repr compares every float to the last bit and lets a nan match itself
+        assert repr(fisher_mode(stacks, mode=2)) == repr(fisher_mode(sequences, mode=2))
+        from_stacks, from_sequences = karcher_means(stacks), karcher_means(sequences)
+    for a, b in zip(from_stacks, from_sequences, strict=True):
+        assert np.array_equal(a.basis, b.basis)
 
 
 def pair_correlations(a, b):

@@ -17,12 +17,11 @@ from tensorgds import (
     mode_weights,
     nmode_fisher,
     pairwise_distances,
-    point_distance,
     principal_angles,
-    weighted_geodesic,
 )
 from tensorgds.fisher import FisherReport
 from tensorgds.manifold import weighted_geodesics
+from tensorgds.pipeline import point_distances
 from conftest import line, random_subspace
 
 
@@ -82,20 +81,20 @@ def test_weighted_geodesic_zero_for_identical(rng):
     parts = tuple(random_subspace(rng, 5, 2) for _ in range(3))
     p = ProductPoint(parts)
     w = WeightVector(np.ones(3))
-    assert weighted_geodesic(p, p, w) == 0.0
+    assert weighted_geodesics(p, [p], w)[0] == 0.0
 
 
 def test_weighted_geodesic_three_orthogonal_modes():
     a, b = orthogonal_pair_point(3)
     w = WeightVector(np.full(3, 1.0 / 3.0))
-    rho = weighted_geodesic(a, b, w)
+    rho = weighted_geodesics(a, [b], w)[0]
     assert abs(rho - math.pi / (2 * math.sqrt(3))) <= 1e-12
 
 
 def test_weighted_geodesic_unit_weights_plain_product_distance():
     a, b = orthogonal_pair_point(3)
     w = WeightVector(np.ones(3))
-    rho = weighted_geodesic(a, b, w)
+    rho = weighted_geodesics(a, [b], w)[0]
     assert abs(rho - math.sqrt(3) * (math.pi / 2)) <= 1e-12
 
 
@@ -103,9 +102,9 @@ def test_single_mode_reduces_to_mean_angle_exactly():
     a = ProductPoint((line(10.0),))
     b = ProductPoint((line(62.0),))
     w = WeightVector(np.array([1.0]))
-    assert weighted_geodesic(a, b, w) == mean_canonical_angle(a.parts[0], b.parts[0])
+    assert weighted_geodesics(a, [b], w)[0] == mean_canonical_angle(a.parts[0], b.parts[0])
     w2 = WeightVector(np.array([0.37]))
-    assert weighted_geodesic(a, b, w2) == 0.37 * mean_canonical_angle(
+    assert weighted_geodesics(a, [b], w2)[0] == 0.37 * mean_canonical_angle(
         a.parts[0], b.parts[0]
     )
 
@@ -114,7 +113,7 @@ def test_weighted_geodesic_symmetry(rng):
     a = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     b = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     w = WeightVector(np.array([0.3, 0.7]))
-    assert abs(weighted_geodesic(a, b, w) - weighted_geodesic(b, a, w)) <= 1e-12
+    assert abs(weighted_geodesics(a, [b], w)[0] - weighted_geodesics(b, [a], w)[0]) <= 1e-12
 
 
 def test_weight_scaling_preserves_rankings(rng):
@@ -124,8 +123,8 @@ def test_weight_scaling_preserves_rankings(rng):
     ]
     w = WeightVector(np.array([0.2, 0.5, 0.3]))
     w_scaled = WeightVector(4.5 * np.asarray(w.weights))
-    d1 = np.array([[weighted_geodesic(a, b, w) for b in pts] for a in pts])
-    d2 = np.array([[weighted_geodesic(a, b, w_scaled) for b in pts] for a in pts])
+    d1 = np.array([[weighted_geodesics(a, [b], w)[0] for b in pts] for a in pts])
+    d2 = np.array([[weighted_geodesics(a, [b], w_scaled)[0] for b in pts] for a in pts])
     assert np.allclose(d2, 4.5 * d1, rtol=1e-12, atol=1e-12)
     for i in range(len(pts)):
         assert np.array_equal(np.argsort(d1[i]), np.argsort(d2[i]))
@@ -135,8 +134,8 @@ def test_full_spectrum_variant(rng):
     a = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     b = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     w = WeightVector(np.ones(2))
-    mean_rho = weighted_geodesic(a, b, w)
-    full_rho = weighted_geodesic(a, b, w, full_spectrum=True)
+    mean_rho = weighted_geodesics(a, [b], w)[0]
+    full_rho = weighted_geodesics(a, [b], w, full_spectrum=True)[0]
     assert full_rho >= mean_rho - 1e-12  # root-sum-square dominates the mean
 
 
@@ -145,12 +144,12 @@ def test_weighted_geodesic_contract_errors(rng):
     b = ProductPoint((random_subspace(rng, 5, 2),))
     w = WeightVector(np.ones(2))
     with pytest.raises(DimensionError):
-        weighted_geodesic(a, b, w)
+        weighted_geodesics(a, [b], w)[0]
     b2 = ProductPoint(tuple(random_subspace(rng, 5, 2) for _ in range(2)))
     with pytest.raises(DimensionError):
-        weighted_geodesic(a, b2, WeightVector(np.ones(3)))
+        weighted_geodesics(a, [b2], WeightVector(np.ones(3)))[0]
     with pytest.raises(DimensionError):
-        weighted_geodesic(a, b2, w, angle_counts=(3, 1))  # exceeds dims
+        weighted_geodesics(a, [b2], w, angle_counts=(3, 1))[0]  # exceeds dims
 
 
 def per_pair_distance(a, b, weights, angle_counts=None, full_spectrum=False):
@@ -205,7 +204,7 @@ def test_batched_distances_equal_the_per_pair_definition(
     for j, b in enumerate(points):
         want = per_pair_distance(query, b, weights, counts, full_spectrum)
         assert batched[j] == want
-        assert weighted_geodesic(query, b, weights, counts, full_spectrum) == want
+        assert weighted_geodesics(query, [b], weights, counts, full_spectrum)[0] == want
     assert batched[-1] == 0.0
 
 
@@ -237,4 +236,4 @@ def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(seed, n_modes, 
     assert d[-1, -2] == 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            assert d[i, j] == point_distance(model, points[i], points[j])
+            assert d[i, j] == point_distances(model, points[i], [points[j]])[0]

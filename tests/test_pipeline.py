@@ -31,6 +31,7 @@ from tensorgds import (
     transform,
     unfold,
 )
+from tensorgds import pipeline
 from tensorgds.dataio import SynthSpec, generate_synthetic
 from tensorgds.pipeline import CHOICES, SETTINGS, _fit_mode
 from conftest import random_tensor
@@ -58,7 +59,8 @@ def benchmark_split(noise=0.15, seed=7):
 
 def tilted_two_class_points(sigma=0.3, seed=5, n=10):
     """Two classes around span{e1,e2} and span{e1,e3} in R4 that share e1;
-    each class wobbles along its own fixed tilt direction."""
+    each class wobbles along its own fixed tilt direction. Returns the mode
+    Gram, the one mode's (2n, 4, 2) stack of bases and the labels."""
     rng = np.random.default_rng(seed)
     e = np.eye(4)
     tilts = [rng.standard_normal(4), rng.standard_normal(4)]
@@ -70,14 +72,13 @@ def tilted_two_class_points(sigma=0.3, seed=5, n=10):
             q, _ = np.linalg.qr(e[:, cols] + noise)
             subs.append(Subspace(q[:, :2]))
         groups.append(subs)
-    points = [ProductPoint((s,), label=0) for s in groups[0]] + [
-        ProductPoint((s,), label=1) for s in groups[1]
-    ]
+    stack = np.stack([s.basis for g in groups for s in g])
+    labels = [0] * n + [1] * n
     class_subs = [
         basis_from_unfolding(np.hstack([s.basis for s in g]), dim=2) for g in groups
     ]
     gram = mode_gram(class_subs, mode=1)
-    return gram, points
+    return gram, [stack], labels
 
 
 # --- extraction -----------------------------------------------------------
@@ -114,13 +115,14 @@ def test_extract_mode_subset(rng):
 # --- search ---------------------------------------------------------------
 
 
-def brute_force_search(grams, points, config):
+def brute_force_search(grams, stacks, labels, config):
     """Best combined score over every combination of usable bands and its
     first-found pairs: per mode, every candidate band is built with
-    `gds_from_gram`, the training parts are projected with `project_onto_gds`
-    and scored with `fisher_mode`; the combinations are then ranked by
-    `nmode_fisher`. The reference the band search must reach."""
-    class_ids = sorted({pt.label for pt in points})
+    `gds_from_gram`, the training bases are projected one `Subspace` at a
+    time with `project_onto_gds` and scored with `fisher_mode`; the
+    combinations are then ranked by `nmode_fisher`. The reference the band
+    search must reach."""
+    class_ids = sorted(set(labels))
     usable = []
     for p, gram in enumerate(grams):
         found = []
@@ -131,9 +133,9 @@ def brute_force_search(grams, points, config):
                     basis = gds_from_gram(gram, a, b)
                     grouped = [
                         [
-                            project_onto_gds(basis, pt.parts[p])
-                            for pt in points
-                            if pt.label == cid
+                            project_onto_gds(basis, Subspace(b))
+                            for b, label in zip(stacks[p], labels)
+                            if label == cid
                         ]
                         for cid in class_ids
                     ]
@@ -157,15 +159,13 @@ def brute_force_search(grams, points, config):
 
 
 def fit_search_inputs(samples, labels, model):
-    """The mode Gram matrices and raw training points `fit` hands to the band
-    search, rebuilt from the fitted model's modes and dimensions."""
+    """The mode Gram matrices, raw training bases and labels `fit` hands to
+    the band search, rebuilt from the fitted model's modes and dimensions."""
     config = PipelineConfig(
         method="pgm", modes_used=model.modes, per_mode_dims=model.dims
     )
-    points = [
-        ProductPoint(extract_sample_point(s, config).parts, label=label)
-        for s, label in zip(samples, labels)
-    ]
+    points = [extract_sample_point(s, config) for s in samples]
+    stacks = [np.stack([pt.parts[p].basis for pt in points]) for p in range(len(model.modes))]
     grams = [
         mode_gram(
             [
@@ -181,22 +181,22 @@ def fit_search_inputs(samples, labels, model):
         )
         for mode, dim in zip(model.modes, model.dims)
     ]
-    return grams, points
+    return grams, stacks, list(labels)
 
 
 def test_optimize_drops_shared_direction():
-    gram, points = tilted_two_class_points()
+    gram, stacks, labels = tilted_two_class_points()
     config = PipelineConfig(method="nmode-gds", gds_alpha_max=3)
-    _, oracle_pairs = brute_force_search([gram], points, config)
-    result = optimize_gds_dims([gram], points, config)
+    _, oracle_pairs = brute_force_search([gram], stacks, labels, config)
+    result = optimize_gds_dims([gram], stacks, labels, config)
     assert oracle_pairs == result.pairs
     assert result.pairs[0][0] == 2  # the leading shared direction is discarded
 
 
 def test_optimize_alpha_max_one_forces_full_band():
-    gram, points = tilted_two_class_points()
+    gram, stacks, labels = tilted_two_class_points()
     result = optimize_gds_dims(
-        [gram], points, PipelineConfig(method="nmode-gds", gds_alpha_max=1)
+        [gram], stacks, labels, PipelineConfig(method="nmode-gds", gds_alpha_max=1)
     )
     assert result.pairs[0][0] == 1
 
@@ -204,9 +204,9 @@ def test_optimize_alpha_max_one_forces_full_band():
 def test_coordinate_search_stops_after_an_unchanged_round():
     # with one candidate the first round cannot move the band, so a second
     # round would only repeat it
-    gram, points = tilted_two_class_points()
+    gram, stacks, labels = tilted_two_class_points()
     result = optimize_gds_dims(
-        [gram], points, PipelineConfig(method="nmode-gds", gds_alpha_max=1)
+        [gram], stacks, labels, PipelineConfig(method="nmode-gds", gds_alpha_max=1)
     )
     assert [e["round"] for e in result.trace] == [0]
 
@@ -227,8 +227,9 @@ def test_coordinate_fixed_point_matches_exhaustive_score():
 
 
 def labelled_points(seed, classes, modes, per_class=3):
-    """Product points of `classes` classes scattered around random per-class
-    centres, with the mode Gram matrices of the class subspaces."""
+    """Per mode, the stack of bases of `classes` classes scattered around
+    random per-class centres, with the mode Gram matrices of the class
+    subspaces and the labels."""
     rng = np.random.default_rng(seed)
     shapes = [(int(rng.integers(3, 6)), int(rng.integers(1, 3))) for _ in range(modes)]
     labels = [cid for cid in range(classes) for _ in range(per_class)]
@@ -242,7 +243,7 @@ def labelled_points(seed, classes, modes, per_class=3):
         ]
         for centre in centres
     ]
-    points = [ProductPoint(pt, label=label) for pt, label in zip(zip(*parts), labels)]
+    stacks = [np.stack([s.basis for s in subs]) for subs in parts]
     grams = [
         mode_gram(
             [
@@ -255,7 +256,7 @@ def labelled_points(seed, classes, modes, per_class=3):
         )
         for p, (subs, (_, k)) in enumerate(zip(parts, shapes))
     ]
-    return grams, points
+    return grams, stacks, labels
 
 
 @settings(max_examples=25, deadline=None)
@@ -267,12 +268,12 @@ def labelled_points(seed, classes, modes, per_class=3):
     beta_search=st.booleans(),
 )
 def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha_max, beta_search):
-    grams, points = labelled_points(seed, classes, modes)
+    grams, stacks, labels = labelled_points(seed, classes, modes)
     config = PipelineConfig(
         method="nmode-gds", gds_alpha_max=alpha_max, gds_beta_search=beta_search
     )
-    result = optimize_gds_dims(grams, points, config)
-    best_score, _ = brute_force_search(grams, points, config)
+    result = optimize_gds_dims(grams, stacks, labels, config)
+    best_score, _ = brute_force_search(grams, stacks, labels, config)
     assert nmode_fisher(result.reports).score_n == pytest.approx(best_score, rel=1e-12)
     last = result.trace[-1]["round"]
     picks = [
@@ -283,11 +284,11 @@ def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha
     assert picks[1] == before == list(result.pairs)  # the last round moved nothing
     for p, (gram, pair) in enumerate(zip(grams, result.pairs)):
         basis = gds_from_gram(gram, *pair)
-        for pt, part in zip(points, result.parts[p], strict=True):
-            want = project_onto_gds(basis, pt.parts[p])
-            assert np.array_equal(part.basis, want.basis)  # in sample order
+        for b, part in zip(stacks[p], result.parts[p], strict=True):
+            want = project_onto_gds(basis, Subspace(b))
+            assert np.array_equal(part, want.basis)  # in sample order
     legacy = optimize_gds_dims(
-        grams, points, dataclasses.replace(config, gds_search="exhaustive")
+        grams, stacks, labels, dataclasses.replace(config, gds_search="exhaustive")
     )
     assert legacy.pairs == result.pairs
 
@@ -295,21 +296,56 @@ def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha
 def test_optimize_identical_classes_degenerate():
     e = np.eye(4)
     s = Subspace(e[:, [0, 1]])
-    points = [ProductPoint((s,), label=lab) for lab in (0, 0, 1, 1)]
+    stack = np.stack([s.basis] * 4)
     gram = mode_gram([s, s], mode=1)
     with pytest.raises(DegeneracyError):
-        optimize_gds_dims([gram], points, PipelineConfig(method="nmode-gds"))
+        optimize_gds_dims([gram], [stack], [0, 0, 1, 1], PipelineConfig(method="nmode-gds"))
 
 
-def test_optimize_rejects_mixed_part_shapes_in_one_mode():
+def test_optimize_rejects_stacks_that_disagree_with_grams_or_labels():
+    gram, stacks, labels = tilted_two_class_points()
+    gram = dataclasses.replace(gram, mode=2)
+    config = PipelineConfig(method="nmode-gds")
+    with pytest.raises(DimensionError, match="mode 2: 19 training bases for 20 labels"):
+        optimize_gds_dims([gram], [stacks[0][1:]], labels, config)
+    with pytest.raises(DimensionError, match=r"2 basis stacks for the modes \[2\]"):
+        optimize_gds_dims([gram], stacks * 2, labels, config)
+
+
+def test_band_search_skips_a_band_that_narrows_some_bases():
+    # the band span{e2, e3} cuts span{e1, e2} to one direction but keeps two
+    # of each tilted member, so its projected bases differ in width and it is
+    # skipped; span{e2} or span{e3} alone is orthogonal to some member
     e = np.eye(4)
-    narrow, wide = Subspace(e[:, [0]]), Subspace(e[:, [1, 2]])
-    points = [
-        ProductPoint((s,), label=lab) for s, lab in ((narrow, 0), (wide, 0), (wide, 1), (wide, 1))
+    tilted = [
+        np.linalg.qr(np.column_stack([e[:, 0] + 0.3 * e[:, c], e[:, b]]))[0]
+        for b, c in ((1, 2), (2, 1))
     ]
-    gram = mode_gram([narrow, wide], mode=2)
-    with pytest.raises(DimensionError, match="mode 2"):
-        optimize_gds_dims([gram], points, PipelineConfig(method="nmode-gds"))
+    stack = np.stack([e[:, [0, 1]], tilted[0], e[:, [0, 2]], tilted[1]])
+    gram = mode_gram([Subspace(e[:, [0, 1]]), Subspace(e[:, [0, 2]])], mode=1)
+    narrowed = project_onto_gds(gds_from_gram(gram, 2), stack)
+    assert [b.shape[1] for b in narrowed] == [1, 2, 1, 2]
+    config = PipelineConfig(method="nmode-gds", gds_alpha_max=3)
+    result = optimize_gds_dims([gram], [stack], [0, 0, 1, 1], config)
+    assert result.pairs == ((1, 3),)
+    assert result.parts[0].shape == (4, 3, 2)
+
+
+def test_band_search_builds_no_subspace_per_sample(monkeypatch):
+    # the search scores each candidate from one projected stack: the only
+    # Subspaces it builds are the Karcher means (one per class and the grand
+    # mean), never one per training sample
+    tr_s, tr_l, _, _ = benchmark_split()
+    config = PipelineConfig(method="nmode-wgds")
+    model = fit(tr_s, tr_l, config)
+    grams, stacks, labels = fit_search_inputs(tr_s, tr_l, model)
+    built, scored = [], []
+    post_init, score = Subspace.__post_init__, pipeline.fisher_mode
+    monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
+    monkeypatch.setattr(pipeline, "fisher_mode", lambda *a, **k: scored.append(1) or score(*a, **k))
+    optimize_gds_dims(grams, stacks, labels, config)
+    assert len(built) == len(scored) * (len(model.class_ids) + 1)
+    assert len(built) / len(scored) < len(labels)
 
 
 # --- fit ------------------------------------------------------------------
@@ -499,16 +535,16 @@ def test_classify_tie_breaks_to_smaller_class_id():
         angle_diag=((0.0, None),),
     )
     # distance from mid to both references is exactly equal by symmetry
-    from tensorgds import point_distance
+    from tensorgds.pipeline import point_distances
 
     q = ProductPoint((mid,))
-    assert point_distance(model, q, model.references[0]) == point_distance(
-        model, q, model.references[1]
-    )
+    assert point_distances(model, q, [model.references[0]])[0] == point_distances(
+        model, q, [model.references[1]]
+    )[0]
     scores = np.array(
         [
-            point_distance(model, q, model.references[1]),
-            point_distance(model, q, model.references[0]),
+            point_distances(model, q, [model.references[1]])[0],
+            point_distances(model, q, [model.references[0]])[0],
         ]
     )
     assert int(np.argmin(scores)) == 0  # argmin takes the first, class id 0
@@ -578,10 +614,10 @@ def test_mode_subset_distance_is_weighted_mean_angle():
     model = fit(tr_s, tr_l, PipelineConfig(method="msm", modes_used=(1,), seed=7))
     a = transform(model, tr_s[0])
     b = transform(model, tr_s[1])
-    from tensorgds import point_distance
+    from tensorgds.pipeline import point_distances
 
     w1 = float(model.weights.weights[0])
-    assert point_distance(model, a, b) == w1 * mean_canonical_angle(
+    assert point_distances(model, a, [b])[0] == w1 * mean_canonical_angle(
         a.parts[0], b.parts[0]
     )
 
