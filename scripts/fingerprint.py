@@ -50,11 +50,9 @@ from tensorgds.cli import classical_mds
 from tensorgds.dataio import (
     SynthSpec,
     generate_synthetic,
-    ingest_feature_modes,
     model_from_bytes,
     model_to_bytes,
 )
-from tensorgds.tensor import unfold
 
 SETS = {
     "seed7": SynthSpec(
@@ -69,48 +67,37 @@ SETS = {
 }
 LARGE = SynthSpec(8, 25, (16, 16, 16), shared_dim=1, class_dim=2, within_noise=0.15, seed=7)
 
-# name -> (config, whether mode 1 is read through a ModeView)
 CONFIGS = {
-    "msm-mode1": (PipelineConfig(method="msm", modes_used=(1,)), False),
-    "gds-mode2": (PipelineConfig(method="gds", modes_used=(2,)), False),
-    "pgm": (PipelineConfig(method="pgm"), False),
-    "nmode-gds": (PipelineConfig(method="nmode-gds"), False),
-    "nmode-wgds": (PipelineConfig(method="nmode-wgds"), False),
+    "msm-mode1": PipelineConfig(method="msm", modes_used=(1,)),
+    "gds-mode2": PipelineConfig(method="gds", modes_used=(2,)),
+    "pgm": PipelineConfig(method="pgm"),
+    "nmode-gds": PipelineConfig(method="nmode-gds"),
+    "nmode-wgds": PipelineConfig(method="nmode-wgds"),
     # the legacy `gds_search` spelling: it runs the one band search, so its
     # outputs must be the coordinate model's (bytes apart from that setting)
-    "nmode-wgds-exhaustive": (
-        PipelineConfig(method="nmode-wgds", gds_search="exhaustive", gds_alpha_max=3),
-        False,
+    "nmode-wgds-exhaustive": PipelineConfig(
+        method="nmode-wgds", gds_search="exhaustive", gds_alpha_max=3
     ),
-    "nmode-wgds-beta": (
-        PipelineConfig(method="nmode-wgds", gds_beta_search=True, gds_alpha_max=3),
-        False,
+    "nmode-wgds-beta": PipelineConfig(method="nmode-wgds", gds_beta_search=True, gds_alpha_max=3),
+    "nmode-gds-class-karcher": PipelineConfig(method="nmode-gds", classifier="class-karcher"),
+    "nmode-wgds-angles1-full-seed5": PipelineConfig(
+        method="nmode-wgds", angle_counts=(1, 1, 1), full_spectrum=True, seed=5
     ),
-    "nmode-gds-class-karcher": (
-        PipelineConfig(method="nmode-gds", classifier="class-karcher"),
-        False,
-    ),
-    "nmode-wgds-angles1-full-seed5": (
-        PipelineConfig(method="nmode-wgds", angle_counts=(1, 1, 1), full_spectrum=True, seed=5),
-        False,
-    ),
-    "nmode-gds-modeview": (PipelineConfig(method="nmode-gds"), True),
 }
 
 
 def configurations():
-    """(name, config, spec, mode-view flag, unbalanced flag) for every
-    fingerprinted run."""
+    """(name, config, spec, unbalanced flag) for every fingerprinted run."""
     runs = [
-        (f"{set_name}/{name}", config, spec, view, False)
+        (f"{set_name}/{name}", config, spec, False)
         for set_name, spec in SETS.items()
-        for name, (config, view) in CONFIGS.items()
+        for name, config in CONFIGS.items()
     ]
-    runs.append(("8x25-16^3/nmode-wgds", CONFIGS["nmode-wgds"][0], LARGE, False, False))
-    runs.append(("8x25-16^3/nmode-gds-class-karcher", CONFIGS["nmode-gds-class-karcher"][0], LARGE, False, False))
+    runs.append(("8x25-16^3/nmode-wgds", CONFIGS["nmode-wgds"], LARGE, False))
+    runs.append(("8x25-16^3/nmode-gds-class-karcher", CONFIGS["nmode-gds-class-karcher"], LARGE, False))
     runs += [
-        (f"seed7-unbalanced/{name}", config, SETS["seed7"], view, True)
-        for name, (config, view) in CONFIGS.items()
+        (f"seed7-unbalanced/{name}", config, SETS["seed7"], True)
+        for name, config in CONFIGS.items()
     ]
     return runs
 
@@ -122,15 +109,11 @@ DISCRETE = (
 )
 
 
-def run(
-    config: PipelineConfig, spec: SynthSpec, view: bool = False, unbalanced: bool = False
-) -> tuple[str, dict]:
+def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tuple[str, dict]:
     """SHA-256 over the outputs of one fit on `spec` and its test split, and
     the arrays behind it keyed by output name; with `unbalanced`, class j (in
     label order) loses its first j training samples."""
     samples, manifest = generate_synthetic(spec, train_fraction=0.7)
-    if view:
-        samples = ingest_feature_modes(samples, {1: [unfold(t, 1).matrix for t in samples]})
     split = {"train": ([], []), "test": ([], [])}
     for sample, entry in zip(samples, manifest.entries):
         split[entry.split][0].append(sample)
@@ -193,19 +176,17 @@ def run(
     return digest.hexdigest(), out
 
 
-def fingerprint(
-    config: PipelineConfig, spec: SynthSpec, view: bool = False, unbalanced: bool = False
-) -> str:
+def fingerprint(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> str:
     """The SHA-256 of `run`."""
-    return run(config, spec, view, unbalanced)[0]
+    return run(config, spec, unbalanced)[0]
 
 
 def dump(path, runs) -> None:
-    """Print the hash of each (name, config, spec, view, unbalanced) run and
-    save its arrays to the .npz file `path` under "<name>|<output>" keys."""
+    """Print the hash of each (name, config, spec, unbalanced) run and save
+    its arrays to the .npz file `path` under "<name>|<output>" keys."""
     arrays = {}
-    for name, config, spec, view, unbalanced in runs:
-        digest, out = run(config, spec, view, unbalanced)
+    for name, config, spec, unbalanced in runs:
+        digest, out = run(config, spec, unbalanced)
         print(f"{digest}  {name}", flush=True)
         arrays.update({f"{name}|{key}": value for key, value in out.items()})
     np.savez(path, **arrays)
@@ -263,8 +244,8 @@ def main(argv=None) -> int:
     if args.dump:
         dump(args.dump, configurations())
         return 0
-    for name, config, spec, view, unbalanced in configurations():
-        print(f"{fingerprint(config, spec, view, unbalanced)}  {name}", flush=True)
+    for name, config, spec, unbalanced in configurations():
+        print(f"{fingerprint(config, spec, unbalanced)}  {name}", flush=True)
     return 0
 
 

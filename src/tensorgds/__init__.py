@@ -37,7 +37,6 @@ from .subspace import (
 from .tensor import (
     DenseTensor,
     HosvdDecomposition,
-    UnfoldedMatrix,
     fold,
     hosvd,
     mode_multiply,
@@ -64,7 +63,6 @@ __all__ = [
     "SingularSpectrum",
     "Subspace",
     "TrainedModel",
-    "UnfoldedMatrix",
     "WeightVector",
     "basis_from_unfolding",
     "classify",

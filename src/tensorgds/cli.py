@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -67,12 +66,6 @@ def classical_mds(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
 # output helpers
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, _FLOAT_FMT)
@@ -85,18 +78,19 @@ def _write_csv(path: Path, header: list[str] | None, rows) -> None:
         lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(x) for x in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    dataio._write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _echo_config(outdir: Path, command: str, settings: dict) -> None:
     lines = [f"command={command}"]
     for key in sorted(settings):
         lines.append(f"{key}={_fmt(settings[key])}")
-    _write_text(outdir / "run_config.txt", "\n".join(lines) + "\n")
+    dataio._write_atomic(outdir / "run_config.txt", ("\n".join(lines) + "\n").encode())
 
 
 def _write_summary(outdir: Path, payload: dict) -> None:
-    _write_text(outdir / "summary.json", json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(payload, indent=2) + "\n"
+    dataio._write_atomic(outdir / "summary.json", text.encode())
 
 
 def _fisher_rows(nf: NModeFisher):
@@ -148,7 +142,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.lower().split("x"))
+    try:
+        dims = tuple(int(x) for x in text.lower().split("x"))
+    except ValueError:
+        dims = ()
+    if not dims or min(dims) < 1:
+        raise UsageError(
+            f"--dims must be positive integer extents like 12x12x12, got {text!r}"
+        )
+    return dims
 
 
 def _load_config_file(path) -> dataio.NamedValues:
@@ -212,7 +214,7 @@ def _cmd_gen(args) -> int:
         spec = dataio.SynthSpec(
             classes=args.classes,
             samples_per_class=args.samples_per_class,
-            dims=_parse_dims(args.dims) if isinstance(args.dims, str) else args.dims,
+            dims=_parse_dims(args.dims),
             shared_dim=args.shared_dim,
             class_dim=args.class_dim,
             within_noise=args.noise,
@@ -365,6 +367,8 @@ def _read_distance_csv(path) -> np.ndarray:
 
 
 def _cmd_mds(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
     dist = _read_distance_csv(args.distances)
     coords, evals = classical_mds(dist, args.k)
     out = _outdir(args)

@@ -1,5 +1,5 @@
-"""File formats, dataset manifests, feature-mode ingestion, and the seeded
-synthetic dataset generator.
+"""File formats, dataset manifests, and the seeded synthetic dataset
+generator.
 
 Tensor files ("NMT1"):
     magic "NMT1" | version u16 | dtype u8 (0 = float64) | ndim u8 |
@@ -27,7 +27,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .gds import GdsBasis
 from .manifold import ProductPoint, WeightVector
 from .pipeline import SETTINGS, PipelineConfig, TrainedModel
 from .subspace import Subspace, qr_positive
-from .tensor import MAX_ORDER, DenseTensor, UnfoldedMatrix, mode_multiply, unfold
+from .tensor import MAX_ORDER, DenseTensor, mode_multiply
 
 TENSOR_MAGIC = b"NMT1"
 TENSOR_VERSION = 1
@@ -408,75 +407,6 @@ def generate_synthetic(
         tuple(f"class{j}" for j in range(spec.classes)),
     )
     return samples, manifest
-
-
-# ---------------------------------------------------------------------------
-# feature-mode ingestion
-
-
-@dataclass(frozen=True)
-class ModeView:
-    """A tensor whose selected modes read from supplied feature matrices
-    instead of the tensor's own unfoldings."""
-
-    tensor: DenseTensor
-    overrides: dict[int, np.ndarray]
-
-    @property
-    def order(self) -> int:
-        return self.tensor.order
-
-    def unfolding(self, mode: int) -> UnfoldedMatrix:
-        if mode in self.overrides:
-            return UnfoldedMatrix(mode=mode, matrix=self.overrides[mode])
-        return unfold(self.tensor, mode)
-
-
-def ingest_feature_modes(
-    samples: Sequence[DenseTensor],
-    replacements: dict[int, Sequence],
-    feature_dims: dict[int, int] | None = None,
-) -> list[ModeView]:
-    """Swap selected modes for precomputed feature matrices.
-
-    `replacements` maps a mode index to one matrix (or NMT1 file path) per
-    sample; rows of every matrix must equal the declared feature dimension of
-    that mode (defaulting to the first matrix's row count). Other modes keep
-    unfolding the original tensors.
-    """
-    samples = list(samples)
-    loaded: dict[int, list[np.ndarray]] = {}
-    for mode, items in replacements.items():
-        items = list(items)
-        if len(items) != len(samples):
-            raise FormatError(
-                f"mode {mode}: {len(items)} replacement matrices for "
-                f"{len(samples)} samples"
-            )
-        mats = []
-        for item in items:
-            if isinstance(item, (str, Path)):
-                mat = np.asarray(read_tensor(item).data)
-            else:
-                mat = np.asarray(item, dtype=np.float64)
-            if mat.ndim != 2:
-                raise DimensionError(f"mode {mode}: replacement must be 2-D")
-            mats.append(mat)
-        declared = (
-            feature_dims.get(mode) if feature_dims and mode in feature_dims
-            else mats[0].shape[0]
-        )
-        for i, mat in enumerate(mats):
-            if mat.shape[0] != declared:
-                raise DimensionError(
-                    f"mode {mode}: sample {i} has {mat.shape[0]} feature rows, "
-                    f"expected {declared}"
-                )
-        loaded[mode] = mats
-    return [
-        ModeView(tensor=t, overrides={m: loaded[m][i] for m in loaded})
-        for i, t in enumerate(samples)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .subspace import (
     mean_canonical_angle,
     select_dim,
 )
-from .tensor import DenseTensor, UnfoldedMatrix, unfold
+from .tensor import DenseTensor, unfold
 
 # The values each string setting accepts: `PipelineConfig` checks them and
 # the CLI offers them as flag choices.
@@ -207,12 +207,6 @@ class GdsSearchResult:
     parts: tuple[np.ndarray, ...]
 
 
-def _mode_matrix(sample, mode: int) -> UnfoldedMatrix:
-    if isinstance(sample, DenseTensor):
-        return unfold(sample, mode)
-    return sample.unfolding(mode)
-
-
 def _resolve_modes(config: PipelineConfig, order: int) -> tuple[int, ...]:
     if config.modes_used is None:
         return tuple(range(1, order + 1))
@@ -223,7 +217,7 @@ def _resolve_modes(config: PipelineConfig, order: int) -> tuple[int, ...]:
     return config.modes_used
 
 
-def extract_sample_point(sample, config: PipelineConfig) -> ProductPoint:
+def extract_sample_point(sample: DenseTensor, config: PipelineConfig) -> ProductPoint:
     """Raw product point of one sample: per selected mode, the subspace of the
     unfolding at the configured dimension (or the energy criterion when no
     fixed dimensions are set). No projection is applied."""
@@ -234,7 +228,7 @@ def extract_sample_point(sample, config: PipelineConfig) -> ProductPoint:
         )
     parts = []
     for p, mode in enumerate(modes):
-        mat = _mode_matrix(sample, mode)
+        mat = unfold(sample, mode)
         if config.per_mode_dims is not None:
             parts.append(basis_from_unfolding(mat, dim=config.per_mode_dims[p]))
         else:
@@ -366,16 +360,9 @@ def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float)
     `left_factor`, take one SVD per factor, fix the dimension (`dim`, or the
     median energy dimension when None), and build the sample bases and,
     from the stacked factors of each class, the class subspaces. Returns the
-    ambient dimension, the dimension, the (N, d, dim) stack of sample bases
-    and the class subspaces; each unfolding is released once it is
-    compressed."""
-    factors = [left_factor(_mode_matrix(s, mode)) for s in samples]
-    rows = factors[0].shape[0]
-    for i, f in enumerate(factors):
-        if f.shape[0] != rows:
-            raise DimensionError(
-                f"mode {mode}: sample {i} has ambient {f.shape[0]}, expected {rows}"
-            )
+    dimension, the (N, d, dim) stack of sample bases and the class
+    subspaces; each unfolding is released once it is compressed."""
+    factors = [left_factor(unfold(s, mode)) for s in samples]
     svds = [left_singular(f) for f in factors]
     if dim is None:
         energy_dims = [select_dim(SingularSpectrum(lam), mu) for _, lam in svds]
@@ -390,10 +377,12 @@ def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float)
         )
         for cid in class_ids
     ]
-    return rows, dim, stack, class_subs
+    return dim, stack, class_subs
 
 
-def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> TrainedModel:
+def fit(
+    samples: Sequence[DenseTensor], labels: Sequence[int], config: PipelineConfig
+) -> TrainedModel:
     """Train a model: fix per-mode dimensions, build sample and class
     subspaces, learn the per-mode projections and weights where the method
     asks for them, and store the labeled reference points."""
@@ -403,31 +392,24 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
         raise DimensionError("samples and labels differ in length")
     if not samples:
         raise DimensionError("empty training set")
-    order = samples[0].order
+    data_dims = samples[0].dims
     for s in samples[1:]:
-        if s.order != order:
-            raise DimensionError("samples have differing mode counts")
-    tensors = [s for s in samples if isinstance(s, DenseTensor)]
-    data_dims = None
-    if len(tensors) == len(samples):
-        data_dims = tensors[0].dims
-        for t in tensors[1:]:
-            if t.dims != data_dims:
-                raise DimensionError(
-                    f"tensor dims differ across the dataset: {t.dims} vs {data_dims}"
-                )
+        if s.dims != data_dims:
+            raise DimensionError(
+                f"tensor dims differ across the dataset: {s.dims} vs {data_dims}"
+            )
     class_ids = tuple(sorted(set(labels)))
     if len(class_ids) < 2:
         raise DimensionError(f"need at least 2 classes, got {len(class_ids)}")
 
-    modes = _resolve_modes(config, order)
+    modes = _resolve_modes(config, len(data_dims))
     n = len(modes)
     fixed_dims = (None,) * n if config.per_mode_dims is None else config.per_mode_dims
     for name in ("per_mode_dims", "angle_counts"):
         values = getattr(config, name)
         if values is not None and len(values) != n:
             raise DimensionError(f"{name} has {len(values)} entries for {n} modes")
-    ambients, dims, stacks, class_subs = zip(
+    dims, stacks, class_subs = zip(
         *(
             _fit_mode(samples, labels, class_ids, mode, dim, config.energy_mu)
             for mode, dim in zip(modes, fixed_dims)
@@ -491,7 +473,7 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
         config=resolved,
         modes=modes,
         dims=dims,
-        mode_ambients=ambients,
+        mode_ambients=tuple(data_dims[m - 1] for m in modes),
         data_dims=data_dims,
         class_ids=class_ids,
         gds=bases,
@@ -504,20 +486,20 @@ def fit(samples: Sequence, labels: Sequence[int], config: PipelineConfig) -> Tra
     )
 
 
-def transform(model: TrainedModel, sample) -> ProductPoint:
+def transform(model: TrainedModel, sample: DenseTensor) -> ProductPoint:
     """Extract a sample's product point with the model's dimensions and apply
-    the model's projections when present."""
-    if isinstance(sample, DenseTensor) and model.data_dims is not None:
-        if sample.dims != model.data_dims:
-            raise DimensionError(
-                f"tensor dims {sample.dims} do not match the model dims {model.data_dims}"
-            )
+    the model's projections when present. The per-mode ambient check serves
+    models saved without their data dims."""
+    if model.data_dims is not None and sample.dims != model.data_dims:
+        raise DimensionError(
+            f"tensor dims {sample.dims} do not match the model dims {model.data_dims}"
+        )
     parts = []
     for p, mode in enumerate(model.modes):
-        mat = _mode_matrix(sample, mode)
-        if mat.rows != model.mode_ambients[p]:
+        mat = unfold(sample, mode)
+        if mat.shape[0] != model.mode_ambients[p]:
             raise DimensionError(
-                f"mode {mode}: ambient {mat.rows} does not match the model's "
+                f"mode {mode}: ambient {mat.shape[0]} does not match the model's "
                 f"{model.mode_ambients[p]}"
             )
         part = basis_from_unfolding(mat, dim=model.dims[p])

@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .tensor import UnfoldedMatrix
 
 # Singular values below RANK_RTOL times the largest do not count toward the
 # numerical rank.
@@ -108,7 +107,7 @@ def select_dim(spectrum: SingularSpectrum, mu: float) -> int:
 
 
 def basis_from_unfolding(
-    matrix: UnfoldedMatrix | np.ndarray,
+    matrix: np.ndarray,
     dim: int | None = None,
     energy: float | None = None,
 ) -> Subspace:
@@ -126,16 +125,14 @@ def basis_from_unfolding(
     return Subspace(leading_basis(u, lam, dim))
 
 
-def _as_matrix(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
-    mat = matrix.matrix if isinstance(matrix, UnfoldedMatrix) else np.asarray(
-        matrix, dtype=np.float64
-    )
+def _as_matrix(matrix: np.ndarray) -> np.ndarray:
+    mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim != 2 or mat.size == 0:
         raise DimensionError("unfolding must be a non-empty 2-D matrix")
     return mat
 
 
-def lq_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
+def lq_factor(matrix: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L of `matrix = L Q^T`, with Q column-orthonormal:
     the transposed R factor of a Householder QR of `matrix^T`, shaped
     rows x min(rows, cols). L has the left-singular vectors and singular
@@ -145,7 +142,7 @@ def lq_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
     return np.linalg.qr(_as_matrix(matrix).T, mode="r").T
 
 
-def left_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
+def left_factor(matrix: np.ndarray) -> np.ndarray:
     """A matrix with the left-singular vectors and singular values of
     `matrix` and no more columns than rows: for a wide matrix its
     `lq_factor` (the R-SVD of Chan 1982), so the long right factor is never
@@ -155,7 +152,7 @@ def left_factor(matrix: UnfoldedMatrix | np.ndarray) -> np.ndarray:
     return lq_factor(mat) if mat.shape[1] > mat.shape[0] else mat
 
 
-def left_singular(matrix: UnfoldedMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left-singular vectors of a non-empty 2-D matrix and the eigenvalues of
     its non-centered autocorrelation (the squared singular values), with the
     values beyond the numerical rank set to zero.

@@ -47,26 +47,6 @@ class DenseTensor:
 
 
 @dataclass(frozen=True)
-class UnfoldedMatrix:
-    """Mode-k unfolding: rows are indexed by the selected mode, columns by the
-    remaining modes with lower-numbered modes varying fastest (the Kolda-Bader
-    column ordering)."""
-
-    mode: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
-        if mat.ndim != 2:
-            raise DimensionError(f"unfolding must be 2-D, got {mat.ndim}-D")
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class HosvdDecomposition:
     """Core tensor plus one square orthonormal factor per mode."""
 
@@ -86,23 +66,23 @@ def _check_mode(mode: int, order: int) -> int:
     return mode - 1
 
 
-def unfold(tensor: DenseTensor, mode: int) -> UnfoldedMatrix:
-    """Unfold along `mode` (1-based).
+def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
+    """Unfold along `mode` (1-based) into an (I_mode, product of the other
+    extents) matrix: rows are indexed by the selected mode, columns by the
+    remaining modes with lower-numbered modes varying fastest (the
+    Kolda-Bader column ordering).
 
     Entry (i_mode, j) equals tensor[i_1, ..., i_n] with the column index
     j = sum over m != mode of i_m * J_m, where J_m multiplies the extents of
     all lower-numbered modes other than `mode` (0-based indices).
     """
     k = _check_mode(mode, tensor.order)
-    mat = np.moveaxis(tensor.data, k, 0).reshape((tensor.dims[k], -1), order="F")
-    return UnfoldedMatrix(mode=mode, matrix=mat)
+    return np.moveaxis(tensor.data, k, 0).reshape((tensor.dims[k], -1), order="F")
 
 
-def fold(matrix: UnfoldedMatrix | np.ndarray, mode: int, dims) -> DenseTensor:
+def fold(matrix: np.ndarray, mode: int, dims) -> DenseTensor:
     """Inverse of `unfold`: rebuild the tensor with extents `dims`."""
-    mat = matrix.matrix if isinstance(matrix, UnfoldedMatrix) else np.asarray(
-        matrix, dtype=np.float64
-    )
+    mat = np.asarray(matrix, dtype=np.float64)
     dims = tuple(int(d) for d in dims)
     k = _check_mode(mode, len(dims))
     other = dims[:k] + dims[k + 1:]
@@ -126,7 +106,7 @@ def mode_multiply(tensor: DenseTensor, factor: np.ndarray, mode: int) -> DenseTe
         )
     new_dims = list(tensor.dims)
     new_dims[k] = fac.shape[0]
-    return fold(fac @ unfold(tensor, mode).matrix, mode, new_dims)
+    return fold(fac @ unfold(tensor, mode), mode, new_dims)
 
 
 def hosvd(tensor: DenseTensor) -> HosvdDecomposition:
@@ -139,7 +119,7 @@ def hosvd(tensor: DenseTensor) -> HosvdDecomposition:
     factors = []
     for mode in range(1, tensor.order + 1):
         try:
-            u, _, _ = np.linalg.svd(unfold(tensor, mode).matrix, full_matrices=True)
+            u, _, _ = np.linalg.svd(unfold(tensor, mode), full_matrices=True)
         except np.linalg.LinAlgError as exc:
             raise DegeneracyError(f"SVD failed on the mode-{mode} unfolding") from exc
         factors.append(u)

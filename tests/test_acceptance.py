@@ -215,7 +215,7 @@ def test_criterion_7_ordering_sensitivity():
     rev = DenseTensor(t.data[:, :, ::-1])
 
     def row_autocorr_projector(tensor, mode, k=3):
-        x = unfold(tensor, mode).matrix
+        x = unfold(tensor, mode)
         evals, evecs = np.linalg.eigh(x.T @ x)
         u = evecs[:, np.argsort(-evals)[:k]]
         return u @ u.T

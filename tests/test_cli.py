@@ -332,12 +332,31 @@ def test_mds_rejects_ragged_and_non_finite_matrices(tmp_path, capsys, text, mess
 
 @pytest.mark.parametrize(
     "flags",
-    [["--classes", "1"], ["--train-frac", "0"], ["--noise", "-1"], ["--dims", "12xab"]],
+    [
+        ["--classes", "1"],
+        ["--train-frac", "0"],
+        ["--noise", "-1"],
+        ["--dims", "12xab"],
+        ["--dims", "12x0x12"],
+    ],
 )
 def test_gen_invalid_parameters_exit_1(tmp_path, capsys, flags):
     assert main(["gen", "--out", str(tmp_path / "gen"), *flags]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if flags[0] == "--dims":
+        assert "--dims" in err[0] and "12x12x12" in err[0]
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_mds_invalid_k_exit_1(tmp_path, capsys, k):
+    path = tmp_path / "distances.csv"
+    path.write_text("0,1\n1,0\n")
+    out = tmp_path / "out"
+    assert main(["mds", "--distances", str(path), "--k", k, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "--k" in err[0]
+    assert not (out / "coords.csv").exists()
 
 
 def test_fit_flags_are_the_settings_keys():

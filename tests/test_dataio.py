@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from tensorgds import (
-    DenseTensor,
     DimensionError,
     FormatError,
     PipelineConfig,
     classify,
     fit,
     principal_angles,
-    projector,
     unfold,
 )
 from tensorgds.dataio import (
@@ -17,7 +15,6 @@ from tensorgds.dataio import (
     ManifestEntry,
     SynthSpec,
     generate_synthetic,
-    ingest_feature_modes,
     load_dataset,
     load_manifest,
     model_from_bytes,
@@ -184,7 +181,7 @@ def test_generator_noiseless_no_shared_plants_blocks_exactly():
         for j in range(spec.classes):
             cols = np.hstack(
                 [
-                    unfold(samples[k], i + 1).matrix
+                    unfold(samples[k], i + 1)
                     for k, e in enumerate(manifest.entries)
                     if e.label == j
                 ]
@@ -211,7 +208,7 @@ def test_generator_shared_direction_overlaps_classes():
         for j in range(spec.classes):
             cols = np.hstack(
                 [
-                    unfold(samples[k], i + 1).matrix
+                    unfold(samples[k], i + 1)
                     for k, e in enumerate(manifest.entries)
                     if e.label == j
                 ]
@@ -237,66 +234,6 @@ def test_spec_validation():
         bench_spec(shared_dim=5, class_dim=4)  # 9 > extent 8
     with pytest.raises(ValueError):
         bench_spec(within_noise=-0.1)
-
-
-# --- feature-mode ingestion --------------------------------------------------
-
-
-def test_ingest_identity_substitution(rng):
-    samples = [random_tensor(rng, (4, 5, 6)) for _ in range(3)]
-    views = ingest_feature_modes(
-        samples, {2: [unfold(t, 2).matrix for t in samples]}
-    )
-    cfg = PipelineConfig(method="pgm", per_mode_dims=(2, 2, 2))
-    from tensorgds import extract_sample_point
-
-    for t, v in zip(samples, views):
-        p1 = extract_sample_point(t, cfg)
-        p2 = extract_sample_point(v, cfg)
-        for a, b in zip(p1.parts, p2.parts):
-            assert np.linalg.norm(projector(a) - projector(b)) <= 1e-10
-
-
-def test_ingest_replaced_mode_is_local(rng):
-    samples = [random_tensor(rng, (4, 5, 6)) for _ in range(2)]
-    feats = [rng.standard_normal((9, 7)) for _ in samples]
-    views = ingest_feature_modes(samples, {3: feats})
-    cfg = PipelineConfig(method="pgm", per_mode_dims=(2, 2, 2))
-    from tensorgds import extract_sample_point
-
-    for t, v in zip(samples, views):
-        p_t = extract_sample_point(t, cfg)
-        p_v = extract_sample_point(v, cfg)
-        for p in (0, 1):  # untouched modes
-            assert np.linalg.norm(projector(p_t.parts[p]) - projector(p_v.parts[p])) <= 1e-10
-        assert p_v.parts[2].ambient_dim == 9
-
-
-def test_ingest_wrong_row_count_names_mode(rng):
-    samples = [random_tensor(rng, (4, 5, 6)) for _ in range(2)]
-    feats = [rng.standard_normal((9, 7)), rng.standard_normal((8, 7))]
-    with pytest.raises(DimensionError, match="mode 3.*8.*9|mode 3.*9.*8"):
-        ingest_feature_modes(samples, {3: feats})
-
-
-def test_ingest_missing_files(rng, tmp_path):
-    samples = [random_tensor(rng, (4, 5, 6)) for _ in range(2)]
-    with pytest.raises(FormatError):
-        ingest_feature_modes(samples, {1: [tmp_path / "absent.nmt", tmp_path / "gone.nmt"]})
-    with pytest.raises(FormatError, match="replacement matrices"):
-        ingest_feature_modes(samples, {1: [np.eye(4)]})
-
-
-def test_ingest_from_files(rng, tmp_path):
-    samples = [random_tensor(rng, (4, 5, 6)) for _ in range(2)]
-    paths = []
-    for i, t in enumerate(samples):
-        p = tmp_path / f"f{i}.nmt"
-        write_tensor(p, DenseTensor(unfold(t, 1).matrix))
-        paths.append(p)
-    views = ingest_feature_modes(samples, {1: paths})
-    got = views[0].unfolding(1).matrix
-    assert np.array_equal(got, unfold(samples[0], 1).matrix)
 
 
 # --- model container ---------------------------------------------------------
@@ -414,7 +351,6 @@ def test_legacy_exhaustive_model_matches_the_coordinate_model():
 
 
 def test_model_with_the_retired_projection_tol_key_still_loads():
-    # no setting reads the key any more, so the reader ignores it
     spec = bench_spec(
         classes=4, samples_per_class=10, dims=(12, 12, 12), within_noise=0.15, seed=7
     )
@@ -424,15 +360,23 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
         split[entry.split][0].append(sample)
         split[entry.split][1].append(entry.label)
     model = fit(*split["train"], PipelineConfig(method="nmode-wgds"))
-    buf = edit_model_conf(
-        model_to_bytes(model), lambda text: text + "projection_tol=1.0000000000000001e-10\n"
+    edits = (
+        # no setting reads the key any more, so the reader ignores it
+        lambda text: text + "projection_tol=1.0000000000000001e-10\n",
+        # a model that did not record its data dims checks each mode's ambient
+        set_conf_value("data_dims", "none"),
     )
-    back = model_from_bytes(buf)
-    for t in split["test"][0]:
-        p1, s1 = classify(model, t)
-        p2, s2 = classify(back, t)
-        assert p1 == p2
-        assert np.array_equal(s1, s2)
+    for edit in edits:
+        back = model_from_bytes(edit_model_conf(model_to_bytes(model), edit))
+        for t in split["test"][0]:
+            p1, s1 = classify(model, t)
+            p2, s2 = classify(back, t)
+            assert p1 == p2
+            assert np.array_equal(s1, s2)
+    # the last model has no data dims; the per-mode ambient check still holds
+    assert back.data_dims is None
+    with pytest.raises(DimensionError, match="mode 1: ambient 5"):
+        classify(back, random_tensor(np.random.default_rng(0), (5, 12, 12)))
 
 
 def test_model_dims_mismatch_at_classify(tmp_path, rng):

@@ -171,7 +171,7 @@ def fit_search_inputs(samples, labels, model):
             [
                 basis_from_unfolding(
                     np.hstack(
-                        [unfold(s, mode).matrix for s, l in zip(samples, labels) if l == cid]
+                        [unfold(s, mode) for s, l in zip(samples, labels) if l == cid]
                     ),
                     dim=dim,
                 )
@@ -428,9 +428,9 @@ def test_fit_class_subspaces_from_stacked_factors_match_the_raw_stack(
     rng = np.random.default_rng(seed)
     labels = [j for j, size in enumerate(sizes) for _ in range(size)]
     samples = [random_tensor(rng, extents) for _ in labels]
-    _, dim, _, class_subs = _fit_mode(samples, labels, (0, 1), mode, None, 0.9)
+    dim, _, class_subs = _fit_mode(samples, labels, (0, 1), mode, None, 0.9)
     for cid, sub in enumerate(class_subs):
-        raw = np.hstack([unfold(t, mode).matrix for t, l in zip(samples, labels) if l == cid])
+        raw = np.hstack([unfold(t, mode) for t, l in zip(samples, labels) if l == cid])
         u, s, _ = np.linalg.svd(raw, full_matrices=False)
         if dim < s.size and s[dim - 1] - s[dim] < 1e-2 * s[0]:
             continue  # no gap: the leading subspace is ill-defined
@@ -463,9 +463,11 @@ def test_fit_rejects_single_class(rng):
 
 
 def test_fit_rejects_mismatched_dims(rng):
-    samples = [random_tensor(rng, (4, 4, 4)), random_tensor(rng, (4, 4, 5))]
-    with pytest.raises(DimensionError):
-        fit(samples, [0, 1], PipelineConfig(method="pgm"))
+    # one dims check covers another order and an extent of any mode
+    for other in ((4, 4, 5), (4, 4), (5, 4, 4)):
+        samples = [random_tensor(rng, (4, 4, 4)), random_tensor(rng, other)]
+        with pytest.raises(DimensionError, match="tensor dims differ"):
+            fit(samples, [0, 1], PipelineConfig(method="pgm"))
 
 
 # --- classify / evaluate ---------------------------------------------------

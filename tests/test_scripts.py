@@ -28,10 +28,9 @@ def test_fingerprint_small_spec():
     digest = script["fingerprint"](config, spec)
     assert len(digest) == 64 and int(digest, 16) >= 0
     assert script["fingerprint"](config, spec) == digest  # deterministic
-    assert script["fingerprint"](config, spec, view=True) != digest  # data_dims differ
     assert script["fingerprint"](config, spec, unbalanced=True) != digest  # fewer samples
     names = [name for name, *_ in script["configurations"]()]
-    assert len(names) == len(set(names)) == 42
+    assert len(names) == len(set(names)) == 38
 
 
 def test_fingerprint_dump_and_compare(tmp_path, capsys):
@@ -39,9 +38,9 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     spec = script["SynthSpec"](2, 4, (6, 6, 6), shared_dim=1, class_dim=2, within_noise=0.2, seed=1)
     config = script["PipelineConfig"]
     runs = [
-        ("small/nmode-wgds", config(method="nmode-wgds"), spec, False, False),
+        ("small/nmode-wgds", config(method="nmode-wgds"), spec, False),
         # angle counts beyond the references' dimensions: the fit fails
-        ("small/pgm-failing", config(method="pgm", angle_counts=(9, 9, 9)), spec, False, False),
+        ("small/pgm-failing", config(method="pgm", angle_counts=(9, 9, 9)), spec, False),
     ]
     before = tmp_path / "before.npz"
     script["dump"](before, runs)

@@ -35,7 +35,7 @@ def test_unfold_mode1_hand_enumerated():
         for i2 in range(2):
             for i3 in range(2):
                 expected[i1, i2 + i3 * 2] = t.data[i1, i2, i3]
-    got = unfold(t, 1).matrix
+    got = unfold(t, 1)
     assert np.array_equal(got, expected)
     assert np.array_equal(got, np.array([[1, 3, 2, 4], [5, 7, 6, 8]], dtype=float))
 
@@ -44,8 +44,9 @@ def test_unfold_all_modes_match_index_formula(rng):
     t = random_tensor(rng, (3, 4, 2, 5))
     dims = t.dims
     for mode in range(1, 5):
-        got = unfold(t, mode).matrix
+        got = unfold(t, mode)
         k = mode - 1
+        assert type(got) is np.ndarray and got.shape == (dims[k], t.size // dims[k])
         other = [ax for ax in range(4) if ax != k]
         for idx in np.ndindex(*dims):
             j = 0
@@ -88,7 +89,7 @@ def test_rank1_unfoldings_have_rank_one(rng):
     a, b, c = rng.standard_normal(4), rng.standard_normal(5), rng.standard_normal(3)
     t = DenseTensor(np.einsum("i,j,k->ijk", a, b, c))
     for mode in (1, 2, 3):
-        s = np.linalg.svd(unfold(t, mode).matrix, compute_uv=False)
+        s = np.linalg.svd(unfold(t, mode), compute_uv=False)
         assert s[1] < 1e-12
 
 
@@ -162,7 +163,7 @@ def test_mode3_reversal_ordering_sensitivity(rng):
     rev = DenseTensor(t.data[:, :, ::-1])
 
     def row_autocorr_projector(tensor, mode, k=3):
-        x = unfold(tensor, mode).matrix
+        x = unfold(tensor, mode)
         a = x.T @ x
         evals, evecs = np.linalg.eigh(a)
         u = evecs[:, np.argsort(-evals)[:k]]
