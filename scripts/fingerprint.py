@@ -18,11 +18,12 @@ decisions, scores, distances, weights, search trace and warning count) to
 an .npz file, together with one unhashed array, `reference_projectors`:
 per model reference, the concatenated projectors B B^T of its parts, which
 a change that only rotates the stored bases leaves alone. `--compare`
-reads two such files and prints, per configuration, whether the discrete
-outputs match (error, bands, dims, both models' decisions, the search
-trace's bands and the warning count) and the largest absolute deviation of
-each other array, then one `largest:` line per such array with its largest
-deviation over all configurations and the configuration where it occurs.
+reads two such files, taking a configuration in `RENAMED` under its new
+name, and prints, per configuration, whether the discrete outputs match
+(error, bands, dims, both models' decisions, the search trace's bands and
+the warning count) and the largest absolute deviation of each other array,
+then one `largest:` line per such array with its largest deviation over all
+configurations and the configuration where it occurs.
 `--compare` exits 1 when any discrete output differs.
 
 Usage, from the root of a source checkout (under a minute per run):
@@ -80,10 +81,13 @@ CONFIGS = {
     ),
     "nmode-wgds-beta": PipelineConfig(method="nmode-wgds", gds_beta_search=True, gds_alpha_max=3),
     "nmode-gds-class-karcher": PipelineConfig(method="nmode-gds", classifier="class-karcher"),
-    "nmode-wgds-angles1-full-seed5": PipelineConfig(
-        method="nmode-wgds", angle_counts=(1, 1, 1), full_spectrum=True, seed=5
+    "nmode-wgds-angles1-full": PipelineConfig(
+        method="nmode-wgds", angle_counts=(1, 1, 1), full_spectrum=True
     ),
 }
+# Configurations renamed since older dumps were written, old name -> new;
+# `--compare` reads a dump's runs under their new names.
+RENAMED = {"nmode-wgds-angles1-full-seed5": "nmode-wgds-angles1-full"}
 
 
 def configurations():
@@ -196,6 +200,8 @@ def _grouped(npz) -> dict:
     runs = {}
     for key in npz.files:
         name, output = key.rsplit("|", 1)
+        set_name, _, config = name.rpartition("/")
+        name = f"{set_name}/{RENAMED.get(config, config)}"
         runs.setdefault(name, {})[output] = npz[key]
     return runs
 

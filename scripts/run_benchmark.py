@@ -39,8 +39,8 @@ def split_dataset(spec, train_fraction):
     return tr_s, tr_l, te_s, te_l
 
 
-def run_method(method, modes, tr, te, seed):
-    cfg = PipelineConfig(method=method, modes_used=modes, seed=seed)
+def run_method(method, modes, tr, te):
+    cfg = PipelineConfig(method=method, modes_used=modes)
     model = fit(tr[0], tr[1], cfg)
     metrics = evaluate(model, te[0], te[1])
     return model, metrics
@@ -95,7 +95,7 @@ def main(argv=None):
     for method in ("msm", "gds"):
         cells = []
         for mode in range(1, n_modes + 1):
-            model, metrics = run_method(method, (mode,), tr, te, args.seed)
+            model, metrics = run_method(method, (mode,), tr, te)
             cells.append((metrics.accuracy, model.fisher.score_n))
         single_rows.append((method, cells))
         print(
@@ -111,7 +111,7 @@ def main(argv=None):
     for method in ("pgm", "nmode-gds", "nmode-wgds"):
         cells = []
         for combo in combos:
-            model, metrics = run_method(method, combo, tr, te, args.seed)
+            model, metrics = run_method(method, combo, tr, te)
             cells.append((metrics.accuracy, model.fisher.score_n))
         combo_rows.append((method, cells))
         print(
@@ -129,7 +129,7 @@ def main(argv=None):
                 fh.write(f"{method},{'-'.join(map(str, combo))},{a!r},{f!r}\n")
 
     # separability gain of the projection on the full mode set
-    model, _ = run_method("nmode-wgds", None, tr, te, args.seed)
+    model, _ = run_method("nmode-wgds", None, tr, te)
     print(
         f"\nfull-set separability: raw {model.fisher_raw.score_n:.4f} -> "
         f"projected {model.fisher.score_n:.4f}; weights "

@@ -17,7 +17,6 @@ from .pipeline import (
     TrainedModel,
     classify,
     evaluate,
-    extract_sample_point,
     fit,
     optimize_gds_dims,
     pairwise_distances,
@@ -67,7 +66,6 @@ __all__ = [
     "basis_from_unfolding",
     "classify",
     "evaluate",
-    "extract_sample_point",
     "fisher_mode",
     "fit",
     "fold",

@@ -171,15 +171,24 @@ def _load_config_file(path) -> dataio.NamedValues:
 
 
 # Config-file key (also the flag name and the run_config.txt key) -> setting.
-_CONFIG_KEYS = {s.key: s for s in SETTINGS if s.key is not None}
+_CONFIG_KEYS = {s.key: s for s in SETTINGS}
 
 
 def _build_pipeline_config(args) -> PipelineConfig:
     """PipelineConfig from the keys set in the config file and by flags, flags
-    taking precedence; unset keys keep the PipelineConfig defaults."""
+    taking precedence; unset keys keep the PipelineConfig defaults.
+
+    Older config files and `run_config.txt` echoes may spell two retired
+    keys: `seed`, which selected nothing, is ignored, and `weights` is
+    accepted only when it names the weighting `method` implies (`auto`, or
+    `fisher` for nmode-wgds and `uniform` otherwise), so a run never changes
+    silently."""
     values: dict = {}
+    weights = None
     if args.config:
         config = _load_config_file(args.config)
+        config.pop("seed", None)
+        weights = config.pop("weights", None)
         for key in config:
             if key not in _CONFIG_KEYS:
                 raise FormatError(f"unknown config key {key!r}")
@@ -190,9 +199,16 @@ def _build_pipeline_config(args) -> PipelineConfig:
         if dest in flags:
             values[setting.name] = flags[dest]
     try:
-        return PipelineConfig(**values)
+        result = PipelineConfig(**values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    implied = "fisher" if result.uses_fisher_weights else "uniform"
+    if weights not in (None, "auto", implied):
+        raise UsageError(
+            f"weights={weights} does not match method={result.method}, "
+            f"which implies weights={implied}"
+        )
+    return result
 
 
 class UsageError(Exception):

@@ -196,21 +196,6 @@ class DatasetManifest:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "class_names", tuple(self.class_names))
 
-    @property
-    def m(self) -> int:
-        return len(self.class_names)
-
-    @property
-    def m_j(self) -> tuple[int, ...]:
-        counts = [0] * self.m
-        for e in self.entries:
-            counts[e.label] += 1
-        return tuple(counts)
-
-    @property
-    def v(self) -> int:
-        return len(self.entries)
-
     def subset(self, split: str) -> tuple[ManifestEntry, ...]:
         if split == "all":
             return self.entries

@@ -44,7 +44,6 @@ class ModeGram:
 
     mode: int
     matrix: np.ndarray
-    class_count: int
     eigvals: np.ndarray = field(init=False, repr=False)
     eigvecs: np.ndarray = field(init=False, repr=False)
     rank: int = field(init=False)
@@ -77,10 +76,6 @@ class GdsBasis:
         return self.eigvecs[:, self.alpha - 1 : self.beta]
 
     @property
-    def width(self) -> int:
-        return self.basis.shape[1]
-
-    @property
     def ambient_dim(self) -> int:
         return self.eigvecs.shape[0]
 
@@ -98,7 +93,7 @@ def mode_gram(class_subspaces: Sequence[Subspace], mode: int) -> ModeGram:
             )
     acc = projector_mean(subs)
     acc = (acc + acc.T) / 2.0
-    return ModeGram(mode=mode, matrix=acc, class_count=len(subs))
+    return ModeGram(mode=mode, matrix=acc)
 
 
 def gds_from_gram(gram: ModeGram, alpha: int, beta: int | None = None) -> GdsBasis:

@@ -16,9 +16,6 @@ import numpy as np
 from .errors import DegeneracyError, DimensionError
 from .subspace import Subspace, canonical_correlations, group_by_shape
 
-WEIGHT_SUM_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class ProductPoint:
     """One sample on the product manifold: an ordered tuple of per-mode
@@ -52,9 +49,6 @@ class WeightVector:
             raise ValueError("weights must be finite and non-negative")
         arr.setflags(write=False)
         object.__setattr__(self, "weights", arr)
-
-    def is_normalized(self) -> bool:
-        return abs(float(self.weights.sum()) - 1.0) <= WEIGHT_SUM_TOL
 
 
 def mode_weights(scores: Sequence[float]) -> WeightVector:

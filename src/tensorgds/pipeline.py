@@ -44,7 +44,6 @@ CHOICES = {
     "method": ("msm", "gds", "pgm", "nmode-gds", "nmode-wgds"),
     "gds_search": ("coordinate", "exhaustive"),
     "classifier": ("nn", "class-karcher"),
-    "weights": ("auto", "fisher", "uniform"),
 }
 GDS_METHODS = frozenset({"gds", "nmode-gds", "nmode-wgds"})
 
@@ -74,9 +73,7 @@ class PipelineConfig:
     karcher_tol: float = 1e-8
     karcher_max_iter: int = 100
     classifier: str = "nn"
-    weights: str = "auto"
     full_spectrum: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         for name, allowed in CHOICES.items():
@@ -91,6 +88,10 @@ class PipelineConfig:
             raise ValueError(f"karcher_tol must be finite and > 0, got {self.karcher_tol}")
         if self.karcher_max_iter < 1:
             raise ValueError(f"karcher_max_iter must be >= 1, got {self.karcher_max_iter}")
+        for name in ("per_mode_dims", "angle_counts"):
+            values = getattr(self, name)
+            if values is not None and any(v < 1 for v in values):
+                raise ValueError(f"{name} entries must be >= 1, got {values}")
         if self.modes_used is not None:
             modes = tuple(int(m) for m in self.modes_used)
             if not modes:
@@ -103,10 +104,11 @@ class PipelineConfig:
     def uses_gds(self) -> bool:
         return self.method in GDS_METHODS
 
-    def resolved_weight_scheme(self) -> str:
-        if self.weights != "auto":
-            return self.weights
-        return "fisher" if self.method == "nmode-wgds" else "uniform"
+    @property
+    def uses_fisher_weights(self) -> bool:
+        """Whether `fit` weights the modes by separability; every other
+        method weights them uniformly."""
+        return self.method == "nmode-wgds"
 
 
 @dataclass(frozen=True)
@@ -114,15 +116,14 @@ class Setting:
     """How one `PipelineConfig` field is spelled as text.
 
     `key` is the field's config-file key, fit flag (`--key`) and
-    `run_config.txt` key, or None for a library-only field; `model_key` is its
-    key in the `.nmdl` settings block. The text form follows the type of the
-    field's default: a comma list of ints or `none` for None, `true`/`false`,
-    a float with 17 significant digits (it parses back exactly), an int, a
-    string.
+    `run_config.txt` key; `model_key` is its key in the `.nmdl` settings
+    block. The text form follows the type of the field's default: a comma
+    list of ints or `none` for None, `true`/`false`, a float with 17
+    significant digits (it parses back exactly), an int, a string.
     """
 
     name: str
-    key: str | None
+    key: str
     model_key: str
     help: str | None = None
 
@@ -160,9 +161,7 @@ SETTINGS = (
     Setting("karcher_tol", "karcher-tol", "karcher_tol"),
     Setting("karcher_max_iter", "karcher-max-iter", "karcher_max_iter"),
     Setting("classifier", "classifier", "classifier"),
-    Setting("weights", "weights", "weights_scheme"),
     Setting("full_spectrum", "full-spectrum", "full_spectrum"),
-    Setting("seed", "seed", "seed"),
 )
 
 
@@ -205,35 +204,6 @@ class GdsSearchResult:
     reports: tuple[FisherReport, ...]
     trace: tuple[dict, ...]
     parts: tuple[np.ndarray, ...]
-
-
-def _resolve_modes(config: PipelineConfig, order: int) -> tuple[int, ...]:
-    if config.modes_used is None:
-        return tuple(range(1, order + 1))
-    if any(m > order for m in config.modes_used):
-        raise DimensionError(
-            f"modes_used {config.modes_used} exceed the tensor order {order}"
-        )
-    return config.modes_used
-
-
-def extract_sample_point(sample: DenseTensor, config: PipelineConfig) -> ProductPoint:
-    """Raw product point of one sample: per selected mode, the subspace of the
-    unfolding at the configured dimension (or the energy criterion when no
-    fixed dimensions are set). No projection is applied."""
-    modes = _resolve_modes(config, sample.order)
-    if config.per_mode_dims is not None and len(config.per_mode_dims) != len(modes):
-        raise DimensionError(
-            f"per_mode_dims has {len(config.per_mode_dims)} entries for {len(modes)} modes"
-        )
-    parts = []
-    for p, mode in enumerate(modes):
-        mat = unfold(sample, mode)
-        if config.per_mode_dims is not None:
-            parts.append(basis_from_unfolding(mat, dim=config.per_mode_dims[p]))
-        else:
-            parts.append(basis_from_unfolding(mat, energy=config.energy_mu))
-    return ProductPoint(tuple(parts))
 
 
 def _class_members(labels, class_ids) -> list[list[int]]:
@@ -402,13 +372,23 @@ def fit(
     if len(class_ids) < 2:
         raise DimensionError(f"need at least 2 classes, got {len(class_ids)}")
 
-    modes = _resolve_modes(config, len(data_dims))
+    modes = config.modes_used or tuple(range(1, len(data_dims) + 1))
+    if max(modes) > len(data_dims):
+        raise DimensionError(
+            f"modes_used {modes} exceed the tensor order {len(data_dims)}"
+        )
     n = len(modes)
     fixed_dims = (None,) * n if config.per_mode_dims is None else config.per_mode_dims
     for name in ("per_mode_dims", "angle_counts"):
         values = getattr(config, name)
         if values is not None and len(values) != n:
             raise DimensionError(f"{name} has {len(values)} entries for {n} modes")
+    for mode, dim in zip(modes, fixed_dims):
+        if dim is not None and dim > data_dims[mode - 1]:
+            raise DimensionError(
+                f"per_mode_dims entry {dim} for mode {mode} exceeds its extent "
+                f"{data_dims[mode - 1]}"
+            )
     dims, stacks, class_subs = zip(
         *(
             _fit_mode(samples, labels, class_ids, mode, dim, config.energy_mu)
@@ -460,15 +440,12 @@ def fit(
                 f"angle_counts entry {count} for mode {modes[p]} is outside 1..{top}"
             )
 
-    scheme = config.resolved_weight_scheme()
-    if scheme == "fisher":
+    if config.uses_fisher_weights:
         weights = mode_weights([r.score for r in fisher_final.per_mode])
     else:
         weights = WeightVector(np.ones(n))
 
-    resolved = dataclasses.replace(
-        config, modes_used=modes, per_mode_dims=dims, weights=scheme
-    )
+    resolved = dataclasses.replace(config, modes_used=modes, per_mode_dims=dims)
     return TrainedModel(
         config=resolved,
         modes=modes,

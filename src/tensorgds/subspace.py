@@ -89,10 +89,6 @@ class AngleSpectrum:
     correlations: np.ndarray
     angles: np.ndarray
 
-    @property
-    def count(self) -> int:
-        return self.correlations.shape[-1]
-
 
 def select_dim(spectrum: SingularSpectrum, mu: float) -> int:
     """Smallest K whose leading eigenvalues carry at least the fraction `mu`

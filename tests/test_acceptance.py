@@ -164,8 +164,8 @@ def test_criterion_5_baseline_degeneration():
     samples, manifest = generate_synthetic(spec, train_fraction=1.0)
     labels = [e.label for e in manifest.entries]
     assert len(samples) == 20
-    pgm = fit(samples, labels, PipelineConfig(method="pgm", seed=0))
-    gds1 = fit(samples, labels, PipelineConfig(method="nmode-gds", gds_alpha_max=1, seed=0))
+    pgm = fit(samples, labels, PipelineConfig(method="pgm"))
+    gds1 = fit(samples, labels, PipelineConfig(method="nmode-gds", gds_alpha_max=1))
     assert all(g.alpha == 1 and g.beta == g.rank for g in gds1.gds)
     assert np.all(gds1.weights.weights == 1.0)
     d_pgm = pairwise_distances(pgm, [transform(pgm, s) for s in samples])
@@ -194,7 +194,7 @@ def test_criterion_6_synthetic_benchmark():
     accuracy = {}
     models = {}
     for method in ("pgm", "nmode-gds", "nmode-wgds"):
-        model = fit(tr_s, tr_l, PipelineConfig(method=method, seed=7))
+        model = fit(tr_s, tr_l, PipelineConfig(method=method))
         metrics = evaluate(model, te_s, te_l)
         accuracy[method] = metrics.accuracy
         models[method] = model
@@ -253,7 +253,7 @@ def test_criterion_8_persistence(tmp_path):
     )
     samples, manifest = generate_synthetic(spec, train_fraction=1.0)
     labels = [e.label for e in manifest.entries]
-    model = fit(samples, labels, PipelineConfig(method="nmode-wgds", seed=13))
+    model = fit(samples, labels, PipelineConfig(method="nmode-wgds"))
     write_model(tmp_path / "model.nmdl", model)
     back = read_model(tmp_path / "model.nmdl")
     for probe in samples[:20]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tensorgds import pipeline
 from tensorgds.cli import build_parser, classical_mds, main
 from tensorgds.errors import DimensionError
 from tensorgds.pipeline import SETTINGS
@@ -99,7 +100,7 @@ def model_dir(dataset_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("model")
     res = run_cli(
         "fit", "--manifest", dataset_dir / "manifest.txt", "--out", out,
-        "--method", "nmode-wgds", "--seed", 7,
+        "--method", "nmode-wgds",
     )
     assert res.returncode == 0, res.stderr
     return out
@@ -233,16 +234,16 @@ def test_fit_summary_and_config_echo(model_dir):
     echo = (model_dir / "run_config.txt").read_text()
     assert "command=fit" in echo
     assert "method=nmode-wgds" in echo
-    assert "seed=7" in echo
 
 
 def test_config_file_with_flag_override(dataset_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("method=pgm\nmu=0.95\nseed=3\n")
+    # `seed` is a retired key: the file still fits, and the key is ignored
+    cfg.write_text("method=pgm\nmu=0.95\nseed=3\nalpha-max=3\n")
     out = tmp_path / "fit"
     res = run_cli(
         "fit", "--manifest", dataset_dir / "manifest.txt", "--out", out,
-        "--config", cfg, "--seed", 11,
+        "--config", cfg, "--alpha-max", 2,
     )
     assert res.returncode == 0, res.stderr
     summary = json.loads((out / "summary.json").read_text())
@@ -251,7 +252,8 @@ def test_config_file_with_flag_override(dataset_dir, tmp_path):
         line.split("=", 1)
         for line in (out / "run_config.txt").read_text().splitlines()
     )
-    assert echo["seed"] == "11"  # flag wins over the file
+    assert echo["alpha-max"] == "2"  # flag wins over the file
+    assert "seed" not in echo
     assert float(echo["mu"]) == 0.95  # 17-digit float echo parses back exactly
 
 
@@ -368,8 +370,8 @@ def test_fit_flags_are_the_settings_keys():
         for action in subparsers.choices["fit"]._actions
         for opt in action.option_strings
     } - {"-h", "--help", "--manifest", "--data-dir", "--out", "--config"}
-    assert flags == {f"--{s.key}" for s in SETTINGS if s.key is not None}
-    assert len(flags) == 14
+    assert flags == {f"--{s.key}" for s in SETTINGS}
+    assert len(flags) == 12
 
 
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -380,7 +382,6 @@ def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
         "fit", "--manifest", manifest, "--out", str(first),
         "--method", "nmode-wgds", "--beta-search", "--alpha-max", "3",
         "--angles", "1,1,1", "--full-spectrum", "--karcher-tol", "1e-7",
-        "--seed", "5",
     ]) == 0
     settings = [
         line
@@ -394,6 +395,95 @@ def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
         ["fit", "--manifest", manifest, "--out", str(second), "--config", str(cfg)]
     ) == 0
     assert (first / "model.nmdl").read_bytes() == (second / "model.nmdl").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
+@pytest.mark.parametrize("method", ["msm", "gds", "pgm", "nmode-gds", "nmode-wgds"])
+def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, method):
+    # an echo written while `seed` and `weights` were settings carries both;
+    # `seed` is ignored and `weights` restates the weighting the method implies
+    manifest = str(dataset_dir / "manifest.txt")
+    first = tmp_path / "flags"
+    assert main(["fit", "--manifest", manifest, "--out", str(first), "--method", method]) == 0
+    settings = [
+        line
+        for line in (first / "run_config.txt").read_text().splitlines()
+        if not line.startswith(("command=", "manifest="))
+    ]
+    weights = "fisher" if method == "nmode-wgds" else "uniform"
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("\n".join(sorted(settings + ["seed=0", f"weights={weights}"])) + "\n")
+    second = tmp_path / "config"
+    assert main(
+        ["fit", "--manifest", manifest, "--out", str(second), "--config", str(cfg)]
+    ) == 0
+    assert (first / "model.nmdl").read_bytes() == (second / "model.nmdl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ("method=pgm\nweights=fisher\n", []),
+        ("weights=uniform\n", []),  # the default method is nmode-wgds
+        ("weights=fisher\n", ["--method", "nmode-gds"]),
+        ("weights=foo\n", []),
+    ],
+)
+def test_config_file_weights_that_contradict_the_method_exit_1(
+    dataset_dir, tmp_path, capsys, text, flags
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "fit"
+    assert main([
+        "fit", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
+        "--config", str(cfg), *flags,
+    ]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: weights=")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, line, name",
+    [
+        (["--angles", "0,1,1"], None, "angle_counts"),
+        (["--mode-dims", "0,2,2"], None, "per_mode_dims"),
+        ([], "angles=1,-1,1", "angle_counts"),
+    ],
+)
+def test_bad_mode_dims_and_angles_exit_1_before_fitting(
+    dataset_dir, tmp_path, capsys, monkeypatch, flags, line, name
+):
+    monkeypatch.setattr(pipeline, "fit", lambda *a: pytest.fail("fit ran"))
+    if line is not None:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "fit"
+    assert main([
+        "fit", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out), *flags,
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{name} entries must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dims, code, message",
+    [
+        # above the extent: a data error naming the mode
+        ("9,2,2", 2, "data error: per_mode_dims entry 9 for mode 1 exceeds its extent 8"),
+        # within the extent but above the rank of the planted 3-dim frames
+        ("2,2,4", 3, "numerical degeneracy: requested 4 basis vectors but the numerical rank is 3"),
+    ],
+)
+def test_mode_dims_beyond_the_extent_or_the_rank(dataset_dir, tmp_path, capsys, dims, code, message):
+    assert main([
+        "fit", "--manifest", str(dataset_dir / "manifest.txt"),
+        "--out", str(tmp_path / "fit"), "--mode-dims", dims,
+    ]) == code
+    assert capsys.readouterr().err.strip() == message
 
 
 @pytest.mark.parametrize(

@@ -111,7 +111,6 @@ def test_manifest_roundtrip(tmp_path):
     write_manifest(path, m)
     back = load_manifest(path)
     assert back == m
-    assert back.m == 2 and back.v == 6 and back.m_j == (3, 3)
 
 
 def test_manifest_rejects_sparse_labels():
@@ -222,7 +221,7 @@ def test_generator_shared_direction_overlaps_classes():
 
 def test_generator_split_counts():
     _, manifest = generate_synthetic(bench_spec(), train_fraction=0.75)
-    assert manifest.m_j == (4, 4, 4)
+    assert [e.label for e in manifest.entries] == [0] * 4 + [1] * 4 + [2] * 4
     train = manifest.subset("train")
     assert len(train) == 9  # 3 per class
 
@@ -243,7 +242,7 @@ def trained_model():
     spec = bench_spec(within_noise=0.2, seed=9)
     samples, manifest = generate_synthetic(spec)
     labels = [e.label for e in manifest.entries]
-    model = fit(samples, labels, PipelineConfig(method="nmode-wgds", seed=9))
+    model = fit(samples, labels, PipelineConfig(method="nmode-wgds"))
     return model, samples, labels
 
 
@@ -316,8 +315,9 @@ def test_model_missing_matrix_section_names_it():
         # values that parse but that PipelineConfig rejects
         ("method", "foo"),
         ("gds_search", "foo"),
-        ("weights_scheme", "foo"),
         ("karcher_max_iter", "0"),
+        ("dims", "0,2,2"),
+        ("angle_counts", "0,1,1"),
     ],
 )
 def test_model_unparsable_value_names_the_key(key, value):
@@ -361,8 +361,10 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
         split[entry.split][1].append(entry.label)
     model = fit(*split["train"], PipelineConfig(method="nmode-wgds"))
     edits = (
-        # no setting reads the key any more, so the reader ignores it
-        lambda text: text + "projection_tol=1.0000000000000001e-10\n",
+        # no setting reads these keys any more, so the reader ignores them;
+        # the weights come from the `weights` section whatever the scheme says
+        lambda text: text
+        + "projection_tol=1.0000000000000001e-10\nseed=5\nweights_scheme=uniform\n",
         # a model that did not record its data dims checks each mode's ambient
         set_conf_value("data_dims", "none"),
     )
@@ -372,7 +374,7 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
             p1, s1 = classify(model, t)
             p2, s2 = classify(back, t)
             assert p1 == p2
-            assert np.array_equal(s1, s2)
+            assert s1.tobytes() == s2.tobytes()
     # the last model has no data dims; the per-mode ambient check still holds
     assert back.data_dims is None
     with pytest.raises(DimensionError, match="mode 1: ambient 5"):

@@ -27,7 +27,6 @@ def test_mode_gram_orthogonal_lines():
     e = np.eye(2)
     g = mode_gram([unit(e[:, 0]), unit(e[:, 1])], mode=1)
     assert np.allclose(g.matrix, 0.5 * np.eye(2), rtol=0, atol=1e-15)
-    assert g.class_count == 2
 
 
 def test_mode_gram_identical_subspaces(rng):
@@ -69,7 +68,7 @@ def test_mode_gram_eigenvalue_bounds(seed):
 def test_gds_flat_spectrum_single_column():
     from tensorgds.gds import ModeGram
 
-    g = ModeGram(mode=1, matrix=0.5 * np.eye(2), class_count=2)
+    g = ModeGram(mode=1, matrix=0.5 * np.eye(2))
     basis = gds_from_gram(g, alpha=2)
     assert basis.rank == 2 and basis.beta == 2
     assert basis.basis.shape == (2, 1)
@@ -147,9 +146,9 @@ def test_project_identity_basis_preserves_span(rng):
     from tensorgds.gds import ModeGram
 
     subs = [random_subspace(rng, 5, 2) for _ in range(3)]
-    g = ModeGram(mode=1, matrix=np.eye(5) * 0.5, class_count=2)
+    g = ModeGram(mode=1, matrix=np.eye(5) * 0.5)
     d = gds_from_gram(g, alpha=1)  # full identity-like basis, width 5
-    assert d.width == 5
+    assert d.basis.shape[1] == 5
     for s in subs:
         mapped = project_onto_gds(d, s)
         back = Subspace(d.basis @ mapped.basis)

@@ -42,7 +42,7 @@ def test_mode_weights_from_reported_scores():
     # 0.57/1.44, 0.41/1.44, 0.46/1.44
     w = mode_weights([0.57, 0.41, 0.46])
     assert np.max(np.abs(w.weights - [0.3958, 0.2847, 0.3194])) <= 1e-4
-    assert w.is_normalized()
+    assert abs(float(w.weights.sum()) - 1.0) <= 1e-9
 
 
 def test_mode_weights_equal_scores():

@@ -17,12 +17,12 @@ from tensorgds import (
     basis_from_unfolding,
     classify,
     evaluate,
-    extract_sample_point,
     fisher_mode,
     fit,
     gds_from_gram,
     mean_canonical_angle,
     mode_gram,
+    mode_weights,
     nmode_fisher,
     optimize_gds_dims,
     pairwise_distances,
@@ -84,12 +84,21 @@ def tilted_two_class_points(sigma=0.3, seed=5, n=10):
 # --- extraction -----------------------------------------------------------
 
 
+def sample_bases(t, modes=(1, 2, 3), dims=None, mu=None):
+    """Per mode of `modes`, the basis of the sample's unfolding at the fixed
+    dimension in `dims`, or at the energy dimension of `mu`."""
+    return [
+        basis_from_unfolding(
+            unfold(t, mode), dim=None if dims is None else dims[p], energy=mu
+        )
+        for p, mode in enumerate(modes)
+    ]
+
+
 def test_extract_rank1_unit_dims(rng):
     a, b, c = rng.standard_normal(4), rng.standard_normal(5), rng.standard_normal(3)
     t = DenseTensor(np.einsum("i,j,k->ijk", a, b, c))
-    cfg = PipelineConfig(method="pgm", per_mode_dims=(1, 1, 1))
-    point = extract_sample_point(t, cfg)
-    for part, factor in zip(point.parts, (a, b, c)):
+    for part, factor in zip(sample_bases(t, dims=(1, 1, 1)), (a, b, c)):
         direction = factor / np.linalg.norm(factor)
         assert abs(abs(float(part.basis.ravel() @ direction)) - 1.0) <= 1e-10
 
@@ -97,19 +106,17 @@ def test_extract_rank1_unit_dims(rng):
 def test_extract_scale_invariance(rng):
     t = random_tensor(rng, (4, 5, 6))
     scaled = DenseTensor(3.7 * t.data)
-    cfg = PipelineConfig(method="pgm", per_mode_dims=(2, 2, 2))
-    p1 = extract_sample_point(t, cfg)
-    p2 = extract_sample_point(scaled, cfg)
-    for a, b in zip(p1.parts, p2.parts):
+    p1 = sample_bases(t, dims=(2, 2, 2))
+    p2 = sample_bases(scaled, dims=(2, 2, 2))
+    for a, b in zip(p1, p2):
         assert np.linalg.norm(projector(a) - projector(b)) <= 1e-10
 
 
 def test_extract_mode_subset(rng):
     t = random_tensor(rng, (4, 5, 6))
-    cfg = PipelineConfig(method="msm", modes_used=(1,), per_mode_dims=(2,))
-    point = extract_sample_point(t, cfg)
-    assert point.mode_count == 1
-    assert point.parts[0].ambient_dim == 4
+    parts = sample_bases(t, modes=(1,), dims=(2,))
+    assert len(parts) == 1
+    assert parts[0].ambient_dim == 4
 
 
 # --- search ---------------------------------------------------------------
@@ -161,11 +168,8 @@ def brute_force_search(grams, stacks, labels, config):
 def fit_search_inputs(samples, labels, model):
     """The mode Gram matrices, raw training bases and labels `fit` hands to
     the band search, rebuilt from the fitted model's modes and dimensions."""
-    config = PipelineConfig(
-        method="pgm", modes_used=model.modes, per_mode_dims=model.dims
-    )
-    points = [extract_sample_point(s, config) for s in samples]
-    stacks = [np.stack([pt.parts[p].basis for pt in points]) for p in range(len(model.modes))]
+    points = [sample_bases(s, model.modes, model.dims) for s in samples]
+    stacks = [np.stack([pt[p].basis for pt in points]) for p in range(len(model.modes))]
     grams = [
         mode_gram(
             [
@@ -215,7 +219,7 @@ def test_coordinate_fixed_point_matches_exhaustive_score():
     # the combined score is a ratio of per-mode sums, so a band choice that no
     # single mode can improve is a global optimum
     tr_s, tr_l, _, _ = benchmark_split()
-    config = PipelineConfig(method="nmode-gds", seed=7)
+    config = PipelineConfig(method="nmode-gds")
     coord = fit(tr_s, tr_l, config)
     trace = coord.search_trace
     picks = [
@@ -353,7 +357,7 @@ def test_band_search_builds_no_subspace_per_sample(monkeypatch):
 
 def test_fit_pgm_baseline_shape():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="pgm", seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="pgm"))
     assert model.gds is None
     assert np.all(model.weights.weights == 1.0)
     assert len(model.references) == len(tr_s)
@@ -362,21 +366,23 @@ def test_fit_pgm_baseline_shape():
 
 def test_fit_gds_improves_separability():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-gds", seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-gds"))
     assert model.gds is not None
     assert model.fisher.score_n > model.fisher_raw.score_n
 
 
 def test_fit_wgds_weights_normalized():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds", seed=7))
-    assert model.weights.is_normalized()
-    assert model.config.weights == "fisher"
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds"))
+    assert abs(float(model.weights.weights.sum()) - 1.0) <= 1e-9
+    # nmode-wgds weights the modes by their separability scores
+    scores = [r.score for r in model.fisher.per_mode]
+    assert np.array_equal(model.weights.weights, mode_weights(scores).weights)
 
 
 def test_msm_single_mode_equals_manual_nearest_neighbor():
     tr_s, tr_l, te_s, te_l = benchmark_split()
-    cfg = PipelineConfig(method="msm", modes_used=(1,), seed=7)
+    cfg = PipelineConfig(method="msm", modes_used=(1,))
     model = fit(tr_s, tr_l, cfg)
     for t in te_s[:4]:
         pred, _ = classify(model, t)
@@ -401,9 +407,7 @@ def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
     samples = [random_tensor(rng, extents) for _ in range(6)]
     config = PipelineConfig(method="pgm", energy_mu=mu)
     model = fit(samples, [0, 0, 0, 1, 1, 1], config)
-    energy_dims = np.array(
-        [[part.dim for part in extract_sample_point(t, config).parts] for t in samples]
-    )
+    energy_dims = np.array([[part.dim for part in sample_bases(t, mu=mu)] for t in samples])
     assert model.dims == tuple(
         int(round(float(np.median(energy_dims[:, p])))) for p in range(3)
     )
@@ -456,6 +460,14 @@ def test_fit_rejects_angle_counts_the_references_cannot_serve(counts):
         fit(tr_s, tr_l, PipelineConfig(method="pgm", angle_counts=counts))
 
 
+def test_fit_rejects_mode_dims_beyond_the_extent_before_factoring(rng, monkeypatch):
+    samples = [random_tensor(rng, (4, 5, 4)) for _ in range(4)]
+    monkeypatch.setattr(pipeline, "_fit_mode", lambda *a: pytest.fail("factored"))
+    config = PipelineConfig(method="pgm", per_mode_dims=(2, 6, 2))
+    with pytest.raises(DimensionError, match="entry 6 for mode 2 exceeds its extent 5"):
+        fit(samples, [0, 0, 1, 1], config)
+
+
 def test_fit_rejects_single_class(rng):
     samples = [random_tensor(rng, (4, 4, 4)) for _ in range(3)]
     with pytest.raises(DimensionError):
@@ -475,7 +487,7 @@ def test_fit_rejects_mismatched_dims(rng):
 
 def test_classify_memorizes_training_sample():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds", seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds"))
     for i in (0, 9, 17):
         pred, scores = classify(model, tr_s[i])
         assert pred == tr_l[i]
@@ -554,7 +566,7 @@ def test_classify_tie_breaks_to_smaller_class_id():
 
 def test_evaluate_training_set_is_perfect():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-gds", seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-gds"))
     metrics = evaluate(model, tr_s, tr_l)
     assert metrics.accuracy == 1.0
     assert np.all(np.diag(metrics.confusion) == np.array(metrics.confusion.sum(axis=1)))
@@ -562,7 +574,7 @@ def test_evaluate_training_set_is_perfect():
 
 def test_evaluate_all_wrong_labels():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="pgm", seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="pgm"))
     wrong = [(l + 1) % 4 for l in tr_l]
     metrics = evaluate(model, tr_s, wrong)
     assert metrics.accuracy == 0.0
@@ -570,7 +582,7 @@ def test_evaluate_all_wrong_labels():
 
 def test_evaluate_confusion_row_sums():
     tr_s, tr_l, te_s, te_l = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="pgm", seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="pgm"))
     metrics = evaluate(model, te_s, te_l)
     counts = [sum(1 for l in te_l if l == cid) for cid in model.class_ids]
     assert list(metrics.confusion.sum(axis=1)) == counts
@@ -578,7 +590,7 @@ def test_evaluate_confusion_row_sums():
 
 def test_evaluate_empty_errors():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="pgm", seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="pgm"))
     with pytest.raises(DimensionError):
         evaluate(model, [], [])
 
@@ -599,9 +611,9 @@ def test_gds_with_full_band_degenerates_to_pgm():
     samples, manifest = generate_synthetic(spec, train_fraction=1.0)
     labels = [e.label for e in manifest.entries]
     assert len(samples) == 20
-    pgm = fit(samples, labels, PipelineConfig(method="pgm", seed=0))
+    pgm = fit(samples, labels, PipelineConfig(method="pgm"))
     gds1 = fit(
-        samples, labels, PipelineConfig(method="nmode-gds", gds_alpha_max=1, seed=0)
+        samples, labels, PipelineConfig(method="nmode-gds", gds_alpha_max=1)
     )
     assert all(g.rank == a for g, a in zip(gds1.gds, gds1.mode_ambients))
     pts_p = [transform(pgm, s) for s in samples]
@@ -613,7 +625,7 @@ def test_gds_with_full_band_degenerates_to_pgm():
 
 def test_mode_subset_distance_is_weighted_mean_angle():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="msm", modes_used=(1,), seed=7))
+    model = fit(tr_s, tr_l, PipelineConfig(method="msm", modes_used=(1,)))
     a = transform(model, tr_s[0])
     b = transform(model, tr_s[1])
     from tensorgds.pipeline import point_distances
@@ -626,7 +638,7 @@ def test_mode_subset_distance_is_weighted_mean_angle():
 
 def test_fit_and_classify_deterministic():
     tr_s, tr_l, te_s, _ = benchmark_split()
-    cfg = PipelineConfig(method="nmode-wgds", seed=7)
+    cfg = PipelineConfig(method="nmode-wgds")
     m1 = fit(tr_s, tr_l, cfg)
     m2 = fit(tr_s, tr_l, cfg)
     assert np.array_equal(m1.weights.weights, m2.weights.weights)
@@ -639,7 +651,7 @@ def test_fit_and_classify_deterministic():
 
 def test_class_karcher_classifier_runs():
     tr_s, tr_l, te_s, te_l = benchmark_split()
-    cfg = PipelineConfig(method="nmode-gds", classifier="class-karcher", seed=7)
+    cfg = PipelineConfig(method="nmode-gds", classifier="class-karcher")
     model = fit(tr_s, tr_l, cfg)
     metrics = evaluate(model, te_s, te_l)
     assert metrics.accuracy >= 0.75
@@ -652,8 +664,8 @@ def test_settings_table_has_one_row_per_config_field():
     assert [s.name for s in SETTINGS] == [
         f.name for f in dataclasses.fields(PipelineConfig)
     ]
-    keys = [s.key for s in SETTINGS if s.key is not None]
-    assert len(set(keys)) == len(keys) == 14
+    keys = [s.key for s in SETTINGS]
+    assert len(set(keys)) == len(keys) == 12
     assert len({s.model_key for s in SETTINGS}) == len(SETTINGS)
 
 
@@ -684,6 +696,8 @@ def test_setting_text_round_trips(setting, data):
         {"karcher_tol": -1e-8},
         {"karcher_tol": math.nan},
         {"karcher_tol": math.inf},
+        {"per_mode_dims": (2, 0, 2)},
+        {"angle_counts": (1, 1, -1)},
     ],
 )
 def test_config_rejects_bad_karcher_settings(bad):

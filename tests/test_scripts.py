@@ -85,3 +85,17 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "discrete DIFFER (karcher_warnings)" in lines[0]
     assert lines[1] == "small/pgm-failing: discrete DIFFER (error)"
+
+    # a dump that spells a renamed configuration by its old name pairs with
+    # one that spells the new name
+    with np.load(before) as npz:
+        run = {
+            key.split("|")[1]: npz[key]
+            for key in npz.files
+            if key.startswith("small/nmode-wgds|")
+        }
+    for path, name in ((tmp_path / "old.npz", "-seed5"), (tmp_path / "new.npz", "")):
+        np.savez(path, **{f"small/nmode-wgds-angles1-full{name}|{k}": v for k, v in run.items()})
+    assert main(["--compare", str(tmp_path / "old.npz"), str(tmp_path / "new.npz")]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("small/nmode-wgds-angles1-full: discrete match;")

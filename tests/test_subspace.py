@@ -183,7 +183,7 @@ def test_principal_angles_ambient_mismatch():
 def test_principal_angles_count_bounds(rng):
     p = random_subspace(rng, 5, 2)
     q = random_subspace(rng, 5, 3)
-    assert principal_angles(p, q).count == 2
+    assert principal_angles(p, q).angles.shape == (2,)
     with pytest.raises(DimensionError):
         principal_angles(p, q, count=3)
 
