@@ -9,7 +9,7 @@ from .errors import (
     KarcherConvergenceWarning,
 )
 from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_means, nmode_fisher
-from .gds import GdsBasis, ModeGram, gds_from_gram, mode_gram, project_onto_gds
+from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights
 from .pipeline import (
     EvalMetrics,
@@ -55,7 +55,6 @@ __all__ = [
     "GdsBasis",
     "HosvdDecomposition",
     "KarcherConvergenceWarning",
-    "ModeGram",
     "NModeFisher",
     "PipelineConfig",
     "ProductPoint",

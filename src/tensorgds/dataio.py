@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DegeneracyError, DimensionError, FormatError
 from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
-from .gds import GdsBasis
+from .gds import GdsBasis, full_band, gds_from_gram
 from .manifold import ProductPoint, WeightVector
 from .pipeline import SETTINGS, PipelineConfig, TrainedModel
 from .subspace import Subspace, qr_positive
@@ -68,7 +68,12 @@ class NamedValues(dict):
         try:
             return tuple(kind(x) for x in text.split(",")) if many else kind(text)
         except ValueError as exc:
-            raise FormatError(f"{self.what} {name!r}: bad value {text!r}") from exc
+            raise self.bad(name) from exc
+
+    def bad(self, name: str, reason: str | None = None) -> FormatError:
+        """The error for a value of `name` that parses but cannot be used."""
+        suffix = "" if reason is None else f" ({reason})"
+        return FormatError(f"{self.what} {name!r}: bad value {self[name]!r}{suffix}")
 
 
 def _write_atomic(path, data: bytes) -> None:
@@ -437,6 +442,29 @@ def _fisher_from_conf(prefix: str, conf: NamedValues) -> NModeFisher:
     return nmode_fisher(reports)
 
 
+def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[GdsBasis, ...]:
+    """Each mode's band, rebuilt from its stored spectrum by the band rule."""
+    bands = {key: conf.parse(key, int, many=True) for key in ("alphas", "betas", "ranks")}
+    for key, entries in bands.items():
+        if len(entries) != len(modes):
+            raise conf.bad(key, f"{len(entries)} entries for {len(modes)} modes")
+    gds = []
+    for mode, alpha, beta, rank in zip(modes, *bands.values()):
+        full = full_band(
+            mode, matrices[f"gds{mode}_eigvecs"], matrices[f"gds{mode}_eigvals"].ravel()
+        )
+        if full.rank != rank:
+            raise conf.bad("ranks", f"mode {mode}: the stored spectrum has rank {full.rank}")
+        # the alpha alone, then the band it opens with beta
+        for key, limits in (("alphas", (alpha,)), ("betas", (alpha, beta))):
+            try:
+                band = gds_from_gram(full, *limits)
+            except (DegeneracyError, DimensionError) as exc:
+                raise conf.bad(key, f"mode {mode}: {exc}") from exc
+        gds.append(band)
+    return tuple(gds)
+
+
 def model_to_bytes(model: TrainedModel) -> bytes:
     lines = [
         f"format_version={MODEL_VERSION}",
@@ -529,35 +557,28 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
         try:
             PipelineConfig(**{s.name: values[s.name]})
         except ValueError as exc:
-            raise FormatError(
-                f"CONF key {s.model_key!r}: bad value {conf[s.model_key]!r} ({exc})"
-            ) from exc
+            raise conf.bad(s.model_key, str(exc)) from exc
     config = PipelineConfig(**values)
     modes, dims = config.modes_used, config.per_mode_dims
-    gds = None
-    if conf["has_gds"] == "true":
-        alphas, betas, ranks = (
-            conf.parse(key, int, many=True) for key in ("alphas", "betas", "ranks")
-        )
-        gds = tuple(
-            GdsBasis(
-                mode=mode,
-                eigvecs=matrices[f"gds{mode}_eigvecs"],
-                eigvals=matrices[f"gds{mode}_eigvals"].ravel(),
-                alpha=alphas[p],
-                beta=betas[p],
-                rank=ranks[p],
-            )
-            for p, mode in enumerate(modes)
-        )
+    gds = _bands_from_conf(conf, matrices, modes) if conf["has_gds"] == "true" else None
     labels = conf.parse("labels", int, many=True) if conf["labels"] else ()
     n_refs = conf.parse("n_refs", int)
-    references = []
-    for i in range(n_refs):
-        parts = tuple(
-            Subspace(matrices[f"ref{i}_m{mode}"]) for mode in modes
-        )
-        references.append(ProductPoint(parts, label=labels[i]))
+    parts = [tuple(Subspace(matrices[f"ref{i}_m{m}"]) for m in modes) for i in range(n_refs)]
+    if len(labels) != n_refs:
+        raise conf.bad("labels", f"{len(labels)} labels for n_refs={n_refs}")
+    # a valid band of the spectrum may still not be the one the references
+    # were projected onto
+    for p, band in enumerate(gds or ()):
+        widths = {ref[p].ambient_dim for ref in parts} - {band.basis.shape[1]}
+        if widths:
+            raise FormatError(
+                f"CONF keys 'alphas', 'betas': mode {band.mode}: band {band.alpha}..{band.beta} "
+                f"is {band.basis.shape[1]} wide but the references are {widths.pop()} wide"
+            )
+    class_ids = conf.parse("class_ids", int, many=True)
+    if class_ids != tuple(sorted(set(labels))):
+        raise conf.bad("class_ids", "not the sorted set of the reference labels")
+    references = [ProductPoint(ref, label=label) for ref, label in zip(parts, labels)]
     raw_angles = conf.parse("angle_diag_raw", float, many=True)
     if conf["angle_diag_projected"] == "none":
         angle_diag = tuple((a, None) for a in raw_angles)
@@ -574,7 +595,7 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
             if conf["data_dims"] == "none"
             else conf.parse("data_dims", int, many=True)
         ),
-        class_ids=conf.parse("class_ids", int, many=True),
+        class_ids=class_ids,
         gds=gds,
         weights=WeightVector(matrices["weights"].ravel()),
         references=tuple(references),

@@ -15,8 +15,8 @@ negligible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import DegeneracyError, DimensionError
 from .subspace import (
     RANK_RTOL,
     Subspace,
+    basis_stack,
     eigh_descending,
     fix_column_signs,
     projector_mean,
@@ -34,34 +35,13 @@ GRAM_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ModeGram:
-    """Average of class-subspace projectors for one mode; symmetric with
-    eigenvalues in [0, 1].
-
-    The eigenpairs (descending, with a deterministic sign fix) and the rank
-    (eigenvalues above GRAM_RANK_TOL) are computed once, at construction.
-    """
-
-    mode: int
-    matrix: np.ndarray
-    eigvals: np.ndarray = field(init=False, repr=False)
-    eigvecs: np.ndarray = field(init=False, repr=False)
-    rank: int = field(init=False)
-
-    def __post_init__(self):
-        evals, evecs = eigh_descending(self.matrix)
-        object.__setattr__(self, "eigvals", evals)
-        object.__setattr__(self, "eigvecs", fix_column_signs(evecs))
-        object.__setattr__(self, "rank", int(np.sum(evals > GRAM_RANK_TOL)))
-
-
-@dataclass(frozen=True)
 class GdsBasis:
-    """Eigen-structure of a mode Gram matrix plus the retained tail.
+    """One mode's Gram spectrum and a band of it.
 
     `eigvecs`/`eigvals` hold the full spectrum in descending order with a
-    deterministic sign fix; `basis` holds eigenvector columns alpha..beta
-    (1-based, inclusive) and spans the difference subspace.
+    deterministic sign fix; `rank` counts the eigenvalues above
+    GRAM_RANK_TOL; `basis` holds eigenvector columns alpha..beta (1-based,
+    inclusive) and spans the difference subspace.
     """
 
     mode: int
@@ -80,24 +60,26 @@ class GdsBasis:
         return self.eigvecs.shape[0]
 
 
-def mode_gram(class_subspaces: Sequence[Subspace], mode: int) -> ModeGram:
-    """Average the projectors of the per-class subspaces of one mode."""
-    subs = list(class_subspaces)
-    if len(subs) < 2:
-        raise DimensionError(f"need at least 2 class subspaces, got {len(subs)}")
-    ambient = subs[0].ambient_dim
-    for s in subs[1:]:
-        if s.ambient_dim != ambient:
-            raise DimensionError(
-                f"ambient mismatch: {s.ambient_dim} vs {ambient}"
-            )
-    acc = projector_mean(subs)
-    acc = (acc + acc.T) / 2.0
-    return ModeGram(mode=mode, matrix=acc)
+def full_band(mode: int, eigvecs: np.ndarray, eigvals: np.ndarray) -> GdsBasis:
+    """The band alpha = 1, beta = rank of a descending, sign-fixed spectrum."""
+    rank = int(np.sum(eigvals > GRAM_RANK_TOL))
+    return GdsBasis(mode, eigvecs, eigvals, alpha=1, beta=rank, rank=rank)
 
 
-def gds_from_gram(gram: ModeGram, alpha: int, beta: int | None = None) -> GdsBasis:
-    """Keep eigenvectors alpha..beta of the mode Gram matrix.
+def mode_gram(class_bases, mode: int) -> GdsBasis:
+    """The full band of one mode's Gram matrix, the average of the projectors
+    of its class subspaces: a (C, d, k) stack of bases or `Subspace`s of one
+    shape. The eigenpairs are computed here, once per mode."""
+    stack = basis_stack(class_bases)
+    if len(stack) < 2:
+        raise DimensionError(f"need at least 2 class subspaces, got {len(stack)}")
+    acc = projector_mean(stack)
+    evals, evecs = eigh_descending((acc + acc.T) / 2.0)
+    return full_band(mode, fix_column_signs(evecs), evals)
+
+
+def gds_from_gram(gram: GdsBasis, alpha: int, beta: int | None = None) -> GdsBasis:
+    """Narrow a mode's band to eigenvectors alpha..beta of its Gram matrix.
 
     Eigenvalues are sorted descending with stable ties; `beta` defaults to the
     numerical rank, so the usual call keeps the whole eigenvector tail below
@@ -117,14 +99,7 @@ def gds_from_gram(gram: ModeGram, alpha: int, beta: int | None = None) -> GdsBas
         raise DimensionError(
             f"need alpha <= beta <= rank, got alpha={alpha}, beta={beta}, rank={rank}"
         )
-    return GdsBasis(
-        mode=gram.mode,
-        eigvecs=gram.eigvecs,
-        eigvals=gram.eigvals,
-        alpha=alpha,
-        beta=beta,
-        rank=rank,
-    )
+    return dataclasses.replace(gram, alpha=alpha, beta=beta)
 
 
 def project_onto_gds(gds: GdsBasis, subspaces):

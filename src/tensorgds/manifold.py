@@ -106,8 +106,4 @@ def weighted_geodesics(
             else:
                 values = np.mean(angles, axis=1)
             terms[idx, i] = weights.weights[i] * values
-    if n == 1:
-        # The single-factor metric is the bare weighted angle; skip the
-        # square/sqrt round trip so the reduction is exact.
-        return np.abs(terms[:, 0])
     return np.sqrt(np.sum(terms * terms, axis=1))

@@ -23,13 +23,12 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_means, nmode_fisher
-from .gds import GdsBasis, ModeGram, gds_from_gram, mode_gram, project_onto_gds
+from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
 from .subspace import (
     SingularSpectrum,
     Subspace,
     basis_from_unfolding,
-    basis_stack,
     leading_basis,
     left_factor,
     left_singular,
@@ -196,11 +195,11 @@ class EvalMetrics:
 
 @dataclass(frozen=True)
 class GdsSearchResult:
-    """The chosen (alpha, beta) band per mode, its report, the search trace,
-    and per mode the (N, w, k) stack of the training bases projected onto
-    the chosen band, in sample order."""
+    """The chosen band per mode, its report, the search trace, and per mode
+    the (N, w, k) stack of the training bases projected onto the chosen
+    band, in sample order."""
 
-    pairs: tuple[tuple[int, int], ...]
+    bases: tuple[GdsBasis, ...]
     reports: tuple[FisherReport, ...]
     trace: tuple[dict, ...]
     parts: tuple[np.ndarray, ...]
@@ -211,8 +210,29 @@ def _class_members(labels, class_ids) -> list[list[int]]:
     return [[i for i, label in enumerate(labels) if label == cid] for cid in class_ids]
 
 
+def _score_band(band: GdsBasis, stack: np.ndarray, members, config: PipelineConfig):
+    """The band, its report and its (N, w, k) stack of projected training
+    bases, or None when some basis is orthogonal to the band, the band
+    narrows some basis, or the score is degenerate."""
+    try:
+        parts = project_onto_gds(band, stack)
+    except DegeneracyError:
+        return None
+    # a basis the band narrowed leaves no common stack to average
+    if len({b.shape for b in parts}) > 1:
+        return None
+    proj = np.stack(parts)
+    report = fisher_mode(
+        [proj[idx] for idx in members],
+        mode=band.mode,
+        karcher_tol=config.karcher_tol,
+        karcher_max_iter=config.karcher_max_iter,
+    )
+    return None if report.flag is not None else (band, report, proj)
+
+
 def optimize_gds_dims(
-    grams: Sequence[ModeGram],
+    grams: Sequence[GdsBasis],
     stacks: Sequence[np.ndarray],
     labels: Sequence[int],
     config: PipelineConfig,
@@ -220,13 +240,14 @@ def optimize_gds_dims(
     """Choose the retained eigenvector band per mode by maximizing the
     combined separability score of the projected training subspaces.
 
-    `stacks` holds, per mode of `grams`, the (N, d, k) stack of the training
-    bases, in the order of `labels`. Coordinate ascent sweeps the candidate
-    bands of one mode at a time while the other modes stay at their current
-    best, starting from the full band, until a round changes no band.
-    Candidates whose projection collapses, leaves bases of unequal width or
-    whose score is degenerate are skipped; ties go to the smallest alpha
-    (then the largest beta when the beta search is on).
+    `grams` holds each mode's full band (`mode_gram`), `stacks` per mode the
+    (N, d, k) stack of the training bases, in the order of `labels`. Every
+    candidate band is scored once, every mode's full band first; those whose
+    projection collapses, leaves bases of unequal width or whose score is
+    degenerate are skipped. Coordinate ascent then sweeps one mode's scored
+    candidates at a time while the other modes stay at their current best,
+    starting from the full band, until a round changes no band. Ties go to
+    the smallest alpha (then the largest beta when the beta search is on).
 
     The fixed point is a global optimum: the combined score is a ratio of
     per-mode sums, so at a fixed point with ratio r each mode's band
@@ -247,77 +268,57 @@ def optimize_gds_dims(
                 f"mode {gram.mode}: {len(stack)} training bases for {len(labels)} labels"
             )
 
-    cache: dict[tuple[int, int, int], tuple | None] = {}
-
-    def evaluate(p: int, alpha: int, beta: int):
-        """The candidate's report and its (N, w, k) stack of projected
-        training bases, or None when the candidate is unusable."""
-        key = (p, alpha, beta)
-        if key not in cache:
-            cache[key] = None
-            try:
-                parts = project_onto_gds(gds_from_gram(grams[p], alpha, beta), stacks[p])
-            except (DegeneracyError, DimensionError):
-                return None
-            # a basis the band narrowed leaves no common stack to average
-            if len({b.shape for b in parts}) == 1:
-                proj = np.stack(parts)
-                report = fisher_mode(
-                    [proj[idx] for idx in members],
-                    mode=grams[p].mode,
-                    karcher_tol=config.karcher_tol,
-                    karcher_max_iter=config.karcher_max_iter,
-                )
-                if report.flag is None:
-                    cache[key] = (report, proj)
-        return cache[key]
-
-    def candidate_pairs(p: int) -> list[tuple[int, int]]:
-        rank = grams[p].rank
-        alphas = range(1, min(config.gds_alpha_max, rank) + 1)
-        if config.gds_beta_search:
-            return [(a, b) for a in alphas for b in range(rank, a - 1, -1)]
-        return [(a, rank) for a in alphas]
-
-    current = [(1, g.rank) for g in grams]
-    chosen = [evaluate(p, *pair) for p, pair in enumerate(current)]
-    if any(c is None for c in chosen):
+    scored = [[_score_band(g, s, members, config)] for g, s in zip(grams, stacks)]
+    if any(c[0] is None for c in scored):
         raise DegeneracyError(
             "separability is degenerate at the full eigenvector band; "
             "the classes cannot be told apart"
         )
+    # per mode, the usable candidates in candidate order, full band first
+    for gram, stack, candidates in zip(grams, stacks, scored):
+        rank = gram.rank
+        pairs = [
+            (a, b)
+            for a in range(1, min(config.gds_alpha_max, rank) + 1)
+            for b in (range(rank, a - 1, -1) if config.gds_beta_search else (rank,))
+        ]
+        for a, b in pairs[1:]:  # pairs[0] is the full band, scored above
+            entry = _score_band(gds_from_gram(gram, a, b), stack, members, config)
+            if entry is not None:
+                candidates.append(entry)
+    chosen = [0] * len(grams)
     trace: list[dict] = []
     # A band changes only to a candidate with a higher combined score, or an
     # equal score and an earlier place in the candidate order, so each change
     # raises (score, -sum of candidate indices) lexicographically and the
-    # loop ends. Every evaluation is cached: the confirming round scores
-    # nothing anew.
+    # loop ends.
     for rnd in itertools.count():
-        start = list(current)
-        for p in range(len(grams)):
+        start = list(chosen)
+        for p, candidates in enumerate(scored):
+            trial = [scored[q][i][1] for q, i in enumerate(chosen)]
             best_score = -np.inf
-            for pair in candidate_pairs(p):
-                candidate = evaluate(p, *pair)
-                if candidate is None:
-                    continue
-                trial = [report for report, _ in chosen]
-                trial[p] = candidate[0]
+            for i, (_, report, _) in enumerate(candidates):
+                trial[p] = report
                 score = nmode_fisher(trial).score_n
                 if np.isfinite(score) and score > best_score:
-                    best_score, current[p], chosen[p] = score, pair, candidate
+                    best_score, chosen[p] = score, i
+            band = candidates[chosen[p]][0]
             trace.append(
-                {
-                    "round": rnd,
-                    "mode": grams[p].mode,
-                    "alpha": current[p][0],
-                    "beta": current[p][1],
-                    "score": best_score,
-                }
+                dict(round=rnd, mode=band.mode, alpha=band.alpha, beta=band.beta, score=best_score)
             )
-        if current == start:
+        if chosen == start:
             break
-    reports, parts = zip(*chosen)
-    return GdsSearchResult(tuple(current), reports, tuple(trace), parts)
+    bases, reports, parts = zip(*(scored[p][i] for p, i in enumerate(chosen)))
+    return GdsSearchResult(bases, reports, tuple(trace), parts)
+
+
+def _check_angle_counts(counts, modes, widths) -> None:
+    """Each angle count must lie in 1..the width of its mode's references."""
+    for count, mode, top in zip(counts or (), modes, widths):
+        if not 1 <= count <= top:
+            raise DimensionError(
+                f"angle_counts entry {count} for mode {mode} is outside 1..{top}"
+            )
 
 
 def _class_pair_mean_angle(class_subspaces: Sequence) -> float:
@@ -330,8 +331,8 @@ def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float)
     `left_factor`, take one SVD per factor, fix the dimension (`dim`, or the
     median energy dimension when None), and build the sample bases and,
     from the stacked factors of each class, the class subspaces. Returns the
-    dimension, the (N, d, dim) stack of sample bases and the class
-    subspaces; each unfolding is released once it is compressed."""
+    dimension, the (N, d, dim) stack of sample bases and the (C, d, dim)
+    stack of class bases; each unfolding is released once it is compressed."""
     factors = [left_factor(unfold(s, mode)) for s in samples]
     svds = [left_singular(f) for f in factors]
     if dim is None:
@@ -340,14 +341,9 @@ def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float)
     else:
         dim = int(dim)
     stack = np.stack([leading_basis(u, lam, dim) for u, lam in svds])
-    class_subs = [
-        basis_from_unfolding(
-            np.hstack([f for f, label in zip(factors, labels) if label == cid]),
-            dim=dim,
-        )
-        for cid in class_ids
-    ]
-    return dim, stack, class_subs
+    groups = [[f for f, label in zip(factors, labels) if label == cid] for cid in class_ids]
+    classes = [leading_basis(*left_singular(np.hstack(g)), dim) for g in groups]
+    return dim, stack, np.stack(classes)
 
 
 def fit(
@@ -389,12 +385,13 @@ def fit(
                 f"per_mode_dims entry {dim} for mode {mode} exceeds its extent "
                 f"{data_dims[mode - 1]}"
             )
-    dims, stacks, class_subs = zip(
+    dims, stacks, class_stacks = zip(
         *(
             _fit_mode(samples, labels, class_ids, mode, dim, config.energy_mu)
             for mode, dim in zip(modes, fixed_dims)
         )
     )
+    _check_angle_counts(config.angle_counts, modes, dims)
     members = _class_members(labels, class_ids)
 
     raw_reports = [
@@ -407,22 +404,20 @@ def fit(
         for p in range(n)
     ]
     fisher_raw = nmode_fisher(raw_reports)
-    raw_angles = [_class_pair_mean_angle(class_subs[p]) for p in range(n)]
+    raw_angles = [_class_pair_mean_angle(c) for c in class_stacks]
 
     bases = None
     search_trace: tuple = ()
     if config.uses_gds:
-        grams = [mode_gram(class_subs[p], modes[p]) for p in range(n)]
+        grams = [mode_gram(c, mode) for c, mode in zip(class_stacks, modes)]
         result = optimize_gds_dims(grams, stacks, labels, config)
-        bases = tuple(
-            gds_from_gram(grams[p], a, b) for p, (a, b) in enumerate(result.pairs)
-        )
+        bases = result.bases
         search_trace = result.trace
         stacks = result.parts  # the references keep the projected bases
         fisher_final = nmode_fisher(result.reports)
         proj_angles = [
-            _class_pair_mean_angle(project_onto_gds(b, basis_stack(subs)))
-            for b, subs in zip(bases, class_subs)
+            _class_pair_mean_angle(project_onto_gds(b, c))
+            for b, c in zip(bases, class_stacks)
         ]
         angle_diag = tuple(zip(raw_angles, proj_angles))
     else:
@@ -433,12 +428,8 @@ def fit(
         for parts, label in zip(zip(*stacks), labels)
     )
 
-    for p, count in enumerate(config.angle_counts or ()):
-        top = stacks[p].shape[2]
-        if not 1 <= count <= top:
-            raise DimensionError(
-                f"angle_counts entry {count} for mode {modes[p]} is outside 1..{top}"
-            )
+    # a band can narrow every basis of a mode below its angle count
+    _check_angle_counts(config.angle_counts, modes, [s.shape[2] for s in stacks])
 
     if config.uses_fisher_weights:
         weights = mode_weights([r.score for r in fisher_final.per_mode])

@@ -243,13 +243,10 @@ def projector(p: Subspace) -> np.ndarray:
     return p.basis @ p.basis.T
 
 
-def projector_mean(subspaces) -> np.ndarray:
-    """Average of the projectors of subspaces sharing one ambient space: a
-    sequence of `Subspace`s, whose dimensions may differ, or an
-    (..., N, d, k) stack averaged over its N axis."""
-    if isinstance(subspaces, np.ndarray):
-        return np.mean(subspaces @ np.swapaxes(subspaces, -1, -2), axis=-3)
-    return np.mean([projector(s) for s in subspaces], axis=0)
+def projector_mean(stack: np.ndarray) -> np.ndarray:
+    """Average of the projectors of an (..., N, d, k) stack of bases over its
+    N axis."""
+    return np.mean(stack @ np.swapaxes(stack, -1, -2), axis=-3)
 
 
 def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -300,6 +300,27 @@ def test_model_with_rejected_setting_exits_2(dataset_dir, model_dir, tmp_path, c
     assert err.startswith("data error") and f"'{key}': bad value 'foo'" in err
 
 
+@pytest.mark.parametrize(
+    "key, value", [("alphas", "1"), ("betas", "99,99,99"), ("class_ids", "0,1,2,3,4")]
+)
+def test_model_with_malformed_bands_or_labels_exits_2(
+    dataset_dir, model_dir, tmp_path, capsys, key, value
+):
+    bad = tmp_path / "bad.nmdl"
+    bad.write_bytes(
+        edit_model_conf(
+            (model_dir / "model.nmdl").read_bytes(),
+            lambda text: re.sub(rf"^{key}=.*$", f"{key}={value}", text, flags=re.M),
+        )
+    )
+    assert main([
+        "eval", "--model", str(bad), "--manifest", str(dataset_dir / "manifest.txt"),
+        "--split", "test", "--out", str(tmp_path / "eval"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and f"CONF key '{key}': bad value" in err
+
+
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
 def test_config_file_legacy_search_value_still_fits(dataset_dir, tmp_path):
     cfg = tmp_path / "legacy.cfg"

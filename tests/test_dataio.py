@@ -318,12 +318,34 @@ def test_model_missing_matrix_section_names_it():
         ("karcher_max_iter", "0"),
         ("dims", "0,2,2"),
         ("angle_counts", "0,1,1"),
+        # reference and band values that parse but disagree with the model:
+        # 12 references of classes 0..2, bands (2, 6), (1, 8), (1, 6)
+        ("labels", "0,0,0,0,1,1,1,1,2,2,2"),
+        ("class_ids", "0,1,2,3,4"),
+        ("alphas", "1"),
+        ("betas", "6,8"),
+        ("ranks", "6,8,6,6"),
+        ("ranks", "6,8,5"),
+        ("alphas", "0,1,1"),
+        ("alphas", "9,9,9"),
+        ("betas", "99,99,99"),
+        ("betas", "6,8,0"),
     ],
 )
 def test_model_unparsable_value_names_the_key(key, value):
     model, _, _ = trained_model()
     buf = edit_model_conf(model_to_bytes(model), set_conf_value(key, value))
     with pytest.raises(FormatError, match=f"CONF key '{key}': bad value"):
+        model_from_bytes(buf)
+
+
+@pytest.mark.parametrize("key, value", [("alphas", "3,1,1"), ("betas", "6,8,5")])
+def test_model_band_that_disagrees_with_its_references_names_both_keys(key, value):
+    # a valid band of the stored spectrum, but not the one the references
+    # were projected onto: mode 1 keeps 5 directions, mode 3 keeps 6
+    model, _, _ = trained_model()
+    buf = edit_model_conf(model_to_bytes(model), set_conf_value(key, value))
+    with pytest.raises(FormatError, match="CONF keys 'alphas', 'betas': mode [13]: band"):
         model_from_bytes(buf)
 
 

@@ -15,6 +15,8 @@ from tensorgds import (
     project_onto_gds,
     projector,
 )
+from tensorgds.gds import full_band
+from tensorgds.subspace import eigh_descending, fix_column_signs
 from conftest import random_subspace
 
 
@@ -23,16 +25,27 @@ def unit(v):
     return Subspace((v / np.linalg.norm(v))[:, None])
 
 
+def gram_matrix(band):
+    """The Gram matrix whose spectrum the band holds."""
+    return (band.eigvecs * band.eigvals) @ band.eigvecs.T
+
+
+def band_of(matrix, mode=1):
+    """The full band of a given symmetric Gram matrix."""
+    evals, evecs = eigh_descending(matrix)
+    return full_band(mode, fix_column_signs(evecs), evals)
+
+
 def test_mode_gram_orthogonal_lines():
     e = np.eye(2)
     g = mode_gram([unit(e[:, 0]), unit(e[:, 1])], mode=1)
-    assert np.allclose(g.matrix, 0.5 * np.eye(2), rtol=0, atol=1e-15)
+    assert np.allclose(gram_matrix(g), 0.5 * np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_mode_gram_identical_subspaces(rng):
     s = random_subspace(rng, 5, 2)
     g = mode_gram([s, s, s], mode=2)
-    assert np.allclose(g.matrix, projector(s), rtol=0, atol=1e-14)
+    assert np.allclose(gram_matrix(g), projector(s), rtol=0, atol=1e-14)
 
 
 def test_mode_gram_closed_form_pair():
@@ -43,8 +56,16 @@ def test_mode_gram_closed_form_pair():
     u2 = unit([math.cos(theta), math.sin(theta)])
     g = mode_gram([u1, u2], mode=1)
     expected = np.sort([(1 + math.cos(theta)) / 2, (1 - math.cos(theta)) / 2])
-    assert np.allclose(np.sort(np.linalg.eigvalsh(g.matrix)), expected, atol=1e-12)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(g.matrix)), [0.25, 0.75], atol=1e-12)
+    assert np.allclose(np.sort(g.eigvals), expected, atol=1e-12)
+    assert np.allclose(np.sort(g.eigvals), [0.25, 0.75], atol=1e-12)
+
+
+def test_mode_gram_takes_a_stack_or_subspaces_of_one_shape(rng):
+    subs = [random_subspace(rng, 6, 2) for _ in range(3)]
+    g = mode_gram(subs, mode=2)
+    h = mode_gram(np.stack([s.basis for s in subs]), mode=2)
+    assert (g.alpha, g.beta, g.mode) == (1, g.rank, 2)
+    assert np.array_equal(g.eigvecs, h.eigvecs) and np.array_equal(g.eigvals, h.eigvals)
 
 
 def test_mode_gram_errors(rng):
@@ -53,22 +74,23 @@ def test_mode_gram_errors(rng):
         mode_gram([s], mode=1)
     with pytest.raises(DimensionError):
         mode_gram([s, random_subspace(rng, 5, 2)], mode=1)
+    with pytest.raises(DimensionError):  # one stack: every class has one dimension
+        mode_gram([s, random_subspace(rng, 4, 1)], mode=1)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mode_gram_eigenvalue_bounds(seed):
     rng = np.random.default_rng(seed)
-    subs = [random_subspace(rng, 6, rng.integers(1, 4)) for _ in range(4)]
-    evals = np.linalg.eigvalsh(mode_gram(subs, mode=1).matrix)
+    k = rng.integers(1, 4)
+    subs = [random_subspace(rng, 6, k) for _ in range(4)]
+    evals = mode_gram(subs, mode=1).eigvals
     assert np.all(evals >= -1e-10)
     assert np.all(evals <= 1.0 + 1e-10)
 
 
 def test_gds_flat_spectrum_single_column():
-    from tensorgds.gds import ModeGram
-
-    g = ModeGram(mode=1, matrix=0.5 * np.eye(2))
+    g = band_of(0.5 * np.eye(2))
     basis = gds_from_gram(g, alpha=2)
     assert basis.rank == 2 and basis.beta == 2
     assert basis.basis.shape == (2, 1)
@@ -90,7 +112,7 @@ def test_gds_four_dim_diagonal_gram():
     p1 = Subspace(e[:, [0, 1]])
     p2 = Subspace(e[:, [0, 2]])
     g = mode_gram([p1, p2], mode=1)
-    assert np.allclose(g.matrix, np.diag([1.0, 0.5, 0.5, 0.0]), atol=1e-15)
+    assert np.allclose(gram_matrix(g), np.diag([1.0, 0.5, 0.5, 0.0]), atol=1e-15)
     basis = gds_from_gram(g, alpha=2)
     assert basis.rank == 3
     got = basis.basis @ basis.basis.T
@@ -123,7 +145,8 @@ def test_gds_deterministic_signs(rng):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gds_bands_share_the_gram_eigenpairs(seed):
     rng = np.random.default_rng(seed)
-    g = mode_gram([random_subspace(rng, 6, rng.integers(1, 4)) for _ in range(3)], mode=1)
+    k = rng.integers(1, 4)
+    g = mode_gram([random_subspace(rng, 6, k) for _ in range(3)], mode=1)
     for alpha in range(1, g.rank + 1):
         band = gds_from_gram(g, alpha)
         assert band.eigvecs is g.eigvecs and band.eigvals is g.eigvals
@@ -143,10 +166,8 @@ def test_project_onto_gds_hand_example():
 
 
 def test_project_identity_basis_preserves_span(rng):
-    from tensorgds.gds import ModeGram
-
     subs = [random_subspace(rng, 5, 2) for _ in range(3)]
-    g = ModeGram(mode=1, matrix=np.eye(5) * 0.5)
+    g = band_of(np.eye(5) * 0.5)
     d = gds_from_gram(g, alpha=1)  # full identity-like basis, width 5
     assert d.basis.shape[1] == 5
     for s in subs:
@@ -188,7 +209,8 @@ def test_project_onto_gds_stack_rank_and_span(seed, d, n, data):
     # each basis spans k_in directions inside the band and k - k_in outside
     # it, so G^T U has rank k_in and a largest singular value of 1
     rng = np.random.default_rng(seed)
-    g = mode_gram([random_subspace(rng, d, rng.integers(1, d + 1)) for _ in range(3)], mode=1)
+    k_gram = rng.integers(1, d + 1)
+    g = mode_gram([random_subspace(rng, d, k_gram) for _ in range(3)], mode=1)
     band = gds_from_gram(g, data.draw(st.integers(1, g.rank), label="alpha"))
     inside = band.basis
     outside = np.delete(band.eigvecs, np.s_[band.alpha - 1 : band.beta], axis=1)

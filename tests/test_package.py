@@ -50,3 +50,17 @@ def test_every_config_field_is_read_outside_the_config_class():
                     read.add(node.attr)
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert fields - read == UNREAD_FIELDS
+
+
+def test_bands_are_built_only_in_the_gds_module():
+    # one module holds the band rule: every other module gets its bands from
+    # `mode_gram`, `full_band` or `gds_from_gram`
+    callers = set()
+    for path in Path(tensorgds.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "GdsBasis":
+                    callers.add(path.name)
+    assert callers == {"gds.py"}

@@ -188,13 +188,18 @@ def fit_search_inputs(samples, labels, model):
     return grams, stacks, list(labels)
 
 
+def chosen_pairs(result):
+    """The (alpha, beta) of each band the search chose."""
+    return tuple((b.alpha, b.beta) for b in result.bases)
+
+
 def test_optimize_drops_shared_direction():
     gram, stacks, labels = tilted_two_class_points()
     config = PipelineConfig(method="nmode-gds", gds_alpha_max=3)
     _, oracle_pairs = brute_force_search([gram], stacks, labels, config)
     result = optimize_gds_dims([gram], stacks, labels, config)
-    assert oracle_pairs == result.pairs
-    assert result.pairs[0][0] == 2  # the leading shared direction is discarded
+    assert oracle_pairs == chosen_pairs(result)
+    assert chosen_pairs(result)[0][0] == 2  # the leading shared direction is discarded
 
 
 def test_optimize_alpha_max_one_forces_full_band():
@@ -202,7 +207,7 @@ def test_optimize_alpha_max_one_forces_full_band():
     result = optimize_gds_dims(
         [gram], stacks, labels, PipelineConfig(method="nmode-gds", gds_alpha_max=1)
     )
-    assert result.pairs[0][0] == 1
+    assert chosen_pairs(result)[0][0] == 1
 
 
 def test_coordinate_search_stops_after_an_unchanged_round():
@@ -285,8 +290,8 @@ def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha
         for r in (last - 1, last)
     ]
     before = picks[0] if last > 0 else [(1, g.rank) for g in grams]
-    assert picks[1] == before == list(result.pairs)  # the last round moved nothing
-    for p, (gram, pair) in enumerate(zip(grams, result.pairs)):
+    assert picks[1] == before == list(chosen_pairs(result))  # the last round moved nothing
+    for p, (gram, pair) in enumerate(zip(grams, chosen_pairs(result))):
         basis = gds_from_gram(gram, *pair)
         for b, part in zip(stacks[p], result.parts[p], strict=True):
             want = project_onto_gds(basis, Subspace(b))
@@ -294,7 +299,7 @@ def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha
     legacy = optimize_gds_dims(
         grams, stacks, labels, dataclasses.replace(config, gds_search="exhaustive")
     )
-    assert legacy.pairs == result.pairs
+    assert chosen_pairs(legacy) == chosen_pairs(result)
 
 
 def test_optimize_identical_classes_degenerate():
@@ -314,6 +319,12 @@ def test_optimize_rejects_stacks_that_disagree_with_grams_or_labels():
         optimize_gds_dims([gram], [stacks[0][1:]], labels, config)
     with pytest.raises(DimensionError, match=r"2 basis stacks for the modes \[2\]"):
         optimize_gds_dims([gram], stacks * 2, labels, config)
+    # a stack in another ambient space is a caller's error, not a degenerate set
+    e = np.eye(6)
+    wide = mode_gram([Subspace(e[:, [0, 1]]), Subspace(e[:, [0, 2]])], mode=1)
+    narrow = np.stack([np.eye(5)[:, :2]] * 4)
+    with pytest.raises(DimensionError, match="ambient mismatch: GDS 6"):
+        optimize_gds_dims([wide], [narrow], [0, 0, 1, 1], config)
 
 
 def test_band_search_skips_a_band_that_narrows_some_bases():
@@ -331,7 +342,7 @@ def test_band_search_skips_a_band_that_narrows_some_bases():
     assert [b.shape[1] for b in narrowed] == [1, 2, 1, 2]
     config = PipelineConfig(method="nmode-gds", gds_alpha_max=3)
     result = optimize_gds_dims([gram], [stack], [0, 0, 1, 1], config)
-    assert result.pairs == ((1, 3),)
+    assert chosen_pairs(result) == ((1, 3),)
     assert result.parts[0].shape == (4, 3, 2)
 
 
@@ -348,6 +359,8 @@ def test_band_search_builds_no_subspace_per_sample(monkeypatch):
     monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
     monkeypatch.setattr(pipeline, "fisher_mode", lambda *a, **k: scored.append(1) or score(*a, **k))
     optimize_gds_dims(grams, stacks, labels, config)
+    # each candidate band is scored once
+    assert len(scored) == sum(min(config.gds_alpha_max, g.rank) for g in grams)
     assert len(built) == len(scored) * (len(model.class_ids) + 1)
     assert len(built) / len(scored) < len(labels)
 
@@ -433,7 +446,7 @@ def test_fit_class_subspaces_from_stacked_factors_match_the_raw_stack(
     labels = [j for j, size in enumerate(sizes) for _ in range(size)]
     samples = [random_tensor(rng, extents) for _ in labels]
     dim, _, class_subs = _fit_mode(samples, labels, (0, 1), mode, None, 0.9)
-    for cid, sub in enumerate(class_subs):
+    for cid, sub in enumerate(map(Subspace, class_subs)):
         raw = np.hstack([unfold(t, mode) for t, l in zip(samples, labels) if l == cid])
         u, s, _ = np.linalg.svd(raw, full_matrices=False)
         if dim < s.size and s[dim - 1] - s[dim] < 1e-2 * s[0]:
@@ -454,8 +467,10 @@ def test_fit_mode_factors_each_unfolding_once(monkeypatch, rng):
 
 
 @pytest.mark.parametrize("counts", [(9, 9, 9), (1,)])
-def test_fit_rejects_angle_counts_the_references_cannot_serve(counts):
+def test_fit_rejects_angle_counts_the_references_cannot_serve(counts, monkeypatch):
     tr_s, tr_l, _, _ = benchmark_split()
+    # rejected against the mode dimensions, before any scoring or search
+    monkeypatch.setattr(pipeline, "fisher_mode", lambda *a, **k: pytest.fail("scored"))
     with pytest.raises(DimensionError, match="angle_counts"):
         fit(tr_s, tr_l, PipelineConfig(method="pgm", angle_counts=counts))
 
