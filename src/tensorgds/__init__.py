@@ -8,7 +8,14 @@ from .errors import (
     FormatError,
     KarcherConvergenceWarning,
 )
-from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_means, nmode_fisher
+from .fisher import (
+    FisherReport,
+    NModeFisher,
+    fisher_mode,
+    fisher_modes,
+    karcher_means,
+    nmode_fisher,
+)
 from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights
 from .pipeline import (
@@ -66,6 +73,7 @@ __all__ = [
     "classify",
     "evaluate",
     "fisher_mode",
+    "fisher_modes",
     "fit",
     "fold",
     "gds_from_gram",

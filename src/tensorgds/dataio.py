@@ -465,6 +465,26 @@ def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[G
     return tuple(gds)
 
 
+def _check_mode_shapes(conf: NamedValues, modes, dims, mode_ambients, gds, parts) -> None:
+    """Each mode's `dims` and `mode_ambients` entry against what is stored:
+    the ambient is the row count of the mode's spectrum, or of its
+    references in a model without bands; a reference is at most `dims`
+    wide, and exactly that wide when no band can have narrowed it."""
+    for key, values in (("dims", dims), ("mode_ambients", mode_ambients)):
+        if values is None or len(values) != len(modes):
+            raise conf.bad(key, f"need one entry for each of the {len(modes)} modes")
+    for p, mode in enumerate(modes):
+        shapes = {ref[p].basis.shape for ref in parts}
+        rows = {gds[p].ambient_dim} if gds else {r for r, _ in shapes}
+        if rows - {mode_ambients[p]}:
+            stored = "spectrum" if gds else "references"
+            reason = f"mode {mode}: {rows.pop()} rows in the stored {stored}"
+            raise conf.bad("mode_ambients", reason)
+        widths = {w for _, w in shapes}
+        if any(w > dims[p] for w in widths) or (gds is None and widths - {dims[p]}):
+            raise conf.bad("dims", f"mode {mode}: the references are {max(widths)} wide")
+
+
 def model_to_bytes(model: TrainedModel) -> bytes:
     lines = [
         f"format_version={MODEL_VERSION}",
@@ -578,6 +598,8 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
     class_ids = conf.parse("class_ids", int, many=True)
     if class_ids != tuple(sorted(set(labels))):
         raise conf.bad("class_ids", "not the sorted set of the reference labels")
+    mode_ambients = conf.parse("mode_ambients", int, many=True)
+    _check_mode_shapes(conf, modes, dims, mode_ambients, gds, parts)
     references = [ProductPoint(ref, label=label) for ref, label in zip(parts, labels)]
     raw_angles = conf.parse("angle_diag_raw", float, many=True)
     if conf["angle_diag_projected"] == "none":
@@ -589,7 +611,7 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
         config=config,
         modes=modes,
         dims=dims,
-        mode_ambients=conf.parse("mode_ambients", int, many=True),
+        mode_ambients=mode_ambients,
         data_dims=(
             None
             if conf["data_dims"] == "none"

@@ -18,6 +18,7 @@ dtheta).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -171,6 +172,50 @@ def karcher_means(
     return means
 
 
+def fisher_modes(
+    tasks: Sequence[tuple[Sequence, int]],
+    sim: Callable[[np.ndarray, Subspace], np.ndarray] | None = None,
+    karcher_tol: float = DEFAULT_KARCHER_TOL,
+    karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
+) -> list[FisherReport]:
+    """Between/within separability of each `(classes, mode)` task, in task
+    order: one mode's class-grouped subspaces, each class a sequence of
+    `Subspace`s or an (N, d, k) stack of bases.
+
+    `sim` is the subspace dissimilarity, defaulting to the geodesic distance.
+    It takes an (N, d, k) stack of bases and one subspace and returns one
+    value per basis. It enters the between and within sums only, so
+    rescaling it leaves the score unchanged.
+
+    One `karcher_means` call yields every class mean of every task and a
+    second one every grand mean over a task's class means. Each mean equals
+    its set's solo run, so each report equals the one its task gets alone.
+    """
+    if sim is None:
+        sim = geodesic_distance
+    tasks = [([basis_stack(c) for c in classes], mode) for classes, mode in tasks]
+    for classes, _ in tasks:
+        if len(classes) < 2:
+            raise DimensionError(f"need at least 2 classes, got {len(classes)}")
+    flat = iter(
+        karcher_means([c for classes, _ in tasks for c in classes], karcher_tol, karcher_max_iter)
+    )
+    class_means = [list(itertools.islice(flat, len(classes))) for classes, _ in tasks]
+    mean_stacks = [basis_stack(means) for means in class_means]
+    grand_means = karcher_means(mean_stacks, karcher_tol, karcher_max_iter)
+    reports = []
+    for (classes, mode), means, stack, grand_mean in zip(
+        tasks, class_means, mean_stacks, grand_means
+    ):
+        # left-to-right Python sums: numpy's pairwise summation rounds differently
+        between = sum(sim(stack, grand_mean).tolist()) / len(classes)
+        spreads = [sim(c, kj) for c, kj in zip(classes, means)]
+        within = sum(np.concatenate(spreads).tolist()) / sum(len(c) for c in classes)
+        score, flag = separability_ratio(between, within)
+        reports.append(FisherReport(mode, between, within, score, flag))
+    return reports
+
+
 def fisher_mode(
     subspaces_by_class: Sequence,
     mode: int = 0,
@@ -178,29 +223,8 @@ def fisher_mode(
     karcher_tol: float = DEFAULT_KARCHER_TOL,
     karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> FisherReport:
-    """Between/within separability of one mode's class-grouped subspaces,
-    each class a sequence of `Subspace`s or an (N, d, k) stack of bases.
-
-    `sim` is the subspace dissimilarity, defaulting to the geodesic distance.
-    It takes an (N, d, k) stack of bases and one subspace and returns one
-    value per basis. It enters the between and within sums only, so
-    rescaling it leaves the score unchanged.
-    """
-    if sim is None:
-        sim = geodesic_distance
-    classes = [basis_stack(c) for c in subspaces_by_class]
-    if len(classes) < 2:
-        raise DimensionError(f"need at least 2 classes, got {len(classes)}")
-
-    class_means = karcher_means(classes, karcher_tol, karcher_max_iter)
-    means = basis_stack(class_means)
-    (grand_mean,) = karcher_means([means], karcher_tol, karcher_max_iter)
-    # left-to-right Python sums: numpy's pairwise summation rounds differently
-    between = sum(sim(means, grand_mean).tolist()) / len(classes)
-    spreads = [sim(c, kj) for c, kj in zip(classes, class_means)]
-    within = sum(np.concatenate(spreads).tolist()) / sum(len(c) for c in classes)
-    score, flag = separability_ratio(between, within)
-    return FisherReport(mode, between, within, score, flag)
+    """The `fisher_modes` report of one mode's class-grouped subspaces."""
+    return fisher_modes([(subspaces_by_class, mode)], sim, karcher_tol, karcher_max_iter)[0]
 
 
 def nmode_fisher(reports: Sequence[FisherReport]) -> NModeFisher:

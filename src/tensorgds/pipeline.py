@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .fisher import FisherReport, NModeFisher, fisher_mode, karcher_means, nmode_fisher
+from .fisher import FisherReport, NModeFisher, fisher_modes, karcher_means, nmode_fisher
 from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
 from .subspace import (
@@ -210,10 +210,10 @@ def _class_members(labels, class_ids) -> list[list[int]]:
     return [[i for i, label in enumerate(labels) if label == cid] for cid in class_ids]
 
 
-def _score_band(band: GdsBasis, stack: np.ndarray, members, config: PipelineConfig):
-    """The band, its report and its (N, w, k) stack of projected training
-    bases, or None when some basis is orthogonal to the band, the band
-    narrows some basis, or the score is degenerate."""
+def _project_band(band: GdsBasis, stack: np.ndarray) -> np.ndarray | None:
+    """The (N, w, k) stack of the training bases projected onto the band, or
+    None when some basis is orthogonal to the band or the band narrows some
+    basis."""
     try:
         parts = project_onto_gds(band, stack)
     except DegeneracyError:
@@ -221,14 +221,30 @@ def _score_band(band: GdsBasis, stack: np.ndarray, members, config: PipelineConf
     # a basis the band narrowed leaves no common stack to average
     if len({b.shape for b in parts}) > 1:
         return None
-    proj = np.stack(parts)
-    report = fisher_mode(
-        [proj[idx] for idx in members],
-        mode=band.mode,
-        karcher_tol=config.karcher_tol,
-        karcher_max_iter=config.karcher_max_iter,
+    return np.stack(parts)
+
+
+def _score_bands(candidates, members, config: PipelineConfig) -> list:
+    """Per `(band, projected stack)` candidate, the entry `(band, report,
+    projected stack)`, or None when the projection failed or the score is
+    degenerate. Every projected candidate is scored in one `fisher_modes`
+    call; its class stacks are released when this returns."""
+    tasks = [
+        ([proj[idx] for idx in members], band.mode)
+        for band, proj in candidates
+        if proj is not None
+    ]
+    reports = iter(
+        fisher_modes(
+            tasks, karcher_tol=config.karcher_tol, karcher_max_iter=config.karcher_max_iter
+        )
     )
-    return None if report.flag is not None else (band, report, proj)
+    entries = []
+    for band, proj in candidates:
+        report = None if proj is None else next(reports)
+        usable = report is not None and report.flag is None
+        entries.append((band, report, proj) if usable else None)
+    return entries
 
 
 def optimize_gds_dims(
@@ -242,7 +258,8 @@ def optimize_gds_dims(
 
     `grams` holds each mode's full band (`mode_gram`), `stacks` per mode the
     (N, d, k) stack of the training bases, in the order of `labels`. Every
-    candidate band is scored once, every mode's full band first; those whose
+    candidate band is projected, then scored once in one of two batches:
+    every mode's full band first, then every other candidate. Those whose
     projection collapses, leaves bases of unequal width or whose score is
     degenerate are skipped. Coordinate ascent then sweeps one mode's scored
     candidates at a time while the other modes stay at their current best,
@@ -268,24 +285,30 @@ def optimize_gds_dims(
                 f"mode {gram.mode}: {len(stack)} training bases for {len(labels)} labels"
             )
 
-    scored = [[_score_band(g, s, members, config)] for g, s in zip(grams, stacks)]
-    if any(c[0] is None for c in scored):
-        raise DegeneracyError(
-            "separability is degenerate at the full eigenvector band; "
-            "the classes cannot be told apart"
-        )
-    # per mode, the usable candidates in candidate order, full band first
-    for gram, stack, candidates in zip(grams, stacks, scored):
+    # per mode, every candidate band with its projected stack, in candidate
+    # order, full band first
+    candidates = []
+    for gram, stack in zip(grams, stacks):
         rank = gram.rank
         pairs = [
             (a, b)
             for a in range(1, min(config.gds_alpha_max, rank) + 1)
             for b in (range(rank, a - 1, -1) if config.gds_beta_search else (rank,))
         ]
-        for a, b in pairs[1:]:  # pairs[0] is the full band, scored above
-            entry = _score_band(gds_from_gram(gram, a, b), stack, members, config)
-            if entry is not None:
-                candidates.append(entry)
+        bands = [gram] + [gds_from_gram(gram, a, b) for a, b in pairs[1:]]
+        candidates.append([(band, _project_band(band, stack)) for band in bands])
+    full = _score_bands([c[0] for c in candidates], members, config)
+    if any(entry is None for entry in full):
+        raise DegeneracyError(
+            "separability is degenerate at the full eigenvector band; "
+            "the classes cannot be told apart"
+        )
+    rest = iter(_score_bands([c for cs in candidates for c in cs[1:]], members, config))
+    # per mode, the usable candidates in candidate order, full band first
+    scored = [
+        [entry] + [e for e in itertools.islice(rest, len(cs) - 1) if e is not None]
+        for entry, cs in zip(full, candidates)
+    ]
     chosen = [0] * len(grams)
     trace: list[dict] = []
     # A band changes only to a candidate with a higher combined score, or an
@@ -394,15 +417,11 @@ def fit(
     _check_angle_counts(config.angle_counts, modes, dims)
     members = _class_members(labels, class_ids)
 
-    raw_reports = [
-        fisher_mode(
-            [stacks[p][idx] for idx in members],
-            mode=modes[p],
-            karcher_tol=config.karcher_tol,
-            karcher_max_iter=config.karcher_max_iter,
-        )
-        for p in range(n)
-    ]
+    raw_reports = fisher_modes(
+        [([stack[idx] for idx in members], mode) for stack, mode in zip(stacks, modes)],
+        karcher_tol=config.karcher_tol,
+        karcher_max_iter=config.karcher_max_iter,
+    )
     fisher_raw = nmode_fisher(raw_reports)
     raw_angles = [_class_pair_mean_angle(c) for c in class_stacks]
 

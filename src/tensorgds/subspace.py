@@ -16,7 +16,7 @@ a direct SVD's are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -258,12 +258,14 @@ def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(evals, order, -1), evecs
 
 
-def group_by_shape(arrays: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
-    """Per shape, in order of first appearance: the indices and the stack."""
+def group_by_shape(arrays: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Per shape, in order of first appearance: the indices and the stack,
+    each stack built only when the caller reaches it."""
     groups: dict[tuple, list[int]] = {}
     for i, a in enumerate(arrays):
         groups.setdefault(a.shape, []).append(i)
-    return [(idx, np.stack([arrays[i] for i in idx])) for idx in groups.values()]
+    for idx in groups.values():
+        yield idx, np.stack([arrays[i] for i in idx])
 
 
 def fix_column_signs(vectors: np.ndarray) -> np.ndarray:

@@ -301,7 +301,14 @@ def test_model_with_rejected_setting_exits_2(dataset_dir, model_dir, tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "key, value", [("alphas", "1"), ("betas", "99,99,99"), ("class_ids", "0,1,2,3,4")]
+    "key, value",
+    [
+        ("alphas", "1"),
+        ("betas", "99,99,99"),
+        ("class_ids", "0,1,2,3,4"),
+        ("dims", "1,1,1"),
+        ("mode_ambients", "9,8,8"),
+    ],
 )
 def test_model_with_malformed_bands_or_labels_exits_2(
     dataset_dir, model_dir, tmp_path, capsys, key, value

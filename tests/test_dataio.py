@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,41 @@ def test_model_band_that_disagrees_with_its_references_names_both_keys(key, valu
     buf = edit_model_conf(model_to_bytes(model), set_conf_value(key, value))
     with pytest.raises(FormatError, match="CONF keys 'alphas', 'betas': mode [13]: band"):
         model_from_bytes(buf)
+
+
+@functools.cache
+def seed7_model_bytes(method):
+    """The saved model of `method` fitted on the train split of the seed-7
+    set (4 classes x 10 samples, 12^3); both methods used here keep dims
+    3,2,2 and every mode's ambient is 12."""
+    spec = bench_spec(
+        classes=4, samples_per_class=10, dims=(12, 12, 12), within_noise=0.15, seed=7
+    )
+    samples, manifest = generate_synthetic(spec)
+    train = [(s, e.label) for s, e in zip(samples, manifest.entries) if e.split == "train"]
+    return model_to_bytes(fit(*zip(*train), PipelineConfig(method=method)))
+
+
+@pytest.mark.parametrize(
+    "method, key, value, reason",
+    [
+        # a reference part wider than its mode's dims entry
+        ("nmode-wgds", "dims", "3,2,1", "mode 3: the references are 2 wide"),
+        ("pgm", "dims", "3,1,2", "mode 2: the references are 2 wide"),
+        # narrower, in a model without a band that could have narrowed it
+        ("pgm", "dims", "3,2,3", "mode 3: the references are 2 wide"),
+        ("nmode-wgds", "dims", "3,2", "need one entry for each of the 3 modes"),
+        ("nmode-wgds", "mode_ambients", "13,12,12", "mode 1: 12 rows in the stored spectrum"),
+        ("pgm", "mode_ambients", "12,12,11", "mode 3: 12 rows in the stored references"),
+        ("pgm", "mode_ambients", "12,12", "need one entry for each of the 3 modes"),
+    ],
+)
+def test_model_dims_and_ambients_must_match_what_is_stored(method, key, value, reason):
+    buf = seed7_model_bytes(method)
+    assert model_to_bytes(model_from_bytes(buf)) == buf
+    with pytest.raises(FormatError) as err:
+        model_from_bytes(edit_model_conf(buf, set_conf_value(key, value)))
+    assert str(err.value) == f"CONF key '{key}': bad value '{value}' ({reason})"
 
 
 def test_legacy_exhaustive_model_matches_the_coordinate_model():

@@ -11,6 +11,7 @@ from tensorgds import (
     KarcherConvergenceWarning,
     Subspace,
     fisher_mode,
+    fisher_modes,
     geodesic_distance,
     karcher_means,
     nmode_fisher,
@@ -442,6 +443,40 @@ def test_stacks_and_subspace_sequences_give_bit_identical_results(seed, sizes, d
         from_stacks, from_sequences = karcher_means(stacks), karcher_means(sequences)
     for a, b in zip(from_stacks, from_sequences, strict=True):
         assert np.array_equal(a.basis, b.basis)
+
+
+@st.composite
+def fisher_tasks(draw):
+    """1 to 4 (classes, mode) tasks: 2 or 3 classes each of 1 to 5 random
+    (d, k) bases, d in 11..16 and k 2 or 3, with the tasks' shapes drawn
+    from a pool of at most 3 so that some tasks share a stack shape."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = st.tuples(st.integers(11, 16), st.sampled_from([2, 3]))
+    pool = draw(st.lists(shape, min_size=1, max_size=3))
+    tasks = []
+    for mode in range(1, draw(st.integers(1, 4)) + 1):
+        d, k = draw(st.sampled_from(pool))
+        sizes = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+        classes = [np.stack([random_orthonormal(rng, d, k) for _ in range(n)]) for n in sizes]
+        tasks.append((classes, mode))
+    return tasks
+
+
+@settings(max_examples=30, deadline=None)
+@given(tasks=fisher_tasks(), max_iter=st.sampled_from([2, 5, 100]))
+def test_fisher_modes_match_per_task_fisher_mode_bitwise(tasks, max_iter):
+    # one batch of class means and one of grand means give every task the
+    # report, and the warnings, of its own call
+    with warnings.catch_warnings(record=True) as batched:
+        warnings.simplefilter("always", KarcherConvergenceWarning)
+        reports = fisher_modes(tasks, karcher_max_iter=max_iter)
+    with warnings.catch_warnings(record=True) as solo:
+        warnings.simplefilter("always", KarcherConvergenceWarning)
+        expected = [fisher_mode(c, mode=m, karcher_max_iter=max_iter) for c, m in tasks]
+    # repr compares every float to the last bit and lets a nan match itself
+    assert [repr(r) for r in reports] == [repr(r) for r in expected]
+    assert len(batched) == len(solo)
+    assert all(issubclass(w.category, KarcherConvergenceWarning) for w in batched)
 
 
 def pair_correlations(a, b):

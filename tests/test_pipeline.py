@@ -31,7 +31,7 @@ from tensorgds import (
     transform,
     unfold,
 )
-from tensorgds import pipeline
+from tensorgds import fisher, pipeline
 from tensorgds.dataio import SynthSpec, generate_synthetic
 from tensorgds.pipeline import CHOICES, SETTINGS, _fit_mode
 from conftest import random_tensor
@@ -354,15 +354,36 @@ def test_band_search_builds_no_subspace_per_sample(monkeypatch):
     config = PipelineConfig(method="nmode-wgds")
     model = fit(tr_s, tr_l, config)
     grams, stacks, labels = fit_search_inputs(tr_s, tr_l, model)
-    built, scored = [], []
-    post_init, score = Subspace.__post_init__, pipeline.fisher_mode
+    built, batches = [], []
+    post_init, score = Subspace.__post_init__, pipeline.fisher_modes
+
+    def record(tasks, **kwargs):
+        batches.append(len(tasks))
+        return score(tasks, **kwargs)
+
     monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
-    monkeypatch.setattr(pipeline, "fisher_mode", lambda *a, **k: scored.append(1) or score(*a, **k))
+    monkeypatch.setattr(pipeline, "fisher_modes", record)
     optimize_gds_dims(grams, stacks, labels, config)
-    # each candidate band is scored once
-    assert len(scored) == sum(min(config.gds_alpha_max, g.rank) for g in grams)
-    assert len(built) == len(scored) * (len(model.class_ids) + 1)
-    assert len(built) / len(scored) < len(labels)
+    # two batches, the full bands and then the rest; each candidate band is
+    # scored once
+    assert batches[0] == len(grams) and len(batches) == 2
+    scored = sum(batches)
+    assert scored == sum(min(config.gds_alpha_max, g.rank) for g in grams)
+    assert len(built) == scored * (len(model.class_ids) + 1)
+    assert len(built) / scored < len(labels)
+
+
+def test_fit_takes_six_karcher_passes(monkeypatch):
+    # the raw reports, the full bands and the other candidates are each one
+    # batch of class means and one batch of grand means
+    tr_s, tr_l, _, _ = benchmark_split()
+    means, calls = fisher.karcher_means, []
+    monkeypatch.setattr(fisher, "karcher_means", lambda *a: calls.append(1) or means(*a))
+    fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds"))
+    assert len(calls) == 6
+    calls.clear()
+    fit(tr_s, tr_l, PipelineConfig(method="pgm"))
+    assert len(calls) == 2
 
 
 # --- fit ------------------------------------------------------------------
@@ -470,7 +491,7 @@ def test_fit_mode_factors_each_unfolding_once(monkeypatch, rng):
 def test_fit_rejects_angle_counts_the_references_cannot_serve(counts, monkeypatch):
     tr_s, tr_l, _, _ = benchmark_split()
     # rejected against the mode dimensions, before any scoring or search
-    monkeypatch.setattr(pipeline, "fisher_mode", lambda *a, **k: pytest.fail("scored"))
+    monkeypatch.setattr(pipeline, "fisher_modes", lambda *a, **k: pytest.fail("scored"))
     with pytest.raises(DimensionError, match="angle_counts"):
         fit(tr_s, tr_l, PipelineConfig(method="pgm", angle_counts=counts))
 
