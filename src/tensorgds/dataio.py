@@ -430,11 +430,17 @@ def _fisher_conf(prefix: str, nf: NModeFisher, lines: list[str]) -> None:
     )
 
 
-def _fisher_from_conf(prefix: str, conf: NamedValues) -> NModeFisher:
-    modes = conf.parse(f"{prefix}_modes", int, many=True)
+def _fisher_from_conf(prefix: str, conf: NamedValues, modes) -> NModeFisher:
+    """The reports stored under `prefix`: one entry per model mode in each
+    list, in the model's mode order."""
+    if conf.parse(f"{prefix}_modes", int, many=True) != modes:
+        raise conf.bad(f"{prefix}_modes", f"need the model's modes {_fmt_tuple(modes)}")
     between = conf.parse(f"{prefix}_between", float, many=True)
     within = conf.parse(f"{prefix}_within", float, many=True)
     flags = [None if x == "-" else x for x in conf[f"{prefix}_flags"].split(",")]
+    for key, values in (("between", between), ("within", within), ("flags", flags)):
+        if len(values) != len(modes):
+            raise conf.bad(f"{prefix}_{key}", f"{len(values)} entries for {len(modes)} modes")
     reports = []
     for mode, b, w, fl in zip(modes, between, within, flags):
         score, _ = separability_ratio(b, w)
@@ -465,11 +471,14 @@ def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[G
     return tuple(gds)
 
 
-def _check_mode_shapes(conf: NamedValues, modes, dims, mode_ambients, gds, parts) -> None:
+def _check_mode_shapes(
+    conf: NamedValues, modes, dims, mode_ambients, data_dims, gds, parts
+) -> None:
     """Each mode's `dims` and `mode_ambients` entry against what is stored:
     the ambient is the row count of the mode's spectrum, or of its
-    references in a model without bands; a reference is at most `dims`
-    wide, and exactly that wide when no band can have narrowed it."""
+    references in a model without bands; the references of a mode share one
+    width, at most `dims`, and exactly that when no band can have narrowed
+    it. `data_dims`, when recorded, gives each mode its ambient extent."""
     for key, values in (("dims", dims), ("mode_ambients", mode_ambients)):
         if values is None or len(values) != len(modes):
             raise conf.bad(key, f"need one entry for each of the {len(modes)} modes")
@@ -481,8 +490,18 @@ def _check_mode_shapes(conf: NamedValues, modes, dims, mode_ambients, gds, parts
             reason = f"mode {mode}: {rows.pop()} rows in the stored {stored}"
             raise conf.bad("mode_ambients", reason)
         widths = {w for _, w in shapes}
+        if len(widths) > 1:
+            reason = f"mode {mode}: the references are {min(widths)} to {max(widths)} wide"
+            raise conf.bad("dims", reason)
         if any(w > dims[p] for w in widths) or (gds is None and widths - {dims[p]}):
             raise conf.bad("dims", f"mode {mode}: the references are {max(widths)} wide")
+    if data_dims is None:
+        return
+    if len(data_dims) < max(modes):
+        raise conf.bad("data_dims", f"{len(data_dims)} extents for mode {max(modes)}")
+    for mode, ambient in zip(modes, mode_ambients):
+        if data_dims[mode - 1] != ambient:
+            raise conf.bad("data_dims", f"mode {mode}: mode_ambients gives {ambient}")
 
 
 def model_to_bytes(model: TrainedModel) -> bytes:
@@ -580,6 +599,8 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
             raise conf.bad(s.model_key, str(exc)) from exc
     config = PipelineConfig(**values)
     modes, dims = config.modes_used, config.per_mode_dims
+    if modes is None:
+        raise conf.bad("modes", "a model names the modes it uses")
     gds = _bands_from_conf(conf, matrices, modes) if conf["has_gds"] == "true" else None
     labels = conf.parse("labels", int, many=True) if conf["labels"] else ()
     n_refs = conf.parse("n_refs", int)
@@ -599,7 +620,8 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
     if class_ids != tuple(sorted(set(labels))):
         raise conf.bad("class_ids", "not the sorted set of the reference labels")
     mode_ambients = conf.parse("mode_ambients", int, many=True)
-    _check_mode_shapes(conf, modes, dims, mode_ambients, gds, parts)
+    data_dims = None if conf["data_dims"] == "none" else conf.parse("data_dims", int, many=True)
+    _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts)
     references = [ProductPoint(ref, label=label) for ref, label in zip(parts, labels)]
     raw_angles = conf.parse("angle_diag_raw", float, many=True)
     if conf["angle_diag_projected"] == "none":
@@ -612,17 +634,13 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
         modes=modes,
         dims=dims,
         mode_ambients=mode_ambients,
-        data_dims=(
-            None
-            if conf["data_dims"] == "none"
-            else conf.parse("data_dims", int, many=True)
-        ),
+        data_dims=data_dims,
         class_ids=class_ids,
         gds=gds,
         weights=WeightVector(matrices["weights"].ravel()),
         references=tuple(references),
-        fisher_raw=_fisher_from_conf("fisher_raw", conf),
-        fisher=_fisher_from_conf("fisher", conf),
+        fisher_raw=_fisher_from_conf("fisher_raw", conf, modes),
+        fisher=_fisher_from_conf("fisher", conf, modes),
         angle_diag=angle_diag,
     )
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .subspace import Subspace, canonical_correlations, group_by_shape
+from .subspace import Subspace, canonical_correlations
 
 @dataclass(frozen=True)
 class ProductPoint:
@@ -33,6 +33,10 @@ class ProductPoint:
     @property
     def mode_count(self) -> int:
         return len(self.parts)
+
+    @property
+    def bases(self) -> tuple[np.ndarray, ...]:
+        return tuple(p.basis for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,32 @@ def mode_weights(scores: Sequence[float]) -> WeightVector:
     return WeightVector(arr / total)
 
 
+def point_stacks(points: Sequence[ProductPoint]) -> tuple[np.ndarray, ...]:
+    """Per mode, the (N, d, k) stack of the bases of `points`, in order; the
+    points must share one mode count and, per mode, one basis shape."""
+    if len({pt.mode_count for pt in points}) > 1:
+        raise DimensionError("points differ in mode count")
+    stacks = []
+    for i, bases in enumerate(zip(*(pt.bases for pt in points))):
+        shapes = sorted({b.shape for b in bases})
+        if len(shapes) > 1:
+            raise DimensionError(f"part {i + 1}: bases of shapes {shapes} do not stack")
+        stacks.append(np.stack(bases))
+    return tuple(stacks)
+
+
 def weighted_geodesics(
-    query: ProductPoint,
-    points: Sequence[ProductPoint],
+    left: Sequence[np.ndarray],
+    right: Sequence[np.ndarray],
     weights: WeightVector,
     angle_counts: Sequence[int] | None = None,
     full_spectrum: bool = False,
 ) -> np.ndarray:
-    """Weighted distance from `query` to each of `points`.
+    """Weighted distances between the points of `left` and `right`, which
+    hold per mode a (d, k) basis or an (N, d, k) stack of bases; the stacks
+    broadcast, so one basis against N bases gives N distances and two
+    N-stacks give N pairs. Each mode takes one SVD of its basis cross
+    products.
 
     Per mode, the contribution is the mean of the first `angle_counts[i]`
     canonical angles (or all available angles when no counts are given),
@@ -83,9 +105,9 @@ def weighted_geodesics(
     contributions. With `full_spectrum` the per-mode value is the root sum of
     squared angles instead of their mean.
     """
-    n = query.mode_count
-    if any(b.mode_count != n for b in points):
-        raise DimensionError(f"mode counts differ from the query's {n}")
+    n = len(left)
+    if len(right) != n:
+        raise DimensionError(f"mode counts differ: {n} vs {len(right)}")
     if weights.weights.size != n:
         raise DimensionError(
             f"weight count {weights.weights.size} does not match {n} modes"
@@ -94,16 +116,13 @@ def weighted_geodesics(
         raise DimensionError(
             f"angle count vector has {len(angle_counts)} entries for {n} modes"
         )
-    terms = np.empty((len(points), n))
-    for i in range(n):
+    terms = np.empty(np.broadcast_shapes(*(np.shape(b)[:-2] for b in (*left, *right))) + (n,))
+    for i, (p, q) in enumerate(zip(left, right)):
         count = None if angle_counts is None else int(angle_counts[i])
-        # One stack per basis shape: projection can leave a part narrower
-        # than the rest, and padding it would change the SVD input.
-        for idx, stack in group_by_shape([b.parts[i].basis for b in points]):
-            angles = np.arccos(canonical_correlations(query.parts[i], stack, count))
-            if full_spectrum:
-                values = np.sqrt(np.sum(angles * angles, axis=1))
-            else:
-                values = np.mean(angles, axis=1)
-            terms[idx, i] = weights.weights[i] * values
-    return np.sqrt(np.sum(terms * terms, axis=1))
+        angles = np.arccos(canonical_correlations(p, q, count))
+        if full_spectrum:
+            values = np.sqrt(np.sum(angles * angles, axis=-1))
+        else:
+            values = np.mean(angles, axis=-1)
+        terms[..., i] = weights.weights[i] * values
+    return np.sqrt(np.sum(terms * terms, axis=-1))

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegeneracyError, DimensionError
 from .fisher import FisherReport, NModeFisher, fisher_modes, karcher_means, nmode_fisher
 from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
-from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
+from .manifold import ProductPoint, WeightVector, mode_weights, point_stacks, weighted_geodesics
 from .subspace import (
     SingularSpectrum,
     Subspace,
@@ -45,6 +45,9 @@ CHOICES = {
     "classifier": ("nn", "class-karcher"),
 }
 GDS_METHODS = frozenset({"gds", "nmode-gds", "nmode-wgds"})
+# Pairs that `pairwise_distances` gathers into one stack per mode: it bounds
+# the memory of the gathered bases, not the result.
+PAIR_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -181,7 +184,15 @@ class TrainedModel:
     fisher: NModeFisher
     angle_diag: tuple[tuple[float, float | None], ...]
     search_trace: tuple = ()
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # derived from `references` once per model: per mode the (R, d, k)
+    # stack of their bases, and their labels in the same order
+    reference_stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    reference_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.reference_stacks = point_stacks(self.references)
+        self.reference_labels = np.array([r.label for r in self.references], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -496,62 +507,93 @@ def transform(model: TrainedModel, sample: DenseTensor) -> ProductPoint:
     return ProductPoint(tuple(parts))
 
 
-def point_distances(
-    model: TrainedModel, query: ProductPoint, points: Sequence[ProductPoint]
-) -> np.ndarray:
-    """Distance from `query` to each of `points` in the model's metric."""
+def _distances(model: TrainedModel, left, right) -> np.ndarray:
+    """`weighted_geodesics` of per-mode bases or stacks in the model's metric."""
     return weighted_geodesics(
-        query,
-        points,
+        left,
+        right,
         model.weights,
         angle_counts=model.config.angle_counts,
         full_spectrum=model.config.full_spectrum,
     )
 
 
+def _shape_groups(points: Sequence[ProductPoint]):
+    """Per tuple of part shapes, in order of first appearance: the indices of
+    the points that have it and their per-mode stacks. Projection can leave a
+    part narrower than the rest, and padding it would change the SVD input."""
+    groups: dict[tuple, list[int]] = {}
+    for i, pt in enumerate(points):
+        groups.setdefault(tuple(b.shape for b in pt.bases), []).append(i)
+    return [(np.array(idx), point_stacks([points[i] for i in idx])) for idx in groups.values()]
+
+
+def point_distances(
+    model: TrainedModel, query: ProductPoint, points: Sequence[ProductPoint]
+) -> np.ndarray:
+    """Distance from `query` to each of `points` in the model's metric."""
+    out = np.empty(len(points))
+    for idx, stacks in _shape_groups(points):
+        out[idx] = _distances(model, query.bases, stacks)
+    return out
+
+
 def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> np.ndarray:
-    """Symmetric distance matrix with an exactly zero diagonal: each row is
-    computed against the later points only and mirrored."""
+    """Symmetric distance matrix with an exactly zero diagonal: the distance
+    of each pair i < j, the earlier point as the left operand, mirrored.
+
+    The pairs of each (row shape, column shape) group are gathered PAIR_BLOCK
+    at a time into per-mode stacks, so a block takes one SVD per mode and
+    the gathered bases stay a few megabytes however many points there are.
+    """
     pts = list(points)
+    groups = _shape_groups(pts)
+    group, place = np.empty((2, len(pts)), dtype=np.intp)
+    for g, (idx, _) in enumerate(groups):
+        group[idx], place[idx] = g, np.arange(len(idx))
+    rows, cols = np.triu_indices(len(pts), k=1)
     upper = np.zeros((len(pts), len(pts)))
-    for i in range(len(pts) - 1):
-        upper[i, i + 1 :] = point_distances(model, pts[i], pts[i + 1 :])
+    for (g, (_, left)), (h, (_, right)) in itertools.product(enumerate(groups), repeat=2):
+        pairs = np.flatnonzero((group[rows] == g) & (group[cols] == h))
+        for start in range(0, len(pairs), PAIR_BLOCK):
+            block = pairs[start : start + PAIR_BLOCK]
+            i, j = rows[block], cols[block]
+            upper[i, j] = _distances(
+                model, [s[place[i]] for s in left], [s[place[j]] for s in right]
+            )
     return upper + upper.T
 
 
-def _class_mean_points(model: TrainedModel) -> tuple[ProductPoint, ...]:
-    if "class_points" not in model._cache:
-        refs = model.references
-        members = _class_members([ref.label for ref in refs], model.class_ids)
+def _class_mean_stacks(model: TrainedModel) -> tuple[np.ndarray, ...]:
+    """Per mode, the (C, d, k) stack of the class mean points in class order,
+    computed on the first call."""
+    if "class_means" not in model._cache:
+        members = [np.flatnonzero(model.reference_labels == cid) for cid in model.class_ids]
         means = [
             karcher_means(
-                [[refs[i].parts[p] for i in idx] for idx in members],
+                [stack[idx] for idx in members],
                 tol=model.config.karcher_tol,
                 max_iter=model.config.karcher_max_iter,
             )
-            for p in range(len(model.modes))
+            for stack in model.reference_stacks
         ]
-        model._cache["class_points"] = tuple(
-            ProductPoint(parts, label=cid)
-            for cid, parts in zip(model.class_ids, zip(*means))
-        )
-    return model._cache["class_points"]
+        model._cache["class_means"] = tuple(np.stack([m.basis for m in ms]) for ms in means)
+    return model._cache["class_means"]
 
 
 def classify(model: TrainedModel, sample) -> tuple[int, np.ndarray]:
     """Label a sample: nearest reference (nn) or nearest class mean point
     (class-karcher). Returns the winning class id and the per-class minimum
     distances, ordered by class id (inf for a class without references); ties
-    go to the smallest class id."""
-    query = transform(model, sample)
+    go to the smallest class id. Both compare the query with the model's
+    per-mode stacks, one SVD per mode."""
+    query = transform(model, sample).bases
     if model.config.classifier == "nn":
-        dists = point_distances(model, query, model.references)
-        labels = np.array([ref.label for ref in model.references])
-        scores = np.array(
-            [dists[labels == cid].min(initial=np.inf) for cid in model.class_ids]
-        )
+        dists = _distances(model, query, model.reference_stacks)
+        owned = model.reference_labels == np.array(model.class_ids)[:, None]
+        scores = np.where(owned, dists, np.inf).min(axis=1, initial=np.inf)
     else:
-        scores = point_distances(model, query, _class_mean_points(model))
+        scores = _distances(model, query, _class_mean_stacks(model))
     return model.class_ids[int(np.argmin(scores))], scores
 
 

@@ -50,3 +50,22 @@ def edit_model_conf(buf: bytes, edit) -> bytes:
     text = edit(buf[18 : 18 + length].decode()).encode()
     body = buf[:10] + struct.pack("<Q", len(text)) + text + buf[18 + length : -4]
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def edit_model_matrix(buf: bytes, name: str, edit) -> bytes:
+    """Model file bytes with the matrix of the MATX section `name` passed
+    through `edit`, re-framed and given a valid checksum."""
+    from tensorgds.dataio import _matrix_from_bytes, _named_matrix
+
+    pos, sections = 6, [buf[:6]]
+    while pos < len(buf) - 4:
+        length = struct.unpack_from("<Q", buf, pos + 4)[0]
+        section = buf[pos : pos + 12 + length]
+        if section[:4] == b"MATX":
+            size = struct.unpack_from("<H", section, 12)[0]
+            if section[14 : 14 + size].decode() == name:
+                section = _named_matrix(name, edit(_matrix_from_bytes(section[14 + size :])))
+        sections.append(section)
+        pos += 12 + length
+    body = b"".join(sections)
+    return body + struct.pack("<I", zlib.crc32(body))

@@ -13,7 +13,7 @@ from tensorgds import pipeline
 from tensorgds.cli import build_parser, classical_mds, main
 from tensorgds.errors import DimensionError
 from tensorgds.pipeline import SETTINGS
-from conftest import edit_model_conf
+from conftest import edit_model_conf, edit_model_matrix
 
 
 def run_cli(*args):
@@ -308,6 +308,9 @@ def test_model_with_rejected_setting_exits_2(dataset_dir, model_dir, tmp_path, c
         ("class_ids", "0,1,2,3,4"),
         ("dims", "1,1,1"),
         ("mode_ambients", "9,8,8"),
+        ("modes", "none"),
+        ("data_dims", "9,8,8"),
+        ("fisher_modes", "1,2"),
     ],
 )
 def test_model_with_malformed_bands_or_labels_exits_2(
@@ -326,6 +329,22 @@ def test_model_with_malformed_bands_or_labels_exits_2(
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and f"CONF key '{key}': bad value" in err
+
+
+def test_model_with_references_of_mixed_width_exits_2(dataset_dir, model_dir, tmp_path, capsys):
+    def narrow(basis):
+        assert basis.shape[1] >= 2
+        return basis[:, :-1]
+
+    bad = tmp_path / "bad.nmdl"
+    bad.write_bytes(edit_model_matrix((model_dir / "model.nmdl").read_bytes(), "ref0_m1", narrow))
+    assert main([
+        "eval", "--model", str(bad), "--manifest", str(dataset_dir / "manifest.txt"),
+        "--split", "test", "--out", str(tmp_path / "eval"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "CONF key 'dims': bad value" in err
+    assert "mode 1: the references are" in err
 
 
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")

@@ -31,7 +31,7 @@ from tensorgds.dataio import (
     write_tensor,
 )
 from tensorgds.subspace import Subspace, basis_from_unfolding
-from conftest import edit_model_conf, random_tensor
+from conftest import edit_model_conf, edit_model_matrix, random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
 
@@ -376,6 +376,16 @@ def seed7_model_bytes(method):
         ("nmode-wgds", "mode_ambients", "13,12,12", "mode 1: 12 rows in the stored spectrum"),
         ("pgm", "mode_ambients", "12,12,11", "mode 3: 12 rows in the stored references"),
         ("pgm", "mode_ambients", "12,12", "need one entry for each of the 3 modes"),
+        ("nmode-wgds", "modes", "none", "a model names the modes it uses"),
+        # the tensor extents must agree with the per-mode ambients
+        ("nmode-wgds", "data_dims", "13,12,12", "mode 1: mode_ambients gives 12"),
+        ("pgm", "data_dims", "12,12", "2 extents for mode 3"),
+        # one report per model mode, in the model's mode order
+        ("nmode-wgds", "fisher_modes", "1,2", "need the model's modes 1,2,3"),
+        ("pgm", "fisher_raw_modes", "1,3,2", "need the model's modes 1,2,3"),
+        ("nmode-wgds", "fisher_between", "0.5,0.5", "2 entries for 3 modes"),
+        ("pgm", "fisher_raw_within", "0.5,0.5,0.5,0.5", "4 entries for 3 modes"),
+        ("nmode-wgds", "fisher_raw_flags", "-,-", "2 entries for 3 modes"),
     ],
 )
 def test_model_dims_and_ambients_must_match_what_is_stored(method, key, value, reason):
@@ -384,6 +394,18 @@ def test_model_dims_and_ambients_must_match_what_is_stored(method, key, value, r
     with pytest.raises(FormatError) as err:
         model_from_bytes(edit_model_conf(buf, set_conf_value(key, value)))
     assert str(err.value) == f"CONF key '{key}': bad value '{value}' ({reason})"
+
+
+def test_model_references_of_one_mode_must_share_a_width():
+    # a band may narrow a reference, but all of a mode's references stack
+    # into one array, so they must be narrowed alike
+    buf = seed7_model_bytes("nmode-wgds")
+    bad = edit_model_matrix(buf, "ref0_m1", lambda basis: basis[:, :-1])
+    with pytest.raises(FormatError) as err:
+        model_from_bytes(bad)
+    assert str(err.value) == (
+        "CONF key 'dims': bad value '3,2,2' (mode 1: the references are 2 to 3 wide)"
+    )
 
 
 def test_legacy_exhaustive_model_matches_the_coordinate_model():

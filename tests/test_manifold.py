@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from tensorgds import (
     pairwise_distances,
     principal_angles,
 )
+from tensorgds import pipeline
 from tensorgds.fisher import FisherReport
 from tensorgds.manifold import weighted_geodesics
 from tensorgds.pipeline import point_distances
@@ -81,20 +83,20 @@ def test_weighted_geodesic_zero_for_identical(rng):
     parts = tuple(random_subspace(rng, 5, 2) for _ in range(3))
     p = ProductPoint(parts)
     w = WeightVector(np.ones(3))
-    assert weighted_geodesics(p, [p], w)[0] == 0.0
+    assert weighted_geodesics(p.bases, p.bases, w) == 0.0
 
 
 def test_weighted_geodesic_three_orthogonal_modes():
     a, b = orthogonal_pair_point(3)
     w = WeightVector(np.full(3, 1.0 / 3.0))
-    rho = weighted_geodesics(a, [b], w)[0]
+    rho = weighted_geodesics(a.bases, b.bases, w)
     assert abs(rho - math.pi / (2 * math.sqrt(3))) <= 1e-12
 
 
 def test_weighted_geodesic_unit_weights_plain_product_distance():
     a, b = orthogonal_pair_point(3)
     w = WeightVector(np.ones(3))
-    rho = weighted_geodesics(a, [b], w)[0]
+    rho = weighted_geodesics(a.bases, b.bases, w)
     assert abs(rho - math.sqrt(3) * (math.pi / 2)) <= 1e-12
 
 
@@ -102,9 +104,9 @@ def test_single_mode_reduces_to_mean_angle_exactly():
     a = ProductPoint((line(10.0),))
     b = ProductPoint((line(62.0),))
     w = WeightVector(np.array([1.0]))
-    assert weighted_geodesics(a, [b], w)[0] == mean_canonical_angle(a.parts[0], b.parts[0])
+    assert weighted_geodesics(a.bases, b.bases, w) == mean_canonical_angle(a.parts[0], b.parts[0])
     w2 = WeightVector(np.array([0.37]))
-    assert weighted_geodesics(a, [b], w2)[0] == 0.37 * mean_canonical_angle(
+    assert weighted_geodesics(a.bases, b.bases, w2) == 0.37 * mean_canonical_angle(
         a.parts[0], b.parts[0]
     )
 
@@ -113,7 +115,8 @@ def test_weighted_geodesic_symmetry(rng):
     a = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     b = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     w = WeightVector(np.array([0.3, 0.7]))
-    assert abs(weighted_geodesics(a, [b], w)[0] - weighted_geodesics(b, [a], w)[0]) <= 1e-12
+    ab = weighted_geodesics(a.bases, b.bases, w)
+    assert abs(ab - weighted_geodesics(b.bases, a.bases, w)) <= 1e-12
 
 
 def test_weight_scaling_preserves_rankings(rng):
@@ -123,8 +126,8 @@ def test_weight_scaling_preserves_rankings(rng):
     ]
     w = WeightVector(np.array([0.2, 0.5, 0.3]))
     w_scaled = WeightVector(4.5 * np.asarray(w.weights))
-    d1 = np.array([[weighted_geodesics(a, [b], w)[0] for b in pts] for a in pts])
-    d2 = np.array([[weighted_geodesics(a, [b], w_scaled)[0] for b in pts] for a in pts])
+    d1 = np.array([[weighted_geodesics(a.bases, b.bases, w) for b in pts] for a in pts])
+    d2 = np.array([[weighted_geodesics(a.bases, b.bases, w_scaled) for b in pts] for a in pts])
     assert np.allclose(d2, 4.5 * d1, rtol=1e-12, atol=1e-12)
     for i in range(len(pts)):
         assert np.array_equal(np.argsort(d1[i]), np.argsort(d2[i]))
@@ -134,8 +137,8 @@ def test_full_spectrum_variant(rng):
     a = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     b = ProductPoint(tuple(random_subspace(rng, 6, 2) for _ in range(2)))
     w = WeightVector(np.ones(2))
-    mean_rho = weighted_geodesics(a, [b], w)[0]
-    full_rho = weighted_geodesics(a, [b], w, full_spectrum=True)[0]
+    mean_rho = weighted_geodesics(a.bases, b.bases, w)
+    full_rho = weighted_geodesics(a.bases, b.bases, w, full_spectrum=True)
     assert full_rho >= mean_rho - 1e-12  # root-sum-square dominates the mean
 
 
@@ -144,12 +147,12 @@ def test_weighted_geodesic_contract_errors(rng):
     b = ProductPoint((random_subspace(rng, 5, 2),))
     w = WeightVector(np.ones(2))
     with pytest.raises(DimensionError):
-        weighted_geodesics(a, [b], w)[0]
+        weighted_geodesics(a.bases, b.bases, w)
     b2 = ProductPoint(tuple(random_subspace(rng, 5, 2) for _ in range(2)))
     with pytest.raises(DimensionError):
-        weighted_geodesics(a, [b2], WeightVector(np.ones(3)))[0]
+        weighted_geodesics(a.bases, b2.bases, WeightVector(np.ones(3)))
     with pytest.raises(DimensionError):
-        weighted_geodesics(a, [b2], w, angle_counts=(3, 1))[0]  # exceeds dims
+        weighted_geodesics(a.bases, b2.bases, w, angle_counts=(3, 1))  # exceeds dims
 
 
 def per_pair_distance(a, b, weights, angle_counts=None, full_spectrum=False):
@@ -184,6 +187,29 @@ def mixed_width_points(rng, n_modes, n_points, ambient=6):
     return query, [point(w) for w in widths] + [query]
 
 
+def metric_model(n_modes, weights, angle_counts=None, full_spectrum=False):
+    """A model that holds only a metric: weights, angle counts and spectrum
+    rule over `n_modes` modes of ambient 6, with no references."""
+    report = nmode_fisher([FisherReport(mode=1, between=1.0, within=1.0, score=1.0)])
+    config = PipelineConfig(
+        method="pgm", angle_counts=angle_counts, full_spectrum=full_spectrum
+    )
+    return TrainedModel(
+        config=config,
+        modes=tuple(range(1, n_modes + 1)),
+        dims=(2,) * n_modes,
+        mode_ambients=(6,) * n_modes,
+        data_dims=None,
+        class_ids=(0,),
+        gds=None,
+        weights=weights,
+        references=(),
+        fisher_raw=report,
+        fisher=report,
+        angle_diag=((0.0, None),) * n_modes,
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -199,12 +225,13 @@ def test_batched_distances_equal_the_per_pair_definition(
     query, points = mixed_width_points(rng, n_modes, n_points)
     weights = WeightVector(rng.uniform(0.1, 1.0, size=n_modes))
     counts = (1,) + (2,) * (n_modes - 1) if counted else None
-    batched = weighted_geodesics(query, points, weights, counts, full_spectrum)
+    model = metric_model(n_modes, weights, counts, full_spectrum)
+    batched = point_distances(model, query, points)
     assert batched.shape == (len(points),)
     for j, b in enumerate(points):
         want = per_pair_distance(query, b, weights, counts, full_spectrum)
         assert batched[j] == want
-        assert weighted_geodesics(query, [b], weights, counts, full_spectrum)[0] == want
+        assert weighted_geodesics(query.bases, b.bases, weights, counts, full_spectrum) == want
     assert batched[-1] == 0.0
 
 
@@ -214,22 +241,8 @@ def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(seed, n_modes, 
     rng = np.random.default_rng(seed)
     query, points = mixed_width_points(rng, n_modes, 6)
     points.append(query)  # a repeated point: an exactly zero off-diagonal pair
-    report = nmode_fisher([FisherReport(mode=1, between=1.0, within=1.0, score=1.0)])
-    config = PipelineConfig(method="pgm", full_spectrum=full)
-    model = TrainedModel(
-        config=config,
-        modes=tuple(range(1, n_modes + 1)),
-        dims=(2,) * n_modes,
-        mode_ambients=(6,) * n_modes,
-        data_dims=None,
-        class_ids=(0,),
-        gds=None,
-        weights=WeightVector(rng.uniform(0.1, 1.0, size=n_modes)),
-        references=(),
-        fisher_raw=report,
-        fisher=report,
-        angle_diag=((0.0, None),) * n_modes,
-    )
+    weights = WeightVector(rng.uniform(0.1, 1.0, size=n_modes))
+    model = metric_model(n_modes, weights, full_spectrum=full)
     d = pairwise_distances(model, points)
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
@@ -237,3 +250,35 @@ def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(seed, n_modes, 
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             assert d[i, j] == point_distances(model, points[i], [points[j]])[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_modes=st.sampled_from([1, 3]),
+    n_points=st.integers(0, 12),
+    block=st.sampled_from([1, 3, pipeline.PAIR_BLOCK]),
+    counted=st.booleans(),
+    full=st.booleans(),
+)
+def test_pairwise_distances_equal_a_row_by_row_loop(
+    seed, n_modes, n_points, block, counted, full
+):
+    # the pairs are gathered by the shapes of both points and cut into
+    # blocks; each must still see the SVD input of its row's query
+    rng = np.random.default_rng(seed)
+    query, points = mixed_width_points(rng, n_modes, n_points)
+    points.insert(0, query)  # the widest point first, then narrower ones
+    weights = WeightVector(rng.uniform(0.1, 1.0, size=n_modes))
+    counts = (1,) * n_modes if counted else None
+    model = metric_model(n_modes, weights, counts, full)
+    with mock.patch.object(pipeline, "PAIR_BLOCK", block):
+        d = pairwise_distances(model, points)
+    n = len(points)
+    upper = np.zeros((n, n))
+    for i in range(n - 1):
+        upper[i, i + 1 :] = point_distances(model, points[i], points[i + 1 :])
+    assert d.tobytes() == (upper + upper.T).tobytes()
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert d[0, -1] == 0.0  # the query and its repeat

@@ -555,6 +555,49 @@ def test_classify_nearer_class_wins(rng):
     assert scores[0] < scores[1] / 3.0
 
 
+@pytest.mark.parametrize("method", ["pgm", "nmode-wgds"])
+def test_classify_equals_a_per_reference_loop_of_mean_angles(method):
+    # the model's per-mode stacks must give each reference the distance
+    # that its own parts give, one mode and one pair at a time
+    tr_s, tr_l, te_s, _ = benchmark_split()
+    model = fit(tr_s, tr_l, PipelineConfig(method=method))
+    w = model.weights.weights
+    for t in te_s[:6]:
+        pred, scores = classify(model, t)
+        query = transform(model, t)
+        dists = []
+        for ref in model.references:
+            terms = np.array(
+                [wi * mean_canonical_angle(q, r) for wi, q, r in zip(w, query.parts, ref.parts)]
+            )
+            dists.append((ref.label, float(np.sqrt(np.sum(terms * terms)))))
+        want = [min(d for label, d in dists if label == cid) for cid in model.class_ids]
+        assert scores.tolist() == want
+        assert pred == model.class_ids[int(np.argmin(want))]
+
+
+@pytest.mark.parametrize("classifier", ["nn", "class-karcher"])
+def test_classify_builds_no_reference_stack_after_the_first_query(classifier, monkeypatch):
+    tr_s, tr_l, te_s, _ = benchmark_split()
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds", classifier=classifier))
+    first = classify(model, te_s[0])
+    calls = []
+
+    def counted(fn):
+        return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
+
+    from tensorgds import subspace
+
+    for module in (subspace, fisher):
+        monkeypatch.setattr(module, "group_by_shape", counted(subspace.group_by_shape))
+    monkeypatch.setattr(np, "stack", counted(np.stack))
+    again = classify(model, te_s[0])
+    for t in te_s[1:4]:
+        classify(model, t)
+    assert calls == []
+    assert again[0] == first[0] and again[1].tobytes() == first[1].tobytes()
+
+
 def test_classify_tie_breaks_to_smaller_class_id():
     # queries built to be exactly equidistant: classes are mirror images and
     # the query basis is the symmetric axis
