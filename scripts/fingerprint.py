@@ -15,15 +15,18 @@ output before and after it.
 A change that is meant to move outputs by rounding only is checked with
 `--dump`, which also saves the arrays behind each hash (bands, dims,
 decisions, scores, distances, weights, search trace and warning count) to
-an .npz file, together with one unhashed array, `reference_projectors`:
-per model reference, the concatenated projectors B B^T of its parts, which
-a change that only rotates the stored bases leaves alone. `--compare`
+an .npz file, together with three unhashed arrays: `reference_projectors`,
+per model reference the concatenated projectors B B^T of its parts, which
+a change that only rotates the stored bases leaves alone, and the Karcher
+work of the run, `karcher_passes` (calls of the batched log map) and
+`karcher_set_iterations` (the sets those calls stepped, summed). `--compare`
 reads two such files, taking a configuration in `RENAMED` under its new
 name, and prints, per configuration, whether the discrete outputs match
 (error, bands, dims, both models' decisions, the search trace's bands and
-the warning count) and the largest absolute deviation of each other array,
-then one `largest:` line per such array with its largest deviation over all
-configurations and the configuration where it occurs.
+the warning count), the warning count and Karcher work of both runs, and
+the largest absolute deviation of each other array, then one `largest:`
+line per such array with its largest deviation over all configurations and
+the configuration where it occurs.
 `--compare` exits 1 when any discrete output differs.
 
 Usage, from the root of a source checkout (under a minute per run):
@@ -36,6 +39,7 @@ import argparse
 import hashlib
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from tensorgds import (
     KarcherConvergenceWarning,
     PipelineConfig,
     classify,
+    fisher,
     fit,
     pairwise_distances,
     transform,
@@ -111,6 +116,12 @@ def configurations():
 DISCRETE = (
     "error", "bands", "dims", "decisions", "reloaded_decisions", "trace_bands", "karcher_warnings"
 )
+# printed by `--compare` as both runs' values, never as a deviation
+KARCHER = {
+    "warnings": "karcher_warnings",
+    "passes": "karcher_passes",
+    "set-iterations": "karcher_set_iterations",
+}
 
 
 def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tuple[str, dict]:
@@ -134,7 +145,18 @@ def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tu
         split["train"] = kept
     digest = hashlib.sha256()
     out = {}
-    with warnings.catch_warnings(record=True) as caught:
+    work = Counter()
+    log_map = fisher._log_map
+
+    def counting(base, stack):
+        work["karcher_passes"] += 1
+        work["karcher_set_iterations"] += stack.shape[0]
+        return log_map(base, stack)
+
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        mock.patch.object(fisher, "_log_map", counting),
+    ):
         warnings.simplefilter("always", KarcherConvergenceWarning)
         try:
             model = fit(*split["train"], config)
@@ -177,6 +199,9 @@ def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tu
     unconverged = sum(issubclass(w.category, KarcherConvergenceWarning) for w in caught)
     digest.update(f"karcher_warnings={unconverged}".encode())
     out["karcher_warnings"] = np.array(unconverged)
+    # not hashed: the work to reach the same means may change
+    for key in ("karcher_passes", "karcher_set_iterations"):
+        out[key] = np.array(work[key])
     return digest.hexdigest(), out
 
 
@@ -208,9 +233,10 @@ def _grouped(npz) -> dict:
 
 def compare(path_a, path_b) -> int:
     """Print, per configuration of two `dump` files, whether the discrete
-    outputs match and the largest absolute deviation of each other array,
-    then that array's largest deviation over all configurations; 0 when
-    every discrete output matches, else 1."""
+    outputs match, both runs' Karcher warnings and work, and the largest
+    absolute deviation of each other array, then that array's largest
+    deviation over all configurations; 0 when every discrete output matches,
+    else 1."""
     with np.load(path_a) as a, np.load(path_b) as b:
         runs_a, runs_b = _grouped(a), _grouped(b)
     status = 0
@@ -225,7 +251,11 @@ def compare(path_a, path_b) -> int:
         differ = [key for key in DISCRETE if not np.array_equal(ra.get(key), rb.get(key))]
         status |= bool(differ)
         fields = ["discrete " + (f"DIFFER ({', '.join(differ)})" if differ else "match")]
-        for key in sorted(set(ra) & set(rb) - set(DISCRETE)):
+        # a dump written before the work was saved shows it as "?"
+        fields.append("karcher " + ", ".join(
+            f"{label} {ra.get(key, '?')} -> {rb.get(key, '?')}" for label, key in KARCHER.items()
+        ))
+        for key in sorted(set(ra) & set(rb) - set(DISCRETE) - set(KARCHER.values())):
             if ra[key].shape != rb[key].shape:
                 fields.append(f"{key} shape {ra[key].shape} vs {rb[key].shape}")
             elif ra[key].size:

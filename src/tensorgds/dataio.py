@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DegeneracyError, DimensionError, FormatError
 from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
 from .gds import GdsBasis, full_band, gds_from_gram
-from .manifold import ProductPoint, WeightVector
+from .manifold import ProductPoint, WeightVector, mode_weights
 from .pipeline import SETTINGS, PipelineConfig, TrainedModel
 from .subspace import Subspace, qr_positive
 from .tensor import MAX_ORDER, DenseTensor, mode_multiply
@@ -432,7 +432,8 @@ def _fisher_conf(prefix: str, nf: NModeFisher, lines: list[str]) -> None:
 
 def _fisher_from_conf(prefix: str, conf: NamedValues, modes) -> NModeFisher:
     """The reports stored under `prefix`: one entry per model mode in each
-    list, in the model's mode order."""
+    list, in the model's mode order, each flag the one its between and
+    within give ("-" for none)."""
     if conf.parse(f"{prefix}_modes", int, many=True) != modes:
         raise conf.bad(f"{prefix}_modes", f"need the model's modes {_fmt_tuple(modes)}")
     between = conf.parse(f"{prefix}_between", float, many=True)
@@ -443,9 +444,53 @@ def _fisher_from_conf(prefix: str, conf: NamedValues, modes) -> NModeFisher:
             raise conf.bad(f"{prefix}_{key}", f"{len(values)} entries for {len(modes)} modes")
     reports = []
     for mode, b, w, fl in zip(modes, between, within, flags):
-        score, _ = separability_ratio(b, w)
-        reports.append(FisherReport(mode, b, w, score, flag=fl))
+        score, flag = separability_ratio(b, w)
+        if fl != flag:
+            reason = f"mode {mode}: between {b!r} and within {w!r} give {flag or '-'}"
+            raise conf.bad(f"{prefix}_flags", reason)
+        reports.append(FisherReport(mode, b, w, score, flag))
     return nmode_fisher(reports)
+
+
+def _weights_from_matrix(
+    matrices: NamedValues, config: PipelineConfig, fisher: NModeFisher
+) -> WeightVector:
+    """The stored mode weights: one per mode, equal to `mode_weights` of the
+    stored final scores for a method that weights by separability and all
+    ones for every other."""
+    weights = matrices["weights"].ravel()
+    if config.uses_fisher_weights:
+        try:
+            expected = mode_weights([r.score for r in fisher.per_mode]).weights
+        except (DegeneracyError, ValueError) as exc:
+            reason = f"the stored scores give none: {exc}"
+            raise FormatError(f"MATX section 'weights': {reason}") from exc
+        source = "the weights of the stored scores"
+    else:
+        expected, source = np.ones(len(fisher.per_mode)), f"method={config.method}"
+    if not np.array_equal(weights, expected):
+        reason = f"need {_fmt_floats(expected)}, {source}"
+        raise FormatError(f"MATX section 'weights': bad value {_fmt_floats(weights)} ({reason})")
+    return WeightVector(weights)
+
+
+def _angle_diag_from_conf(conf: NamedValues, modes, has_gds: bool) -> tuple:
+    """Per mode the stored mean class-pair angle before and, in a model with
+    bands, after the projection: one finite, non-negative entry per mode in
+    each list, and `angle_diag_projected=none` exactly without bands."""
+    lists = {"angle_diag_raw": conf.parse("angle_diag_raw", float, many=True)}
+    key = "angle_diag_projected"
+    if (conf[key] == "none") == has_gds:
+        need = "has_gds=true needs one angle per mode" if has_gds else "has_gds=false needs none"
+        raise conf.bad(key, need)
+    if has_gds:
+        lists[key] = conf.parse(key, float, many=True)
+    for name, values in lists.items():
+        if len(values) != len(modes):
+            raise conf.bad(name, f"{len(values)} entries for {len(modes)} modes")
+        if not all(math.isfinite(v) and v >= 0.0 for v in values):
+            raise conf.bad(name, "angles are finite and non-negative")
+    return tuple(zip(lists["angle_diag_raw"], lists.get(key, (None,) * len(modes))))
 
 
 def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[GdsBasis, ...]:
@@ -623,12 +668,7 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
     data_dims = None if conf["data_dims"] == "none" else conf.parse("data_dims", int, many=True)
     _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts)
     references = [ProductPoint(ref, label=label) for ref, label in zip(parts, labels)]
-    raw_angles = conf.parse("angle_diag_raw", float, many=True)
-    if conf["angle_diag_projected"] == "none":
-        angle_diag = tuple((a, None) for a in raw_angles)
-    else:
-        proj = conf.parse("angle_diag_projected", float, many=True)
-        angle_diag = tuple(zip(raw_angles, proj))
+    fisher = _fisher_from_conf("fisher", conf, modes)
     return TrainedModel(
         config=config,
         modes=modes,
@@ -637,11 +677,11 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
         data_dims=data_dims,
         class_ids=class_ids,
         gds=gds,
-        weights=WeightVector(matrices["weights"].ravel()),
+        weights=_weights_from_matrix(matrices, config, fisher),
         references=tuple(references),
         fisher_raw=_fisher_from_conf("fisher_raw", conf, modes),
-        fisher=_fisher_from_conf("fisher", conf, modes),
-        angle_diag=angle_diag,
+        fisher=fisher,
+        angle_diag=_angle_diag_from_conf(conf, modes, gds is not None),
     )
 
 

@@ -9,6 +9,7 @@ from tensorgds import (
     PipelineConfig,
     classify,
     fit,
+    mode_weights,
     principal_angles,
     unfold,
 )
@@ -354,7 +355,7 @@ def test_model_band_that_disagrees_with_its_references_names_both_keys(key, valu
 @functools.cache
 def seed7_model_bytes(method):
     """The saved model of `method` fitted on the train split of the seed-7
-    set (4 classes x 10 samples, 12^3); both methods used here keep dims
+    set (4 classes x 10 samples, 12^3); every method used here keeps dims
     3,2,2 and every mode's ambient is 12."""
     spec = bench_spec(
         classes=4, samples_per_class=10, dims=(12, 12, 12), within_noise=0.15, seed=7
@@ -386,6 +387,16 @@ def seed7_model_bytes(method):
         ("nmode-wgds", "fisher_between", "0.5,0.5", "2 entries for 3 modes"),
         ("pgm", "fisher_raw_within", "0.5,0.5,0.5,0.5", "4 entries for 3 modes"),
         ("nmode-wgds", "fisher_raw_flags", "-,-", "2 entries for 3 modes"),
+        # one finite, non-negative angle per mode, projected ones exactly
+        # in a model with bands
+        ("nmode-wgds", "angle_diag_raw", "0.5,0.5", "2 entries for 3 modes"),
+        ("pgm", "angle_diag_raw", "0.5,0.5,0.5,0.5", "4 entries for 3 modes"),
+        ("nmode-wgds", "angle_diag_projected", "0.5,0.5", "2 entries for 3 modes"),
+        ("nmode-wgds", "angle_diag_raw", "0.5,-0.5,0.5", "angles are finite and non-negative"),
+        ("nmode-wgds", "angle_diag_projected", "0.5,nan,0.5", "angles are finite and non-negative"),
+        ("pgm", "angle_diag_raw", "0.5,0.5,inf", "angles are finite and non-negative"),
+        ("nmode-wgds", "angle_diag_projected", "none", "has_gds=true needs one angle per mode"),
+        ("pgm", "angle_diag_projected", "0.5,0.5,0.5", "has_gds=false needs none"),
     ],
 )
 def test_model_dims_and_ambients_must_match_what_is_stored(method, key, value, reason):
@@ -394,6 +405,54 @@ def test_model_dims_and_ambients_must_match_what_is_stored(method, key, value, r
     with pytest.raises(FormatError) as err:
         model_from_bytes(edit_model_conf(buf, set_conf_value(key, value)))
     assert str(err.value) == f"CONF key '{key}': bad value '{value}' ({reason})"
+
+
+@pytest.mark.parametrize(
+    "method, key, value",
+    [
+        ("nmode-wgds", "fisher_flags", "x,-,-"),
+        ("nmode-wgds", "fisher_raw_flags", "-,indeterminate,-"),
+        ("pgm", "fisher_raw_flags", "-,-,infinite"),
+    ],
+)
+def test_model_flags_must_be_the_ones_the_spreads_give(method, key, value):
+    buf = seed7_model_bytes(method)
+    nf = getattr(model_from_bytes(buf), key.removesuffix("_flags"))
+    r = next(r for r, flag in zip(nf.per_mode, value.split(",")) if flag != "-")
+    with pytest.raises(FormatError) as err:
+        model_from_bytes(edit_model_conf(buf, set_conf_value(key, value)))
+    reason = f"mode {r.mode}: between {r.between!r} and within {r.within!r} give -"
+    assert str(err.value) == f"CONF key '{key}': bad value '{value}' ({reason})"
+    # a zero within spread does give the "infinite" flag
+    raw = model_from_bytes(buf).fisher_raw.per_mode
+    within = ",".join(["0"] + [repr(r.within) for r in raw[1:]])
+    for key, value in (("fisher_raw_within", within), ("fisher_raw_flags", "infinite,-,-")):
+        buf = edit_model_conf(buf, set_conf_value(key, value))
+    back = model_from_bytes(buf)
+    assert back.fisher_raw.per_mode[0].flag == "infinite"
+
+
+@pytest.mark.parametrize("method", ["nmode-wgds", "nmode-gds", "pgm"])
+def test_model_weights_must_be_the_ones_the_method_gives(method):
+    buf = seed7_model_bytes(method)
+    back = model_from_bytes(buf)
+    if method == "nmode-wgds":
+        expected = mode_weights([r.score for r in back.fisher.per_mode]).weights
+    else:
+        expected = np.ones(3)
+    assert back.weights.weights.tobytes() == expected.tobytes()
+    edits = [lambda w: w[:-1], lambda w: w[::-1] * 2.0, lambda w: np.full_like(w, 1.0 / 3.0)]
+    if method != "nmode-wgds":  # uniform weights are all ones, not 1/3 each
+        edits[2] = lambda w: w / 3.0
+    for edit in edits:
+        with pytest.raises(FormatError, match="MATX section 'weights': bad value"):
+            model_from_bytes(edit_model_matrix(buf, "weights", edit))
+    if method == "nmode-wgds":  # an infinite score has no weights
+        within = ",".join(["0"] + [repr(r.within) for r in back.fisher.per_mode[1:]])
+        for key, value in (("fisher_within", within), ("fisher_flags", "infinite,-,-")):
+            buf = edit_model_conf(buf, set_conf_value(key, value))
+        with pytest.raises(FormatError, match="'weights': the stored scores give none"):
+            model_from_bytes(buf)
 
 
 def test_model_references_of_one_mode_must_share_a_width():

@@ -57,12 +57,22 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     widths = beta - alpha + 1
     assert arrays["small/nmode-wgds|reference_projectors"].shape == (6, np.sum(widths**2))
     assert str(arrays["small/pgm-failing|error"]).startswith("DimensionError")
+    # the Karcher work of the run, counted at the batched log map
+    passes = int(arrays["small/nmode-wgds|karcher_passes"])
+    set_iterations = int(arrays["small/nmode-wgds|karcher_set_iterations"])
+    assert 0 < passes <= set_iterations
+    assert arrays["small/pgm-failing|karcher_passes"] == 0
 
     main = script["main"]
     assert main(["--compare", str(before), str(before)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("small/nmode-wgds: discrete match;") and "scores 0.0e+00" in lines[0]
-    assert lines[1] == "small/pgm-failing: discrete match"
+    work = f"passes {passes} -> {passes}, set-iterations {set_iterations} -> {set_iterations}"
+    assert f"; karcher warnings 0 -> 0, {work};" in lines[0]
+    assert lines[1] == (
+        "small/pgm-failing: discrete match; "
+        "karcher warnings 0 -> 0, passes 0 -> 0, set-iterations 0 -> 0"
+    )
     # then one summary line per compared array, named by configuration
     compared = [
         "distances", "reference_projectors", "reloaded_scores", "scores", "trace_scores", "weights"
@@ -79,12 +89,16 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
 
     arrays["small/nmode-wgds|karcher_warnings"] = arrays["small/nmode-wgds|karcher_warnings"] + 1
     del arrays["small/pgm-failing|error"]
+    del arrays["small/pgm-failing|karcher_passes"]  # as in a dump from before it was saved
     changed = tmp_path / "changed.npz"
     np.savez(changed, **arrays)
     assert main(["--compare", str(before), str(changed)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert "discrete DIFFER (karcher_warnings)" in lines[0]
-    assert lines[1] == "small/pgm-failing: discrete DIFFER (error)"
+    assert "discrete DIFFER (karcher_warnings); karcher warnings 0 -> 1," in lines[0]
+    assert lines[1] == (
+        "small/pgm-failing: discrete DIFFER (error); "
+        "karcher warnings 0 -> 0, passes 0 -> ?, set-iterations 0 -> 0"
+    )
 
     # a dump that spells a renamed configuration by its old name pairs with
     # one that spells the new name
