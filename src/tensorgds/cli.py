@@ -155,10 +155,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 def _load_config_file(path) -> dataio.NamedValues:
     out = dataio.NamedValues("config key")
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read config file {path}: {exc}") from exc
+    text = dataio.read_file(path, "config file", text=True)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -367,15 +364,9 @@ def _cmd_dist(args) -> int:
 
 
 def _read_distance_csv(path) -> np.ndarray:
+    text = dataio.read_file(path, "distance matrix", text=True)
     try:
-        return np.array(
-            [
-                [float(x) for x in line.split(",")]
-                for line in Path(path).read_text().strip().splitlines()
-            ]
-        )
-    except OSError as exc:
-        raise FormatError(f"cannot read distance matrix {path}: {exc}") from exc
+        return np.array([[float(x) for x in line.split(",")] for line in text.strip().splitlines()])
     except ValueError as exc:
         raise FormatError(
             f"distance matrix {path} has non-numeric entries or ragged rows"

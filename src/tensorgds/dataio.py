@@ -12,7 +12,11 @@ Manifests are plain text: a `# dims: I1xI2x...` header, an optional
 line with dense labels 0..m-1 and split in {train, test}.
 
 Model files ("NMDL") hold tagged sections (a canonical key=value text block
-plus named NMT1-encoded matrices) and end with a whole-file crc32.
+plus named NMT1-encoded matrices) and end with a whole-file crc32. The writer
+states what a model file holds: `_model_conf` its settings and
+`_model_matrices` its matrix sections. The reader decodes what `fit` chose,
+derives the rest with `fit`'s own code, and accepts the file only if the
+writer would write it for the model so built.
 
 The generator uses the Philox counter-based bit generator: stream (seed, 0)
 draws the planted per-mode frames, stream (seed, 1) draws the samples, so
@@ -33,8 +37,8 @@ import numpy as np
 from .errors import DegeneracyError, DimensionError, FormatError
 from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
 from .gds import GdsBasis, full_band, gds_from_gram
-from .manifold import ProductPoint, WeightVector, mode_weights
-from .pipeline import SETTINGS, PipelineConfig, TrainedModel
+from .manifold import ProductPoint
+from .pipeline import SETTINGS, PipelineConfig, TrainedModel, method_weights
 from .subspace import Subspace, qr_positive
 from .tensor import MAX_ORDER, DenseTensor, mode_multiply
 
@@ -48,6 +52,19 @@ MODEL_VERSION = 1
 # generator; a strong shared block gives classes the structural overlap the
 # difference-subspace projection is meant to remove.
 SHARED_GAIN = 1.5
+
+
+def _fmt_tuple(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+def _fmt_floats(values) -> str:
+    return ",".join(format(float(v), ".17g") for v in values)
+
+
+def _shown(value) -> str:
+    """A text value quoted, a matrix as its entries in row order."""
+    return repr(value) if isinstance(value, str) else _fmt_floats(value.ravel())
 
 
 class NamedValues(dict):
@@ -68,12 +85,27 @@ class NamedValues(dict):
         try:
             return tuple(kind(x) for x in text.split(",")) if many else kind(text)
         except ValueError as exc:
-            raise self.bad(name) from exc
+            raise self.bad(name, str(exc)) from exc
 
     def bad(self, name: str, reason: str | None = None) -> FormatError:
-        """The error for a value of `name` that parses but cannot be used."""
+        """The error for the value of `name`, with the reason it cannot be used."""
         suffix = "" if reason is None else f" ({reason})"
-        return FormatError(f"{self.what} {name!r}: bad value {self[name]!r}{suffix}")
+        return FormatError(f"{self.what} {name!r}: bad value {_shown(self[name])}{suffix}")
+
+    def add(self, name: str, value) -> None:
+        """Store the value of a name that a file may state only once."""
+        if name in self:
+            raise FormatError(f"{self.what} {name!r} appears twice")
+        self[name] = value
+
+
+def read_file(path, what: str, text: bool = False):
+    """The bytes of a file, or with `text` its UTF-8 text."""
+    try:
+        data = Path(path).read_bytes()
+        return data.decode() if text else data
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def _write_atomic(path, data: bytes) -> None:
@@ -88,9 +120,7 @@ def _write_atomic(path, data: bytes) -> None:
 
 
 def tensor_to_bytes(tensor: DenseTensor) -> bytes:
-    header = TENSOR_MAGIC + struct.pack(
-        "<HBB", TENSOR_VERSION, DTYPE_F64, tensor.order
-    )
+    header = TENSOR_MAGIC + struct.pack("<HBB", TENSOR_VERSION, DTYPE_F64, tensor.order)
     header += struct.pack(f"<{tensor.order}Q", *tensor.dims)
     payload = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
     body = header + payload
@@ -101,9 +131,7 @@ def tensor_from_bytes(buf: bytes) -> DenseTensor:
     if len(buf) < 8:
         raise FormatError(f"truncated header: {len(buf)} bytes, need at least 8")
     if buf[:4] != TENSOR_MAGIC:
-        raise FormatError(
-            f"bad magic at offset 0: expected {TENSOR_MAGIC!r}, got {buf[:4]!r}"
-        )
+        raise FormatError(f"bad magic at offset 0: expected {TENSOR_MAGIC!r}, got {buf[:4]!r}")
     version, dtype, ndim = struct.unpack_from("<HBB", buf, 4)
     if version != TENSOR_VERSION:
         raise FormatError(f"unsupported version {version} at offset 4")
@@ -120,15 +148,12 @@ def tensor_from_bytes(buf: bytes) -> DenseTensor:
     count = math.prod(dims)
     expected = header_end + 8 * count + 4
     if len(buf) != expected:
-        raise FormatError(
-            f"truncated payload: dims {dims} need {expected} bytes, file has {len(buf)}"
-        )
+        need = f"dims {dims} need {expected} bytes"
+        raise FormatError(f"truncated payload: {need}, file has {len(buf)}")
     stored = struct.unpack_from("<I", buf, len(buf) - 4)[0]
     actual = zlib.crc32(buf[:-4])
     if stored != actual:
-        raise FormatError(
-            f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}"
-        )
+        raise FormatError(f"checksum mismatch: stored {stored:#010x}, computed {actual:#010x}")
     data = np.frombuffer(buf, dtype="<f8", count=count, offset=header_end)
     return DenseTensor(data.reshape(dims))
 
@@ -138,18 +163,7 @@ def write_tensor(path, tensor: DenseTensor) -> None:
 
 
 def read_tensor(path) -> DenseTensor:
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read tensor file {path}: {exc}") from exc
-    return tensor_from_bytes(buf)
-
-
-def _matrix_to_bytes(matrix: np.ndarray) -> bytes:
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    return tensor_to_bytes(DenseTensor(arr))
+    return tensor_from_bytes(read_file(path, "tensor file"))
 
 
 def _matrix_from_bytes(buf: bytes) -> np.ndarray:
@@ -183,15 +197,12 @@ class DatasetManifest:
         entries = tuple(self.entries)
         if not entries:
             raise FormatError("manifest has no entries")
-        paths = [e.path for e in entries]
-        if len(set(paths)) != len(paths):
+        if len({e.path for e in entries}) != len(entries):
             raise FormatError("manifest paths are not unique")
         labels = sorted({e.label for e in entries})
         m = len(self.class_names)
         if labels != list(range(m)):
-            raise FormatError(
-                f"labels must be dense 0..{m - 1}, got {labels}"
-            )
+            raise FormatError(f"labels must be dense 0..{m - 1}, got {labels}")
         for e in entries:
             if e.split not in ("train", "test"):
                 raise FormatError(f"bad split {e.split!r} for {e.path}")
@@ -210,18 +221,13 @@ class DatasetManifest:
 def write_manifest(path, manifest: DatasetManifest) -> None:
     lines = ["# dims: " + "x".join(str(d) for d in manifest.dims)]
     lines.append("# classes: " + ",".join(manifest.class_names))
-    for e in manifest.entries:
-        lines.append(f"{e.path},{e.label},{e.split}")
+    lines += [f"{e.path},{e.label},{e.split}" for e in manifest.entries]
     _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_manifest(path) -> DatasetManifest:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise FormatError(f"cannot read manifest {path}: {exc}") from exc
-    dims = None
-    class_names = None
+    text = read_file(path, "manifest", text=True)
+    dims = class_names = None
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -235,9 +241,7 @@ def load_manifest(path) -> DatasetManifest:
                 except ValueError as exc:
                     raise FormatError(f"line {lineno}: bad dims header") from exc
             elif body.startswith("classes:"):
-                class_names = tuple(
-                    s.strip() for s in body[8:].strip().split(",") if s.strip()
-                )
+                class_names = tuple(s.strip() for s in body[8:].split(",") if s.strip())
             continue
         fields = line.split(",")
         if len(fields) != 3:
@@ -310,9 +314,7 @@ class SynthSpec:
             raise ValueError("need at least 2 modes")
         block = self.shared_dim + self.class_dim
         if any(block > d for d in self.dims):
-            raise ValueError(
-                f"shared_dim + class_dim = {block} exceeds an extent in {self.dims}"
-            )
+            raise ValueError(f"shared_dim + class_dim = {block} exceeds an extent in {self.dims}")
 
 
 def planted_bases(
@@ -377,9 +379,8 @@ def generate_synthetic(
                 shared, blocks = bases[i]
                 frame = np.hstack([shared, blocks[j]])
                 if spec.within_noise > 0:
-                    noise = rng.standard_normal((extent, d)) * (
-                        spec.within_noise / np.sqrt(extent)
-                    )
+                    spread = spec.within_noise / np.sqrt(extent)
+                    noise = rng.standard_normal((extent, d)) * spread
                     frame = qr_positive(frame + noise)
                 frames.append(frame)
             core = rng.standard_normal((d,) * n)
@@ -391,24 +392,15 @@ def generate_synthetic(
             samples.append(t)
             split = "train" if l < n_train else "test"
             entries.append(ManifestEntry(f"c{j}_s{l}.nmt", j, split))
-    manifest = DatasetManifest(
-        tuple(entries),
-        spec.dims,
-        tuple(f"class{j}" for j in range(spec.classes)),
-    )
-    return samples, manifest
+    names = tuple(f"class{j}" for j in range(spec.classes))
+    return samples, DatasetManifest(tuple(entries), spec.dims, names)
 
 
 # ---------------------------------------------------------------------------
 # model container
 
-
-def _fmt_tuple(values) -> str:
-    return ",".join(str(v) for v in values)
-
-
-def _fmt_floats(values) -> str:
-    return ",".join(format(float(v), ".17g") for v in values)
+# Keys of older files that nothing reads any more; the reader drops them.
+RETIRED_KEYS = frozenset({"seed", "projection_tol", "weights_scheme"})
 
 
 def _section(tag: bytes, payload: bytes) -> bytes:
@@ -416,96 +408,123 @@ def _section(tag: bytes, payload: bytes) -> bytes:
 
 
 def _named_matrix(name: str, matrix: np.ndarray) -> bytes:
-    blob = _matrix_to_bytes(matrix)
+    blob = tensor_to_bytes(DenseTensor(np.asarray(matrix, dtype=np.float64)))
     encoded = name.encode()
     return _section(b"MATX", struct.pack("<H", len(encoded)) + encoded + blob)
 
 
-def _fisher_conf(prefix: str, nf: NModeFisher, lines: list[str]) -> None:
-    lines.append(f"{prefix}_modes={_fmt_tuple(r.mode for r in nf.per_mode)}")
-    lines.append(f"{prefix}_between={_fmt_floats(r.between for r in nf.per_mode)}")
-    lines.append(f"{prefix}_within={_fmt_floats(r.within for r in nf.per_mode)}")
-    lines.append(
-        f"{prefix}_flags={_fmt_tuple((r.flag or '-') for r in nf.per_mode)}"
+def _model_conf(model: TrainedModel) -> dict[str, str]:
+    """The settings of `model`'s file by key, in file order (sorted)."""
+    conf = {s.model_key: s.format(getattr(model.config, s.name)) for s in SETTINGS}
+    conf.update(
+        format_version=str(MODEL_VERSION),
+        mode_ambients=_fmt_tuple(model.mode_ambients),
+        data_dims="none" if model.data_dims is None else _fmt_tuple(model.data_dims),
+        class_ids=_fmt_tuple(model.class_ids),
+        labels=_fmt_tuple(r.label for r in model.references),
+        n_refs=str(len(model.references)),
+        has_gds="false" if model.gds is None else "true",
     )
+    for field in ("alpha", "beta", "rank") if model.gds is not None else ():
+        conf[field + "s"] = _fmt_tuple(getattr(g, field) for g in model.gds)
+    for prefix, nf in (("fisher_raw", model.fisher_raw), ("fisher", model.fisher)):
+        conf[f"{prefix}_modes"] = _fmt_tuple(r.mode for r in nf.per_mode)
+        conf[f"{prefix}_between"] = _fmt_floats(r.between for r in nf.per_mode)
+        conf[f"{prefix}_within"] = _fmt_floats(r.within for r in nf.per_mode)
+        conf[f"{prefix}_flags"] = _fmt_tuple(r.flag or "-" for r in nf.per_mode)
+    raw, projected = zip(*model.angle_diag)
+    conf["angle_diag_raw"] = _fmt_floats(raw)
+    conf["angle_diag_projected"] = "none" if projected[0] is None else _fmt_floats(projected)
+    return dict(sorted(conf.items()))
+
+
+def _model_matrices(model: TrainedModel) -> dict[str, np.ndarray]:
+    """The matrix sections of `model`'s file by name, in file order."""
+    matrices = {"weights": model.weights.weights[:, None]}  # a vector is one column
+    for g in model.gds or ():
+        matrices[f"gds{g.mode}_eigvecs"] = g.eigvecs
+        matrices[f"gds{g.mode}_eigvals"] = g.eigvals[:, None]
+    for i, ref in enumerate(model.references):
+        for mode, part in zip(model.modes, ref.parts):
+            matrices[f"ref{i}_m{mode}"] = part.basis
+    return matrices
+
+
+def model_to_bytes(model: TrainedModel) -> bytes:
+    conf = "".join(f"{key}={text}\n" for key, text in _model_conf(model).items())
+    body = MODEL_MAGIC + struct.pack("<H", MODEL_VERSION) + _section(b"CONF", conf.encode())
+    body += b"".join(_named_matrix(*item) for item in _model_matrices(model).items())
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _read_sections(buf: bytes) -> tuple[NamedValues, NamedValues]:
+    """A model file's settings and matrices, each name stated once, framed soundly."""
+    if len(buf) < 10:
+        raise FormatError("truncated model file")
+    if buf[:4] != MODEL_MAGIC:
+        raise FormatError(f"bad magic at offset 0: expected {MODEL_MAGIC!r}, got {buf[:4]!r}")
+    version = struct.unpack_from("<H", buf, 4)[0]
+    if version != MODEL_VERSION:
+        raise FormatError(f"unsupported model version {version}")
+    if struct.unpack_from("<I", buf, len(buf) - 4)[0] != zlib.crc32(buf[:-4]):
+        raise FormatError("checksum mismatch: model file is corrupted")
+    pos, end = 6, len(buf) - 4
+    conf, matrices = NamedValues("CONF key"), NamedValues("MATX section")
+    while pos < end:
+        if pos + 12 > end:
+            raise FormatError(f"truncated section header at offset {pos}")
+        tag, length = buf[pos : pos + 4], struct.unpack_from("<Q", buf, pos + 4)[0]
+        pos += 12
+        if pos + length > end:
+            raise FormatError(f"truncated section payload at offset {pos}")
+        payload = buf[pos : pos + length]
+        try:
+            if tag == b"CONF":
+                *lines, rest = payload.decode().split("\n")
+                if rest:
+                    raise FormatError(f"CONF section: no newline after {rest!r}")
+                for key, _, value in (line.partition("=") for line in lines):
+                    if key not in RETIRED_KEYS:
+                        conf.add(key, value)
+            elif tag == b"MATX":
+                name_len = struct.unpack_from("<H", payload, 0)[0]
+                name = payload[2 : 2 + name_len].decode()
+                matrices.add(name, _matrix_from_bytes(payload[2 + name_len :]))
+            else:
+                raise FormatError(f"unknown section tag {tag!r}")
+        except (UnicodeDecodeError, struct.error) as exc:
+            raise FormatError(f"malformed section payload at offset {pos}: {exc}") from exc
+        pos += length
+    return conf, matrices
+
+
+def _per_mode(conf: NamedValues, key: str, modes, what: str | None = None) -> tuple:
+    """The comma list under `key`, one entry per model mode: ints, or with
+    `what` finite, non-negative floats."""
+    values = conf.parse(key, int if what is None else float, many=True)
+    if len(values) != len(modes):
+        raise conf.bad(key, f"{len(values)} entries for {len(modes)} modes")
+    if what and not all(math.isfinite(v) and v >= 0.0 for v in values):
+        raise conf.bad(key, f"{what} are finite and non-negative")
+    return values
 
 
 def _fisher_from_conf(prefix: str, conf: NamedValues, modes) -> NModeFisher:
-    """The reports stored under `prefix`: one entry per model mode in each
-    list, in the model's mode order, each flag the one its between and
-    within give ("-" for none)."""
-    if conf.parse(f"{prefix}_modes", int, many=True) != modes:
-        raise conf.bad(f"{prefix}_modes", f"need the model's modes {_fmt_tuple(modes)}")
-    between = conf.parse(f"{prefix}_between", float, many=True)
-    within = conf.parse(f"{prefix}_within", float, many=True)
-    flags = [None if x == "-" else x for x in conf[f"{prefix}_flags"].split(",")]
-    for key, values in (("between", between), ("within", within), ("flags", flags)):
-        if len(values) != len(modes):
-            raise conf.bad(f"{prefix}_{key}", f"{len(values)} entries for {len(modes)} modes")
-    reports = []
-    for mode, b, w, fl in zip(modes, between, within, flags):
-        score, flag = separability_ratio(b, w)
-        if fl != flag:
-            reason = f"mode {mode}: between {b!r} and within {w!r} give {flag or '-'}"
-            raise conf.bad(f"{prefix}_flags", reason)
-        reports.append(FisherReport(mode, b, w, score, flag))
-    return nmode_fisher(reports)
-
-
-def _weights_from_matrix(
-    matrices: NamedValues, config: PipelineConfig, fisher: NModeFisher
-) -> WeightVector:
-    """The stored mode weights: one per mode, equal to `mode_weights` of the
-    stored final scores for a method that weights by separability and all
-    ones for every other."""
-    weights = matrices["weights"].ravel()
-    if config.uses_fisher_weights:
-        try:
-            expected = mode_weights([r.score for r in fisher.per_mode]).weights
-        except (DegeneracyError, ValueError) as exc:
-            reason = f"the stored scores give none: {exc}"
-            raise FormatError(f"MATX section 'weights': {reason}") from exc
-        source = "the weights of the stored scores"
-    else:
-        expected, source = np.ones(len(fisher.per_mode)), f"method={config.method}"
-    if not np.array_equal(weights, expected):
-        reason = f"need {_fmt_floats(expected)}, {source}"
-        raise FormatError(f"MATX section 'weights': bad value {_fmt_floats(weights)} ({reason})")
-    return WeightVector(weights)
-
-
-def _angle_diag_from_conf(conf: NamedValues, modes, has_gds: bool) -> tuple:
-    """Per mode the stored mean class-pair angle before and, in a model with
-    bands, after the projection: one finite, non-negative entry per mode in
-    each list, and `angle_diag_projected=none` exactly without bands."""
-    lists = {"angle_diag_raw": conf.parse("angle_diag_raw", float, many=True)}
-    key = "angle_diag_projected"
-    if (conf[key] == "none") == has_gds:
-        need = "has_gds=true needs one angle per mode" if has_gds else "has_gds=false needs none"
-        raise conf.bad(key, need)
-    if has_gds:
-        lists[key] = conf.parse(key, float, many=True)
-    for name, values in lists.items():
-        if len(values) != len(modes):
-            raise conf.bad(name, f"{len(values)} entries for {len(modes)} modes")
-        if not all(math.isfinite(v) and v >= 0.0 for v in values):
-            raise conf.bad(name, "angles are finite and non-negative")
-    return tuple(zip(lists["angle_diag_raw"], lists.get(key, (None,) * len(modes))))
+    """The spreads under `prefix`, scored and flagged by `separability_ratio`."""
+    spreads = [_per_mode(conf, f"{prefix}_{k}", modes, "spreads") for k in ("between", "within")]
+    return nmode_fisher(
+        [FisherReport(m, b, w, *separability_ratio(b, w)) for m, b, w in zip(modes, *spreads)]
+    )
 
 
 def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[GdsBasis, ...]:
-    """Each mode's band, rebuilt from its stored spectrum by the band rule."""
-    bands = {key: conf.parse(key, int, many=True) for key in ("alphas", "betas", "ranks")}
-    for key, entries in bands.items():
-        if len(entries) != len(modes):
-            raise conf.bad(key, f"{len(entries)} entries for {len(modes)} modes")
+    """Each mode's band: the full band of its stored spectrum, narrowed to the
+    stored alpha and beta by the band rule."""
     gds = []
-    for mode, alpha, beta, rank in zip(modes, *bands.values()):
-        full = full_band(
-            mode, matrices[f"gds{mode}_eigvecs"], matrices[f"gds{mode}_eigvals"].ravel()
-        )
-        if full.rank != rank:
-            raise conf.bad("ranks", f"mode {mode}: the stored spectrum has rank {full.rank}")
+    alphas, betas = (_per_mode(conf, key, modes) for key in ("alphas", "betas"))
+    for mode, alpha, beta in zip(modes, alphas, betas):
+        eigvecs, eigvals = matrices[f"gds{mode}_eigvecs"], matrices[f"gds{mode}_eigvals"]
+        full = full_band(mode, eigvecs, eigvals.ravel())
         # the alpha alone, then the band it opens with beta
         for key, limits in (("alphas", (alpha,)), ("betas", (alpha, beta))):
             try:
@@ -516,126 +535,43 @@ def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[G
     return tuple(gds)
 
 
-def _check_mode_shapes(
-    conf: NamedValues, modes, dims, mode_ambients, data_dims, gds, parts
-) -> None:
-    """Each mode's `dims` and `mode_ambients` entry against what is stored:
-    the ambient is the row count of the mode's spectrum, or of its
-    references in a model without bands; the references of a mode share one
-    width, at most `dims`, and exactly that when no band can have narrowed
-    it. `data_dims`, when recorded, gives each mode its ambient extent."""
+def _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts) -> None:
+    """Each mode's entries against what is stored: a band as wide as the
+    rows of the references projected onto it; an ambient equal to the rows
+    of the mode's spectrum, or of its references without bands; references
+    of one width, at most `dims`, and exactly that when no band can have
+    narrowed them. `data_dims`, when recorded, gives each mode its ambient."""
     for key, values in (("dims", dims), ("mode_ambients", mode_ambients)):
         if values is None or len(values) != len(modes):
             raise conf.bad(key, f"need one entry for each of the {len(modes)} modes")
     for p, mode in enumerate(modes):
         shapes = {ref[p].basis.shape for ref in parts}
-        rows = {gds[p].ambient_dim} if gds else {r for r, _ in shapes}
-        if rows - {mode_ambients[p]}:
-            stored = "spectrum" if gds else "references"
-            reason = f"mode {mode}: {rows.pop()} rows in the stored {stored}"
+        rows, widths = {r for r, _ in shapes}, {w for _, w in shapes}
+        band = gds[p] if gds else None
+        if band and rows - {band.basis.shape[1]}:
+            raise FormatError(
+                f"CONF keys 'alphas', 'betas': mode {mode}: band {band.alpha}..{band.beta} "
+                f"is {band.basis.shape[1]} wide but the references are {rows.pop()} wide"
+            )
+        ambients = {band.ambient_dim} if band else rows
+        if ambients - {mode_ambients[p]}:
+            stored = "spectrum" if band else "references"
+            reason = f"mode {mode}: {ambients.pop()} rows in the stored {stored}"
             raise conf.bad("mode_ambients", reason)
-        widths = {w for _, w in shapes}
         if len(widths) > 1:
             reason = f"mode {mode}: the references are {min(widths)} to {max(widths)} wide"
             raise conf.bad("dims", reason)
-        if any(w > dims[p] for w in widths) or (gds is None and widths - {dims[p]}):
+        if any(w > dims[p] for w in widths) or (band is None and widths - {dims[p]}):
             raise conf.bad("dims", f"mode {mode}: the references are {max(widths)} wide")
-    if data_dims is None:
-        return
-    if len(data_dims) < max(modes):
-        raise conf.bad("data_dims", f"{len(data_dims)} extents for mode {max(modes)}")
-    for mode, ambient in zip(modes, mode_ambients):
-        if data_dims[mode - 1] != ambient:
-            raise conf.bad("data_dims", f"mode {mode}: mode_ambients gives {ambient}")
+        if data_dims is not None and len(data_dims) < mode:
+            raise conf.bad("data_dims", f"{len(data_dims)} extents for mode {mode}")
+        if data_dims is not None and data_dims[mode - 1] != mode_ambients[p]:
+            raise conf.bad("data_dims", f"mode {mode}: mode_ambients gives {mode_ambients[p]}")
 
 
-def model_to_bytes(model: TrainedModel) -> bytes:
-    lines = [
-        f"format_version={MODEL_VERSION}",
-        *(
-            f"{s.model_key}={s.format(getattr(model.config, s.name))}"
-            for s in SETTINGS
-        ),
-        f"mode_ambients={_fmt_tuple(model.mode_ambients)}",
-        "data_dims="
-        + ("none" if model.data_dims is None else _fmt_tuple(model.data_dims)),
-        f"class_ids={_fmt_tuple(model.class_ids)}",
-        f"labels={_fmt_tuple(r.label for r in model.references)}",
-        f"n_refs={len(model.references)}",
-        "has_gds=" + ("true" if model.gds is not None else "false"),
-    ]
-    if model.gds is not None:
-        lines.append(f"alphas={_fmt_tuple(g.alpha for g in model.gds)}")
-        lines.append(f"betas={_fmt_tuple(g.beta for g in model.gds)}")
-        lines.append(f"ranks={_fmt_tuple(g.rank for g in model.gds)}")
-    _fisher_conf("fisher_raw", model.fisher_raw, lines)
-    _fisher_conf("fisher", model.fisher, lines)
-    lines.append(
-        "angle_diag_raw=" + _fmt_floats(a for a, _ in model.angle_diag)
-    )
-    lines.append(
-        "angle_diag_projected="
-        + (
-            "none"
-            if model.angle_diag[0][1] is None
-            else _fmt_floats(b for _, b in model.angle_diag)
-        )
-    )
-    conf_text = "\n".join(sorted(lines)) + "\n"
-
-    body = MODEL_MAGIC + struct.pack("<H", MODEL_VERSION)
-    body += _section(b"CONF", conf_text.encode())
-    body += _named_matrix("weights", model.weights.weights)
-    if model.gds is not None:
-        for g in model.gds:
-            body += _named_matrix(f"gds{g.mode}_eigvecs", g.eigvecs)
-            body += _named_matrix(f"gds{g.mode}_eigvals", g.eigvals)
-    for i, ref in enumerate(model.references):
-        for p, mode in enumerate(model.modes):
-            body += _named_matrix(f"ref{i}_m{mode}", ref.parts[p].basis)
-    return body + struct.pack("<I", zlib.crc32(body))
-
-
-def model_from_bytes(buf: bytes) -> TrainedModel:
-    if len(buf) < 10:
-        raise FormatError("truncated model file")
-    if buf[:4] != MODEL_MAGIC:
-        raise FormatError(
-            f"bad magic at offset 0: expected {MODEL_MAGIC!r}, got {buf[:4]!r}"
-        )
-    version = struct.unpack_from("<H", buf, 4)[0]
-    if version != MODEL_VERSION:
-        raise FormatError(f"unsupported model version {version}")
-    stored = struct.unpack_from("<I", buf, len(buf) - 4)[0]
-    if stored != zlib.crc32(buf[:-4]):
-        raise FormatError("checksum mismatch: model file is corrupted")
-
-    pos = 6
-    end = len(buf) - 4
-    conf = NamedValues("CONF key")
-    matrices = NamedValues("MATX section")
-    while pos < end:
-        if pos + 12 > end:
-            raise FormatError(f"truncated section header at offset {pos}")
-        tag = buf[pos : pos + 4]
-        length = struct.unpack_from("<Q", buf, pos + 4)[0]
-        pos += 12
-        if pos + length > end:
-            raise FormatError(f"truncated section payload at offset {pos}")
-        payload = buf[pos : pos + length]
-        pos += length
-        if tag == b"CONF":
-            for line in payload.decode().splitlines():
-                if line:
-                    key, _, value = line.partition("=")
-                    conf[key] = value
-        elif tag == b"MATX":
-            name_len = struct.unpack_from("<H", payload, 0)[0]
-            name = payload[2 : 2 + name_len].decode()
-            matrices[name] = _matrix_from_bytes(payload[2 + name_len :])
-        else:
-            raise FormatError(f"unknown section tag {tag!r}")
-
+def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
+    """The model of what `fit` chose (settings, bands, labelled references,
+    shapes, spreads and angles), each other fact derived by `fit`'s rules."""
     values = {s.name: conf.parse(s.model_key, s.parse) for s in SETTINGS}
     for s in SETTINGS:  # PipelineConfig checks each field on its own
         try:
@@ -646,43 +582,53 @@ def model_from_bytes(buf: bytes) -> TrainedModel:
     modes, dims = config.modes_used, config.per_mode_dims
     if modes is None:
         raise conf.bad("modes", "a model names the modes it uses")
-    gds = _bands_from_conf(conf, matrices, modes) if conf["has_gds"] == "true" else None
+    gds = _bands_from_conf(conf, matrices, modes) if config.uses_gds else None
     labels = conf.parse("labels", int, many=True) if conf["labels"] else ()
     n_refs = conf.parse("n_refs", int)
     parts = [tuple(Subspace(matrices[f"ref{i}_m{m}"]) for m in modes) for i in range(n_refs)]
     if len(labels) != n_refs:
         raise conf.bad("labels", f"{len(labels)} labels for n_refs={n_refs}")
-    # a valid band of the spectrum may still not be the one the references
-    # were projected onto
-    for p, band in enumerate(gds or ()):
-        widths = {ref[p].ambient_dim for ref in parts} - {band.basis.shape[1]}
-        if widths:
-            raise FormatError(
-                f"CONF keys 'alphas', 'betas': mode {band.mode}: band {band.alpha}..{band.beta} "
-                f"is {band.basis.shape[1]} wide but the references are {widths.pop()} wide"
-            )
-    class_ids = conf.parse("class_ids", int, many=True)
-    if class_ids != tuple(sorted(set(labels))):
-        raise conf.bad("class_ids", "not the sorted set of the reference labels")
     mode_ambients = conf.parse("mode_ambients", int, many=True)
     data_dims = None if conf["data_dims"] == "none" else conf.parse("data_dims", int, many=True)
     _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts)
-    references = [ProductPoint(ref, label=label) for ref, label in zip(parts, labels)]
     fisher = _fisher_from_conf("fisher", conf, modes)
+    try:
+        weights = method_weights(config, fisher)
+    except (DegeneracyError, ValueError) as exc:
+        raise FormatError(f"MATX section 'weights': the stored scores give none: {exc}") from exc
+    raw = _per_mode(conf, "angle_diag_raw", modes, "angles")
+    projected = (None,) * len(modes)
+    if gds is not None:
+        projected = _per_mode(conf, "angle_diag_projected", modes, "angles")
     return TrainedModel(
-        config=config,
-        modes=modes,
-        dims=dims,
-        mode_ambients=mode_ambients,
-        data_dims=data_dims,
-        class_ids=class_ids,
-        gds=gds,
-        weights=_weights_from_matrix(matrices, config, fisher),
-        references=tuple(references),
-        fisher_raw=_fisher_from_conf("fisher_raw", conf, modes),
-        fisher=fisher,
-        angle_diag=_angle_diag_from_conf(conf, modes, gds is not None),
+        config=config, modes=modes, dims=dims, mode_ambients=mode_ambients, data_dims=data_dims,
+        class_ids=tuple(sorted(set(labels))), gds=gds, weights=weights,
+        references=tuple(ProductPoint(ref, label=label) for ref, label in zip(parts, labels)),
+        fisher_raw=_fisher_from_conf("fisher_raw", conf, modes), fisher=fisher,
+        angle_diag=tuple(zip(raw, projected)),
     )
+
+
+def _same(stated, written) -> bool:
+    """The same text, or the same matrix bit for bit."""
+    if isinstance(written, str):
+        return stated == written
+    return stated.shape == written.shape and stated.tobytes() == written.tobytes()
+
+
+def model_from_bytes(buf: bytes) -> TrainedModel:
+    """The model a file holds, if the writer writes that very file for it: each
+    value and matrix bit for bit, no other name, in order, but for retired keys."""
+    conf, matrices = _read_sections(buf)
+    model = _build_model(conf, matrices)
+    for stated, written in ((conf, _model_conf(model)), (matrices, _model_matrices(model))):
+        for name, value in written.items():
+            if not _same(stated[name], value):
+                raise stated.bad(name, f"need {_shown(value)}")
+        if list(stated) != list(written):
+            name = next(n for n, w in zip(stated, [*written, None]) if n != w)
+            raise FormatError(f"{stated.what} {name!r}: the writer does not write it here")
+    return model
 
 
 def write_model(path, model: TrainedModel) -> None:
@@ -690,8 +636,4 @@ def write_model(path, model: TrainedModel) -> None:
 
 
 def read_model(path) -> TrainedModel:
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read model file {path}: {exc}") from exc
-    return model_from_bytes(buf)
+    return model_from_bytes(read_file(path, "model file"))

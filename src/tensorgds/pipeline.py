@@ -461,11 +461,6 @@ def fit(
     # a band can narrow every basis of a mode below its angle count
     _check_angle_counts(config.angle_counts, modes, [s.shape[2] for s in stacks])
 
-    if config.uses_fisher_weights:
-        weights = mode_weights([r.score for r in fisher_final.per_mode])
-    else:
-        weights = WeightVector(np.ones(n))
-
     resolved = dataclasses.replace(config, modes_used=modes, per_mode_dims=dims)
     return TrainedModel(
         config=resolved,
@@ -475,13 +470,21 @@ def fit(
         data_dims=data_dims,
         class_ids=class_ids,
         gds=bases,
-        weights=weights,
+        weights=method_weights(config, fisher_final),
         references=references,
         fisher_raw=fisher_raw,
         fisher=fisher_final,
         angle_diag=angle_diag,
         search_trace=search_trace,
     )
+
+
+def method_weights(config: PipelineConfig, fisher: NModeFisher) -> WeightVector:
+    """The mode weights of `fit`: `mode_weights` of the final separability
+    scores for a method that weights by them, all ones for every other."""
+    if config.uses_fisher_weights:
+        return mode_weights([r.score for r in fisher.per_mode])
+    return WeightVector(np.ones(len(fisher.per_mode)))
 
 
 def transform(model: TrainedModel, sample: DenseTensor) -> ProductPoint:

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import re
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +331,35 @@ def test_model_with_malformed_bands_or_labels_exits_2(
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and f"CONF key '{key}': bad value" in err
+
+
+@pytest.mark.parametrize("what", ["model", "manifest", "config"])
+def test_files_that_do_not_decode_exit_2(dataset_dir, model_dir, tmp_path, capsys, what):
+    # a matrix section too short for its name length, and text that is not
+    # UTF-8, are data errors, not tracebacks
+    model = (model_dir / "model.nmdl").read_bytes()
+    manifest = (dataset_dir / "manifest.txt").read_bytes()
+    body = model[:-4] + b"MATX" + struct.pack("<Q", 1) + b"\x01"
+    bad = {
+        "model": body + struct.pack("<I", zlib.crc32(body)),
+        "manifest": manifest.replace(b"class0", b"class\xff", 1),
+        "config": b"mu=\xff\n",
+    }[what]
+    path = tmp_path / f"bad.{what}"
+    path.write_bytes(bad)
+    out = str(tmp_path / "out")
+    argv = {
+        "model": ["fisher", "--model", str(path), "--out", out],
+        "manifest": ["fit", "--manifest", str(path), "--data-dir", str(dataset_dir), "--out", out],
+        "config": [
+            "fit", "--manifest", str(dataset_dir / "manifest.txt"), "--out", out,
+            "--config", str(path),
+        ],
+    }[what]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    assert ("malformed section payload" if what == "model" else "cannot read") in err
 
 
 def test_model_with_references_of_mixed_width_exits_2(dataset_dir, model_dir, tmp_path, capsys):

@@ -1,7 +1,12 @@
 import functools
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorgds import (
     DimensionError,
@@ -30,6 +35,9 @@ from tensorgds.dataio import (
     write_manifest,
     write_model,
     write_tensor,
+    _model_conf,
+    _named_matrix,
+    _section,
 )
 from tensorgds.subspace import Subspace, basis_from_unfolding
 from conftest import edit_model_conf, edit_model_matrix, random_tensor
@@ -381,12 +389,18 @@ def seed7_model_bytes(method):
         # the tensor extents must agree with the per-mode ambients
         ("nmode-wgds", "data_dims", "13,12,12", "mode 1: mode_ambients gives 12"),
         ("pgm", "data_dims", "12,12", "2 extents for mode 3"),
-        # one report per model mode, in the model's mode order
-        ("nmode-wgds", "fisher_modes", "1,2", "need the model's modes 1,2,3"),
-        ("pgm", "fisher_raw_modes", "1,3,2", "need the model's modes 1,2,3"),
+        # one finite, non-negative spread per model mode; the mode ids and
+        # flags are derived from them
+        ("nmode-wgds", "fisher_modes", "1,2", "need '1,2,3'"),
+        ("pgm", "fisher_raw_modes", "1,3,2", "need '1,2,3'"),
         ("nmode-wgds", "fisher_between", "0.5,0.5", "2 entries for 3 modes"),
         ("pgm", "fisher_raw_within", "0.5,0.5,0.5,0.5", "4 entries for 3 modes"),
-        ("nmode-wgds", "fisher_raw_flags", "-,-", "2 entries for 3 modes"),
+        ("nmode-wgds", "fisher_raw_flags", "-,-", "need '-,-,-'"),
+        ("nmode-wgds", "fisher_between", "0.5,-0.5,0.5", "spreads are finite and non-negative"),
+        ("nmode-wgds", "fisher_within", "0.5,0.5,nan", "spreads are finite and non-negative"),
+        ("pgm", "fisher_raw_between", "-0.5,-0.5,-0.5", "spreads are finite and non-negative"),
+        ("pgm", "fisher_raw_within", "-0.5,-0.5,-0.5", "spreads are finite and non-negative"),
+        ("nmode-wgds", "fisher_raw_within", "-0.5,-0.5,-0.5", "spreads are finite and non-negative"),
         # one finite, non-negative angle per mode, projected ones exactly
         # in a model with bands
         ("nmode-wgds", "angle_diag_raw", "0.5,0.5", "2 entries for 3 modes"),
@@ -395,8 +409,15 @@ def seed7_model_bytes(method):
         ("nmode-wgds", "angle_diag_raw", "0.5,-0.5,0.5", "angles are finite and non-negative"),
         ("nmode-wgds", "angle_diag_projected", "0.5,nan,0.5", "angles are finite and non-negative"),
         ("pgm", "angle_diag_raw", "0.5,0.5,inf", "angles are finite and non-negative"),
-        ("nmode-wgds", "angle_diag_projected", "none", "has_gds=true needs one angle per mode"),
-        ("pgm", "angle_diag_projected", "0.5,0.5,0.5", "has_gds=false needs none"),
+        ("nmode-wgds", "angle_diag_projected", "none", "could not convert string to float: 'none'"),
+        ("pgm", "angle_diag_projected", "0.5,0.5,0.5", "need 'none'"),
+        # every value must be the one the writer writes for the model read
+        ("nmode-wgds", "format_version", "x", "need '1'"),
+        ("pgm", "format_version", "2", "need '1'"),
+        ("nmode-wgds", "ranks", "12,8,7", "need '12,8,8'"),
+        ("nmode-wgds", "karcher_tol", "1e-8", "need '1e-08'"),
+        ("pgm", "modes", "3,2,1", "need '1,2,3'"),
+        ("nmode-wgds", "has_gds", "false", "need 'true'"),
     ],
 )
 def test_model_dims_and_ambients_must_match_what_is_stored(method, key, value, reason):
@@ -418,18 +439,19 @@ def test_model_dims_and_ambients_must_match_what_is_stored(method, key, value, r
 def test_model_flags_must_be_the_ones_the_spreads_give(method, key, value):
     buf = seed7_model_bytes(method)
     nf = getattr(model_from_bytes(buf), key.removesuffix("_flags"))
-    r = next(r for r, flag in zip(nf.per_mode, value.split(",")) if flag != "-")
+    assert [r.flag for r in nf.per_mode] == [None] * 3
     with pytest.raises(FormatError) as err:
         model_from_bytes(edit_model_conf(buf, set_conf_value(key, value)))
-    reason = f"mode {r.mode}: between {r.between!r} and within {r.within!r} give -"
-    assert str(err.value) == f"CONF key '{key}': bad value '{value}' ({reason})"
-    # a zero within spread does give the "infinite" flag
+    assert str(err.value) == f"CONF key '{key}': bad value '{value}' (need '-,-,-')"
+    # a zero within spread does give the "infinite" flag; the other spreads
+    # are spelled as the writer spells them
     raw = model_from_bytes(buf).fisher_raw.per_mode
-    within = ",".join(["0"] + [repr(r.within) for r in raw[1:]])
+    within = ",".join(["0"] + [format(r.within, ".17g") for r in raw[1:]])
     for key, value in (("fisher_raw_within", within), ("fisher_raw_flags", "infinite,-,-")):
         buf = edit_model_conf(buf, set_conf_value(key, value))
     back = model_from_bytes(buf)
     assert back.fisher_raw.per_mode[0].flag == "infinite"
+    assert model_to_bytes(back) == buf
 
 
 @pytest.mark.parametrize("method", ["nmode-wgds", "nmode-gds", "pgm"])
@@ -465,6 +487,106 @@ def test_model_references_of_one_mode_must_share_a_width():
     assert str(err.value) == (
         "CONF key 'dims': bad value '3,2,2' (mode 1: the references are 2 to 3 wide)"
     )
+
+
+def with_checksum(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        # a matrix section too short for its name length
+        _section(b"MATX", b""),
+        _section(b"MATX", b"\x01"),
+        # text that is not UTF-8
+        _section(b"CONF", b"method=\xff\n"),
+        _section(b"MATX", struct.pack("<H", 1) + b"\xff"),
+    ],
+)
+def test_model_sections_that_do_not_decode_are_format_errors(section):
+    buf = with_checksum(b"NMDL" + struct.pack("<H", 1) + section)
+    with pytest.raises(FormatError, match="malformed section payload at offset 18: "):
+        model_from_bytes(buf)
+
+
+@pytest.mark.parametrize("method", ["nmode-wgds", "pgm"])
+def test_model_file_must_be_framed_as_the_writer_frames_it(method):
+    buf = seed7_model_bytes(method)
+    back = model_from_bytes(buf)
+    *_, (last, value) = _model_conf(back).items()
+
+    def swap_last_lines(text):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[:-2] + [lines[-1], lines[-2]])
+
+    cases = {
+        f"CONF section: no newline after '{last}={value}'": edit_model_conf(buf, str.rstrip),
+        f"CONF key '{last}' appears twice": edit_model_conf(
+            buf, lambda text: text + f"{last}={value}\n"
+        ),
+        "CONF key 'zzz': the writer does not write it here": edit_model_conf(
+            buf, lambda text: text + "zzz=1\n"
+        ),
+        f"CONF key '{last}': the writer does not write it here": edit_model_conf(
+            buf, swap_last_lines
+        ),
+        "MATX section 'weights' appears twice": with_checksum(
+            buf[:-4] + _named_matrix("weights", back.weights.weights[:, None])
+        ),
+        "MATX section 'ref99_m1': the writer does not write it here": with_checksum(
+            buf[:-4] + _named_matrix("ref99_m1", np.eye(12, 3))
+        ),
+    }
+    for message, bad in cases.items():
+        with pytest.raises(FormatError, match=re.escape(message)):
+            model_from_bytes(bad)
+
+
+# Values a single CONF edit may set: tokens of every kind the file uses, and
+# short strings of the characters its numbers, flags and lists are made of.
+TOKENS = (
+    "", "x", "none", "-", "0", "-0", "1", "01", " 1", "-1", "2", "3", "12", "13", "0.5",
+    "-0.5", "nan", "inf", "-inf", "1e-8", "true", "True", "false", "infinite", "1,2",
+    "3,2,1", "1,1,1", "0,0,0", "-0.5,-0.5,-0.5", "-,-,-", "12,12,12,12",
+)
+
+
+@st.composite
+def conf_edits(draw, conf):
+    """A key of `conf` and its edited value, or None to drop the key."""
+    key = draw(st.sampled_from(sorted(conf)))
+    items = conf[key].split(",")
+    item = st.one_of(
+        st.sampled_from(TOKENS + tuple(items)), st.text("0123456789.-e, abcfinotuxy", max_size=6)
+    )
+    i = draw(st.integers(0, len(items) - 1))
+    value = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from(TOKENS + tuple(conf.values())),
+            item.map(lambda x: ",".join(items[:i] + [x] + items[i + 1 :])),
+            st.lists(item, min_size=1, max_size=5).map(",".join),
+        )
+    )
+    return key, value
+
+
+@settings(max_examples=400, deadline=None)
+@given(method=st.sampled_from(["nmode-wgds", "pgm"]), data=st.data())
+def test_a_single_key_edit_is_refused_by_name_or_saves_back_to_the_same_bytes(method, data):
+    # a file that states two facts that disagree cannot say which was edited,
+    # so the error may name a key derived from the edited one
+    buf = seed7_model_bytes(method)
+    key, value = data.draw(conf_edits(_model_conf(model_from_bytes(buf))))
+    edit = drop_conf_line(key) if value is None else set_conf_value(key, value)
+    edited = edit_model_conf(buf, edit)
+    try:
+        back = model_from_bytes(edited)
+    except FormatError as exc:
+        assert re.match(r"(no )?(CONF keys?|MATX section) '", str(exc)), str(exc)
+    else:
+        assert model_to_bytes(back) == edited
 
 
 def test_legacy_exhaustive_model_matches_the_coordinate_model():

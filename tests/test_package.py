@@ -52,15 +52,25 @@ def test_every_config_field_is_read_outside_the_config_class():
     assert fields - read == UNREAD_FIELDS
 
 
+def calls_of(name: str):
+    """Per package module, each top-level definition (or `<module>`) that
+    calls `name`, by plain name or as an attribute."""
+    for path in Path(tensorgds.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if getattr(func, "attr", getattr(func, "id", None)) == name:
+                        yield path.name, getattr(stmt, "name", "<module>")
+
+
 def test_bands_are_built_only_in_the_gds_module():
     # one module holds the band rule: every other module gets its bands from
     # `mode_gram`, `full_band` or `gds_from_gram`
-    callers = set()
-    for path in Path(tensorgds.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "GdsBasis":
-                    callers.add(path.name)
-    assert callers == {"gds.py"}
+    assert {module for module, _ in calls_of("GdsBasis")} == {"gds.py"}
+
+
+def test_mode_weights_is_called_only_by_the_weighting_rule():
+    # one function holds `fit`'s weighting rule: `fit` and the model reader
+    # both get their weights from `pipeline.method_weights`
+    assert set(calls_of("mode_weights")) == {("pipeline.py", "method_weights")}
