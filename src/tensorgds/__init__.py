@@ -31,7 +31,6 @@ from .pipeline import (
 )
 from .subspace import (
     AngleSpectrum,
-    SingularSpectrum,
     Subspace,
     basis_from_unfolding,
     geodesic_distance,
@@ -65,7 +64,6 @@ __all__ = [
     "NModeFisher",
     "PipelineConfig",
     "ProductPoint",
-    "SingularSpectrum",
     "Subspace",
     "TrainedModel",
     "WeightVector",

@@ -38,7 +38,7 @@ from .errors import DegeneracyError, DimensionError, FormatError
 from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
 from .gds import GdsBasis, full_band, gds_from_gram
 from .manifold import ProductPoint
-from .pipeline import SETTINGS, PipelineConfig, TrainedModel, method_weights
+from .pipeline import SETTINGS, PipelineConfig, TrainedModel, check_angle_counts, method_weights
 from .subspace import Subspace, qr_positive
 from .tensor import MAX_ORDER, DenseTensor, mode_multiply
 
@@ -81,9 +81,9 @@ class NamedValues(dict):
     def parse(self, name: str, kind, many: bool = False):
         """`kind` applied to the value, or with `many` to each item of its
         comma list, returned as a tuple."""
-        text = self[name]
+        value = self[name]
         try:
-            return tuple(kind(x) for x in text.split(",")) if many else kind(text)
+            return tuple(kind(x) for x in value.split(",")) if many else kind(value)
         except ValueError as exc:
             raise self.bad(name, str(exc)) from exc
 
@@ -585,12 +585,18 @@ def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
     gds = _bands_from_conf(conf, matrices, modes) if config.uses_gds else None
     labels = conf.parse("labels", int, many=True) if conf["labels"] else ()
     n_refs = conf.parse("n_refs", int)
-    parts = [tuple(Subspace(matrices[f"ref{i}_m{m}"]) for m in modes) for i in range(n_refs)]
+    # each reference must be an orthonormal basis
+    parts = [tuple(matrices.parse(f"ref{i}_m{m}", Subspace) for m in modes) for i in range(n_refs)]
     if len(labels) != n_refs:
         raise conf.bad("labels", f"{len(labels)} labels for n_refs={n_refs}")
     mode_ambients = conf.parse("mode_ambients", int, many=True)
     data_dims = None if conf["data_dims"] == "none" else conf.parse("data_dims", int, many=True)
     _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts)
+    widths = [b.dim for b in parts[0]] if parts else dims
+    try:
+        check_angle_counts(config.angle_counts, modes, widths)
+    except DimensionError as exc:
+        raise conf.bad("angle_counts", str(exc)) from exc
     fisher = _fisher_from_conf("fisher", conf, modes)
     try:
         weights = method_weights(config, fisher)

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DimensionError, KarcherConvergenceWarning
 from .subspace import (
-    Subspace,
     basis_stack,
     eigh_descending,
     geodesic_distance,
@@ -131,9 +130,10 @@ def karcher_means(
     sets: Sequence,
     tol: float = DEFAULT_KARCHER_TOL,
     max_iter: int = DEFAULT_KARCHER_MAX_ITER,
-) -> list[Subspace]:
+) -> list[np.ndarray]:
     """Intrinsic mean of each set of equal-dimension subspaces, a sequence
-    of `Subspace`s or an (N, d, k) stack of bases (see `basis_stack`).
+    of `Subspace`s or an (N, d, k) stack of bases (see `basis_stack`), as a
+    (d, k) basis, in set order.
 
     A mean starts from the dominant eigenvectors of its set's averaged
     projectors and steps along the exp map of the mean log map until the mean
@@ -150,7 +150,7 @@ def karcher_means(
         count, n, d, k = stack.shape
         if n == 1:
             for c, member in zip(idx, stack[:, 0]):
-                means[c] = Subspace(member)
+                means[c] = member.copy()
             continue
         _, evecs = eigh_descending(projector_mean(stack))
         y = best_y = np.ascontiguousarray(evecs[..., :k])
@@ -188,7 +188,7 @@ def karcher_means(
             y = _exp_map(y, step * mean_tangent)
         out[live] = best_y
         for c, mean in zip(idx, out):
-            means[c] = Subspace(mean)
+            means[c] = mean
         for norm in best_norm.flat:  # the sets that never stopped
             warnings.warn(
                 f"Karcher mean of {n} subspaces ({d}x{k}) stopped after {max_iter} "
@@ -200,7 +200,7 @@ def karcher_means(
 
 def fisher_modes(
     tasks: Sequence[tuple[Sequence, int]],
-    sim: Callable[[np.ndarray, Subspace], np.ndarray] | None = None,
+    sim: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     karcher_tol: float = DEFAULT_KARCHER_TOL,
     karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> list[FisherReport]:
@@ -209,7 +209,7 @@ def fisher_modes(
     `Subspace`s or an (N, d, k) stack of bases.
 
     `sim` is the subspace dissimilarity, defaulting to the geodesic distance.
-    It takes an (N, d, k) stack of bases and one subspace and returns one
+    It takes an (N, d, k) stack of bases and one (d, k) basis and returns one
     value per basis. It enters the between and within sums only, so
     rescaling it leaves the score unchanged.
 
@@ -227,7 +227,7 @@ def fisher_modes(
         karcher_means([c for classes, _ in tasks for c in classes], karcher_tol, karcher_max_iter)
     )
     class_means = [list(itertools.islice(flat, len(classes))) for classes, _ in tasks]
-    mean_stacks = [basis_stack(means) for means in class_means]
+    mean_stacks = [np.stack(means) for means in class_means]
     grand_means = karcher_means(mean_stacks, karcher_tol, karcher_max_iter)
     reports = []
     for (classes, mode), means, stack, grand_mean in zip(
@@ -245,7 +245,7 @@ def fisher_modes(
 def fisher_mode(
     subspaces_by_class: Sequence,
     mode: int = 0,
-    sim: Callable[[np.ndarray, Subspace], np.ndarray] | None = None,
+    sim: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     karcher_tol: float = DEFAULT_KARCHER_TOL,
     karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> FisherReport:

@@ -26,7 +26,6 @@ from .fisher import FisherReport, NModeFisher, fisher_modes, karcher_means, nmod
 from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, point_stacks, weighted_geodesics
 from .subspace import (
-    SingularSpectrum,
     Subspace,
     basis_from_unfolding,
     leading_basis,
@@ -346,8 +345,11 @@ def optimize_gds_dims(
     return GdsSearchResult(bases, reports, tuple(trace), parts)
 
 
-def _check_angle_counts(counts, modes, widths) -> None:
-    """Each angle count must lie in 1..the width of its mode's references."""
+def check_angle_counts(counts, modes, widths) -> None:
+    """Angle counts, unless None, must give one count per mode, each in
+    1..`widths`, the width of its mode's references or a bound on it."""
+    if counts is not None and len(counts) != len(modes):
+        raise DimensionError(f"angle_counts has {len(counts)} entries for {len(modes)} modes")
     for count, mode, top in zip(counts or (), modes, widths):
         if not 1 <= count <= top:
             raise DimensionError(
@@ -361,22 +363,18 @@ def _class_pair_mean_angle(class_subspaces: Sequence) -> float:
 
 
 def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
-    """One mode of `fit`: compress every sample's unfolding to its
-    `left_factor`, take one SVD per factor, fix the dimension (`dim`, or the
-    median energy dimension when None), and build the sample bases and,
-    from the stacked factors of each class, the class subspaces. Returns the
-    dimension, the (N, d, dim) stack of sample bases and the (C, d, dim)
-    stack of class bases; each unfolding is released once it is compressed."""
-    factors = [left_factor(unfold(s, mode)) for s in samples]
-    svds = [left_singular(f) for f in factors]
-    if dim is None:
-        energy_dims = [select_dim(SingularSpectrum(lam), mu) for _, lam in svds]
-        dim = int(round(float(np.median(energy_dims))))
-    else:
-        dim = int(dim)
-    stack = np.stack([leading_basis(u, lam, dim) for u, lam in svds])
-    groups = [[f for f, label in zip(factors, labels) if label == cid] for cid in class_ids]
-    classes = [leading_basis(*left_singular(np.hstack(g)), dim) for g in groups]
+    """One mode of `fit`: compress each sample's unfolding to its
+    `left_factor` (releasing the unfolding), take one batched SVD of the
+    factor stack, fix the dimension (`dim`, or the median energy dimension
+    when None), and build the sample bases and, from the stacked factors of
+    each class, the class bases. Returns the dimension, the (N, d, dim)
+    stack of sample bases and the (C, d, dim) stack of class bases."""
+    factors = np.stack([left_factor(unfold(s, mode)) for s in samples])
+    u, lam = left_singular(factors)
+    dim = int(round(float(np.median(select_dim(lam, mu))))) if dim is None else int(dim)
+    stack = leading_basis(u, lam, dim)
+    members = _class_members(labels, class_ids)
+    classes = [leading_basis(*left_singular(np.hstack(factors[i])), dim) for i in members]
     return dim, stack, np.stack(classes)
 
 
@@ -409,10 +407,9 @@ def fit(
         )
     n = len(modes)
     fixed_dims = (None,) * n if config.per_mode_dims is None else config.per_mode_dims
-    for name in ("per_mode_dims", "angle_counts"):
-        values = getattr(config, name)
-        if values is not None and len(values) != n:
-            raise DimensionError(f"{name} has {len(values)} entries for {n} modes")
+    if len(fixed_dims) != n:
+        raise DimensionError(f"per_mode_dims has {len(fixed_dims)} entries for {n} modes")
+    check_angle_counts(config.angle_counts, modes, [data_dims[m - 1] for m in modes])
     for mode, dim in zip(modes, fixed_dims):
         if dim is not None and dim > data_dims[mode - 1]:
             raise DimensionError(
@@ -425,7 +422,7 @@ def fit(
             for mode, dim in zip(modes, fixed_dims)
         )
     )
-    _check_angle_counts(config.angle_counts, modes, dims)
+    check_angle_counts(config.angle_counts, modes, dims)
     members = _class_members(labels, class_ids)
 
     raw_reports = fisher_modes(
@@ -459,7 +456,7 @@ def fit(
     )
 
     # a band can narrow every basis of a mode below its angle count
-    _check_angle_counts(config.angle_counts, modes, [s.shape[2] for s in stacks])
+    check_angle_counts(config.angle_counts, modes, [s.shape[2] for s in stacks])
 
     resolved = dataclasses.replace(config, modes_used=modes, per_mode_dims=dims)
     return TrainedModel(
@@ -580,7 +577,7 @@ def _class_mean_stacks(model: TrainedModel) -> tuple[np.ndarray, ...]:
             )
             for stack in model.reference_stacks
         ]
-        model._cache["class_means"] = tuple(np.stack([m.basis for m in ms]) for ms in means)
+        model._cache["class_means"] = tuple(np.stack(ms) for ms in means)
     return model._cache["class_means"]
 
 

@@ -65,23 +65,6 @@ class Subspace:
 
 
 @dataclass(frozen=True)
-class SingularSpectrum:
-    """Non-increasing, non-negative eigenvalues of an autocorrelation matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64).ravel()
-        if arr.size == 0:
-            raise DimensionError("spectrum must be non-empty")
-        if np.any(arr < 0):
-            raise ValueError("spectrum values must be non-negative")
-        if np.any(np.diff(arr) > 0):
-            raise ValueError("spectrum values must be non-increasing")
-        object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
 class AngleSpectrum:
     """Canonical correlations (non-increasing, in [0, 1]) and the matching
     canonical angles (non-decreasing, in [0, pi/2])."""
@@ -90,16 +73,24 @@ class AngleSpectrum:
     angles: np.ndarray
 
 
-def select_dim(spectrum: SingularSpectrum, mu: float) -> int:
+def select_dim(values: np.ndarray, mu: float):
     """Smallest K whose leading eigenvalues carry at least the fraction `mu`
-    of the total spectrum energy."""
+    of the total energy of a non-increasing, non-negative spectrum, such as
+    the `lam` of `left_singular`; one K per row for a stack of spectra."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
-    cum = np.cumsum(spectrum.values)
-    total = cum[-1]
-    if total <= 0.0:
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise DimensionError("spectrum must be non-empty")
+    if np.any(values < 0):
+        raise ValueError("spectrum values must be non-negative")
+    if np.any(np.diff(values, axis=-1) > 0):
+        raise ValueError("spectrum values must be non-increasing")
+    cum = np.cumsum(values, axis=-1)
+    total = cum[..., -1:]
+    if np.any(total <= 0.0):
         raise DegeneracyError("spectrum has no positive energy")
-    return int(np.argmax(cum / total >= mu)) + 1
+    return np.argmax(cum / total >= mu, axis=-1) + 1
 
 
 def basis_from_unfolding(
@@ -117,69 +108,71 @@ def basis_from_unfolding(
         raise ValueError("specify exactly one of dim or energy")
     u, lam = left_singular(matrix)
     if energy is not None:
-        dim = select_dim(SingularSpectrum(lam), energy)
+        dim = select_dim(lam, energy)
     return Subspace(leading_basis(u, lam, dim))
 
 
 def _as_matrix(matrix: np.ndarray) -> np.ndarray:
     mat = np.asarray(matrix, dtype=np.float64)
-    if mat.ndim != 2 or mat.size == 0:
-        raise DimensionError("unfolding must be a non-empty 2-D matrix")
+    if mat.ndim < 2 or mat.size == 0:
+        raise DimensionError("unfolding must be a non-empty matrix or stack of matrices")
     return mat
 
 
 def lq_factor(matrix: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L of `matrix = L Q^T`, with Q column-orthonormal:
     the transposed R factor of a Householder QR of `matrix^T`, shaped
-    rows x min(rows, cols). L has the left-singular vectors and singular
-    values of `matrix`, and the horizontal stack of several matrices' L
-    factors has those of the stack of the matrices (the block-diagonal of
-    their Q factors is column-orthonormal)."""
-    return np.linalg.qr(_as_matrix(matrix).T, mode="r").T
+    rows x min(rows, cols), one per matrix of a stack. L has the
+    left-singular vectors and singular values of `matrix`, and the horizontal
+    stack of several matrices' L factors has those of the stack of the
+    matrices (the block-diagonal of their Q factors is column-orthonormal)."""
+    return np.swapaxes(np.linalg.qr(np.swapaxes(_as_matrix(matrix), -1, -2), mode="r"), -1, -2)
 
 
 def left_factor(matrix: np.ndarray) -> np.ndarray:
-    """A matrix with the left-singular vectors and singular values of
-    `matrix` and no more columns than rows: for a wide matrix its
+    """A matrix, or stack, with the left-singular vectors and singular values
+    of `matrix` and no more columns than rows: for a wide matrix its
     `lq_factor` (the R-SVD of Chan 1982), so the long right factor is never
     formed; a square or tall one, such as a factor already taken, as it is,
     since a QR would save its SVD nothing."""
     mat = _as_matrix(matrix)
-    return lq_factor(mat) if mat.shape[1] > mat.shape[0] else mat
+    return lq_factor(mat) if mat.shape[-1] > mat.shape[-2] else mat
 
 
 def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left-singular vectors of a non-empty 2-D matrix and the eigenvalues of
-    its non-centered autocorrelation (the squared singular values), with the
-    values beyond the numerical rank set to zero.
+    """Left-singular vectors of a non-empty matrix, or of each in a stack, and
+    the eigenvalues of its non-centered autocorrelation (the squared singular
+    values), with the values beyond the numerical rank set to zero.
 
     They come from the SVD of the matrix's `left_factor`. Householder QR is
     backward stable, so the result is the exact (U, s) of a matrix within
     O(eps * s_0) of the input, the guarantee a direct SVD gives. The rank
     cut-off `RANK_RTOL * s_0` lies six orders above that perturbation, so
     only a singular value within about eps * s_0 of the cut-off could land
-    on the other side of it.
+    on the other side of it. A stack takes one batched SVD, which runs the
+    same LAPACK call on each matrix, so each result equals the matrix's own.
     """
     u, s, _ = np.linalg.svd(left_factor(matrix), full_matrices=False)
-    if s[0] <= 0.0:
+    if np.any(s[..., 0] <= 0.0):
         raise DegeneracyError("all-zero matrix spans no subspace")
     lam = s * s
-    lam[s <= RANK_RTOL * s[0]] = 0.0
+    lam[s <= RANK_RTOL * s[..., :1]] = 0.0
     return u, lam
 
 
 def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> np.ndarray:
-    """The first `dim` columns of `u`, as returned with `lam` by
-    `left_singular`; `dim` may not exceed the numerical rank."""
+    """A contiguous copy of the first `dim` columns of `u`, as returned with
+    `lam` by `left_singular` for one matrix or a stack; `dim` may not exceed
+    the numerical rank of any matrix. The copy lets the full `u` go."""
     k = int(dim)
     if k < 1:
         raise DimensionError(f"dim must be >= 1, got {k}")
-    rank = int(np.count_nonzero(lam))
+    rank = int(np.min(np.count_nonzero(lam, axis=-1)))
     if k > rank:
         raise DegeneracyError(
             f"requested {k} basis vectors but the numerical rank is {rank}"
         )
-    return u[:, :k]
+    return np.ascontiguousarray(u[..., :k])
 
 
 def basis_stack(subspaces) -> np.ndarray:

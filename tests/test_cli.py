@@ -313,6 +313,7 @@ def test_model_with_rejected_setting_exits_2(dataset_dir, model_dir, tmp_path, c
         ("modes", "none"),
         ("data_dims", "9,8,8"),
         ("fisher_modes", "1,2"),
+        ("angle_counts", "1,2"),
     ],
 )
 def test_model_with_malformed_bands_or_labels_exits_2(
@@ -583,3 +584,18 @@ def test_bad_karcher_settings_exit_1(dataset_dir, tmp_path, capsys, flags, line)
     ])
     assert code == 1
     assert "karcher_" in capsys.readouterr().err
+
+
+def test_model_with_a_reference_that_is_not_orthonormal_exits_2(
+    dataset_dir, model_dir, tmp_path, capsys
+):
+    bad = tmp_path / "bad.nmdl"
+    model = (model_dir / "model.nmdl").read_bytes()
+    bad.write_bytes(edit_model_matrix(model, "ref0_m1", lambda basis: basis * 2.0))
+    assert main([
+        "eval", "--model", str(bad), "--manifest", str(dataset_dir / "manifest.txt"),
+        "--split", "test", "--out", str(tmp_path / "eval"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "MATX section 'ref0_m1': bad value" in err
+    assert "basis is not column-orthonormal" in err

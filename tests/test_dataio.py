@@ -411,6 +411,11 @@ def seed7_model_bytes(method):
         ("pgm", "angle_diag_raw", "0.5,0.5,inf", "angles are finite and non-negative"),
         ("nmode-wgds", "angle_diag_projected", "none", "could not convert string to float: 'none'"),
         ("pgm", "angle_diag_projected", "0.5,0.5,0.5", "need 'none'"),
+        # the angle counts `fit` would refuse: one per mode, each at most the
+        # width of the mode's references
+        ("nmode-wgds", "angle_counts", "1,2", "angle_counts has 2 entries for 3 modes"),
+        ("nmode-wgds", "angle_counts", "1,1,9", "angle_counts entry 9 for mode 3 is outside 1..2"),
+        ("pgm", "angle_counts", "1,3,1", "angle_counts entry 3 for mode 2 is outside 1..2"),
         # every value must be the one the writer writes for the model read
         ("nmode-wgds", "format_version", "x", "need '1'"),
         ("pgm", "format_version", "2", "need '1'"),
@@ -487,6 +492,29 @@ def test_model_references_of_one_mode_must_share_a_width():
     assert str(err.value) == (
         "CONF key 'dims': bad value '3,2,2' (mode 1: the references are 2 to 3 wide)"
     )
+
+
+@pytest.mark.parametrize("method", ["nmode-wgds", "pgm"])
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda basis: basis * 2.0, "basis is not column-orthonormal (max deviation 3.000e+00)"),
+        (np.zeros_like, "basis is not column-orthonormal (max deviation 1.000e+00)"),
+        (lambda basis: basis[:1], "exceeds ambient dimension 1"),
+    ],
+)
+def test_model_references_must_be_orthonormal_bases(method, edit, reason):
+    buf = seed7_model_bytes(method)
+    with pytest.raises(FormatError) as err:
+        model_from_bytes(edit_model_matrix(buf, "ref0_m1", edit))
+    assert str(err.value).startswith("MATX section 'ref0_m1': bad value ")
+    assert str(err.value).endswith(f"{reason})")
+    # the angle counts of a model that loads reach every reference width
+    model = model_from_bytes(buf)
+    widths = [b.shape[1] for b in model.references[0].bases]
+    counts = ",".join(map(str, widths))
+    back = model_from_bytes(edit_model_conf(buf, set_conf_value("angle_counts", counts)))
+    assert back.config.angle_counts == tuple(widths)
 
 
 def with_checksum(body: bytes) -> bytes:

@@ -74,3 +74,11 @@ def test_mode_weights_is_called_only_by_the_weighting_rule():
     # one function holds `fit`'s weighting rule: `fit` and the model reader
     # both get their weights from `pipeline.method_weights`
     assert set(calls_of("mode_weights")) == {("pipeline.py", "method_weights")}
+
+
+def test_fisher_builds_no_subspace_and_no_spectrum_type_remains():
+    # Karcher means and separability work on stacks of bases end to end, and
+    # energy dimensions are read off plain arrays of eigenvalues
+    assert not [where for where in calls_of("Subspace") if where[0] == "fisher.py"]
+    for path in Path(tensorgds.__file__).parent.glob("*.py"):
+        assert "SingularSpectrum" not in path.read_text(), path.name

@@ -34,6 +34,7 @@ from tensorgds import (
 from tensorgds import fisher, pipeline
 from tensorgds.dataio import SynthSpec, generate_synthetic
 from tensorgds.pipeline import CHOICES, SETTINGS, _fit_mode
+from tensorgds.subspace import leading_basis, left_factor, left_singular, select_dim
 from conftest import random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -347,9 +348,8 @@ def test_band_search_skips_a_band_that_narrows_some_bases():
 
 
 def test_band_search_builds_no_subspace_per_sample(monkeypatch):
-    # the search scores each candidate from one projected stack: the only
-    # Subspaces it builds are the Karcher means (one per class and the grand
-    # mean), never one per training sample
+    # the search scores each candidate from one projected stack and takes
+    # its Karcher means as bases: it builds no Subspace at all
     tr_s, tr_l, _, _ = benchmark_split()
     config = PipelineConfig(method="nmode-wgds")
     model = fit(tr_s, tr_l, config)
@@ -369,8 +369,17 @@ def test_band_search_builds_no_subspace_per_sample(monkeypatch):
     assert batches[0] == len(grams) and len(batches) == 2
     scored = sum(batches)
     assert scored == sum(min(config.gds_alpha_max, g.rank) for g in grams)
-    assert len(built) == scored * (len(model.class_ids) + 1)
-    assert len(built) / scored < len(labels)
+    assert scored > 0 and built == []
+
+
+def test_fit_builds_a_subspace_only_per_stored_reference_part(monkeypatch):
+    # sample, class and mean bases stay arrays; only the references a model
+    # stores become Subspaces
+    tr_s, tr_l, _, _ = benchmark_split()
+    built, post_init = [], Subspace.__post_init__
+    monkeypatch.setattr(Subspace, "__post_init__", lambda s: built.append(1) or post_init(s))
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds"))
+    assert len(built) == len(model.references) * len(model.modes)
 
 
 def test_fit_takes_six_karcher_passes(monkeypatch):
@@ -485,6 +494,64 @@ def test_fit_mode_factors_each_unfolding_once(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
     _fit_mode(samples, labels, (0, 1), 1, 2, 0.9)
     assert len(calls) == len(samples) + 2
+
+
+def per_sample_fit_mode(samples, labels, class_ids, mode, dim, mu):
+    """`_fit_mode` as one SVD, one energy dimension and one basis per sample:
+    the loop that the batched version replaced."""
+    factors = [left_factor(unfold(s, mode)) for s in samples]
+    svds = [left_singular(f) for f in factors]
+    if dim is None:
+        dim = int(round(float(np.median([select_dim(lam, mu) for _, lam in svds]))))
+    stack = np.stack([leading_basis(u, lam, dim) for u, lam in svds])
+    groups = [[f for f, label in zip(factors, labels) if label == cid] for cid in class_ids]
+    classes = [leading_basis(*left_singular(np.hstack(g)), dim) for g in groups]
+    return dim, stack, np.stack(classes)
+
+
+def assert_fit_mode_matches_the_per_sample_loop(samples, labels, mode, dim, mu):
+    class_ids = tuple(sorted(set(labels)))
+    try:
+        want = per_sample_fit_mode(samples, labels, class_ids, mode, dim, mu)
+    except DegeneracyError as exc:
+        with pytest.raises(DegeneracyError) as err:
+            _fit_mode(samples, labels, class_ids, mode, dim, mu)
+        assert str(err.value) == str(exc)
+        return
+    got = _fit_mode(samples, labels, class_ids, mode, dim, mu)
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extents=st.tuples(*[st.integers(2, 6)] * 3),
+    sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    mode=st.integers(1, 3),
+    dim=st.one_of(st.none(), st.integers(1, 3)),
+    mu=st.floats(0.05, 1.0),
+    flat=st.integers(0, 3),
+)
+def test_fit_mode_matches_the_per_sample_loop_bitwise(
+    seed, extents, sizes, mode, dim, mu, flat
+):
+    # wide and tall unfoldings; the first `flat` samples have rank 1 in
+    # every mode, so a fixed dimension can exceed a member's rank
+    rng = np.random.default_rng(seed)
+    labels = [j for j, size in enumerate(sizes) for _ in range(size)]
+    samples = [random_tensor(rng, extents) for _ in labels]
+    for i in range(min(flat, len(samples))):
+        vecs = [rng.standard_normal(n) for n in extents]
+        samples[i] = DenseTensor(np.einsum("i,j,k->ijk", *vecs))
+    assert_fit_mode_matches_the_per_sample_loop(samples, labels, mode, dim, mu)
+
+
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_fit_mode_matches_the_per_sample_loop_on_the_seed7_set(mode):
+    tr_s, tr_l, _, _ = benchmark_split()
+    assert_fit_mode_matches_the_per_sample_loop(tr_s, tr_l, mode, None, 0.9)
 
 
 @pytest.mark.parametrize("counts", [(9, 9, 9), (1,)])

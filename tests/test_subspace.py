@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tensorgds import (
     DegeneracyError,
     DimensionError,
-    SingularSpectrum,
     Subspace,
     basis_from_unfolding,
     geodesic_distance,
@@ -17,7 +16,7 @@ from tensorgds import (
     projector,
     select_dim,
 )
-from tensorgds.subspace import left_singular, lq_factor
+from tensorgds.subspace import leading_basis, left_factor, left_singular, lq_factor
 from conftest import random_orthonormal, random_subspace
 
 
@@ -107,6 +106,43 @@ def test_left_singular_counts_the_rank_of_a_product(seed, rows, cols, rank, scal
     assert np.all(lam[:rank] > 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 6),
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 20),
+    mu=st.floats(0.05, 1.0),
+)
+def test_stacked_helpers_match_the_per_matrix_calls_bitwise(seed, count, rows, cols, mu):
+    # wide, square and tall stacks whose members differ in scale and rank:
+    # each batched result is the member's own, bit for bit
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, min(rows, cols) + 1, size=count)
+    scales = 10.0 ** rng.integers(-8, 9, size=count)
+    stack = np.stack([
+        s * rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+        for r, s in zip(ranks, scales)
+    ])
+    u, lam = left_singular(stack)
+    dims = select_dim(lam, mu)
+    solo = [left_singular(m) for m in stack]
+    for i, (ui, lami) in enumerate(solo):
+        assert left_factor(stack)[i].tobytes() == left_factor(stack[i]).tobytes()
+        assert u[i].tobytes() == ui.tobytes() and lam[i].tobytes() == lami.tobytes()
+        assert dims[i] == select_dim(lami, mu)
+    top = int(np.count_nonzero(lam, axis=-1).min())
+    for k in range(1, top + 1):
+        out = leading_basis(u, lam, k)
+        # a copy, so that the batched U need not stay alive with the bases
+        assert out.flags.c_contiguous and (k == u.shape[-1] or not np.shares_memory(out, u))
+        for i, (ui, lami) in enumerate(solo):
+            assert out[i].tobytes() == leading_basis(ui, lami, k).tobytes()
+    if top < u.shape[-1]:
+        with pytest.raises(DegeneracyError, match=f"numerical rank is {top}"):
+            leading_basis(u, lam, top + 1)
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (4, 4)])
 def test_left_singular_rejects_zero_and_empty_matrices(shape):
     with pytest.raises(DegeneracyError):
@@ -115,6 +151,9 @@ def test_left_singular_rejects_zero_and_empty_matrices(shape):
         left_singular(np.zeros((shape[0], 0)))
     with pytest.raises(DimensionError):
         left_singular(np.zeros(shape[0]))
+    # one all-zero member makes the whole stack degenerate
+    with pytest.raises(DegeneracyError):
+        left_singular(np.stack([np.eye(*shape), np.zeros(shape)]))
 
 
 @pytest.mark.parametrize(
@@ -127,18 +166,26 @@ def test_left_singular_rejects_zero_and_empty_matrices(shape):
     ],
 )
 def test_select_dim_cases(values, mu, expected):
-    assert select_dim(SingularSpectrum(np.array(values)), mu) == expected
+    assert select_dim(np.array(values), mu) == expected
 
 
 def test_select_dim_errors():
     with pytest.raises(DegeneracyError):
-        select_dim(SingularSpectrum(np.zeros(3)), 0.9)
+        select_dim(np.zeros(3), 0.9)
     with pytest.raises(ValueError):
-        select_dim(SingularSpectrum(np.array([1.0])), 0.0)
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, 2.0]))  # increasing
-    with pytest.raises(ValueError):
-        SingularSpectrum(np.array([1.0, -0.1]))
+        select_dim(np.array([1.0]), 0.0)
+    with pytest.raises(ValueError, match="non-increasing"):
+        select_dim(np.array([1.0, 2.0]), 0.9)
+    with pytest.raises(ValueError, match="non-negative"):
+        select_dim(np.array([1.0, -0.1]), 0.9)
+    # a stack is checked row by row
+    assert select_dim(np.array([[9.0, 1.0], [1.0, 1.0]]), 0.9).tolist() == [1, 2]
+    with pytest.raises(ValueError, match="non-increasing"):
+        select_dim(np.array([[2.0, 1.0], [1.0, 2.0]]), 0.9)
+    with pytest.raises(DegeneracyError):
+        select_dim(np.array([[2.0, 1.0], [0.0, 0.0]]), 0.9)
+    with pytest.raises(DimensionError):
+        select_dim(np.zeros((2, 0)), 0.9)
 
 
 @settings(max_examples=50, deadline=None)
@@ -149,9 +196,8 @@ def test_select_dim_errors():
 )
 def test_select_dim_monotone_in_mu(seed, mu1, mu2):
     lam = np.sort(np.random.default_rng(seed).uniform(0.01, 1.0, size=6))[::-1]
-    spec = SingularSpectrum(lam)
     lo, hi = sorted([mu1, mu2])
-    assert select_dim(spec, lo) <= select_dim(spec, hi)
+    assert select_dim(lam, lo) <= select_dim(lam, hi)
 
 
 def test_principal_angles_analytic_r3():
