@@ -18,7 +18,8 @@ decisions, scores, distances, weights, search trace and warning count) to
 an .npz file, together with three unhashed arrays: `reference_projectors`,
 per model reference the concatenated projectors B B^T of its parts, which
 a change that only rotates the stored bases leaves alone, and the Karcher
-work of the run, `karcher_passes` (calls of the batched log map) and
+work of the run, `karcher_calls` (calls of `fisher.karcher_means`),
+`karcher_passes` (calls of the batched log map) and
 `karcher_set_iterations` (the sets those calls stepped, summed). `--compare`
 reads two such files, taking a configuration in `RENAMED` under its new
 name, and prints, per configuration, whether the discrete outputs match
@@ -50,6 +51,7 @@ from tensorgds import (
     fisher,
     fit,
     pairwise_distances,
+    pipeline,
     transform,
 )
 from tensorgds.cli import classical_mds
@@ -119,6 +121,7 @@ DISCRETE = (
 # printed by `--compare` as both runs' values, never as a deviation
 KARCHER = {
     "warnings": "karcher_warnings",
+    "calls": "karcher_calls",
     "passes": "karcher_passes",
     "set-iterations": "karcher_set_iterations",
 }
@@ -146,16 +149,23 @@ def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tu
     digest = hashlib.sha256()
     out = {}
     work = Counter()
-    log_map = fisher._log_map
+    log_map, karcher_means = fisher._log_map, fisher.karcher_means
 
     def counting(base, stack):
         work["karcher_passes"] += 1
         work["karcher_set_iterations"] += stack.shape[0]
         return log_map(base, stack)
 
+    def counting_means(*args, **kwargs):
+        work["karcher_calls"] += 1
+        return karcher_means(*args, **kwargs)
+
+    # `pipeline` calls `karcher_means` for the class-karcher class means
     with (
         warnings.catch_warnings(record=True) as caught,
         mock.patch.object(fisher, "_log_map", counting),
+        mock.patch.object(fisher, "karcher_means", counting_means),
+        mock.patch.object(pipeline, "karcher_means", counting_means),
     ):
         warnings.simplefilter("always", KarcherConvergenceWarning)
         try:
@@ -200,7 +210,7 @@ def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tu
     digest.update(f"karcher_warnings={unconverged}".encode())
     out["karcher_warnings"] = np.array(unconverged)
     # not hashed: the work to reach the same means may change
-    for key in ("karcher_passes", "karcher_set_iterations"):
+    for key in ("karcher_calls", "karcher_passes", "karcher_set_iterations"):
         out[key] = np.array(work[key])
     return digest.hexdigest(), out
 

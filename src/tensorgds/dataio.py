@@ -29,6 +29,7 @@ import math
 import os
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,10 +37,10 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError, FormatError
 from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
-from .gds import GdsBasis, full_band, gds_from_gram
+from .gds import GRAM_RANK_TOL, GdsBasis, full_band, gds_from_gram
 from .manifold import ProductPoint
 from .pipeline import SETTINGS, PipelineConfig, TrainedModel, check_angle_counts, method_weights
-from .subspace import Subspace, qr_positive
+from .subspace import Subspace, fix_column_signs, qr_positive
 from .tensor import MAX_ORDER, DenseTensor, mode_multiply
 
 TENSOR_MAGIC = b"NMT1"
@@ -517,14 +518,33 @@ def _fisher_from_conf(prefix: str, conf: NamedValues, modes) -> NModeFisher:
     )
 
 
+def _spectrum(matrices: NamedValues, mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """A mode's stored Gram spectrum as `mode_gram` writes it: a square,
+    orthonormal eigenvector matrix with fixed column signs, and one finite
+    eigenvalue per eigenvector, in descending order, the leading one above
+    GRAM_RANK_TOL (a mean of projectors has trace at least 1)."""
+    vecs, vals = f"gds{mode}_eigvecs", f"gds{mode}_eigvals"
+    eigvecs = matrices.parse(vecs, Subspace).basis
+    if eigvecs.shape[0] != eigvecs.shape[1]:
+        raise matrices.bad(vecs, f"{eigvecs.shape[0]}x{eigvecs.shape[1]} is not square")
+    if not np.array_equal(fix_column_signs(eigvecs), eigvecs):
+        raise matrices.bad(vecs, "column signs are not fixed")
+    eigvals = matrices[vals].ravel()
+    if matrices[vals].shape != (len(eigvecs), 1):
+        raise matrices.bad(vals, f"need one column of {len(eigvecs)} eigenvalues")
+    finite = np.all(np.isfinite(eigvals))
+    if not (finite and np.all(np.diff(eigvals) <= 0.0) and eigvals[0] > GRAM_RANK_TOL):
+        raise matrices.bad(vals, "need finite, descending values, the leading one positive")
+    return matrices[vecs], eigvals
+
+
 def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[GdsBasis, ...]:
     """Each mode's band: the full band of its stored spectrum, narrowed to the
     stored alpha and beta by the band rule."""
     gds = []
     alphas, betas = (_per_mode(conf, key, modes) for key in ("alphas", "betas"))
     for mode, alpha, beta in zip(modes, alphas, betas):
-        eigvecs, eigvals = matrices[f"gds{mode}_eigvecs"], matrices[f"gds{mode}_eigvals"]
-        full = full_band(mode, eigvecs, eigvals.ravel())
+        full = full_band(mode, *_spectrum(matrices, mode))
         # the alpha alone, then the band it opens with beta
         for key, limits in (("alphas", (alpha,)), ("betas", (alpha, beta))):
             try:
@@ -535,12 +555,15 @@ def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[G
     return tuple(gds)
 
 
-def _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts) -> None:
+def _check_mode_shapes(
+    conf, matrices, modes, dims, mode_ambients, data_dims, gds, parts
+) -> None:
     """Each mode's entries against what is stored: a band as wide as the
     rows of the references projected onto it; an ambient equal to the rows
     of the mode's spectrum, or of its references without bands; references
-    of one width, at most `dims`, and exactly that when no band can have
-    narrowed them. `data_dims`, when recorded, gives each mode its ambient."""
+    of one width (one that differs from most is named), at most `dims`, and
+    exactly that when no band can have narrowed them. `data_dims`, when
+    recorded, gives each mode its ambient."""
     for key, values in (("dims", dims), ("mode_ambients", mode_ambients)):
         if values is None or len(values) != len(modes):
             raise conf.bad(key, f"need one entry for each of the {len(modes)} modes")
@@ -559,8 +582,10 @@ def _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts) 
             reason = f"mode {mode}: {ambients.pop()} rows in the stored {stored}"
             raise conf.bad("mode_ambients", reason)
         if len(widths) > 1:
-            reason = f"mode {mode}: the references are {min(widths)} to {max(widths)} wide"
-            raise conf.bad("dims", reason)
+            common = Counter(ref[p].dim for ref in parts).most_common(1)[0][0]
+            i = next(i for i, ref in enumerate(parts) if ref[p].dim != common)
+            reason = f"{parts[i][p].dim} wide; most references of mode {mode} are {common} wide"
+            raise matrices.bad(f"ref{i}_m{mode}", reason)
         if any(w > dims[p] for w in widths) or (band is None and widths - {dims[p]}):
             raise conf.bad("dims", f"mode {mode}: the references are {max(widths)} wide")
         if data_dims is not None and len(data_dims) < mode:
@@ -591,7 +616,7 @@ def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
         raise conf.bad("labels", f"{len(labels)} labels for n_refs={n_refs}")
     mode_ambients = conf.parse("mode_ambients", int, many=True)
     data_dims = None if conf["data_dims"] == "none" else conf.parse("data_dims", int, many=True)
-    _check_mode_shapes(conf, modes, dims, mode_ambients, data_dims, gds, parts)
+    _check_mode_shapes(conf, matrices, modes, dims, mode_ambients, data_dims, gds, parts)
     widths = [b.dim for b in parts[0]] if parts else dims
     try:
         check_angle_counts(config.angle_counts, modes, widths)

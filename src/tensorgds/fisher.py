@@ -38,9 +38,10 @@ from .subspace import (
 
 DEFAULT_KARCHER_TOL = 1e-8
 DEFAULT_KARCHER_MAX_ITER = 100
-# Largest Karcher step, in units of the mean tangent (see `_bb_step`). Slow
-# sets are ill-conditioned and need long steps: over the fingerprint fits a
-# cap of 10 left 36 means unconverged, 100 one, and 1000 none, as no cap does
+# Largest Karcher step, in units of the mean tangent (see `karcher_means`).
+# Slow sets are ill-conditioned and need long steps: over the fingerprint
+# fits a cap of 10 left 36 means unconverged, 100 one, and 1000 none, as no
+# cap does
 STEP_MAX = 1000.0
 
 
@@ -114,16 +115,12 @@ def _exp_map(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     return qr_positive(y @ vt)
 
 
-def _bb_step(s: np.ndarray, delta: np.ndarray) -> float:
-    """Barzilai-Borwein step <s, delta> / <delta, delta> (the BB2 rule,
-    Barzilai & Borwein 1988; on manifolds Iannazzo & Porcelli 2018), clipped
-    to [1, STEP_MAX], from the last step s and the change delta of the
-    negated mean tangent, both at the current iterate; 1 when <s, delta> is
-    not positive, where the rule has no curvature to go by."""
-    sd = np.vdot(s, delta)
-    if not sd > 0.0:
-        return 1.0
-    return min(max(sd / np.vdot(delta, delta), 1.0), STEP_MAX)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per set, the inner product <a, b> of two (C, d, k) stacks, as (C, 1, 1):
+    each a (1, n) @ (n, 1) product, which numpy hands to BLAS ddot as
+    `np.vdot` and `np.linalg.norm` do, so it rounds as they do."""
+    count = a.shape[0]
+    return a.reshape(count, 1, -1) @ b.reshape(count, -1, 1)
 
 
 def karcher_means(
@@ -137,12 +134,17 @@ def karcher_means(
 
     A mean starts from the dominant eigenvectors of its set's averaged
     projectors and steps along the exp map of the mean log map until the mean
-    tangent norm drops below `tol`, the step a Barzilai-Borwein multiple of
-    the mean tangent (`_bb_step`). Sets of one stack shape iterate as one
-    (C, N, d, k) array, each with its own step size, best iterate and stop,
-    so every mean equals its set's solo run. At the iteration cap a set
-    warns (KarcherConvergenceWarning) and yields its best iterate, the one of
-    smallest mean tangent norm. A one-member set yields its member.
+    tangent norm drops below `tol`. The step is a Barzilai-Borwein multiple
+    of the mean tangent: <s, delta> / <delta, delta> (the BB2 rule, Barzilai
+    & Borwein 1988; on manifolds Iannazzo & Porcelli 2018), clipped to [1,
+    STEP_MAX], from the last step s and the change delta of the negated mean
+    tangent, both at the current iterate; 1 when <s, delta> is not positive,
+    where the rule has no curvature to go by. Sets of one stack shape
+    iterate as one (C, N, d, k) array, each with its own step size, best
+    iterate and stop, so every mean equals its set's solo run. At the
+    iteration cap a set warns (KarcherConvergenceWarning) and yields its
+    best iterate, the one of smallest mean tangent norm. A one-member set
+    yields its member.
     """
     stacks = [basis_stack(subs) for subs in sets]
     means = [None] * len(stacks)
@@ -162,8 +164,8 @@ def karcher_means(
         prev_y, prev_tangent = y, np.zeros_like(y)
         for _ in range(max_iter):
             mean_tangent = _log_map(y, stack).sum(axis=1) / n
-            # one norm per set: a batched axis=(1, 2) norm rounds differently
-            tnorm = np.array([[[np.linalg.norm(t)]] for t in mean_tangent])
+            # rounds as a per-set norm; a batched axis=(1, 2) norm does not
+            tnorm = np.sqrt(_dots(mean_tangent, mean_tangent))
             best_y = np.where(tnorm < best_norm, y, best_y)
             best_norm = np.fmin(tnorm, best_norm)
             stop = tnorm.ravel() < tol
@@ -181,9 +183,10 @@ def karcher_means(
             moved = (prev_tangent - y @ (np.swapaxes(y, -1, -2) @ prev_tangent)) @ (
                 np.swapaxes(prev_y, -1, -2) @ y
             )
-            step = np.array(
-                [[[_bb_step(s, d)]] for s, d in zip(step * moved, moved - mean_tangent)]
-            )
+            delta = moved - mean_tangent
+            sd = _dots(step * moved, delta)
+            ratio = np.divide(sd, _dots(delta, delta), out=np.ones_like(sd), where=sd > 0.0)
+            step = np.clip(ratio, 1.0, STEP_MAX)
             prev_y, prev_tangent = y, mean_tangent
             y = _exp_map(y, step * mean_tangent)
         out[live] = best_y

@@ -234,25 +234,31 @@ def _project_band(band: GdsBasis, stack: np.ndarray) -> np.ndarray | None:
     return np.stack(parts)
 
 
-def _score_bands(candidates, members, config: PipelineConfig) -> list:
+def _score_bands(candidates, members, config: PipelineConfig, known=None) -> list:
     """Per `(band, projected stack)` candidate, the entry `(band, report,
     projected stack)`, or None when the projection failed or the score is
-    degenerate. Every projected candidate is scored in one `fisher_modes`
-    call; its class stacks are released when this returns."""
+    degenerate. A candidate takes its report from `known`, one report or
+    None per candidate, when given there; every other projected candidate is
+    scored in one `fisher_modes` call, made only if there is one. Its class
+    stacks are released when this returns."""
+    known = known or [None] * len(candidates)
     tasks = [
         ([proj[idx] for idx in members], band.mode)
-        for band, proj in candidates
-        if proj is not None
+        for (band, proj), report in zip(candidates, known)
+        if proj is not None and report is None
     ]
     reports = iter(
         fisher_modes(
             tasks, karcher_tol=config.karcher_tol, karcher_max_iter=config.karcher_max_iter
         )
+        if tasks
+        else ()
     )
     entries = []
-    for band, proj in candidates:
-        report = None if proj is None else next(reports)
-        usable = report is not None and report.flag is None
+    for (band, proj), report in zip(candidates, known):
+        if proj is not None and report is None:
+            report = next(reports)
+        usable = proj is not None and report is not None and report.flag is None
         entries.append((band, report, proj) if usable else None)
     return entries
 
@@ -262,16 +268,23 @@ def optimize_gds_dims(
     stacks: Sequence[np.ndarray],
     labels: Sequence[int],
     config: PipelineConfig,
+    raw_reports: Sequence[FisherReport] | None = None,
 ) -> GdsSearchResult:
     """Choose the retained eigenvector band per mode by maximizing the
     combined separability score of the projected training subspaces.
 
     `grams` holds each mode's full band (`mode_gram`), `stacks` per mode the
-    (N, d, k) stack of the training bases, in the order of `labels`. Every
-    candidate band is projected, then scored once in one of two batches:
-    every mode's full band first, then every other candidate. Those whose
-    projection collapses, leaves bases of unequal width or whose score is
-    degenerate are skipped. Coordinate ascent then sweeps one mode's scored
+    (N, d, k) stack of the training bases, in the order of `labels`, and
+    `raw_reports`, when given, per mode the `fisher_modes` report of those
+    bases. Every candidate band is projected, then scored once in one of two
+    batches: every mode's full band first, then every other candidate. Those
+    whose projection collapses, leaves bases of unequal width or whose score
+    is degenerate are skipped. A full band of rank equal to its ambient
+    dimension is an orthogonal G, so G^T U only rotates the raw bases, and
+    geodesic distances, and so Karcher means and spreads, do not see a
+    rotation (Edelman, Arias & Smith 1998): given the raw reports, such a
+    band takes its mode's raw report, equal to its score up to rounding,
+    and is not scored. Coordinate ascent then sweeps one mode's scored
     candidates at a time while the other modes stay at their current best,
     starting from the full band, until a round changes no band. Ties go to
     the smallest alpha (then the largest beta when the beta search is on).
@@ -288,6 +301,11 @@ def optimize_gds_dims(
     if len(stacks) != len(grams):
         raise DimensionError(
             f"{len(stacks)} basis stacks for the modes {[g.mode for g in grams]}"
+        )
+    if raw_reports is not None and [r.mode for r in raw_reports] != [g.mode for g in grams]:
+        raise DimensionError(
+            f"raw reports of the modes {[r.mode for r in raw_reports]} "
+            f"for the modes {[g.mode for g in grams]}"
         )
     for gram, stack in zip(grams, stacks):
         if len(stack) != len(labels):
@@ -307,7 +325,11 @@ def optimize_gds_dims(
         ]
         bands = [gram] + [gds_from_gram(gram, a, b) for a, b in pairs[1:]]
         candidates.append([(band, _project_band(band, stack)) for band in bands])
-    full = _score_bands([c[0] for c in candidates], members, config)
+    known = [
+        raw if gram.rank == gram.ambient_dim else None
+        for gram, raw in zip(grams, raw_reports or [None] * len(grams))
+    ]
+    full = _score_bands([c[0] for c in candidates], members, config, known)
     if any(entry is None for entry in full):
         raise DegeneracyError(
             "separability is degenerate at the full eigenvector band; "
@@ -437,7 +459,7 @@ def fit(
     search_trace: tuple = ()
     if config.uses_gds:
         grams = [mode_gram(c, mode) for c, mode in zip(class_stacks, modes)]
-        result = optimize_gds_dims(grams, stacks, labels, config)
+        result = optimize_gds_dims(grams, stacks, labels, config, raw_reports)
         bases = result.bases
         search_trace = result.trace
         stacks = result.parts  # the references keep the projected bases

@@ -48,7 +48,7 @@ class Subspace:
                 f"subspace dimension {k} exceeds ambient dimension {ambient}"
             )
         gram_err = np.max(np.abs(arr.T @ arr - np.eye(k)))
-        if gram_err > 1e-8:
+        if not gram_err <= 1e-8:  # a nan entry fails too
             raise ValueError(
                 f"basis is not column-orthonormal (max deviation {gram_err:.3e})"
             )

@@ -375,8 +375,8 @@ def test_model_with_references_of_mixed_width_exits_2(dataset_dir, model_dir, tm
         "--split", "test", "--out", str(tmp_path / "eval"),
     ]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error") and "CONF key 'dims': bad value" in err
-    assert "mode 1: the references are" in err
+    assert err.startswith("data error") and "MATX section 'ref0_m1': bad value" in err
+    assert "wide; most references of mode 1 are" in err
 
 
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")

@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 import struct
 import zlib
@@ -36,6 +37,7 @@ from tensorgds.dataio import (
     write_model,
     write_tensor,
     _model_conf,
+    _model_matrices,
     _named_matrix,
     _section,
 )
@@ -484,14 +486,38 @@ def test_model_weights_must_be_the_ones_the_method_gives(method):
 
 def test_model_references_of_one_mode_must_share_a_width():
     # a band may narrow a reference, but all of a mode's references stack
-    # into one array, so they must be narrowed alike
+    # into one array, so they must be narrowed alike; the error names the
+    # reference whose width differs from most
     buf = seed7_model_bytes("nmode-wgds")
-    bad = edit_model_matrix(buf, "ref0_m1", lambda basis: basis[:, :-1])
+    for i in (0, 5):
+        bad = edit_model_matrix(buf, f"ref{i}_m1", lambda basis: basis[:, :-1])
+        with pytest.raises(FormatError) as err:
+            model_from_bytes(bad)
+        assert str(err.value).startswith(f"MATX section 'ref{i}_m1': bad value ")
+        assert str(err.value).endswith("(2 wide; most references of mode 1 are 3 wide)")
+
+
+DESCENDING = "need finite, descending values, the leading one positive"
+
+
+@pytest.mark.parametrize(
+    "section, edit, reason",
+    [
+        ("gds1_eigvecs", lambda v: v * 2.0, "not column-orthonormal (max deviation 3.000e+00)"),
+        ("gds1_eigvecs", lambda v: v[:, :-1], "12x11 is not square"),
+        ("gds2_eigvecs", lambda v: -v, "column signs are not fixed"),
+        ("gds1_eigvals", lambda v: v[:-1], "need one column of 12 eigenvalues"),
+        ("gds1_eigvals", lambda v: v[::-1], DESCENDING),
+        ("gds3_eigvals", np.zeros_like, DESCENDING),
+        ("gds3_eigvals", lambda v: np.where(v == v.max(), np.nan, v), DESCENDING),
+    ],
+)
+def test_model_spectrum_must_be_one_that_mode_gram_writes(section, edit, reason):
+    buf = seed7_model_bytes("nmode-wgds")
     with pytest.raises(FormatError) as err:
-        model_from_bytes(bad)
-    assert str(err.value) == (
-        "CONF key 'dims': bad value '3,2,2' (mode 1: the references are 2 to 3 wide)"
-    )
+        model_from_bytes(edit_model_matrix(buf, section, edit))
+    assert str(err.value).startswith(f"MATX section '{section}': bad value ")
+    assert str(err.value).endswith(f"{reason})")
 
 
 @pytest.mark.parametrize("method", ["nmode-wgds", "pgm"])
@@ -500,6 +526,7 @@ def test_model_references_of_one_mode_must_share_a_width():
     [
         (lambda basis: basis * 2.0, "basis is not column-orthonormal (max deviation 3.000e+00)"),
         (np.zeros_like, "basis is not column-orthonormal (max deviation 1.000e+00)"),
+        (lambda basis: basis * np.nan, "basis is not column-orthonormal (max deviation nan)"),
         (lambda basis: basis[:1], "exceeds ambient dimension 1"),
     ],
 )
@@ -613,6 +640,49 @@ def test_a_single_key_edit_is_refused_by_name_or_saves_back_to_the_same_bytes(me
         back = model_from_bytes(edited)
     except FormatError as exc:
         assert re.match(r"(no )?(CONF keys?|MATX section) '", str(exc)), str(exc)
+    else:
+        assert model_to_bytes(back) == edited
+
+
+@st.composite
+def matrix_edits(draw, matrices):
+    """A reference, spectrum or weights section of `matrices` and its edited
+    matrix: scaled, two rows or columns swapped, the last row or column
+    dropped, or the rows or columns reordered. The kind of section (ref#_m#,
+    gds#_eigvecs, gds#_eigvals or weights) is drawn first, as references
+    outnumber the rest."""
+    kinds = {}
+    for name in matrices:
+        kinds.setdefault(re.sub(r"\d+", "#", name), []).append(name)
+    name = draw(st.sampled_from(kinds[draw(st.sampled_from(sorted(kinds)))]))
+    matrix = matrices[name]
+    axis = draw(st.integers(0, 1))
+    size = matrix.shape[axis]
+    kind = draw(st.sampled_from(["scale", "swap", "truncate", "reorder"]))
+    if kind == "scale":
+        factor = draw(st.sampled_from([-1.0, 0.0, 0.5, 2.0, 1.0 + 1e-12, 1.0 + 1e-6, math.nan]))
+        return name, matrix * factor
+    if kind == "truncate" and size > 1:
+        return name, np.delete(matrix, -1, axis=axis)
+    order = np.arange(size)
+    if kind == "swap":
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        order[[i, j]] = order[[j, i]]
+    elif kind == "reorder":
+        order = np.array(draw(st.permutations(range(size))))
+    return name, np.take(matrix, order, axis=axis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(method=st.sampled_from(["nmode-wgds", "pgm"]), data=st.data())
+def test_a_single_matrix_edit_is_refused_by_name_or_saves_back_to_the_same_bytes(method, data):
+    buf = seed7_model_bytes(method)
+    name, matrix = data.draw(matrix_edits(_model_matrices(model_from_bytes(buf))))
+    edited = edit_model_matrix(buf, name, lambda _: matrix)
+    try:
+        back = model_from_bytes(edited)
+    except FormatError as exc:
+        assert str(exc).startswith(f"MATX section '{name}': "), str(exc)
     else:
         assert model_to_bytes(back) == edited
 

@@ -461,12 +461,15 @@ def test_karcher_means_cost_no_more_than_the_damped_rule(sets):
 
 def test_fit_karcher_means_converge_within_the_recorded_work():
     # 8 classes x 25 samples at 16^3, seed 7: the halving rule made 539 log
-    # map passes and 2,639 set-iterations here and left 2 means unconverged
+    # map passes and 2,639 set-iterations here and left 2 means unconverged;
+    # the BB step made 200 and 1,543 in 6 `karcher_means` calls. Every mode
+    # is a full-rank rotation here, so the full bands reuse the raw reports:
+    # class and grand means of the raw bases, then of the other candidates
     spec = SynthSpec(8, 25, (16, 16, 16), shared_dim=1, class_dim=2, within_noise=0.15, seed=7)
     samples, manifest = generate_synthetic(spec, train_fraction=0.7)
     train = [(s, e.label) for s, e in zip(samples, manifest.entries) if e.split == "train"]
-    passes = set_iterations = 0
-    log_map = fisher._log_map
+    calls = passes = set_iterations = 0
+    log_map, means = fisher._log_map, fisher.karcher_means
 
     def counting(base, stack):
         nonlocal passes, set_iterations
@@ -474,12 +477,19 @@ def test_fit_karcher_means_converge_within_the_recorded_work():
         set_iterations += stack.shape[0]
         return log_map(base, stack)
 
+    def counting_means(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return means(*args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fisher, "_log_map", counting)
+        patch.setattr(fisher, "karcher_means", counting_means)
         with warnings.catch_warnings():
             warnings.simplefilter("error", KarcherConvergenceWarning)
             fit(*zip(*train), PipelineConfig(method="nmode-wgds"))
-    assert passes <= 200 and set_iterations <= 1543
+    assert calls == 4
+    assert passes <= 181 and set_iterations <= 1330
 
 
 @settings(max_examples=30, deadline=None)

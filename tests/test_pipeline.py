@@ -18,6 +18,7 @@ from tensorgds import (
     classify,
     evaluate,
     fisher_mode,
+    fisher_modes,
     fit,
     gds_from_gram,
     mean_canonical_angle,
@@ -236,12 +237,14 @@ def test_coordinate_fixed_point_matches_exhaustive_score():
     assert coord.fisher.score_n == pytest.approx(best_score, rel=1e-12)
 
 
-def labelled_points(seed, classes, modes, per_class=3):
+def labelled_points(seed, classes, modes, per_class=3, shapes=None):
     """Per mode, the stack of bases of `classes` classes scattered around
     random per-class centres, with the mode Gram matrices of the class
-    subspaces and the labels."""
+    subspaces and the labels; the (ambient, dim) of each mode's bases are
+    `shapes`, or drawn for `modes` modes."""
     rng = np.random.default_rng(seed)
-    shapes = [(int(rng.integers(3, 6)), int(rng.integers(1, 3))) for _ in range(modes)]
+    if shapes is None:
+        shapes = [(int(rng.integers(3, 6)), int(rng.integers(1, 3))) for _ in range(modes)]
     labels = [cid for cid in range(classes) for _ in range(per_class)]
     centres = [
         [rng.standard_normal((d, k)) for cid in range(classes)] for d, k in shapes
@@ -303,6 +306,78 @@ def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha
     assert chosen_pairs(legacy) == chosen_pairs(result)
 
 
+@st.composite
+def rotation_modes(draw):
+    """Class count and per mode an (ambient, dim) shape and whether its Gram
+    rank reaches the ambient dimension: C random class subspaces of
+    dimension k span min(d, C k) dimensions."""
+    classes = draw(st.integers(2, 3))
+    rotations = draw(st.lists(st.booleans(), min_size=1, max_size=3))
+    shapes = []
+    for rotation in rotations:
+        k = draw(st.integers(1, 2))
+        ambient = (k + 1, classes * k) if rotation else (classes * k + 1, classes * k + 2)
+        shapes.append((draw(st.integers(*ambient)), k))
+    return classes, shapes, rotations
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    drawn=rotation_modes(),
+    alpha_max=st.integers(1, 3),
+    beta_search=st.booleans(),
+)
+def test_full_rank_bands_reuse_the_raw_reports(seed, drawn, alpha_max, beta_search):
+    # a full band of full rank rotates the raw bases: the search that takes
+    # the raw report for it chooses as the search that scores the rotation
+    # through `fisher_modes`, and every other mode's entry is byte-identical.
+    # The rotated spreads differ from the raw ones by rounding only, but a
+    # geodesic distance is an arccos, whose rounding grows as eps / theta at
+    # small angles, so a tight class moves them by more than 1e-12 relative
+    # (up to 5e-12 absolute, and trace scores 3.4e-12 relative, over 1500
+    # draws): they must agree to 1e-10
+    classes, shapes, rotations = drawn
+    grams, stacks, labels = labelled_points(seed, classes, len(shapes), shapes=shapes)
+    assert [g.rank == g.ambient_dim for g in grams] == rotations
+    config = PipelineConfig(
+        method="nmode-gds", gds_alpha_max=alpha_max, gds_beta_search=beta_search
+    )
+    members = [[i for i, l in enumerate(labels) if l == cid] for cid in range(classes)]
+
+    def grouped(stack):
+        return [stack[idx] for idx in members]
+
+    raw = fisher_modes([(grouped(s), g.mode) for s, g in zip(stacks, grams)])
+    rotated = fisher_modes(
+        [(grouped(np.stack(project_onto_gds(g, s))), g.mode) for s, g in zip(stacks, grams)]
+    )
+    for rotation, r, q in zip(rotations, raw, rotated):
+        if rotation:
+            assert r.flag == q.flag
+            assert r.between == pytest.approx(q.between, rel=1e-12, abs=1e-10)
+            assert r.within == pytest.approx(q.within, rel=1e-12, abs=1e-10)
+    try:
+        scored = optimize_gds_dims(grams, stacks, labels, config)
+    except DegeneracyError as exc:
+        with pytest.raises(DegeneracyError) as again:
+            optimize_gds_dims(grams, stacks, labels, config, raw)
+        assert str(again.value) == str(exc)
+        return
+    reused = optimize_gds_dims(grams, stacks, labels, config, raw)
+    assert chosen_pairs(reused) == chosen_pairs(scored)
+    assert len(reused.trace) == len(scored.trace)
+    for t, u in zip(reused.trace, scored.trace):
+        assert {**t, "score": None} == {**u, "score": None}  # the trace bands
+        assert t["score"] == pytest.approx(u["score"], rel=1e-10)
+    for p, (rotation, pair) in enumerate(zip(rotations, chosen_pairs(scored))):
+        assert np.array_equal(reused.parts[p], scored.parts[p])
+        full = pair == (1, grams[p].rank)
+        assert repr(reused.reports[p]) == repr(raw[p] if rotation and full else scored.reports[p])
+    if not any(rotations):
+        assert reused.trace == scored.trace
+
+
 def test_optimize_identical_classes_degenerate():
     e = np.eye(4)
     s = Subspace(e[:, [0, 1]])
@@ -320,6 +395,10 @@ def test_optimize_rejects_stacks_that_disagree_with_grams_or_labels():
         optimize_gds_dims([gram], [stacks[0][1:]], labels, config)
     with pytest.raises(DimensionError, match=r"2 basis stacks for the modes \[2\]"):
         optimize_gds_dims([gram], stacks * 2, labels, config)
+    members = [[i for i, l in enumerate(labels) if l == cid] for cid in (0, 1)]
+    raw = fisher_modes([([stacks[0][idx] for idx in members], 1)])
+    with pytest.raises(DimensionError, match=r"reports of the modes \[1\] for the modes \[2\]"):
+        optimize_gds_dims([gram], stacks, labels, config, raw)
     # a stack in another ambient space is a caller's error, not a degenerate set
     e = np.eye(6)
     wide = mode_gram([Subspace(e[:, [0, 1]]), Subspace(e[:, [0, 2]])], mode=1)

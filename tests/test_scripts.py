@@ -57,21 +57,29 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     widths = beta - alpha + 1
     assert arrays["small/nmode-wgds|reference_projectors"].shape == (6, np.sum(widths**2))
     assert str(arrays["small/pgm-failing|error"]).startswith("DimensionError")
-    # the Karcher work of the run, counted at the batched log map
+    # the Karcher work of the run, counted at `karcher_means` and at the
+    # batched log map; no mode here has full Gram rank, so the search scores
+    # the full bands: class and grand means of the raw bases, the full bands
+    # and the other candidates
+    calls = int(arrays["small/nmode-wgds|karcher_calls"])
     passes = int(arrays["small/nmode-wgds|karcher_passes"])
     set_iterations = int(arrays["small/nmode-wgds|karcher_set_iterations"])
-    assert 0 < passes <= set_iterations
+    assert calls == 6 and 0 < passes <= set_iterations
+    assert arrays["small/pgm-failing|karcher_calls"] == 0
     assert arrays["small/pgm-failing|karcher_passes"] == 0
 
     main = script["main"]
     assert main(["--compare", str(before), str(before)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("small/nmode-wgds: discrete match;") and "scores 0.0e+00" in lines[0]
-    work = f"passes {passes} -> {passes}, set-iterations {set_iterations} -> {set_iterations}"
+    work = (
+        f"calls {calls} -> {calls}, passes {passes} -> {passes}, "
+        f"set-iterations {set_iterations} -> {set_iterations}"
+    )
     assert f"; karcher warnings 0 -> 0, {work};" in lines[0]
     assert lines[1] == (
         "small/pgm-failing: discrete match; "
-        "karcher warnings 0 -> 0, passes 0 -> 0, set-iterations 0 -> 0"
+        "karcher warnings 0 -> 0, calls 0 -> 0, passes 0 -> 0, set-iterations 0 -> 0"
     )
     # then one summary line per compared array, named by configuration
     compared = [
@@ -97,7 +105,7 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     assert "discrete DIFFER (karcher_warnings); karcher warnings 0 -> 1," in lines[0]
     assert lines[1] == (
         "small/pgm-failing: discrete DIFFER (error); "
-        "karcher warnings 0 -> 0, passes 0 -> ?, set-iterations 0 -> 0"
+        "karcher warnings 0 -> 0, calls 0 -> 0, passes 0 -> ?, set-iterations 0 -> 0"
     )
 
     # a dump that spells a renamed configuration by its old name pairs with
