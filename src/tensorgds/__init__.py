@@ -32,7 +32,6 @@ from .pipeline import (
 from .subspace import (
     AngleSpectrum,
     Subspace,
-    basis_from_unfolding,
     geodesic_distance,
     mean_canonical_angle,
     principal_angles,
@@ -67,7 +66,6 @@ __all__ = [
     "Subspace",
     "TrainedModel",
     "WeightVector",
-    "basis_from_unfolding",
     "classify",
     "evaluate",
     "fisher_mode",

@@ -27,7 +27,6 @@ from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, point_stacks, weighted_geodesics
 from .subspace import (
     Subspace,
-    basis_from_unfolding,
     leading_basis,
     left_factor,
     left_singular,
@@ -44,8 +43,8 @@ CHOICES = {
     "classifier": ("nn", "class-karcher"),
 }
 GDS_METHODS = frozenset({"gds", "nmode-gds", "nmode-wgds"})
-# Pairs that `pairwise_distances` gathers into one stack per mode: it bounds
-# the memory of the gathered bases, not the result.
+# Pairs that `pairwise_distances` or an `evaluate` block gathers into one
+# stack per mode: it bounds the memory of the gathered bases, not the result.
 PAIR_BLOCK = 2048
 
 
@@ -384,17 +383,23 @@ def _class_pair_mean_angle(class_subspaces: Sequence) -> float:
     return float(np.mean([mean_canonical_angle(a, b) for a, b in pairs]))
 
 
-def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
-    """One mode of `fit`: compress each sample's unfolding to its
-    `left_factor` (releasing the unfolding), take one batched SVD of the
-    factor stack, fix the dimension (`dim`, or the median energy dimension
-    when None), and build the sample bases and, from the stacked factors of
-    each class, the class bases. Returns the dimension, the (N, d, dim)
-    stack of sample bases and the (C, d, dim) stack of class bases."""
+def _mode_bases(samples, mode: int, dim: int | None, mu: float):
+    """The one rule of `fit` and the queries for the samples' bases in a mode:
+    each unfolding's `left_factor` (releasing the unfolding), one batched SVD
+    of the factor stack, the dimension (`dim`, or the median energy dimension
+    of `mu` when None) and that many leading left-singular vectors. Returns
+    the dimension, the (N, d, dim) stack of bases and the factor stack."""
     factors = np.stack([left_factor(unfold(s, mode)) for s in samples])
     u, lam = left_singular(factors)
     dim = int(round(float(np.median(select_dim(lam, mu))))) if dim is None else int(dim)
-    stack = leading_basis(u, lam, dim)
+    return dim, leading_basis(u, lam, dim), factors
+
+
+def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
+    """One mode of `fit`: the dimension, the (N, d, dim) stack of sample
+    bases of `_mode_bases` and the (C, d, dim) stack of class bases, each
+    from the stacked factors of the class's samples."""
+    dim, stack, factors = _mode_bases(samples, mode, dim, mu)
     members = _class_members(labels, class_ids)
     classes = [leading_basis(*left_singular(np.hstack(factors[i])), dim) for i in members]
     return dim, stack, np.stack(classes)
@@ -506,27 +511,29 @@ def method_weights(config: PipelineConfig, fisher: NModeFisher) -> WeightVector:
     return WeightVector(np.ones(len(fisher.per_mode)))
 
 
+def _query_bases(model: TrainedModel, samples: Sequence[DenseTensor]) -> list[tuple]:
+    """Each sample's tuple of per-mode bases: per mode one `_mode_bases` at
+    the model's dimension, then one `project_onto_gds` when the model has
+    bands (it can narrow a basis). The samples share one dims, the model's;
+    the ambient check serves models saved without them."""
+    dims = model.data_dims or samples[0].dims
+    bad = [s.dims for s in samples if s.dims != dims]
+    if bad:
+        raise DimensionError(f"tensor dims {bad[0]} do not match {dims}")
+    extents = dict(enumerate(dims, start=1))
+    per_mode = []
+    bands = model.gds or [None] * len(model.modes)
+    for mode, dim, want, gds in zip(model.modes, model.dims, model.mode_ambients, bands):
+        if extents.get(mode) != want:
+            raise DimensionError(f"mode {mode}: ambient {extents.get(mode)} is not {want}")
+        stack = _mode_bases(samples, mode, dim, model.config.energy_mu)[1]
+        per_mode.append(stack if gds is None else project_onto_gds(gds, stack))
+    return list(zip(*per_mode))
+
+
 def transform(model: TrainedModel, sample: DenseTensor) -> ProductPoint:
-    """Extract a sample's product point with the model's dimensions and apply
-    the model's projections when present. The per-mode ambient check serves
-    models saved without their data dims."""
-    if model.data_dims is not None and sample.dims != model.data_dims:
-        raise DimensionError(
-            f"tensor dims {sample.dims} do not match the model dims {model.data_dims}"
-        )
-    parts = []
-    for p, mode in enumerate(model.modes):
-        mat = unfold(sample, mode)
-        if mat.shape[0] != model.mode_ambients[p]:
-            raise DimensionError(
-                f"mode {mode}: ambient {mat.shape[0]} does not match the model's "
-                f"{model.mode_ambients[p]}"
-            )
-        part = basis_from_unfolding(mat, dim=model.dims[p])
-        if model.gds is not None:
-            part = project_onto_gds(model.gds[p], part)
-        parts.append(part)
-    return ProductPoint(tuple(parts))
+    """A sample's product point with the model's dimensions and projections."""
+    return ProductPoint(tuple(map(Subspace, _query_bases(model, [sample])[0])))
 
 
 def _distances(model: TrainedModel, left, right) -> np.ndarray:
@@ -540,14 +547,18 @@ def _distances(model: TrainedModel, left, right) -> np.ndarray:
     )
 
 
-def _shape_groups(points: Sequence[ProductPoint]):
+def _shape_groups(parts: Sequence[tuple]):
     """Per tuple of part shapes, in order of first appearance: the indices of
-    the points that have it and their per-mode stacks. Projection can leave a
-    part narrower than the rest, and padding it would change the SVD input."""
+    the tuples of per-mode bases in `parts` that have it and their per-mode
+    stacks. Projection can leave a part narrower than the rest, and padding
+    it would change the SVD input."""
     groups: dict[tuple, list[int]] = {}
-    for i, pt in enumerate(points):
-        groups.setdefault(tuple(b.shape for b in pt.bases), []).append(i)
-    return [(np.array(idx), point_stacks([points[i] for i in idx])) for idx in groups.values()]
+    for i, bases in enumerate(parts):
+        groups.setdefault(tuple(b.shape for b in bases), []).append(i)
+    return [
+        (np.array(idx), tuple(map(np.stack, zip(*(parts[i] for i in idx)))))
+        for idx in groups.values()
+    ]
 
 
 def point_distances(
@@ -555,7 +566,7 @@ def point_distances(
 ) -> np.ndarray:
     """Distance from `query` to each of `points` in the model's metric."""
     out = np.empty(len(points))
-    for idx, stacks in _shape_groups(points):
+    for idx, stacks in _shape_groups([pt.bases for pt in points]):
         out[idx] = _distances(model, query.bases, stacks)
     return out
 
@@ -569,7 +580,7 @@ def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> n
     the gathered bases stay a few megabytes however many points there are.
     """
     pts = list(points)
-    groups = _shape_groups(pts)
+    groups = _shape_groups([pt.bases for pt in pts])
     group, place = np.empty((2, len(pts)), dtype=np.intp)
     for g, (idx, _) in enumerate(groups):
         group[idx], place[idx] = g, np.arange(len(idx))
@@ -603,51 +614,60 @@ def _class_mean_stacks(model: TrainedModel) -> tuple[np.ndarray, ...]:
     return model._cache["class_means"]
 
 
+def _class_scores(model: TrainedModel, stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """The (Q, C) per-class distances of the queries in per-mode (Q, d, k)
+    stacks of one part shape, in class-id order: to the nearest reference of
+    each class (nn; inf for a class without references) or to each class
+    mean point (class-karcher). The queries broadcast against the model's
+    per-mode stacks, one SVD per mode."""
+    queries = [s[:, None] for s in stacks]
+    if model.config.classifier == "nn":
+        dists = _distances(model, queries, model.reference_stacks)
+        owned = model.reference_labels == np.array(model.class_ids)[:, None]
+        return np.where(owned, dists[:, None], np.inf).min(axis=-1, initial=np.inf)
+    return _distances(model, queries, _class_mean_stacks(model))
+
+
 def classify(model: TrainedModel, sample) -> tuple[int, np.ndarray]:
     """Label a sample: nearest reference (nn) or nearest class mean point
     (class-karcher). Returns the winning class id and the per-class minimum
     distances, ordered by class id (inf for a class without references); ties
-    go to the smallest class id. Both compare the query with the model's
-    per-mode stacks, one SVD per mode."""
-    query = transform(model, sample).bases
-    if model.config.classifier == "nn":
-        dists = _distances(model, query, model.reference_stacks)
-        owned = model.reference_labels == np.array(model.class_ids)[:, None]
-        scores = np.where(owned, dists, np.inf).min(axis=1, initial=np.inf)
-    else:
-        scores = _distances(model, query, _class_mean_stacks(model))
+    go to the smallest class id."""
+    ((_, stacks),) = _shape_groups(_query_bases(model, [sample]))
+    scores = _class_scores(model, stacks)[0]
     return model.class_ids[int(np.argmin(scores))], scores
 
 
 def evaluate(model: TrainedModel, samples: Sequence, labels: Sequence[int]) -> EvalMetrics:
     """Accuracy, per-class recall, confusion matrix (rows = true class), and
-    the mean margin between the runner-up and the winning distance."""
+    the mean margin between the runner-up and the winning distance. Each
+    label must be a model class. The samples are scored as `classify` scores
+    one, a block at a time: one stack per mode and part shape, and about
+    PAIR_BLOCK query-reference pairs per block at most."""
     samples = list(samples)
     labels = [int(l) for l in labels]
     if len(samples) != len(labels):
         raise DimensionError("samples and labels differ in length")
     if not samples:
         raise DimensionError("empty evaluation set")
-    index = {cid: i for i, cid in enumerate(model.class_ids)}
-    m = len(model.class_ids)
-    confusion = np.zeros((m, m), dtype=np.int64)
-    margins = []
-    for sample, label in zip(samples, labels):
-        if label not in index:
-            raise DimensionError(f"label {label} is not a model class")
-        pred, scores = classify(model, sample)
-        confusion[index[label], index[pred]] += 1
-        top = np.sort(scores)[:2]
-        margins.append(float(top[1] - top[0]))
-    correct = int(np.trace(confusion))
+    unknown = sorted(set(labels) - set(model.class_ids))
+    if unknown:
+        raise DimensionError(f"label {unknown[0]} is not a model class")
+    scores = np.empty((len(samples), len(model.class_ids)))
+    block = max(1, PAIR_BLOCK // len(model.references))
+    for start in range(0, len(samples), block):
+        for idx, stacks in _shape_groups(_query_bases(model, samples[start : start + block])):
+            scores[start + idx] = _class_scores(model, stacks)
+    # class ids are sorted, so a label's row is its sorted position
+    confusion = np.zeros((len(model.class_ids),) * 2, dtype=np.int64)
+    np.add.at(confusion, (np.searchsorted(model.class_ids, labels), np.argmin(scores, axis=1)), 1)
     row_sums = confusion.sum(axis=1)
-    recalls = np.where(
-        row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), np.nan
-    )
+    recalls = np.where(row_sums > 0, np.diag(confusion) / np.maximum(row_sums, 1), np.nan)
+    top = np.sort(scores, axis=1)[:, :2]
     return EvalMetrics(
-        accuracy=correct / len(samples),
+        accuracy=int(np.trace(confusion)) / len(samples),
         recalls=recalls,
         confusion=confusion,
-        mean_margin=float(np.mean(margins)),
+        mean_margin=float(np.mean(top[:, 1] - top[:, 0])),
         count=len(samples),
     )

@@ -93,25 +93,6 @@ def select_dim(values: np.ndarray, mu: float):
     return np.argmax(cum / total >= mu, axis=-1) + 1
 
 
-def basis_from_unfolding(
-    matrix: np.ndarray,
-    dim: int | None = None,
-    energy: float | None = None,
-) -> Subspace:
-    """Subspace spanned by the leading left-singular vectors of the raw matrix.
-
-    Exactly one of `dim` (fixed dimension) or `energy` (cumulative eigenvalue
-    fraction, see `select_dim`) chooses how many vectors to keep. Asking for
-    more vectors than the numerical rank is an error, not silent padding.
-    """
-    if (dim is None) == (energy is None):
-        raise ValueError("specify exactly one of dim or energy")
-    u, lam = left_singular(matrix)
-    if energy is not None:
-        dim = select_dim(lam, energy)
-    return Subspace(leading_basis(u, lam, dim))
-
-
 def _as_matrix(matrix: np.ndarray) -> np.ndarray:
     mat = np.asarray(matrix, dtype=np.float64)
     if mat.ndim < 2 or mat.size == 0:

@@ -41,7 +41,7 @@ from tensorgds.dataio import (
     _named_matrix,
     _section,
 )
-from tensorgds.subspace import Subspace, basis_from_unfolding
+from tensorgds.subspace import Subspace, leading_basis, left_singular
 from conftest import edit_model_conf, edit_model_matrix, random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -198,7 +198,7 @@ def test_generator_noiseless_no_shared_plants_blocks_exactly():
                     if e.label == j
                 ]
             )
-            sub = basis_from_unfolding(cols, dim=spec.class_dim)
+            sub = leading_basis(*left_singular(cols), spec.class_dim)
             planted = Subspace(blocks[j])
             angles = principal_angles(sub, planted).angles
             assert np.max(angles) <= 1e-8
@@ -225,7 +225,7 @@ def test_generator_shared_direction_overlaps_classes():
                     if e.label == j
                 ]
             )
-            subs.append(basis_from_unfolding(cols, dim=d))
+            subs.append(leading_basis(*left_singular(cols), d))
         for a in range(spec.classes):
             for b in range(a + 1, spec.classes):
                 smallest = principal_angles(subs[a], subs[b]).angles[0]

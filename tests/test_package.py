@@ -82,3 +82,21 @@ def test_fisher_builds_no_subspace_and_no_spectrum_type_remains():
     assert not [where for where in calls_of("Subspace") if where[0] == "fisher.py"]
     for path in Path(tensorgds.__file__).parent.glob("*.py"):
         assert "SingularSpectrum" not in path.read_text(), path.name
+
+
+def test_sample_bases_come_from_one_helper():
+    # `fit` and the queries take their sample bases from `pipeline._mode_bases`;
+    # besides it, only `_fit_mode` factors a matrix, for its class bases
+    def callers(name):
+        return {where for module, where in calls_of(name) if module == "pipeline.py"}
+
+    assert callers("left_factor") == {"_mode_bases"}
+    for name in ("left_singular", "leading_basis"):
+        assert callers(name) == {"_mode_bases", "_fit_mode"}, name
+    for path in Path(tensorgds.__file__).parent.glob("*.py"):
+        defined = {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert "basis_from_unfolding" not in defined, path.name

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from tensorgds import (
     PipelineConfig,
     ProductPoint,
     Subspace,
-    basis_from_unfolding,
     classify,
     evaluate,
     fisher_mode,
@@ -23,6 +23,7 @@ from tensorgds import (
     gds_from_gram,
     mean_canonical_angle,
     mode_gram,
+    mode_multiply,
     mode_weights,
     nmode_fisher,
     optimize_gds_dims,
@@ -59,6 +60,11 @@ def benchmark_split(noise=0.15, seed=7):
     return list(tr_s), list(tr_l), list(te_s), list(te_l)
 
 
+def leading(matrix, dim):
+    """The first `dim` left-singular vectors of the matrix's own SVD."""
+    return leading_basis(*left_singular(matrix), dim)
+
+
 def tilted_two_class_points(sigma=0.3, seed=5, n=10):
     """Two classes around span{e1,e2} and span{e1,e3} in R4 that share e1;
     each class wobbles along its own fixed tilt direction. Returns the mode
@@ -76,10 +82,7 @@ def tilted_two_class_points(sigma=0.3, seed=5, n=10):
         groups.append(subs)
     stack = np.stack([s.basis for g in groups for s in g])
     labels = [0] * n + [1] * n
-    class_subs = [
-        basis_from_unfolding(np.hstack([s.basis for s in g]), dim=2) for g in groups
-    ]
-    gram = mode_gram(class_subs, mode=1)
+    gram = mode_gram(np.stack([leading(np.hstack([s.basis for s in g]), 2) for g in groups]), 1)
     return gram, [stack], labels
 
 
@@ -87,14 +90,15 @@ def tilted_two_class_points(sigma=0.3, seed=5, n=10):
 
 
 def sample_bases(t, modes=(1, 2, 3), dims=None, mu=None):
-    """Per mode of `modes`, the basis of the sample's unfolding at the fixed
-    dimension in `dims`, or at the energy dimension of `mu`."""
-    return [
-        basis_from_unfolding(
-            unfold(t, mode), dim=None if dims is None else dims[p], energy=mu
-        )
-        for p, mode in enumerate(modes)
-    ]
+    """Per mode of `modes`, the basis of the sample's unfolding, from the
+    unfolding's own SVD, at the fixed dimension in `dims`, or at the energy
+    dimension of `mu`."""
+    parts = []
+    for p, mode in enumerate(modes):
+        u, lam = left_singular(unfold(t, mode))
+        dim = select_dim(lam, mu) if dims is None else dims[p]
+        parts.append(Subspace(leading_basis(u, lam, dim)))
+    return parts
 
 
 def test_extract_rank1_unit_dims(rng):
@@ -172,21 +176,13 @@ def fit_search_inputs(samples, labels, model):
     the band search, rebuilt from the fitted model's modes and dimensions."""
     points = [sample_bases(s, model.modes, model.dims) for s in samples]
     stacks = [np.stack([pt[p].basis for pt in points]) for p in range(len(model.modes))]
-    grams = [
-        mode_gram(
-            [
-                basis_from_unfolding(
-                    np.hstack(
-                        [unfold(s, mode) for s, l in zip(samples, labels) if l == cid]
-                    ),
-                    dim=dim,
-                )
-                for cid in model.class_ids
-            ],
-            mode,
-        )
-        for mode, dim in zip(model.modes, model.dims)
-    ]
+    grams = []
+    for mode, dim in zip(model.modes, model.dims):
+        classes = [
+            leading(np.hstack([unfold(s, mode) for s, l in zip(samples, labels) if l == cid]), dim)
+            for cid in model.class_ids
+        ]
+        grams.append(mode_gram(np.stack(classes), mode))
     return grams, stacks, list(labels)
 
 
@@ -259,12 +255,12 @@ def labelled_points(seed, classes, modes, per_class=3, shapes=None):
     stacks = [np.stack([s.basis for s in subs]) for subs in parts]
     grams = [
         mode_gram(
-            [
-                basis_from_unfolding(
-                    np.hstack([s.basis for s, l in zip(subs, labels) if l == cid]), dim=k
-                )
-                for cid in range(classes)
-            ],
+            np.stack(
+                [
+                    leading(np.hstack([s.basis for s, l in zip(subs, labels) if l == cid]), k)
+                    for cid in range(classes)
+                ]
+            ),
             mode=p + 1,
         )
         for p, (subs, (_, k)) in enumerate(zip(parts, shapes))
@@ -535,8 +531,8 @@ def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
     )
     for t, ref in zip(samples, model.references):
         for p, mode in enumerate(model.modes):
-            want = basis_from_unfolding(unfold(t, mode), dim=model.dims[p])
-            assert np.array_equal(ref.parts[p].basis, want.basis)
+            want = leading(unfold(t, mode), model.dims[p])
+            assert np.array_equal(ref.parts[p].basis, want)
 
 
 @settings(max_examples=30, deadline=None)
@@ -732,11 +728,21 @@ def test_classify_builds_no_reference_stack_after_the_first_query(classifier, mo
     def counted(fn):
         return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
 
+    def restacked(arrays, *a, **k):
+        # a query stacks its own one-sample factors and bases; a reference
+        # stack would gather one basis per reference
+        arrays = list(arrays)
+        if len(arrays) > 1:
+            calls.append("stack")
+        return np_stack(arrays, *a, **k)
+
     from tensorgds import subspace
 
     for module in (subspace, fisher):
         monkeypatch.setattr(module, "group_by_shape", counted(subspace.group_by_shape))
-    monkeypatch.setattr(np, "stack", counted(np.stack))
+    monkeypatch.setattr(pipeline, "karcher_means", counted(fisher.karcher_means))
+    np_stack = np.stack
+    monkeypatch.setattr(np, "stack", restacked)
     again = classify(model, te_s[0])
     for t in te_s[1:4]:
         classify(model, t)
@@ -818,6 +824,95 @@ def test_evaluate_empty_errors():
     model = fit(tr_s, tr_l, PipelineConfig(method="pgm"))
     with pytest.raises(DimensionError):
         evaluate(model, [], [])
+
+
+def test_evaluate_rejects_unknown_labels_and_other_dims(rng):
+    tr_s, tr_l, te_s, te_l = benchmark_split()
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-gds"))
+    with pytest.raises(DimensionError, match="label 9 is not a model class"):
+        evaluate(model, te_s[:3], [te_l[0], 9, te_l[2]])
+    other = random_tensor(rng, (12, 12, 11))
+    with pytest.raises(DimensionError, match=r"tensor dims \(12, 12, 11\) do not match"):
+        evaluate(model, [te_s[0], other, te_s[1]], te_l[:3])
+    for query in (transform, classify):
+        with pytest.raises(DimensionError, match="do not match"):
+            query(model, other)
+
+
+def narrowing_query(model, rng):
+    """A tensor whose subspace in some mode is spanned by directions of the
+    model's band there and one direction outside it, so that projection
+    narrows its basis in that mode by one column, while a generic tensor's
+    keeps its width; None when the model has no such mode."""
+    for mode, gds, k in zip(model.modes, model.gds or (), model.dims):
+        outside = [i for i in range(gds.ambient_dim) if not gds.alpha - 1 <= i < gds.beta]
+        if 2 <= k <= gds.basis.shape[1] and outside:
+            frame = np.column_stack([gds.basis[:, : k - 1], gds.eigvecs[:, outside[0]]])
+            extents = list(model.data_dims)
+            extents[mode - 1] = k
+            return mode_multiply(DenseTensor(rng.standard_normal(extents)), frame, mode)
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    method=st.sampled_from(["pgm", "nmode-gds", "nmode-wgds"]),
+    classifier=st.sampled_from(["nn", "class-karcher"]),
+    kinds=st.lists(st.booleans(), min_size=1, max_size=6),
+    pair_block=st.sampled_from([pipeline.PAIR_BLOCK, 12, 30]),
+)
+def test_evaluate_equals_a_loop_of_classify_bitwise(seed, method, classifier, kinds, pair_block):
+    # every query is scored in one batch per block, mode and part shape; the
+    # result must be what one `classify` per query gives, bit for bit. A
+    # query of kind True has a basis that projection narrows, when the model
+    # has a mode that allows it, so mixed queries then form two part shapes.
+    spec = SynthSpec(
+        classes=3,
+        samples_per_class=4,
+        dims=(8, 7, 6),
+        shared_dim=1,
+        class_dim=1,
+        within_noise=0.1,
+        seed=seed,
+    )
+    samples, manifest = generate_synthetic(spec, train_fraction=1.0)
+    model = fit(
+        samples,
+        [e.label for e in manifest.entries],
+        PipelineConfig(method=method, classifier=classifier),
+    )
+    rng = np.random.default_rng(seed)
+    narrow = narrowing_query(model, rng) is not None
+    queries = [
+        narrowing_query(model, rng) if kind and narrow else random_tensor(rng, model.data_dims)
+        for kind in kinds
+    ]
+    labels = [int(rng.choice(model.class_ids)) for _ in queries]
+
+    batch = pipeline._query_bases(model, queries)
+    for query, bases in zip(queries, batch):
+        assert [b.tobytes() for b in transform(model, query).bases] == [b.tobytes() for b in bases]
+    shapes = {tuple(b.shape for b in bases) for bases in batch}
+    assert len(shapes) == (2 if narrow and len(set(kinds)) == 2 else 1)
+
+    with mock.patch.object(pipeline, "PAIR_BLOCK", pair_block):
+        metrics = evaluate(model, queries, labels)
+    index = {cid: i for i, cid in enumerate(model.class_ids)}
+    confusion = np.zeros_like(metrics.confusion)
+    margins = []
+    for query, label in zip(queries, labels):
+        pred, scores = classify(model, query)
+        confusion[index[label], index[pred]] += 1
+        top = np.sort(scores)[:2]
+        margins.append(float(top[1] - top[0]))
+    rows = confusion.sum(axis=1)
+    recalls = np.where(rows > 0, np.diag(confusion) / np.maximum(rows, 1), np.nan)
+    assert np.array_equal(metrics.confusion, confusion)
+    assert metrics.recalls.tobytes() == recalls.tobytes()
+    assert metrics.mean_margin == float(np.mean(margins))
+    assert metrics.accuracy == np.trace(confusion) / len(queries)
+    assert metrics.count == len(queries)
 
 
 # --- method lattice and determinism ----------------------------------------

@@ -9,7 +9,6 @@ from tensorgds import (
     DegeneracyError,
     DimensionError,
     Subspace,
-    basis_from_unfolding,
     geodesic_distance,
     mean_canonical_angle,
     principal_angles,
@@ -38,27 +37,14 @@ def test_subspace_invariants():
     assert s.ambient_dim == 4 and s.dim == 2
 
 
-def test_basis_dominant_direction():
+def test_leading_basis_keeps_the_dominant_direction():
     mat = np.column_stack([3.0 * np.eye(4)[:, 0], 1.0 * np.eye(4)[:, 1]])
-    s = basis_from_unfolding(mat, dim=1)
-    assert np.allclose(np.abs(s.basis.ravel()), np.eye(4)[:, 0])
-
-
-def test_basis_identity_energy_selects_all():
-    s = basis_from_unfolding(np.eye(4), energy=0.90)
-    assert s.dim == 4
-
-
-def test_basis_errors():
-    with pytest.raises(DegeneracyError):
-        basis_from_unfolding(np.zeros((3, 5)), dim=1)
-    rank1 = np.outer(np.arange(1.0, 4.0), np.arange(1.0, 6.0))
-    with pytest.raises(DegeneracyError):
-        basis_from_unfolding(rank1, dim=2)  # beyond numerical rank
-    with pytest.raises(ValueError):
-        basis_from_unfolding(np.eye(3))  # neither dim nor energy
-    with pytest.raises(ValueError):
-        basis_from_unfolding(np.eye(3), dim=1, energy=0.9)
+    u, lam = left_singular(mat)
+    assert select_dim(lam, 0.90) == 1
+    assert np.allclose(np.abs(leading_basis(u, lam, 1).ravel()), np.eye(4)[:, 0])
+    # the identity spreads its energy evenly, so 90 % of it takes every direction
+    u, lam = left_singular(np.eye(4))
+    assert leading_basis(u, lam, select_dim(lam, 0.90)).shape == (4, 4)
 
 
 EPS = np.finfo(float).eps
@@ -154,6 +140,10 @@ def test_left_singular_rejects_zero_and_empty_matrices(shape):
     # one all-zero member makes the whole stack degenerate
     with pytest.raises(DegeneracyError):
         left_singular(np.stack([np.eye(*shape), np.zeros(shape)]))
+    # a rank-one matrix has no second basis vector, whatever its shape
+    rank1 = np.outer(np.arange(1.0, shape[0] + 1), np.arange(1.0, shape[1] + 1))
+    with pytest.raises(DegeneracyError, match="numerical rank is 1"):
+        leading_basis(*left_singular(rank1), 2)
 
 
 @pytest.mark.parametrize(
