@@ -86,7 +86,6 @@ CONFIGS = {
     "nmode-wgds-exhaustive": PipelineConfig(
         method="nmode-wgds", gds_search="exhaustive", gds_alpha_max=3
     ),
-    "nmode-wgds-beta": PipelineConfig(method="nmode-wgds", gds_beta_search=True, gds_alpha_max=3),
     "nmode-gds-class-karcher": PipelineConfig(method="nmode-gds", classifier="class-karcher"),
     "nmode-wgds-angles1-full": PipelineConfig(
         method="nmode-wgds", angle_counts=(1, 1, 1), full_spectrum=True

@@ -175,17 +175,19 @@ def _build_pipeline_config(args) -> PipelineConfig:
     """PipelineConfig from the keys set in the config file and by flags, flags
     taking precedence; unset keys keep the PipelineConfig defaults.
 
-    Older config files and `run_config.txt` echoes may spell two retired
-    keys: `seed`, which selected nothing, is ignored, and `weights` is
-    accepted only when it names the weighting `method` implies (`auto`, or
-    `fisher` for nmode-wgds and `uniform` otherwise), so a run never changes
-    silently."""
+    Older config files and `run_config.txt` echoes may spell three retired
+    keys: `seed` is ignored, and `weights` and `beta-search` are accepted only
+    as what the fit does anyway (`weights` as `auto` or the weighting `method`
+    implies, `beta-search` as `false`), so a run never changes silently."""
     values: dict = {}
     weights = None
     if args.config:
         config = _load_config_file(args.config)
         config.pop("seed", None)
         weights = config.pop("weights", None)
+        beta_search = config.pop("beta-search", "false")
+        if beta_search.lower() != "false":
+            raise UsageError(f"beta-search={beta_search}: the beta search is retired")
         for key in config:
             if key not in _CONFIG_KEYS:
                 raise FormatError(f"unknown config key {key!r}")
@@ -300,7 +302,10 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     model = dataio.read_model(args.model)
     manifest, samples, labels = _load_split(args, args.split)
-    metrics = pipeline.evaluate(model, samples, labels)
+    metrics = pipeline.evaluate(model, samples, labels)  # its dims checks come first
+    unnamed = set(model.class_ids) - set(range(len(manifest.class_names)))
+    if unnamed:  # metrics.csv names every model class
+        raise DimensionError(f"model class {min(unnamed)} has no name in {args.manifest}")
     out = _outdir(args)
     _write_csv(
         out / "metrics.csv",

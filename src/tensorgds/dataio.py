@@ -401,7 +401,7 @@ def generate_synthetic(
 # model container
 
 # Keys of older files that nothing reads any more; the reader drops them.
-RETIRED_KEYS = frozenset({"seed", "projection_tol", "weights_scheme"})
+RETIRED_KEYS = frozenset({"seed", "projection_tol", "weights_scheme", "gds_beta_search"})
 
 
 def _section(tag: bytes, payload: bytes) -> bytes:

@@ -69,7 +69,6 @@ class PipelineConfig:
     angle_counts: tuple[int, ...] | None = None
     gds_alpha_max: int = 6
     gds_search: str = "coordinate"
-    gds_beta_search: bool = False
     karcher_tol: float = 1e-8
     karcher_max_iter: int = 100
     classifier: str = "nn"
@@ -157,7 +156,6 @@ SETTINGS = (
     Setting("angle_counts", "angles", "angle_counts", "per-mode canonical angle counts"),
     Setting("gds_alpha_max", "alpha-max", "gds_alpha_max", "search bound for the leading cut"),
     Setting("gds_search", "search", "gds_search", "both values run the one band search"),
-    Setting("gds_beta_search", "beta-search", "gds_beta_search"),
     Setting("karcher_tol", "karcher-tol", "karcher_tol"),
     Setting("karcher_max_iter", "karcher-max-iter", "karcher_max_iter"),
     Setting("classifier", "classifier", "classifier"),
@@ -275,18 +273,20 @@ def optimize_gds_dims(
     `grams` holds each mode's full band (`mode_gram`), `stacks` per mode the
     (N, d, k) stack of the training bases, in the order of `labels`, and
     `raw_reports`, when given, per mode the `fisher_modes` report of those
-    bases. Every candidate band is projected, then scored once in one of two
-    batches: every mode's full band first, then every other candidate. Those
-    whose projection collapses, leaves bases of unequal width or whose score
-    is degenerate are skipped. A full band of rank equal to its ambient
+    bases. A mode's candidates are its full band and the bands alpha..rank
+    for alpha = 2..min(`gds_alpha_max`, rank), which drop the leading alpha - 1
+    eigenvectors, the shared directions, and keep the whole tail (Fukui &
+    Maki 2015). Each is projected, then scored once in one of two batches:
+    every mode's full band first, then every other candidate. Those whose
+    projection collapses, leaves bases of unequal width or whose score is
+    degenerate are skipped. A full band of rank equal to its ambient
     dimension is an orthogonal G, so G^T U only rotates the raw bases, and
     geodesic distances, and so Karcher means and spreads, do not see a
     rotation (Edelman, Arias & Smith 1998): given the raw reports, such a
     band takes its mode's raw report, equal to its score up to rounding,
     and is not scored. Coordinate ascent then sweeps one mode's scored
-    candidates at a time while the other modes stay at their current best,
-    starting from the full band, until a round changes no band. Ties go to
-    the smallest alpha (then the largest beta when the beta search is on).
+    candidates at a time, the other modes at their current best, from the
+    full band until a round changes no band; ties go to the smallest alpha.
 
     The fixed point is a global optimum: the combined score is a ratio of
     per-mode sums, so at a fixed point with ratio r each mode's band
@@ -312,17 +312,11 @@ def optimize_gds_dims(
                 f"mode {gram.mode}: {len(stack)} training bases for {len(labels)} labels"
             )
 
-    # per mode, every candidate band with its projected stack, in candidate
-    # order, full band first
+    # per mode, each candidate band (full band first) with its projected stack
     candidates = []
     for gram, stack in zip(grams, stacks):
-        rank = gram.rank
-        pairs = [
-            (a, b)
-            for a in range(1, min(config.gds_alpha_max, rank) + 1)
-            for b in (range(rank, a - 1, -1) if config.gds_beta_search else (rank,))
-        ]
-        bands = [gram] + [gds_from_gram(gram, a, b) for a, b in pairs[1:]]
+        alphas = range(2, min(config.gds_alpha_max, gram.rank) + 1)
+        bands = [gram] + [gds_from_gram(gram, a) for a in alphas]
         candidates.append([(band, _project_band(band, stack)) for band in bands])
     known = [
         raw if gram.rank == gram.ambient_dim else None

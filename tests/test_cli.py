@@ -151,6 +151,25 @@ def test_eval_dim_mismatch_exits_2(model_dir, tmp_path):
     assert "dims" in res.stderr
 
 
+def test_eval_with_model_classes_the_manifest_does_not_name_exits_2(model_dir, tmp_path, capsys):
+    # the model knows classes 0..2; this manifest names classes 0 and 1 only
+    other = tmp_path / "other"
+    res = run_cli(
+        "gen", "--out", other, "--seed", 3, "--classes", 2,
+        "--samples-per-class", 4, "--dims", "8x8x8",
+        "--shared-dim", 1, "--class-dim", 2, "--noise", 0.2,
+    )
+    assert res.returncode == 0, res.stderr
+    out = tmp_path / "eval"
+    assert main([
+        "eval", "--model", str(model_dir / "model.nmdl"),
+        "--manifest", str(other / "manifest.txt"), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: model class 2 ")
+    assert not out.exists()
+
+
 def test_usage_error_exits_1():
     res = run_cli("fit", "--manifest")  # missing value
     assert res.returncode == 1
@@ -259,7 +278,7 @@ def test_config_file_with_flag_override(dataset_dir, tmp_path):
     assert float(echo["mu"]) == 0.95  # 17-digit float echo parses back exactly
 
 
-@pytest.mark.parametrize("line", ["mu=abc", "modes=1,x", "beta-search=yes"])
+@pytest.mark.parametrize("line", ["mu=abc", "modes=1,x", "full-spectrum=yes"])
 def test_config_file_bad_value_exits_2(dataset_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -450,7 +469,7 @@ def test_fit_flags_are_the_settings_keys():
         for opt in action.option_strings
     } - {"-h", "--help", "--manifest", "--data-dir", "--out", "--config"}
     assert flags == {f"--{s.key}" for s in SETTINGS}
-    assert len(flags) == 12
+    assert len(flags) == 11
 
 
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -459,7 +478,7 @@ def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
     first = tmp_path / "flags"
     assert main([
         "fit", "--manifest", manifest, "--out", str(first),
-        "--method", "nmode-wgds", "--beta-search", "--alpha-max", "3",
+        "--method", "nmode-wgds", "--alpha-max", "3",
         "--angles", "1,1,1", "--full-spectrum", "--karcher-tol", "1e-7",
     ]) == 0
     settings = [
@@ -479,8 +498,9 @@ def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
 @pytest.mark.parametrize("method", ["msm", "gds", "pgm", "nmode-gds", "nmode-wgds"])
 def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, method):
-    # an echo written while `seed` and `weights` were settings carries both;
-    # `seed` is ignored and `weights` restates the weighting the method implies
+    # an echo written while `seed`, `weights` and `beta-search` were settings
+    # carries all three; `seed` is ignored, `weights` restates the weighting
+    # the method implies and `beta-search=false` the band search that is left
     manifest = str(dataset_dir / "manifest.txt")
     first = tmp_path / "flags"
     assert main(["fit", "--manifest", manifest, "--out", str(first), "--method", method]) == 0
@@ -491,7 +511,8 @@ def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, met
     ]
     weights = "fisher" if method == "nmode-wgds" else "uniform"
     cfg = tmp_path / "echo.cfg"
-    cfg.write_text("\n".join(sorted(settings + ["seed=0", f"weights={weights}"])) + "\n")
+    retired = ["seed=0", f"weights={weights}", "beta-search=false"]
+    cfg.write_text("\n".join(sorted(settings + retired)) + "\n")
     second = tmp_path / "config"
     assert main(
         ["fit", "--manifest", manifest, "--out", str(second), "--config", str(cfg)]
@@ -506,6 +527,8 @@ def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, met
         ("weights=uniform\n", []),  # the default method is nmode-wgds
         ("weights=fisher\n", ["--method", "nmode-gds"]),
         ("weights=foo\n", []),
+        # the retired beta search cannot be turned on: it would change the run
+        ("beta-search=true\n", []),
     ],
 )
 def test_config_file_weights_that_contradict_the_method_exit_1(
@@ -519,7 +542,7 @@ def test_config_file_weights_that_contradict_the_method_exit_1(
         "--config", str(cfg), *flags,
     ]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: weights=")
+    assert len(err) == 1 and err[0].startswith(f"error: {text.splitlines()[-1]}")
     assert not out.exists()
 
 

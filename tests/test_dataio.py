@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -13,13 +14,17 @@ from tensorgds import (
     DimensionError,
     FormatError,
     PipelineConfig,
+    ProductPoint,
     classify,
     fit,
+    gds_from_gram,
     mode_weights,
     principal_angles,
+    project_onto_gds,
     unfold,
 )
 from tensorgds.dataio import (
+    RETIRED_KEYS,
     DatasetManifest,
     ManifestEntry,
     SynthSpec,
@@ -291,9 +296,16 @@ def test_model_corrupted_payload():
         model_from_bytes(bytes(buf))
 
 
-def drop_conf_line(key):
+def drop_conf_line(*keys):
     return lambda text: "".join(
-        line for line in text.splitlines(keepends=True) if not line.startswith(key + "=")
+        line for line in text.splitlines(keepends=True) if line.partition("=")[0] not in keys
+    )
+
+
+def insert_conf_line(line):
+    """Add `key=value` where a writer that wrote the key put it: in key order."""
+    return lambda text: "".join(
+        sorted(text.splitlines(keepends=True) + [line + "\n"], key=lambda l: l.partition("=")[0])
     )
 
 
@@ -720,21 +732,52 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
         split[entry.split][0].append(sample)
         split[entry.split][1].append(entry.label)
     model = fit(*split["train"], PipelineConfig(method="nmode-wgds"))
-    edits = (
+    train = split["train"][0]
+    # a model fitted with the retired beta search: each band ends below the
+    # Gram rank, and the references are the training bases projected onto it
+    bands = tuple(gds_from_gram(g, g.alpha, g.rank - 1) for g in model.gds)
+    stacks = [
+        project_onto_gds(
+            band, np.stack([leading_basis(*left_singular(unfold(s, mode)), dim) for s in train])
+        )
+        for band, mode, dim in zip(bands, model.modes, model.dims)
+    ]
+    narrowed = dataclasses.replace(
+        model,
+        gds=bands,
+        references=tuple(
+            ProductPoint(tuple(map(Subspace, parts)), label=ref.label)
+            for parts, ref in zip(zip(*stacks), model.references)
+        ),
+    )
+    assert all(g.beta < g.rank for g in narrowed.gds)
+    cases = (
         # no setting reads these keys any more, so the reader ignores them;
         # the weights come from the `weights` section whatever the scheme says
-        lambda text: text
-        + "projection_tol=1.0000000000000001e-10\nseed=5\nweights_scheme=uniform\n",
+        (
+            model,
+            lambda text: text
+            + "projection_tol=1.0000000000000001e-10\nseed=5\nweights_scheme=uniform\n"
+            + "gds_beta_search=true\n",
+        ),
+        # the beta search's narrowed bands are stored in `alphas` and `betas`,
+        # and its key in the writer's (sorted) place is ignored
+        (narrowed, insert_conf_line("gds_beta_search=true")),
         # a model that did not record its data dims checks each mode's ambient
-        set_conf_value("data_dims", "none"),
+        (model, set_conf_value("data_dims", "none")),
     )
-    for edit in edits:
-        back = model_from_bytes(edit_model_conf(model_to_bytes(model), edit))
+    for fitted, edit in cases:
+        edited = edit_model_conf(model_to_bytes(fitted), edit)
+        back = model_from_bytes(edited)
+        # saved again without the retired keys
+        assert model_to_bytes(back) == edit_model_conf(edited, drop_conf_line(*RETIRED_KEYS))
+        assert [(g.alpha, g.beta) for g in back.gds] == [(g.alpha, g.beta) for g in fitted.gds]
         for t in split["test"][0]:
-            p1, s1 = classify(model, t)
+            p1, s1 = classify(fitted, t)
             p2, s2 = classify(back, t)
             assert p1 == p2
             assert s1.tobytes() == s2.tobytes()
+    assert b"gds_beta_search=true\n" in edit_model_conf(model_to_bytes(narrowed), cases[1][1])
     # the last model has no data dims; the per-mode ambient check still holds
     assert back.data_dims is None
     with pytest.raises(DimensionError, match="mode 1: ambient 5"):

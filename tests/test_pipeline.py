@@ -130,38 +130,36 @@ def test_extract_mode_subset(rng):
 
 def brute_force_search(grams, stacks, labels, config):
     """Best combined score over every combination of usable bands and its
-    first-found pairs: per mode, every candidate band is built with
-    `gds_from_gram`, the training bases are projected one `Subspace` at a
-    time with `project_onto_gds` and scored with `fisher_mode`; the
-    combinations are then ranked by `nmode_fisher`. The reference the band
-    search must reach."""
+    first-found pairs: per mode, every band alpha..rank with alpha up to
+    `gds_alpha_max` is built with `gds_from_gram`, the training bases are
+    projected one `Subspace` at a time with `project_onto_gds` and scored
+    with `fisher_mode`; the combinations are then ranked by `nmode_fisher`.
+    The reference the band search must reach."""
     class_ids = sorted(set(labels))
     usable = []
     for p, gram in enumerate(grams):
         found = []
         for a in range(1, min(config.gds_alpha_max, gram.rank) + 1):
-            betas = range(gram.rank, a - 1, -1) if config.gds_beta_search else [gram.rank]
-            for b in betas:
-                try:
-                    basis = gds_from_gram(gram, a, b)
-                    grouped = [
-                        [
-                            project_onto_gds(basis, Subspace(b))
-                            for b, label in zip(stacks[p], labels)
-                            if label == cid
-                        ]
-                        for cid in class_ids
+            try:
+                basis = gds_from_gram(gram, a)
+                grouped = [
+                    [
+                        project_onto_gds(basis, Subspace(b))
+                        for b, label in zip(stacks[p], labels)
+                        if label == cid
                     ]
-                    report = fisher_mode(
-                        grouped,
-                        mode=gram.mode,
-                        karcher_tol=config.karcher_tol,
-                        karcher_max_iter=config.karcher_max_iter,
-                    )
-                except (DegeneracyError, DimensionError):
-                    continue
-                if report.flag is None:
-                    found.append(((a, b), report))
+                    for cid in class_ids
+                ]
+                report = fisher_mode(
+                    grouped,
+                    mode=gram.mode,
+                    karcher_tol=config.karcher_tol,
+                    karcher_max_iter=config.karcher_max_iter,
+                )
+            except (DegeneracyError, DimensionError):
+                continue
+            if report.flag is None:
+                found.append(((a, basis.beta), report))
         usable.append(found)
     best_score, best_pairs = -math.inf, None
     for combo in itertools.product(*usable):
@@ -274,14 +272,13 @@ def labelled_points(seed, classes, modes, per_class=3, shapes=None):
     classes=st.integers(2, 3),
     modes=st.integers(1, 3),
     alpha_max=st.integers(1, 3),
-    beta_search=st.booleans(),
 )
-def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha_max, beta_search):
+def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha_max):
     grams, stacks, labels = labelled_points(seed, classes, modes)
-    config = PipelineConfig(
-        method="nmode-gds", gds_alpha_max=alpha_max, gds_beta_search=beta_search
-    )
+    config = PipelineConfig(method="nmode-gds", gds_alpha_max=alpha_max)
     result = optimize_gds_dims(grams, stacks, labels, config)
+    # every band keeps the whole eigenvector tail
+    assert [b.beta for b in result.bases] == [g.rank for g in grams]
     best_score, _ = brute_force_search(grams, stacks, labels, config)
     assert nmode_fisher(result.reports).score_n == pytest.approx(best_score, rel=1e-12)
     last = result.trace[-1]["round"]
@@ -322,9 +319,8 @@ def rotation_modes(draw):
     seed=st.integers(0, 2**32 - 1),
     drawn=rotation_modes(),
     alpha_max=st.integers(1, 3),
-    beta_search=st.booleans(),
 )
-def test_full_rank_bands_reuse_the_raw_reports(seed, drawn, alpha_max, beta_search):
+def test_full_rank_bands_reuse_the_raw_reports(seed, drawn, alpha_max):
     # a full band of full rank rotates the raw bases: the search that takes
     # the raw report for it chooses as the search that scores the rotation
     # through `fisher_modes`, and every other mode's entry is byte-identical.
@@ -336,9 +332,7 @@ def test_full_rank_bands_reuse_the_raw_reports(seed, drawn, alpha_max, beta_sear
     classes, shapes, rotations = drawn
     grams, stacks, labels = labelled_points(seed, classes, len(shapes), shapes=shapes)
     assert [g.rank == g.ambient_dim for g in grams] == rotations
-    config = PipelineConfig(
-        method="nmode-gds", gds_alpha_max=alpha_max, gds_beta_search=beta_search
-    )
+    config = PipelineConfig(method="nmode-gds", gds_alpha_max=alpha_max)
     members = [[i for i, l in enumerate(labels) if l == cid] for cid in range(classes)]
 
     def grouped(stack):
@@ -362,6 +356,7 @@ def test_full_rank_bands_reuse_the_raw_reports(seed, drawn, alpha_max, beta_sear
         return
     reused = optimize_gds_dims(grams, stacks, labels, config, raw)
     assert chosen_pairs(reused) == chosen_pairs(scored)
+    assert [b.beta for b in reused.bases] == [g.rank for g in grams]
     assert len(reused.trace) == len(scored.trace)
     for t, u in zip(reused.trace, scored.trace):
         assert {**t, "score": None} == {**u, "score": None}  # the trace bands
@@ -985,7 +980,7 @@ def test_settings_table_has_one_row_per_config_field():
         f.name for f in dataclasses.fields(PipelineConfig)
     ]
     keys = [s.key for s in SETTINGS]
-    assert len(set(keys)) == len(keys) == 12
+    assert len(set(keys)) == len(keys) == 11
     assert len({s.model_key for s in SETTINGS}) == len(SETTINGS)
 
 

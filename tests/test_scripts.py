@@ -1,3 +1,4 @@
+import json
 import runpy
 from pathlib import Path
 
@@ -30,7 +31,7 @@ def test_fingerprint_small_spec():
     assert script["fingerprint"](config, spec) == digest  # deterministic
     assert script["fingerprint"](config, spec, unbalanced=True) != digest  # fewer samples
     names = [name for name, *_ in script["configurations"]()]
-    assert len(names) == len(set(names)) == 38
+    assert len(names) == len(set(names)) == 34
 
 
 def test_fingerprint_dump_and_compare(tmp_path, capsys):
@@ -121,3 +122,42 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     assert main(["--compare", str(tmp_path / "old.npz"), str(tmp_path / "new.npz")]) == 0
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith("small/nmode-wgds-angles1-full: discrete match;")
+
+
+def test_accuracy_grid_small_spec():
+    script = runpy.run_path(str(SCRIPTS / "accuracy.py"))
+    # the committed grid: 5 regimes, 5 seeds, 30 test samples per class
+    assert script["REGIMES"] == ((0.3, 1), (0.6, 1), (0.6, 2), (1.0, 1), (1.0, 2))
+    assert script["SEEDS"] == (1, 2, 3, 4, 5)
+    full = script["SPEC"]
+    assert (full.classes, full.dims, full.class_dim) == (4, (12, 12, 12), 2)
+    assert full.samples_per_class - round(script["TRAIN_FRACTION"] * full.samples_per_class) == 30
+    assert list(script["METHODS"]) == ["pgm", "nmode-gds", "nmode-wgds"]
+
+    spec = script["SynthSpec"](2, 4, (6, 6, 6), shared_dim=1, class_dim=2, within_noise=0.0, seed=1)
+    configs = {name: script["METHODS"][name] for name in ("pgm", "nmode-gds")}
+    out = script["grid"](
+        configs, regimes=((0.0, 1), (0.3, 1)), seeds=(1,), spec=spec, train_fraction=0.5
+    )
+    assert json.loads(json.dumps(out)) == out
+    assert out["spec"] == {
+        "classes": 2, "samples_per_class": 4, "dims": [6, 6, 6], "class_dim": 2,
+        "train_fraction": 0.5, "seeds": [1],
+    }
+    assert [(r["within_noise"], r["shared_dim"]) for r in out["regimes"]] == [(0.0, 1), (0.3, 1)]
+    for row in out["regimes"]:
+        assert list(row["methods"]) == ["pgm", "nmode-gds"]
+        for cell in row["methods"].values():
+            keys = {"mean_accuracy", "worst_accuracy", "accuracies", "failures", "errors"}
+            assert set(cell) == keys
+            accs = cell["accuracies"]
+            assert len(accs) == 1 and 0.0 <= accs[0] <= 1.0
+            assert cell["mean_accuracy"] == cell["worst_accuracy"] == accs[0]
+            assert cell["failures"] == len(cell["errors"])
+    # noise-free data: every band candidate has zero within-class spread, so
+    # the difference-subspace fit raises and scores 0; pgm fits
+    noise_free = out["regimes"][0]["methods"]
+    assert noise_free["pgm"]["failures"] == 0
+    gds = noise_free["nmode-gds"]
+    assert gds["failures"] == 1 and gds["accuracies"] == [0.0]
+    assert gds["errors"][0].startswith("seed 1: DegeneracyError: ")
