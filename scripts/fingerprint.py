@@ -76,16 +76,13 @@ SETS = {
 LARGE = SynthSpec(8, 25, (16, 16, 16), shared_dim=1, class_dim=2, within_noise=0.15, seed=7)
 
 CONFIGS = {
-    "msm-mode1": PipelineConfig(method="msm", modes_used=(1,)),
-    "gds-mode2": PipelineConfig(method="gds", modes_used=(2,)),
+    # single-mode baselines: MSM on mode 1 and GDS on mode 2
+    "pgm-mode1": PipelineConfig(method="pgm", modes_used=(1,)),
+    "nmode-gds-mode2": PipelineConfig(method="nmode-gds", modes_used=(2,)),
     "pgm": PipelineConfig(method="pgm"),
     "nmode-gds": PipelineConfig(method="nmode-gds"),
     "nmode-wgds": PipelineConfig(method="nmode-wgds"),
-    # the legacy `gds_search` spelling: it runs the one band search, so its
-    # outputs must be the coordinate model's (bytes apart from that setting)
-    "nmode-wgds-exhaustive": PipelineConfig(
-        method="nmode-wgds", gds_search="exhaustive", gds_alpha_max=3
-    ),
+    "nmode-wgds-alpha3": PipelineConfig(method="nmode-wgds", gds_alpha_max=3),
     "nmode-gds-class-karcher": PipelineConfig(method="nmode-gds", classifier="class-karcher"),
     "nmode-wgds-angles1-full": PipelineConfig(
         method="nmode-wgds", angle_counts=(1, 1, 1), full_spectrum=True
@@ -93,7 +90,14 @@ CONFIGS = {
 }
 # Configurations renamed since older dumps were written, old name -> new;
 # `--compare` reads a dump's runs under their new names.
-RENAMED = {"nmode-wgds-angles1-full-seed5": "nmode-wgds-angles1-full"}
+RENAMED = {
+    "nmode-wgds-angles1-full-seed5": "nmode-wgds-angles1-full",
+    # runs of the retired values `msm`, `gds` and `exhaustive`, which fitted
+    # these models (bytes apart from that setting)
+    "msm-mode1": "pgm-mode1",
+    "gds-mode2": "nmode-gds-mode2",
+    "nmode-wgds-exhaustive": "nmode-wgds-alpha3",
+}
 
 
 def configurations():

@@ -87,12 +87,12 @@ def main(argv=None):
     )
 
     # single-mode baselines with per-mode separability, like the per-mode
-    # accuracy-and-score tables
+    # accuracy-and-score tables: pgm on one mode is MSM, nmode-gds is GDS
     print("\nper-mode accuracy (combined separability score in parentheses)")
     header = "method      " + "".join(f"  {m}-mode          " for m in range(1, n_modes + 1))
     print(header)
     single_rows = []
-    for method in ("msm", "gds"):
+    for method in ("pgm", "nmode-gds"):
         cells = []
         for mode in range(1, n_modes + 1):
             model, metrics = run_method(method, (mode,), tr, te)

@@ -178,7 +178,9 @@ def _build_pipeline_config(args) -> PipelineConfig:
     Older config files and `run_config.txt` echoes may spell three retired
     keys: `seed` is ignored, and `weights` and `beta-search` are accepted only
     as what the fit does anyway (`weights` as `auto` or the weighting `method`
-    implies, `beta-search` as `false`), so a run never changes silently."""
+    implies, `beta-search` as `false`), so a run never changes silently. A
+    retired value such as `method=msm` reads as its new value (`pgm`; see
+    `pipeline.RETIRED_VALUES`); flags take only the current values."""
     values: dict = {}
     weights = None
     if args.config:
@@ -188,10 +190,12 @@ def _build_pipeline_config(args) -> PipelineConfig:
         beta_search = config.pop("beta-search", "false")
         if beta_search.lower() != "false":
             raise UsageError(f"beta-search={beta_search}: the beta search is retired")
-        for key in config:
+        for key, text in config.items():
             if key not in _CONFIG_KEYS:
                 raise FormatError(f"unknown config key {key!r}")
-            values[_CONFIG_KEYS[key].name] = config.parse(key, _CONFIG_KEYS[key].parse)
+            setting = _CONFIG_KEYS[key]
+            config[key] = setting.current(text)
+            values[setting.name] = config.parse(key, setting.parse)
     flags = vars(args)
     for key, setting in _CONFIG_KEYS.items():
         dest = key.replace("-", "_")
@@ -499,18 +503,12 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FormatError as exc:
+    except (FormatError, DimensionError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except DegeneracyError as exc:
         print(f"numerical degeneracy: {exc}", file=sys.stderr)
         return 3
-    except DimensionError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -402,6 +402,8 @@ def generate_synthetic(
 
 # Keys of older files that nothing reads any more; the reader drops them.
 RETIRED_KEYS = frozenset({"seed", "projection_tol", "weights_scheme", "gds_beta_search"})
+# Settings by model key; the reader reads a retired value as its new value.
+_MODEL_KEYS = {s.model_key: s for s in SETTINGS}
 
 
 def _section(tag: bytes, payload: bytes) -> bytes:
@@ -485,6 +487,8 @@ def _read_sections(buf: bytes) -> tuple[NamedValues, NamedValues]:
                 if rest:
                     raise FormatError(f"CONF section: no newline after {rest!r}")
                 for key, _, value in (line.partition("=") for line in lines):
+                    if key in _MODEL_KEYS:
+                        value = _MODEL_KEYS[key].current(value)
                     if key not in RETIRED_KEYS:
                         conf.add(key, value)
             elif tag == b"MATX":
@@ -609,6 +613,8 @@ def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
         raise conf.bad("modes", "a model names the modes it uses")
     gds = _bands_from_conf(conf, matrices, modes) if config.uses_gds else None
     labels = conf.parse("labels", int, many=True) if conf["labels"] else ()
+    if len(set(labels)) < 2:  # as `fit` requires
+        raise conf.bad("labels", f"need at least 2 classes, got {len(set(labels))}")
     n_refs = conf.parse("n_refs", int)
     # each reference must be an orthonormal basis
     parts = [tuple(matrices.parse(f"ref{i}_m{m}", Subspace) for m in modes) for i in range(n_refs)]
@@ -617,7 +623,7 @@ def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
     mode_ambients = conf.parse("mode_ambients", int, many=True)
     data_dims = None if conf["data_dims"] == "none" else conf.parse("data_dims", int, many=True)
     _check_mode_shapes(conf, matrices, modes, dims, mode_ambients, data_dims, gds, parts)
-    widths = [b.dim for b in parts[0]] if parts else dims
+    widths = [b.dim for b in parts[0]]  # a model has references of 2 classes at least
     try:
         check_angle_counts(config.angle_counts, modes, widths)
     except DimensionError as exc:

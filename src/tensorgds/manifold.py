@@ -31,10 +31,6 @@ class ProductPoint:
         object.__setattr__(self, "parts", parts)
 
     @property
-    def mode_count(self) -> int:
-        return len(self.parts)
-
-    @property
     def bases(self) -> tuple[np.ndarray, ...]:
         return tuple(p.basis for p in self.parts)
 
@@ -75,7 +71,7 @@ def mode_weights(scores: Sequence[float]) -> WeightVector:
 def point_stacks(points: Sequence[ProductPoint]) -> tuple[np.ndarray, ...]:
     """Per mode, the (N, d, k) stack of the bases of `points`, in order; the
     points must share one mode count and, per mode, one basis shape."""
-    if len({pt.mode_count for pt in points}) > 1:
+    if len({len(pt.parts) for pt in points}) > 1:
         raise DimensionError("points differ in mode count")
     stacks = []
     for i, bases in enumerate(zip(*(pt.bases for pt in points))):

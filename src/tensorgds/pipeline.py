@@ -4,11 +4,12 @@ Methods share one framework: every sample becomes a tuple of per-mode
 subspaces; the difference-subspace methods additionally sharpen each mode
 with a learned projection before measuring distances.
 
-  msm         single-mode nearest neighbor by mean canonical angle
   pgm         all selected modes, no projection, unit weights
-  gds         per-mode difference-subspace projection, unit weights
   nmode-gds   projection on every selected mode, unit weights
   nmode-wgds  projection plus separability-derived mode weights
+
+A single-mode baseline is one of these with one mode selected: `pgm` on
+mode m is the mutual subspace method (MSM), `nmode-gds` on mode m is GDS.
 """
 
 from __future__ import annotations
@@ -38,11 +39,16 @@ from .tensor import DenseTensor, unfold
 # The values each string setting accepts: `PipelineConfig` checks them and
 # the CLI offers them as flag choices.
 CHOICES = {
-    "method": ("msm", "gds", "pgm", "nmode-gds", "nmode-wgds"),
-    "gds_search": ("coordinate", "exhaustive"),
+    "method": ("pgm", "nmode-gds", "nmode-wgds"),
+    "gds_search": ("coordinate",),
     "classifier": ("nn", "class-karcher"),
 }
-GDS_METHODS = frozenset({"gds", "nmode-gds", "nmode-wgds"})
+# Values of older files, by field, each with the value that runs the same
+# code; model and config files read them as that value (`Setting.current`).
+RETIRED_VALUES = {
+    "method": {"msm": "pgm", "gds": "nmode-gds"},
+    "gds_search": {"exhaustive": "coordinate"},
+}
 # Pairs that `pairwise_distances` or an `evaluate` block gathers into one
 # stack per mode: it bounds the memory of the gathered bases, not the result.
 PAIR_BLOCK = 2048
@@ -56,10 +62,8 @@ class PipelineConfig:
     other; None means "all modes", "median of the energy-selected dimensions",
     and "all available angles" respectively.
 
-    `gds_search` selects no code: both of its values run coordinate ascent
-    to a fixed point, which is already the best band combination (see
-    `optimize_gds_dims`). It stays so that models, config files and
-    `run_config.txt` echoes that spell `exhaustive` still load and fit.
+    `gds_search` selects no code: its one value, `coordinate`, names the
+    band search of `optimize_gds_dims`. The benchmark workloads spell it.
     """
 
     method: str = "nmode-wgds"
@@ -101,7 +105,7 @@ class PipelineConfig:
 
     @property
     def uses_gds(self) -> bool:
-        return self.method in GDS_METHODS
+        return self.method != "pgm"
 
     @property
     def uses_fisher_weights(self) -> bool:
@@ -137,6 +141,10 @@ class Setting:
             return format(float(value), ".17g")
         return str(value).lower() if self.kind is bool else str(value)
 
+    def current(self, text: str) -> str:
+        """The text, or a retired value's replacement (RETIRED_VALUES)."""
+        return RETIRED_VALUES.get(self.name, {}).get(text, text)
+
     def parse(self, text: str):
         if self.kind is type(None):
             return None if text == "none" else tuple(int(v) for v in text.split(","))
@@ -155,7 +163,7 @@ SETTINGS = (
     Setting("per_mode_dims", "mode-dims", "dims", "fixed per-mode dims"),
     Setting("angle_counts", "angles", "angle_counts", "per-mode canonical angle counts"),
     Setting("gds_alpha_max", "alpha-max", "gds_alpha_max", "search bound for the leading cut"),
-    Setting("gds_search", "search", "gds_search", "both values run the one band search"),
+    Setting("gds_search", "search", "gds_search", "the one band search"),
     Setting("karcher_tol", "karcher-tol", "karcher_tol"),
     Setting("karcher_max_iter", "karcher-max-iter", "karcher_max_iter"),
     Setting("classifier", "classifier", "classifier"),
@@ -291,8 +299,8 @@ def optimize_gds_dims(
     The fixed point is a global optimum: the combined score is a ratio of
     per-mode sums, so at a fixed point with ratio r each mode's band
     maximizes its between - r * within, and no combination of bands can beat
-    r (Dinkelbach 1967). `config.gds_search` therefore selects nothing; both
-    of its values run this search.
+    r (Dinkelbach 1967). `config.gds_search` therefore has one value,
+    `coordinate`, and selects nothing.
     """
     members = _class_members(labels, sorted(set(labels)))
     if len(members) < 2:
@@ -553,16 +561,6 @@ def _shape_groups(parts: Sequence[tuple]):
         (np.array(idx), tuple(map(np.stack, zip(*(parts[i] for i in idx)))))
         for idx in groups.values()
     ]
-
-
-def point_distances(
-    model: TrainedModel, query: ProductPoint, points: Sequence[ProductPoint]
-) -> np.ndarray:
-    """Distance from `query` to each of `points` in the model's metric."""
-    out = np.empty(len(points))
-    for idx, stacks in _shape_groups([pt.bases for pt in points]):
-        out[idx] = _distances(model, query.bases, stacks)
-    return out
 
 
 def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> np.ndarray:

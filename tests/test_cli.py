@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorgds import pipeline
+from tensorgds import dataio, pipeline
 from tensorgds.cli import build_parser, classical_mds, main
 from tensorgds.errors import DimensionError
 from tensorgds.pipeline import SETTINGS
@@ -304,6 +305,22 @@ def test_malformed_model_file_exits_2(model_dir, tmp_path, capsys):
     assert err.startswith("data error") and "'has_gds'" in err
 
 
+def test_model_of_one_class_exits_2(dataset_dir, model_dir, tmp_path, capsys):
+    # such a model would label every query with its one class
+    model = dataio.read_model(model_dir / "model.nmdl")
+    refs = tuple(r for r in model.references if r.label == 2)
+    one = tmp_path / "one.nmdl"
+    dataio.write_model(one, dataclasses.replace(model, class_ids=(2,), references=refs))
+    out = tmp_path / "dist"
+    assert main([
+        "dist", "--model", str(one), "--manifest", str(dataset_dir / "manifest.txt"),
+        "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: CONF key 'labels'") and "got 1" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["method", "gds_search"])
 def test_model_with_rejected_setting_exits_2(dataset_dir, model_dir, tmp_path, capsys, key):
     bad = tmp_path / "bad.nmdl"
@@ -407,7 +424,8 @@ def test_config_file_legacy_search_value_still_fits(dataset_dir, tmp_path):
         "fit", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out),
         "--config", str(cfg),
     ]) == 0
-    assert "search=exhaustive" in (out / "run_config.txt").read_text().splitlines()
+    # it reads as the value of the one band search, and is echoed as that
+    assert "search=coordinate" in (out / "run_config.txt").read_text().splitlines()
 
 
 def test_main_in_process_exit_codes(tmp_path):
@@ -496,7 +514,7 @@ def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
-@pytest.mark.parametrize("method", ["msm", "gds", "pgm", "nmode-gds", "nmode-wgds"])
+@pytest.mark.parametrize("method", ["pgm", "nmode-gds", "nmode-wgds"])
 def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, method):
     # an echo written while `seed`, `weights` and `beta-search` were settings
     # carries all three; `seed` is ignored, `weights` restates the weighting
@@ -518,6 +536,43 @@ def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, met
         ["fit", "--manifest", manifest, "--out", str(second), "--config", str(cfg)]
     ) == 0
     assert (first / "model.nmdl").read_bytes() == (second / "model.nmdl").read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
+@pytest.mark.parametrize("old, new", [("msm", "pgm"), ("gds", "nmode-gds")])
+def test_echo_with_a_retired_method_refits_the_same_model(dataset_dir, tmp_path, old, new):
+    # an echo of a fit with `--method msm` or `--method gds` says so; those
+    # fitted the `pgm` and `nmode-gds` models, and the echo fits them still
+    manifest = str(dataset_dir / "manifest.txt")
+    first = tmp_path / "flags"
+    assert main(["fit", "--manifest", manifest, "--out", str(first), "--method", new]) == 0
+    echo = (first / "run_config.txt").read_text()
+    settings = [
+        line for line in echo.splitlines() if not line.startswith(("command=", "manifest="))
+    ]
+    assert f"method={new}" in settings
+    cfg = tmp_path / "echo.cfg"
+    settings[settings.index(f"method={new}")] = f"method={old}"
+    cfg.write_text("\n".join(settings + ["weights=uniform"]) + "\n")
+    second = tmp_path / "config"
+    assert main(
+        ["fit", "--manifest", manifest, "--out", str(second), "--config", str(cfg)]
+    ) == 0
+    assert (first / "model.nmdl").read_bytes() == (second / "model.nmdl").read_bytes()
+    assert (second / "run_config.txt").read_text() == echo
+
+
+@pytest.mark.parametrize(
+    "flags", [["--method", "msm"], ["--method", "gds"], ["--search", "exhaustive"]]
+)
+def test_retired_values_as_flags_exit_1(dataset_dir, tmp_path, capsys, flags):
+    # flags take only the values that run the code, as for any bad choice
+    out = tmp_path / "fit"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--manifest", str(dataset_dir / "manifest.txt"), "--out", str(out), *flags])
+    assert exc.value.code == 1
+    assert f"invalid choice: '{flags[1]}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

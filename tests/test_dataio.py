@@ -46,6 +46,7 @@ from tensorgds.dataio import (
     _named_matrix,
     _section,
 )
+from tensorgds.pipeline import CHOICES
 from tensorgds.subspace import Subspace, leading_basis, left_singular
 from conftest import edit_model_conf, edit_model_matrix, random_tensor
 
@@ -616,7 +617,14 @@ TOKENS = (
     "", "x", "none", "-", "0", "-0", "1", "01", " 1", "-1", "2", "3", "12", "13", "0.5",
     "-0.5", "nan", "inf", "-inf", "1e-8", "true", "True", "false", "infinite", "1,2",
     "3,2,1", "1,1,1", "0,0,0", "-0.5,-0.5,-0.5", "-,-,-", "12,12,12,12",
+    "msm", "gds", "exhaustive",
 )
+# The retired values of older files, by key, and what they read as.
+RETIRED_VALUES = {
+    ("method", "msm"): "pgm",
+    ("method", "gds"): "nmode-gds",
+    ("gds_search", "exhaustive"): "coordinate",
+}
 
 
 @st.composite
@@ -653,7 +661,11 @@ def test_a_single_key_edit_is_refused_by_name_or_saves_back_to_the_same_bytes(me
     except FormatError as exc:
         assert re.match(r"(no )?(CONF keys?|MATX section) '", str(exc)), str(exc)
     else:
-        assert model_to_bytes(back) == edited
+        # only a retired value saves back otherwise: as the value it reads as
+        new = RETIRED_VALUES.get((key, value))
+        assert model_to_bytes(back) == (
+            edited if new is None else edit_model_conf(edited, set_conf_value(key, new))
+        )
 
 
 @st.composite
@@ -700,26 +712,57 @@ def test_a_single_matrix_edit_is_refused_by_name_or_saves_back_to_the_same_bytes
 
 
 def test_legacy_exhaustive_model_matches_the_coordinate_model():
-    # both gds_search values run the one band search, so the models differ
-    # only in that CONF value and the checksum
+    # `exhaustive` ran the one band search, so a model that spells it differs
+    # from the coordinate model only in that CONF value and the checksum; it
+    # loads as the coordinate model and saves back as it
     spec = bench_spec(
         classes=4, samples_per_class=10, dims=(12, 12, 12), within_noise=0.15, seed=7
     )
     samples, manifest = generate_synthetic(spec)
     labels = [e.label for e in manifest.entries]
-    legacy, coordinate = (
-        model_to_bytes(
-            fit(
-                samples,
-                labels,
-                PipelineConfig(method="nmode-wgds", gds_search=search, gds_alpha_max=3),
-            )
-        )
-        for search in ("exhaustive", "coordinate")
+    coordinate = model_to_bytes(
+        fit(samples, labels, PipelineConfig(method="nmode-wgds", gds_alpha_max=3))
     )
-    assert model_to_bytes(model_from_bytes(legacy)) == legacy
+    legacy = edit_model_conf(coordinate, set_conf_value("gds_search", "exhaustive"))
     assert legacy != coordinate
-    assert edit_model_conf(legacy, set_conf_value("gds_search", "coordinate")) == coordinate
+    back = model_from_bytes(legacy)
+    assert back.config.gds_search == "coordinate"
+    assert model_to_bytes(back) == coordinate
+
+
+@pytest.mark.parametrize("old, new", [("msm", "pgm"), ("gds", "nmode-gds")])
+def test_legacy_method_model_loads_as_the_method_it_ran(old, new):
+    # `msm` and `gds` fitted the `pgm` and `nmode-gds` models, so a model that
+    # spells one differs from that model only in its `method` line
+    buf = seed7_model_bytes(new)
+    legacy = edit_model_conf(buf, set_conf_value("method", old))
+    assert legacy != buf
+    back = model_from_bytes(legacy)
+    assert back.config.method == new
+    assert model_to_bytes(back) == buf
+
+
+def test_each_method_fits_a_model_of_its_own():
+    # a method value that fits another's model but for its `method` line
+    # selects no code of its own
+    stripped = {
+        edit_model_conf(seed7_model_bytes(method), drop_conf_line("method"))
+        for method in CHOICES["method"]
+    }
+    assert len(stripped) == len(CHOICES["method"])
+
+
+@pytest.mark.parametrize("kept", [(), (2,)])
+def test_model_of_fewer_than_2_classes_is_refused(kept):
+    # `fit` writes no such model; one class would win every query
+    model = model_from_bytes(seed7_model_bytes("nmode-wgds"))
+    few = dataclasses.replace(
+        model,
+        class_ids=kept,
+        references=tuple(r for r in model.references if r.label in kept),
+    )
+    with pytest.raises(FormatError, match=f"CONF key 'labels': .*got {len(kept)}"):
+        model_from_bytes(model_to_bytes(few))
 
 
 def test_model_with_the_retired_projection_tol_key_still_loads():

@@ -23,7 +23,6 @@ from tensorgds import (
 from tensorgds import pipeline
 from tensorgds.fisher import FisherReport
 from tensorgds.manifold import weighted_geodesics
-from tensorgds.pipeline import point_distances
 from conftest import line, random_subspace
 
 
@@ -158,7 +157,7 @@ def test_weighted_geodesic_contract_errors(rng):
 def per_pair_distance(a, b, weights, angle_counts=None, full_spectrum=False):
     """The weighted geodesic distance built from `principal_angles` one mode
     at a time: the definition the batched distances must reproduce."""
-    terms = np.empty(a.mode_count)
+    terms = np.empty(len(a.parts))
     for i, (p, q) in enumerate(zip(a.parts, b.parts)):
         count = None if angle_counts is None else angle_counts[i]
         angles = principal_angles(p, q, count).angles
@@ -167,7 +166,7 @@ def per_pair_distance(a, b, weights, angle_counts=None, full_spectrum=False):
         else:
             value = float(np.mean(angles))
         terms[i] = weights.weights[i] * value
-    if a.mode_count == 1:
+    if len(a.parts) == 1:
         return abs(float(terms[0]))
     return float(np.sqrt(np.sum(terms * terms)))
 
@@ -226,7 +225,9 @@ def test_batched_distances_equal_the_per_pair_definition(
     weights = WeightVector(rng.uniform(0.1, 1.0, size=n_modes))
     counts = (1,) + (2,) * (n_modes - 1) if counted else None
     model = metric_model(n_modes, weights, counts, full_spectrum)
-    batched = point_distances(model, query, points)
+    # the query is the first point, so it is the left operand of its row,
+    # whose pairs are grouped by the shapes of the other points
+    batched = pairwise_distances(model, [query, *points])[0, 1:]
     assert batched.shape == (len(points),)
     for j, b in enumerate(points):
         want = per_pair_distance(query, b, weights, counts, full_spectrum)
@@ -249,7 +250,7 @@ def test_pairwise_distances_exactly_symmetric_with_zero_diagonal(seed, n_modes, 
     assert d[-1, -2] == 0.0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            assert d[i, j] == point_distances(model, points[i], [points[j]])[0]
+            assert d[i, j] == pipeline._distances(model, points[i].bases, points[j].bases)
 
 
 @settings(max_examples=40, deadline=None)
@@ -277,7 +278,8 @@ def test_pairwise_distances_equal_a_row_by_row_loop(
     n = len(points)
     upper = np.zeros((n, n))
     for i in range(n - 1):
-        upper[i, i + 1 :] = point_distances(model, points[i], points[i + 1 :])
+        for j in range(i + 1, n):
+            upper[i, j] = pipeline._distances(model, points[i].bases, points[j].bases)
     assert d.tobytes() == (upper + upper.T).tobytes()
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)

@@ -8,8 +8,8 @@ from tensorgds.pipeline import PipelineConfig
 
 # PipelineConfig fields that no code reads, each with the reason it stays.
 UNREAD_FIELDS = {
-    # both values run the one band search; old models, config files and the
-    # benchmark workloads still spell it
+    # its one value names the one band search; the benchmark workloads still
+    # spell it
     "gds_search",
 }
 

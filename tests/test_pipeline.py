@@ -35,7 +35,7 @@ from tensorgds import (
 )
 from tensorgds import fisher, pipeline
 from tensorgds.dataio import SynthSpec, generate_synthetic
-from tensorgds.pipeline import CHOICES, SETTINGS, _fit_mode
+from tensorgds.pipeline import CHOICES, RETIRED_VALUES, SETTINGS, _fit_mode
 from tensorgds.subspace import leading_basis, left_factor, left_singular, select_dim
 from conftest import random_tensor
 
@@ -293,10 +293,6 @@ def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha
         for b, part in zip(stacks[p], result.parts[p], strict=True):
             want = project_onto_gds(basis, Subspace(b))
             assert np.array_equal(part, want.basis)  # in sample order
-    legacy = optimize_gds_dims(
-        grams, stacks, labels, dataclasses.replace(config, gds_search="exhaustive")
-    )
-    assert chosen_pairs(legacy) == chosen_pairs(result)
 
 
 @st.composite
@@ -495,7 +491,7 @@ def test_fit_wgds_weights_normalized():
 
 def test_msm_single_mode_equals_manual_nearest_neighbor():
     tr_s, tr_l, te_s, te_l = benchmark_split()
-    cfg = PipelineConfig(method="msm", modes_used=(1,))
+    cfg = PipelineConfig(method="pgm", modes_used=(1,))  # MSM on mode 1
     model = fit(tr_s, tr_l, cfg)
     for t in te_s[:4]:
         pred, _ = classify(model, t)
@@ -745,7 +741,7 @@ def test_classify_builds_no_reference_stack_after_the_first_query(classifier, mo
     assert again[0] == first[0] and again[1].tobytes() == first[1].tobytes()
 
 
-def test_classify_tie_breaks_to_smaller_class_id():
+def test_classify_tie_breaks_to_smaller_class_id(monkeypatch):
     # queries built to be exactly equidistant: classes are mirror images and
     # the query basis is the symmetric axis
     e = np.eye(4)
@@ -774,20 +770,12 @@ def test_classify_tie_breaks_to_smaller_class_id():
         fisher=rep,
         angle_diag=((0.0, None),),
     )
-    # distance from mid to both references is exactly equal by symmetry
-    from tensorgds.pipeline import point_distances
-
-    q = ProductPoint((mid,))
-    assert point_distances(model, q, [model.references[0]])[0] == point_distances(
-        model, q, [model.references[1]]
-    )[0]
-    scores = np.array(
-        [
-            point_distances(model, q, [model.references[1]])[0],
-            point_distances(model, q, [model.references[0]])[0],
-        ]
-    )
-    assert int(np.argmin(scores)) == 0  # argmin takes the first, class id 0
+    # a query whose basis is `mid`: its distances to both references are
+    # exactly equal by symmetry
+    monkeypatch.setattr(pipeline, "_query_bases", lambda model, samples: [(mid.basis,)])
+    label, scores = classify(model, None)
+    assert scores[0] == scores[1]
+    assert label == 0  # the smaller class id
 
 
 def test_evaluate_training_set_is_perfect():
@@ -940,13 +928,11 @@ def test_gds_with_full_band_degenerates_to_pgm():
 
 def test_mode_subset_distance_is_weighted_mean_angle():
     tr_s, tr_l, _, _ = benchmark_split()
-    model = fit(tr_s, tr_l, PipelineConfig(method="msm", modes_used=(1,)))
+    model = fit(tr_s, tr_l, PipelineConfig(method="pgm", modes_used=(1,)))
     a = transform(model, tr_s[0])
     b = transform(model, tr_s[1])
-    from tensorgds.pipeline import point_distances
-
     w1 = float(model.weights.weights[0])
-    assert point_distances(model, a, [b])[0] == w1 * mean_canonical_angle(
+    assert pipeline._distances(model, a.bases, b.bases) == w1 * mean_canonical_angle(
         a.parts[0], b.parts[0]
     )
 
@@ -1000,6 +986,17 @@ def test_setting_text_round_trips(setting, data):
     else:
         value = data.draw(SETTING_VALUES[setting.kind])
     assert setting.parse(setting.format(value)) == value
+
+
+@pytest.mark.parametrize(
+    "name, value", [("method", "msm"), ("method", "gds"), ("gds_search", "exhaustive")]
+)
+def test_config_refuses_retired_values(name, value):
+    # only older files spell them (see `RETIRED_VALUES`); the API takes the
+    # values that run the code
+    assert value in RETIRED_VALUES[name]
+    with pytest.raises(ValueError, match=f"{name} must be one of"):
+        PipelineConfig(**{name: value})
 
 
 @pytest.mark.parametrize(

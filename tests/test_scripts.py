@@ -16,8 +16,8 @@ def test_run_benchmark_small_dataset(tmp_path):
     assert code == 0
     rows = (tmp_path / "accuracy.csv").read_text().splitlines()
     assert rows[0] == "method,modes,accuracy,score"
-    # msm and gds on each of 3 modes, then pgm, nmode-gds and nmode-wgds on
-    # each of the 3 mode pairs and the full set
+    # pgm and nmode-gds on each of the 3 modes alone (MSM and GDS), then pgm,
+    # nmode-gds and nmode-wgds on each of the 3 mode pairs and the full set
     assert len(rows) - 1 == 18
     assert np.loadtxt(tmp_path / "distances.csv", delimiter=",").shape == (8, 8)
 
