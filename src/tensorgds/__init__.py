@@ -11,7 +11,6 @@ from .errors import (
 from .fisher import (
     FisherReport,
     NModeFisher,
-    fisher_mode,
     fisher_modes,
     karcher_means,
     nmode_fisher,
@@ -30,12 +29,8 @@ from .pipeline import (
     transform,
 )
 from .subspace import (
-    AngleSpectrum,
     Subspace,
     geodesic_distance,
-    mean_canonical_angle,
-    principal_angles,
-    projector,
     select_dim,
 )
 from .tensor import (
@@ -50,7 +45,6 @@ from .tensor import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngleSpectrum",
     "DegeneracyError",
     "DenseTensor",
     "DimensionError",
@@ -68,7 +62,6 @@ __all__ = [
     "WeightVector",
     "classify",
     "evaluate",
-    "fisher_mode",
     "fisher_modes",
     "fit",
     "fold",
@@ -76,16 +69,13 @@ __all__ = [
     "geodesic_distance",
     "hosvd",
     "karcher_means",
-    "mean_canonical_angle",
     "mode_gram",
     "mode_multiply",
     "mode_weights",
     "nmode_fisher",
     "optimize_gds_dims",
     "pairwise_distances",
-    "principal_angles",
     "project_onto_gds",
-    "projector",
     "select_dim",
     "transform",
     "unfold",

@@ -163,7 +163,7 @@ def _load_config_file(path) -> dataio.NamedValues:
         if "=" not in line:
             raise FormatError(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        out.add(key.strip(), value.strip())
     return out
 
 

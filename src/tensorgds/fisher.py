@@ -148,7 +148,7 @@ def karcher_means(
     """
     stacks = [basis_stack(subs) for subs in sets]
     means = [None] * len(stacks)
-    for idx, stack in group_by_shape(stacks):
+    for idx, (stack,) in group_by_shape([(s,) for s in stacks]):
         count, n, d, k = stack.shape
         if n == 1:
             for c, member in zip(idx, stack[:, 0]):
@@ -243,17 +243,6 @@ def fisher_modes(
         score, flag = separability_ratio(between, within)
         reports.append(FisherReport(mode, between, within, score, flag))
     return reports
-
-
-def fisher_mode(
-    subspaces_by_class: Sequence,
-    mode: int = 0,
-    sim: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    karcher_tol: float = DEFAULT_KARCHER_TOL,
-    karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
-) -> FisherReport:
-    """The `fisher_modes` report of one mode's class-grouped subspaces."""
-    return fisher_modes([(subspaces_by_class, mode)], sim, karcher_tol, karcher_max_iter)[0]
 
 
 def nmode_fisher(reports: Sequence[FisherReport]) -> NModeFisher:

@@ -68,20 +68,6 @@ def mode_weights(scores: Sequence[float]) -> WeightVector:
     return WeightVector(arr / total)
 
 
-def point_stacks(points: Sequence[ProductPoint]) -> tuple[np.ndarray, ...]:
-    """Per mode, the (N, d, k) stack of the bases of `points`, in order; the
-    points must share one mode count and, per mode, one basis shape."""
-    if len({len(pt.parts) for pt in points}) > 1:
-        raise DimensionError("points differ in mode count")
-    stacks = []
-    for i, bases in enumerate(zip(*(pt.bases for pt in points))):
-        shapes = sorted({b.shape for b in bases})
-        if len(shapes) > 1:
-            raise DimensionError(f"part {i + 1}: bases of shapes {shapes} do not stack")
-        stacks.append(np.stack(bases))
-    return tuple(stacks)
-
-
 def weighted_geodesics(
     left: Sequence[np.ndarray],
     right: Sequence[np.ndarray],

@@ -23,15 +23,17 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .fisher import FisherReport, NModeFisher, fisher_modes, karcher_means, nmode_fisher
+from .fisher import DEFAULT_KARCHER_MAX_ITER, DEFAULT_KARCHER_TOL, FisherReport, NModeFisher
+from .fisher import fisher_modes, karcher_means, nmode_fisher
 from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
-from .manifold import ProductPoint, WeightVector, mode_weights, point_stacks, weighted_geodesics
+from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
 from .subspace import (
     Subspace,
+    canonical_correlations,
+    group_by_shape,
     leading_basis,
     left_factor,
     left_singular,
-    mean_canonical_angle,
     select_dim,
 )
 from .tensor import DenseTensor, unfold
@@ -73,8 +75,8 @@ class PipelineConfig:
     angle_counts: tuple[int, ...] | None = None
     gds_alpha_max: int = 6
     gds_search: str = "coordinate"
-    karcher_tol: float = 1e-8
-    karcher_max_iter: int = 100
+    karcher_tol: float = DEFAULT_KARCHER_TOL
+    karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER
     classifier: str = "nn"
     full_spectrum: bool = False
 
@@ -195,7 +197,10 @@ class TrainedModel:
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.reference_stacks = point_stacks(self.references)
+        groups = list(group_by_shape([r.bases for r in self.references]))
+        if len(groups) > 1:
+            raise DimensionError(f"references of {len(groups)} part shapes do not stack")
+        self.reference_stacks = groups[0][1] if groups else ()
         self.reference_labels = np.array([r.label for r in self.references], dtype=np.int64)
 
 
@@ -380,9 +385,11 @@ def check_angle_counts(counts, modes, widths) -> None:
             )
 
 
-def _class_pair_mean_angle(class_subspaces: Sequence) -> float:
-    pairs = itertools.combinations(class_subspaces, 2)
-    return float(np.mean([mean_canonical_angle(a, b) for a, b in pairs]))
+def _class_pair_mean_angle(class_bases: Sequence) -> float:
+    """The mean over class pairs of their mean canonical angle; pair by
+    pair, since projection can leave class bases of unequal width."""
+    pairs = itertools.combinations(class_bases, 2)
+    return float(np.mean([np.mean(np.arccos(canonical_correlations(a, b))) for a, b in pairs]))
 
 
 def _mode_bases(samples, mode: int, dim: int | None, mu: float):
@@ -549,20 +556,6 @@ def _distances(model: TrainedModel, left, right) -> np.ndarray:
     )
 
 
-def _shape_groups(parts: Sequence[tuple]):
-    """Per tuple of part shapes, in order of first appearance: the indices of
-    the tuples of per-mode bases in `parts` that have it and their per-mode
-    stacks. Projection can leave a part narrower than the rest, and padding
-    it would change the SVD input."""
-    groups: dict[tuple, list[int]] = {}
-    for i, bases in enumerate(parts):
-        groups.setdefault(tuple(b.shape for b in bases), []).append(i)
-    return [
-        (np.array(idx), tuple(map(np.stack, zip(*(parts[i] for i in idx)))))
-        for idx in groups.values()
-    ]
-
-
 def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> np.ndarray:
     """Symmetric distance matrix with an exactly zero diagonal: the distance
     of each pair i < j, the earlier point as the left operand, mirrored.
@@ -572,7 +565,7 @@ def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> n
     the gathered bases stay a few megabytes however many points there are.
     """
     pts = list(points)
-    groups = _shape_groups([pt.bases for pt in pts])
+    groups = list(group_by_shape([pt.bases for pt in pts]))
     group, place = np.empty((2, len(pts)), dtype=np.intp)
     for g, (idx, _) in enumerate(groups):
         group[idx], place[idx] = g, np.arange(len(idx))
@@ -625,7 +618,7 @@ def classify(model: TrainedModel, sample) -> tuple[int, np.ndarray]:
     (class-karcher). Returns the winning class id and the per-class minimum
     distances, ordered by class id (inf for a class without references); ties
     go to the smallest class id."""
-    ((_, stacks),) = _shape_groups(_query_bases(model, [sample]))
+    ((_, stacks),) = group_by_shape(_query_bases(model, [sample]))
     scores = _class_scores(model, stacks)[0]
     return model.class_ids[int(np.argmin(scores))], scores
 
@@ -648,7 +641,7 @@ def evaluate(model: TrainedModel, samples: Sequence, labels: Sequence[int]) -> E
     scores = np.empty((len(samples), len(model.class_ids)))
     block = max(1, PAIR_BLOCK // len(model.references))
     for start in range(0, len(samples), block):
-        for idx, stacks in _shape_groups(_query_bases(model, samples[start : start + block])):
+        for idx, stacks in group_by_shape(_query_bases(model, samples[start : start + block])):
             scores[start + idx] = _class_scores(model, stacks)
     # class ids are sorted, so a label's row is its sorted position
     confusion = np.zeros((len(model.class_ids),) * 2, dtype=np.int64)

@@ -1,7 +1,7 @@
-"""Orthonormal-basis subspaces, energy-based dimension selection, principal
-angles, Grassmann geodesic distances, and the linear-algebra helpers the
-other modules share (projector average, sorted eigenpairs, sign-fixed
-eigenvectors and QR factors).
+"""Orthonormal-basis subspaces, energy-based dimension selection, the one
+canonical-correlation kernel, Grassmann geodesic distances, and the
+linear-algebra helpers the other modules share (projector average, sorted
+eigenpairs, grouping by shape, sign-fixed eigenvectors and QR factors).
 
 Bases are always the leading left-singular vectors of the raw unfolding; no
 mean is subtracted, so they coincide with the top eigenvectors of the
@@ -62,15 +62,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-
-@dataclass(frozen=True)
-class AngleSpectrum:
-    """Canonical correlations (non-increasing, in [0, 1]) and the matching
-    canonical angles (non-decreasing, in [0, pi/2])."""
-
-    correlations: np.ndarray
-    angles: np.ndarray
 
 
 def select_dim(values: np.ndarray, mu: float):
@@ -192,29 +183,13 @@ def canonical_correlations(p, q, count: int | None = None) -> np.ndarray:
     return s
 
 
-def principal_angles(p, q, count: int | None = None) -> AngleSpectrum:
-    """`canonical_correlations` and their arccosines, the canonical angles.
-    Symmetric in the arguments."""
-    s = canonical_correlations(p, q, count)
-    return AngleSpectrum(correlations=s, angles=np.arccos(s))
-
-
-def mean_canonical_angle(p: Subspace, q: Subspace, count: int | None = None) -> float:
-    """Arithmetic mean of the first `count` canonical angles, in radians."""
-    return float(np.mean(principal_angles(p, q, count).angles))
-
-
 def geodesic_distance(p, q):
-    """Geodesic (arc-length) distance: root sum of squared canonical angles
-    over min(dim p, dim q) angles; a float for a pair, an array for a stack."""
-    angles = principal_angles(p, q).angles
+    """Geodesic (arc-length) distance: root sum of squared canonical angles,
+    the arccosines of `canonical_correlations`, over min(dim p, dim q)
+    angles; a float for a pair, an array for a stack."""
+    angles = np.arccos(canonical_correlations(p, q))
     dist = np.sqrt(np.sum(angles * angles, axis=-1))
     return float(dist) if dist.ndim == 0 else dist
-
-
-def projector(p: Subspace) -> np.ndarray:
-    """Orthogonal projection matrix onto the subspace."""
-    return p.basis @ p.basis.T
 
 
 def projector_mean(stack: np.ndarray) -> np.ndarray:
@@ -232,14 +207,18 @@ def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(evals, order, -1), evecs
 
 
-def group_by_shape(arrays: Sequence[np.ndarray]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """Per shape, in order of first appearance: the indices and the stack,
-    each stack built only when the caller reaches it."""
+def group_by_shape(parts: Sequence[tuple]) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """Per tuple of part shapes, in order of first appearance: the indices of
+    the tuples of per-mode arrays in `parts` that have it and their per-mode
+    stacks, in order. Projection can leave a part narrower than the rest,
+    and padding it would change the SVD input. Each group's stacks are built
+    only when the caller reaches it, so a caller that drops a group before
+    taking the next holds one group's copy at a time."""
     groups: dict[tuple, list[int]] = {}
-    for i, a in enumerate(arrays):
-        groups.setdefault(a.shape, []).append(i)
+    for i, arrays in enumerate(parts):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(i)
     for idx in groups.values():
-        yield idx, np.stack([arrays[i] for i in idx])
+        yield np.array(idx), tuple(map(np.stack, zip(*(parts[i] for i in idx))))
 
 
 def fix_column_signs(vectors: np.ndarray) -> np.ndarray:

@@ -17,17 +17,15 @@ from tensorgds import (
     Subspace,
     classify,
     evaluate,
-    fisher_mode,
+    fisher_modes,
     fit,
     fold,
     gds_from_gram,
     geodesic_distance,
     hosvd,
-    mean_canonical_angle,
     mode_gram,
     nmode_fisher,
     pairwise_distances,
-    principal_angles,
     project_onto_gds,
     transform,
     unfold,
@@ -41,6 +39,7 @@ from tensorgds.dataio import (
     write_model,
     write_tensor,
 )
+from tensorgds.subspace import canonical_correlations
 from conftest import line
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -88,7 +87,7 @@ def test_criterion_2_analytic_angles():
     e = np.eye(3)
     p = Subspace(e[:, :2])
     q = Subspace(np.column_stack([e[:, 0], (e[:, 1] + e[:, 2]) / math.sqrt(2)]))
-    angles = principal_angles(p, q).angles
+    angles = np.arccos(canonical_correlations(p, q))
     assert abs(angles[0]) <= 1e-12
     assert abs(angles[1] - math.pi / 4) <= 1e-12
     assert abs(geodesic_distance(p, q) - math.pi / 4) <= 1e-12
@@ -96,7 +95,7 @@ def test_criterion_2_analytic_angles():
     a = Subspace(e[:, [0]])
     b = Subspace(e[:, [1]])
     assert abs(geodesic_distance(a, b) - math.pi / 2) <= 1e-12
-    assert np.all(principal_angles(p, p).angles <= 1e-12)
+    assert np.all(np.arccos(canonical_correlations(p, p)) <= 1e-12)
 
 
 @criterion("criterion 3: projection onto the difference subspace quasi-orthogonalizes")
@@ -104,11 +103,11 @@ def test_criterion_3_quasi_orthogonalization():
     e = np.eye(4)
     p = Subspace(e[:, [0, 1]])
     q = Subspace(e[:, [0, 2]])
-    assert abs(mean_canonical_angle(p, q) - math.pi / 4) <= 1e-10
+    assert abs(np.mean(np.arccos(canonical_correlations(p, q))) - math.pi / 4) <= 1e-10
     d = gds_from_gram(mode_gram([p, q], mode=1), alpha=2)
     p_hat = project_onto_gds(d, p)
     q_hat = project_onto_gds(d, q)
-    assert abs(mean_canonical_angle(p_hat, q_hat) - math.pi / 2) <= 1e-10
+    assert abs(np.mean(np.arccos(canonical_correlations(p_hat, q_hat))) - math.pi / 2) <= 1e-10
 
 
 @criterion("criterion 4: separability score properties")
@@ -124,18 +123,22 @@ def test_criterion_4_fisher_properties():
         [[subspace() for _ in range(3)], [subspace() for _ in range(3)]]
         for _ in range(3)
     ]
-    base = nmode_fisher([fisher_mode(c, mode=i + 1) for i, c in enumerate(classes_by_mode)])
+    base = nmode_fisher(
+        [fisher_modes([(c, i + 1)])[0] for i, c in enumerate(classes_by_mode)]
+    )
     for c in (3.0, 0.125):
         scaled = nmode_fisher(
             [
-                fisher_mode(cls, mode=i + 1, sim=lambda p, q, c=c: c * geodesic_distance(p, q))
+                fisher_modes(
+                    [(cls, i + 1)], sim=lambda p, q, c=c: c * geodesic_distance(p, q)
+                )[0]
                 for i, cls in enumerate(classes_by_mode)
             ]
         )
         assert abs(scaled.score_n - base.score_n) <= 1e-12 * max(1.0, base.score_n)
 
     # the planar two-class construction scores exactly 8
-    report = fisher_mode([[line(0.0), line(10.0)], [line(80.0), line(90.0)]])
+    (report,) = fisher_modes([([[line(0.0), line(10.0)], [line(80.0), line(90.0)]], 0)])
     assert abs(report.score - 8.0) <= 1e-9
 
     # widening the between-class angle with frozen within-class offsets
@@ -146,7 +149,7 @@ def test_criterion_4_fisher_properties():
             [line(-2.0), line(2.0)],
             [line(gamma - 2.0), line(gamma + 2.0)],
         ]
-        scores.append(nmode_fisher([fisher_mode(classes)]).score_n)
+        scores.append(nmode_fisher(fisher_modes([(classes, 0)])).score_n)
     assert scores[0] < scores[1] < scores[2]
 
 

@@ -292,6 +292,21 @@ def test_config_file_bad_value_exits_2(dataset_dir, tmp_path, capsys, line):
     assert err.startswith("data error") and repr(line.split("=")[0]) in err
 
 
+def test_config_file_that_repeats_a_key_exits_2(dataset_dir, tmp_path, capsys):
+    # a key stated twice is refused, as in a model file; the last value does
+    # not silently win
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("method=nmode-wgds\nmethod=pgm\n")
+    out = tmp_path / "fit"
+    code = main([
+        "fit", "--manifest", str(dataset_dir / "manifest.txt"),
+        "--out", str(out), "--config", str(cfg),
+    ])
+    assert code == 2
+    assert "config key 'method' appears twice" in capsys.readouterr().err
+    assert not (out / "model.nmdl").exists()
+
+
 def test_malformed_model_file_exits_2(model_dir, tmp_path, capsys):
     bad = tmp_path / "bad.nmdl"
     bad.write_bytes(

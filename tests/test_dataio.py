@@ -19,7 +19,6 @@ from tensorgds import (
     fit,
     gds_from_gram,
     mode_weights,
-    principal_angles,
     project_onto_gds,
     unfold,
 )
@@ -47,7 +46,7 @@ from tensorgds.dataio import (
     _section,
 )
 from tensorgds.pipeline import CHOICES
-from tensorgds.subspace import Subspace, leading_basis, left_singular
+from tensorgds.subspace import Subspace, canonical_correlations, leading_basis, left_singular
 from conftest import edit_model_conf, edit_model_matrix, random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -206,13 +205,13 @@ def test_generator_noiseless_no_shared_plants_blocks_exactly():
             )
             sub = leading_basis(*left_singular(cols), spec.class_dim)
             planted = Subspace(blocks[j])
-            angles = principal_angles(sub, planted).angles
+            angles = np.arccos(canonical_correlations(sub, planted))
             assert np.max(angles) <= 1e-8
             per_class.append(sub)
         # jointly drawn blocks are mutually orthogonal
         for a in range(spec.classes):
             for b in range(a + 1, spec.classes):
-                angles = principal_angles(per_class[a], per_class[b]).angles
+                angles = np.arccos(canonical_correlations(per_class[a], per_class[b]))
                 assert np.min(np.abs(angles - np.pi / 2)) <= 1e-8
                 assert np.max(np.abs(angles - np.pi / 2)) <= 1e-8
 
@@ -234,7 +233,7 @@ def test_generator_shared_direction_overlaps_classes():
             subs.append(leading_basis(*left_singular(cols), d))
         for a in range(spec.classes):
             for b in range(a + 1, spec.classes):
-                smallest = principal_angles(subs[a], subs[b]).angles[0]
+                smallest = np.arccos(canonical_correlations(subs[a], subs[b]))[0]
                 assert smallest <= 1e-10
 
 

@@ -11,7 +11,6 @@ from tensorgds import (
     KarcherConvergenceWarning,
     PipelineConfig,
     Subspace,
-    fisher_mode,
     fisher_modes,
     fit,
     geodesic_distance,
@@ -94,7 +93,7 @@ def test_karcher_errors_and_warning(rng):
 def test_fisher_planar_two_class_score():
     # class A at 0 and 10 degrees, class B at 80 and 90: means at 5, 85, grand
     # mean at 45; between = 40 deg, within = 5 deg, score = 8
-    report = fisher_mode([[line(0.0), line(10.0)], [line(80.0), line(90.0)]])
+    (report,) = fisher_modes([([[line(0.0), line(10.0)], [line(80.0), line(90.0)]], 0)])
     assert report.flag is None
     assert abs(report.between - math.radians(40.0)) <= 1e-9
     assert abs(report.within - math.radians(5.0)) <= 1e-9
@@ -105,7 +104,7 @@ def test_fisher_degenerate_infinite():
     e = np.eye(3)
     a = Subspace(e[:, [0]])
     b = Subspace(e[:, [1]])
-    report = fisher_mode([[a, a], [b, b]])
+    (report,) = fisher_modes([([[a, a], [b, b]], 0)])
     assert report.within == 0.0
     assert report.between > 0.0
     assert math.isinf(report.score) and report.flag == "infinite"
@@ -113,16 +112,16 @@ def test_fisher_degenerate_infinite():
 
 def test_fisher_total_collapse_indeterminate():
     s = Subspace(np.eye(3)[:, [0]])
-    report = fisher_mode([[s, s], [s, s]])
+    (report,) = fisher_modes([([[s, s], [s, s]], 0)])
     assert report.within == 0.0 and report.between == 0.0
     assert math.isnan(report.score) and report.flag == "indeterminate"
 
 
 def test_fisher_errors(rng):
     with pytest.raises(DimensionError):
-        fisher_mode([[random_subspace(rng, 4, 2)]])
+        fisher_modes([([[random_subspace(rng, 4, 2)]], 0)])
     with pytest.raises(DimensionError):
-        fisher_mode([[random_subspace(rng, 4, 2)], []])
+        fisher_modes([([[random_subspace(rng, 4, 2)], []], 0)])
 
 
 def test_fisher_scale_invariance(rng):
@@ -130,10 +129,10 @@ def test_fisher_scale_invariance(rng):
         [random_subspace(rng, 6, 2) for _ in range(3)],
         [random_subspace(rng, 6, 2) for _ in range(3)],
     ]
-    base = fisher_mode(classes)
+    (base,) = fisher_modes([(classes, 0)])
     for c in (math.pi, 0.001, 47.0):
-        scaled = fisher_mode(
-            classes, sim=lambda p, q, c=c: c * geodesic_distance(p, q)
+        (scaled,) = fisher_modes(
+            [(classes, 0)], sim=lambda p, q, c=c: c * geodesic_distance(p, q)
         )
         assert abs(scaled.score - base.score) <= 1e-12 * max(1.0, base.score)
 
@@ -174,7 +173,7 @@ def test_separability_monotone_in_between_angle():
             [line(0.0 + o) for o in offsets],
             [line(gamma + o) for o in offsets],
         ]
-        scores.append(nmode_fisher([fisher_mode(classes)]).score_n)
+        scores.append(nmode_fisher(fisher_modes([(classes, 0)])).score_n)
     assert scores[0] < scores[1] < scores[2]
 
 
@@ -501,7 +500,7 @@ def test_fit_karcher_means_converge_within_the_recorded_work():
 def test_fisher_spreads_match_per_pair_sums_bitwise(seed, sizes, k):
     rng = np.random.default_rng(seed)
     classes = [[random_subspace(rng, 6, k) for _ in range(n)] for n in sizes]
-    report = fisher_mode(classes)
+    (report,) = fisher_modes([(classes, 0)])
     class_means = [karcher_means([c])[0] for c in classes]
     (grand_mean,) = karcher_means([np.stack(class_means)])
     between = sum(geodesic_distance(kj, grand_mean) for kj in class_means) / len(classes)
@@ -529,7 +528,7 @@ def test_stacks_and_subspace_sequences_give_bit_identical_results(seed, sizes, d
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", KarcherConvergenceWarning)
         # repr compares every float to the last bit and lets a nan match itself
-        assert repr(fisher_mode(stacks, mode=2)) == repr(fisher_mode(sequences, mode=2))
+        assert repr(fisher_modes([(stacks, 2)])) == repr(fisher_modes([(sequences, 2)]))
         from_stacks, from_sequences = karcher_means(stacks), karcher_means(sequences)
     for a, b in zip(from_stacks, from_sequences, strict=True):
         assert np.array_equal(a, b)
@@ -554,7 +553,7 @@ def fisher_tasks(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(tasks=fisher_tasks(), max_iter=st.sampled_from([2, 5, 100]))
-def test_fisher_modes_match_per_task_fisher_mode_bitwise(tasks, max_iter):
+def test_fisher_modes_match_one_call_per_task_bitwise(tasks, max_iter):
     # one batch of class means and one of grand means give every task the
     # report, and the warnings, of its own call
     with warnings.catch_warnings(record=True) as batched:
@@ -562,7 +561,7 @@ def test_fisher_modes_match_per_task_fisher_mode_bitwise(tasks, max_iter):
         reports = fisher_modes(tasks, karcher_max_iter=max_iter)
     with warnings.catch_warnings(record=True) as solo:
         warnings.simplefilter("always", KarcherConvergenceWarning)
-        expected = [fisher_mode(c, mode=m, karcher_max_iter=max_iter) for c, m in tasks]
+        expected = [fisher_modes([task], karcher_max_iter=max_iter)[0] for task in tasks]
     # repr compares every float to the last bit and lets a nan match itself
     assert [repr(r) for r in reports] == [repr(r) for r in expected]
     assert len(batched) == len(solo)

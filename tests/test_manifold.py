@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -14,15 +15,14 @@ from tensorgds import (
     Subspace,
     TrainedModel,
     WeightVector,
-    mean_canonical_angle,
     mode_weights,
     nmode_fisher,
     pairwise_distances,
-    principal_angles,
 )
 from tensorgds import pipeline
 from tensorgds.fisher import FisherReport
 from tensorgds.manifold import weighted_geodesics
+from tensorgds.subspace import canonical_correlations
 from conftest import line, random_subspace
 
 
@@ -102,12 +102,11 @@ def test_weighted_geodesic_unit_weights_plain_product_distance():
 def test_single_mode_reduces_to_mean_angle_exactly():
     a = ProductPoint((line(10.0),))
     b = ProductPoint((line(62.0),))
+    angle = float(np.mean(np.arccos(canonical_correlations(a.parts[0], b.parts[0]))))
     w = WeightVector(np.array([1.0]))
-    assert weighted_geodesics(a.bases, b.bases, w) == mean_canonical_angle(a.parts[0], b.parts[0])
+    assert weighted_geodesics(a.bases, b.bases, w) == angle
     w2 = WeightVector(np.array([0.37]))
-    assert weighted_geodesics(a.bases, b.bases, w2) == 0.37 * mean_canonical_angle(
-        a.parts[0], b.parts[0]
-    )
+    assert weighted_geodesics(a.bases, b.bases, w2) == 0.37 * angle
 
 
 def test_weighted_geodesic_symmetry(rng):
@@ -155,12 +154,12 @@ def test_weighted_geodesic_contract_errors(rng):
 
 
 def per_pair_distance(a, b, weights, angle_counts=None, full_spectrum=False):
-    """The weighted geodesic distance built from `principal_angles` one mode
-    at a time: the definition the batched distances must reproduce."""
+    """The weighted geodesic distance built from the canonical angles of one
+    mode at a time: the definition the batched distances must reproduce."""
     terms = np.empty(len(a.parts))
     for i, (p, q) in enumerate(zip(a.parts, b.parts)):
         count = None if angle_counts is None else angle_counts[i]
-        angles = principal_angles(p, q, count).angles
+        angles = np.arccos(canonical_correlations(p, q, count))
         if full_spectrum:
             value = math.sqrt(float(np.sum(angles * angles)))
         else:
@@ -207,6 +206,23 @@ def metric_model(n_modes, weights, angle_counts=None, full_spectrum=False):
         fisher=report,
         angle_diag=((0.0, None),) * n_modes,
     )
+
+
+def test_model_references_must_share_one_part_shape(rng):
+    # a model keeps one stack of reference bases per mode, so references
+    # that projection left of two widths in one mode are refused
+    model = metric_model(2, WeightVector(np.ones(2)))
+    refs = [
+        ProductPoint((random_subspace(rng, 6, 2), random_subspace(rng, 6, w)), label=0)
+        for w in (2, 1, 2)
+    ]
+    with pytest.raises(DimensionError, match="references of 2 part shapes do not stack"):
+        dataclasses.replace(model, references=tuple(refs))
+    kept = dataclasses.replace(model, references=(refs[0], refs[2]))
+    assert len(kept.reference_stacks) == 2
+    for i, stack in enumerate(kept.reference_stacks):
+        assert np.array_equal(stack, np.stack([refs[0].bases[i], refs[2].bases[i]]))
+    assert model.reference_stacks == ()
 
 
 @settings(max_examples=60, deadline=None)

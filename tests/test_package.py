@@ -64,6 +64,17 @@ def calls_of(name: str):
                         yield path.name, getattr(stmt, "name", "<module>")
 
 
+def definitions():
+    """Per package module, its name and the names of the functions and
+    classes it defines at any depth."""
+    for path in Path(tensorgds.__file__).parent.glob("*.py"):
+        yield path.name, {
+            node.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+
+
 def test_bands_are_built_only_in_the_gds_module():
     # one module holds the band rule: every other module gets its bands from
     # `mode_gram`, `full_band` or `gds_from_gram`
@@ -93,10 +104,27 @@ def test_sample_bases_come_from_one_helper():
     assert callers("left_factor") == {"_mode_bases"}
     for name in ("left_singular", "leading_basis"):
         assert callers(name) == {"_mode_bases", "_fit_mode"}, name
-    for path in Path(tensorgds.__file__).parent.glob("*.py"):
-        defined = {
-            node.name
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.FunctionDef)
-        }
-        assert "basis_from_unfolding" not in defined, path.name
+    for module, defined in definitions():
+        assert "basis_from_unfolding" not in defined, module
+
+
+def test_canonical_angles_come_from_one_kernel():
+    # every canonical angle is the arccosine of `canonical_correlations`,
+    # called directly; the per-pair wrappers around it and the helpers that
+    # grouped bases by shape apart from `subspace.group_by_shape` are gone
+    assert set(calls_of("canonical_correlations")) == {
+        ("manifold.py", "weighted_geodesics"),
+        ("subspace.py", "geodesic_distance"),
+        ("pipeline.py", "_class_pair_mean_angle"),
+    }
+    retired = {
+        "_shape_groups",
+        "point_stacks",
+        "principal_angles",
+        "mean_canonical_angle",
+        "projector",
+        "fisher_mode",
+        "AngleSpectrum",
+    }
+    for module, defined in definitions():
+        assert not defined & retired, module

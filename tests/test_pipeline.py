@@ -17,11 +17,9 @@ from tensorgds import (
     Subspace,
     classify,
     evaluate,
-    fisher_mode,
     fisher_modes,
     fit,
     gds_from_gram,
-    mean_canonical_angle,
     mode_gram,
     mode_multiply,
     mode_weights,
@@ -29,14 +27,19 @@ from tensorgds import (
     optimize_gds_dims,
     pairwise_distances,
     project_onto_gds,
-    projector,
     transform,
     unfold,
 )
 from tensorgds import fisher, pipeline
 from tensorgds.dataio import SynthSpec, generate_synthetic
 from tensorgds.pipeline import CHOICES, RETIRED_VALUES, SETTINGS, _fit_mode
-from tensorgds.subspace import leading_basis, left_factor, left_singular, select_dim
+from tensorgds.subspace import (
+    canonical_correlations,
+    leading_basis,
+    left_factor,
+    left_singular,
+    select_dim,
+)
 from conftest import random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -115,7 +118,7 @@ def test_extract_scale_invariance(rng):
     p1 = sample_bases(t, dims=(2, 2, 2))
     p2 = sample_bases(scaled, dims=(2, 2, 2))
     for a, b in zip(p1, p2):
-        assert np.linalg.norm(projector(a) - projector(b)) <= 1e-10
+        assert np.linalg.norm(a.basis @ a.basis.T - b.basis @ b.basis.T) <= 1e-10
 
 
 def test_extract_mode_subset(rng):
@@ -133,7 +136,8 @@ def brute_force_search(grams, stacks, labels, config):
     first-found pairs: per mode, every band alpha..rank with alpha up to
     `gds_alpha_max` is built with `gds_from_gram`, the training bases are
     projected one `Subspace` at a time with `project_onto_gds` and scored
-    with `fisher_mode`; the combinations are then ranked by `nmode_fisher`.
+    with its own `fisher_modes` call; the combinations are then ranked by
+    `nmode_fisher`.
     The reference the band search must reach."""
     class_ids = sorted(set(labels))
     usable = []
@@ -150,9 +154,8 @@ def brute_force_search(grams, stacks, labels, config):
                     ]
                     for cid in class_ids
                 ]
-                report = fisher_mode(
-                    grouped,
-                    mode=gram.mode,
+                (report,) = fisher_modes(
+                    [(grouped, gram.mode)],
                     karcher_tol=config.karcher_tol,
                     karcher_max_iter=config.karcher_max_iter,
                 )
@@ -497,7 +500,8 @@ def test_msm_single_mode_equals_manual_nearest_neighbor():
         pred, _ = classify(model, t)
         query = transform(model, t)
         dists = [
-            mean_canonical_angle(query.parts[0], r.parts[0]) for r in model.references
+            np.mean(np.arccos(canonical_correlations(query.parts[0], r.parts[0])))
+            for r in model.references
         ]
         manual = model.references[int(np.argmin(dists))].label
         assert pred == manual
@@ -548,7 +552,7 @@ def test_fit_class_subspaces_from_stacked_factors_match_the_raw_stack(
         if dim < s.size and s[dim - 1] - s[dim] < 1e-2 * s[0]:
             continue  # no gap: the leading subspace is ill-defined
         want = u[:, :dim] @ u[:, :dim].T
-        assert np.max(np.abs(projector(sub) - want)) <= 1e-12
+        assert np.max(np.abs(sub.basis @ sub.basis.T - want)) <= 1e-12
 
 
 def test_fit_mode_factors_each_unfolding_once(monkeypatch, rng):
@@ -701,7 +705,10 @@ def test_classify_equals_a_per_reference_loop_of_mean_angles(method):
         dists = []
         for ref in model.references:
             terms = np.array(
-                [wi * mean_canonical_angle(q, r) for wi, q, r in zip(w, query.parts, ref.parts)]
+                [
+                    wi * float(np.mean(np.arccos(canonical_correlations(q, r))))
+                    for wi, q, r in zip(w, query.parts, ref.parts)
+                ]
             )
             dists.append((ref.label, float(np.sqrt(np.sum(terms * terms)))))
         want = [min(d for label, d in dists if label == cid) for cid in model.class_ids]
@@ -932,9 +939,8 @@ def test_mode_subset_distance_is_weighted_mean_angle():
     a = transform(model, tr_s[0])
     b = transform(model, tr_s[1])
     w1 = float(model.weights.weights[0])
-    assert pipeline._distances(model, a.bases, b.bases) == w1 * mean_canonical_angle(
-        a.parts[0], b.parts[0]
-    )
+    angle = float(np.mean(np.arccos(canonical_correlations(a.parts[0], b.parts[0]))))
+    assert pipeline._distances(model, a.bases, b.bases) == w1 * angle
 
 
 def test_fit_and_classify_deterministic():

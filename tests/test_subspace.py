@@ -10,12 +10,15 @@ from tensorgds import (
     DimensionError,
     Subspace,
     geodesic_distance,
-    mean_canonical_angle,
-    principal_angles,
-    projector,
     select_dim,
 )
-from tensorgds.subspace import leading_basis, left_factor, left_singular, lq_factor
+from tensorgds.subspace import (
+    canonical_correlations,
+    leading_basis,
+    left_factor,
+    left_singular,
+    lq_factor,
+)
 from conftest import random_orthonormal, random_subspace
 
 
@@ -190,54 +193,54 @@ def test_select_dim_monotone_in_mu(seed, mu1, mu2):
     assert select_dim(lam, lo) <= select_dim(lam, hi)
 
 
-def test_principal_angles_analytic_r3():
+def test_canonical_angles_analytic_r3():
     p, q = r3_pair()
-    spec = principal_angles(p, q)
-    assert abs(spec.angles[0] - 0.0) <= 1e-12
-    assert abs(spec.angles[1] - math.pi / 4) <= 1e-12
-    assert abs(mean_canonical_angle(p, q) - math.pi / 8) <= 1e-12
+    angles = np.arccos(canonical_correlations(p, q))
+    assert abs(angles[0] - 0.0) <= 1e-12
+    assert abs(angles[1] - math.pi / 4) <= 1e-12
+    assert abs(np.mean(angles) - math.pi / 8) <= 1e-12
     assert abs(geodesic_distance(p, q) - math.pi / 4) <= 1e-12
 
 
-def test_principal_angles_identical_and_orthogonal():
+def test_canonical_angles_identical_and_orthogonal():
     e = np.eye(3)
     p = Subspace(e[:, :1])
-    assert np.all(principal_angles(p, p).angles == 0.0)
+    assert np.all(np.arccos(canonical_correlations(p, p)) == 0.0)
     q = Subspace(e[:, 1:2])
-    assert abs(principal_angles(p, q).angles[0] - math.pi / 2) <= 1e-12
+    assert abs(np.arccos(canonical_correlations(p, q))[0] - math.pi / 2) <= 1e-12
     assert geodesic_distance(p, p) == 0.0
     assert abs(geodesic_distance(p, q) - math.pi / 2) <= 1e-12
-    assert mean_canonical_angle(p, p) == 0.0
-    assert abs(mean_canonical_angle(p, q) - math.pi / 2) <= 1e-12
+    assert np.mean(np.arccos(canonical_correlations(p, p))) == 0.0
+    assert abs(np.mean(np.arccos(canonical_correlations(p, q))) - math.pi / 2) <= 1e-12
 
 
-def test_principal_angles_ambient_mismatch():
+def test_canonical_correlations_ambient_mismatch():
     with pytest.raises(DimensionError):
-        principal_angles(Subspace(np.eye(3)[:, :1]), Subspace(np.eye(4)[:, :1]))
+        canonical_correlations(Subspace(np.eye(3)[:, :1]), Subspace(np.eye(4)[:, :1]))
 
 
-def test_principal_angles_count_bounds(rng):
+def test_canonical_correlations_count_bounds(rng):
     p = random_subspace(rng, 5, 2)
     q = random_subspace(rng, 5, 3)
-    assert principal_angles(p, q).angles.shape == (2,)
+    assert canonical_correlations(p, q).shape == (2,)
     with pytest.raises(DimensionError):
-        principal_angles(p, q, count=3)
+        canonical_correlations(p, q, count=3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_principal_angles_symmetry_and_basis_invariance(seed):
+def test_canonical_angles_symmetry_and_basis_invariance(seed):
     rng = np.random.default_rng(seed)
     p = random_subspace(rng, 6, 2)
     q = random_subspace(rng, 6, 3)
-    a1 = principal_angles(p, q).angles
-    a2 = principal_angles(q, p).angles
+    a1 = np.arccos(canonical_correlations(p, q))
+    a2 = np.arccos(canonical_correlations(q, p))
     assert np.max(np.abs(a1 - a2)) <= 1e-12
     r1 = random_orthonormal(rng, 2, 2)
     r2 = random_orthonormal(rng, 3, 3)
-    rotated = principal_angles(
-        Subspace(p.basis @ r1), Subspace(q.basis @ r2)
-    ).angles
+    rotated = np.arccos(
+        canonical_correlations(Subspace(p.basis @ r1), Subspace(q.basis @ r2))
+    )
     assert np.max(np.abs(a1 - rotated)) <= 1e-10
 
 
@@ -245,9 +248,9 @@ def test_correlations_clamped(rng):
     p = random_subspace(rng, 5, 3)
     # same span through a rotation; raw singular values may top 1 by rounding
     r = random_orthonormal(rng, 3, 3)
-    spec = principal_angles(p, Subspace(p.basis @ r))
-    assert np.all(spec.correlations <= 1.0)
-    assert np.all(spec.angles == 0.0)
+    correlations = canonical_correlations(p, Subspace(p.basis @ r))
+    assert np.all(correlations <= 1.0)
+    assert np.all(np.arccos(correlations) == 0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -258,12 +261,3 @@ def test_geodesic_triangle_inequality(seed):
     assert geodesic_distance(p, q) <= (
         geodesic_distance(p, s) + geodesic_distance(s, q) + 1e-9
     )
-
-
-def test_projector_properties(rng):
-    e = np.eye(2)
-    assert np.array_equal(projector(Subspace(e[:, :1])), np.array([[1.0, 0.0], [0.0, 0.0]]))
-    p = random_subspace(rng, 6, 3)
-    pr = projector(p)
-    assert np.linalg.norm(pr @ pr - pr) <= 1e-10
-    assert abs(np.trace(pr) - 3.0) <= 1e-10
