@@ -19,7 +19,9 @@ an .npz file, together with three unhashed arrays: `reference_projectors`,
 per model reference the concatenated projectors B B^T of its parts, which
 a change that only rotates the stored bases leaves alone, and the Karcher
 work of the run, `karcher_calls` (calls of `fisher.karcher_means`),
-`karcher_passes` (calls of the batched log map) and
+`karcher_passes` (calls of the batched log map: one per loop pass, or
+one per block of sets where a pass takes its log maps in blocks of
+`fisher.LOG_MAP_BLOCK` entries) and
 `karcher_set_iterations` (the sets those calls stepped, summed). `--compare`
 reads two such files, taking a configuration in `RENAMED` under its new
 name, and prints, per configuration, whether the discrete outputs match

@@ -164,7 +164,13 @@ def write_tensor(path, tensor: DenseTensor) -> None:
 
 
 def read_tensor(path) -> DenseTensor:
-    return tensor_from_bytes(read_file(path, "tensor file"))
+    """The tensor of a tensor file. A NaN or infinite entry is a data error
+    naming the file: no subspace can be taken of it."""
+    tensor = tensor_from_bytes(read_file(path, "tensor file"))
+    bad = np.count_nonzero(~np.isfinite(tensor.data))
+    if bad:
+        raise FormatError(f"tensor file {path} has {bad} non-finite entries")
+    return tensor
 
 
 def _matrix_from_bytes(buf: bytes) -> np.ndarray:

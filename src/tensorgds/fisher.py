@@ -11,9 +11,9 @@ Karcher steps use the closed-form log map
 Log_Y(X) = (X - Y M) Q diag(theta / sin theta) P^T, with M = Y^T X =
 P cos(Theta) Q^T (Edelman, Arias & Smith 1998, SIAM J. Matrix Anal. Appl.
 20(2); Absil, Mahony & Sepulchre 2004, Acta Appl. Math. 80): one k x k SVD
-per member and no inverse of M. arccos is inaccurate only for cosines near
-1, where theta / sin theta is flat, so the factor's error is O(theta *
-dtheta).
+per member (`subspace.cross_svd`, in closed form for k = 2) and no inverse
+of M. arccos is inaccurate only for cosines near 1, where theta / sin theta
+is flat, so the factor's error is O(theta * dtheta).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 from .errors import DimensionError, KarcherConvergenceWarning
 from .subspace import (
     basis_stack,
+    cross_svd,
     eigh_descending,
     geodesic_distance,
     group_by_shape,
@@ -43,6 +44,11 @@ DEFAULT_KARCHER_MAX_ITER = 100
 # fits a cap of 10 left 36 means unconverged, 100 one, and 1000 none, as no
 # cap does
 STEP_MAX = 1000.0
+# Member-basis entries per log-map call of a Karcher pass: a shape group of
+# many sets, such as the band candidates of `pipeline._score_bands`, takes
+# its log maps a block of sets at a time, so that each of the pass's
+# temporaries stays near 256 KiB
+LOG_MAP_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -88,23 +94,28 @@ def _log_map(base: np.ndarray, stack: np.ndarray) -> np.ndarray:
     its row of a (C, N, d, k) stack, as a (C, N, d, k) stack.
 
     In closed form, with M = Y^T X = P cos(Theta) Q^T the SVD of each k x k
-    cross product, Log_Y(X) = (X - Y M) Q diag(theta / sin theta) P^T. The
-    columns of (X - Y M) Q are orthogonal with norms sin theta, so this is
-    the textbook W arctan(S) V^T of (X - Y M) M^-1 = W S V^T (Edelman, Arias
-    & Smith 1998; Absil, Mahony & Sepulchre 2004) without forming M^-1. At
-    the cut locus (a cosine of 0) the factor is pi/2 and the tangent reaches
-    the member. arccos is inaccurate only near a cosine of 1, where theta /
-    sin theta = 1 + theta^2 / 6 is flat, so the factor's error is
-    O(theta * dtheta).
+    cross product (`cross_svd`), Log_Y(X) = (X - Y M) Q diag(theta / sin
+    theta) P^T. The columns of (X - Y M) Q are orthogonal with norms sin
+    theta, so this is the textbook W arctan(S) V^T of (X - Y M) M^-1 = W S
+    V^T (Edelman, Arias & Smith 1998; Absil, Mahony & Sepulchre 2004)
+    without forming M^-1. At the cut locus (a cosine of 0) the factor is
+    pi/2 and the tangent reaches the member. arccos is inaccurate only near
+    a cosine of 1, where theta / sin theta = 1 + theta^2 / 6 is flat, so the
+    factor's error is O(theta * dtheta).
     """
     base = base[:, None]
     m = np.swapaxes(base, -1, -2) @ stack
-    p, c, qt = np.linalg.svd(m)
+    p, c, qt = cross_svd(m)
     theta = np.arccos(np.clip(c, 0.0, 1.0))
     # theta / sin(theta), exactly 1 at theta = 0
     scale = 1.0 / np.sinc(theta / np.pi)
-    w = (stack - base @ m) @ np.swapaxes(qt, -1, -2)
-    return (w * scale[..., None, :]) @ np.swapaxes(p, -1, -2)
+    # X - Y M, then times Q and the factors; in place where the rounding
+    # allows, so that at most two arrays of the stack's size are alive
+    w = base @ m
+    np.subtract(stack, w, out=w)
+    w = w @ np.swapaxes(qt, -1, -2)
+    w *= scale[..., None, :]
+    return w @ np.swapaxes(p, -1, -2)
 
 
 def _exp_map(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
@@ -141,10 +152,11 @@ def karcher_means(
     tangent, both at the current iterate; 1 when <s, delta> is not positive,
     where the rule has no curvature to go by. Sets of one stack shape
     iterate as one (C, N, d, k) array, each with its own step size, best
-    iterate and stop, so every mean equals its set's solo run. At the
-    iteration cap a set warns (KarcherConvergenceWarning) and yields its
-    best iterate, the one of smallest mean tangent norm. A one-member set
-    yields its member.
+    iterate and stop, so every mean equals its set's solo run; a pass takes
+    their log maps a block of `LOG_MAP_BLOCK` member-basis entries at a
+    time. At the iteration cap a set warns (KarcherConvergenceWarning) and
+    yields its best iterate, the one of smallest mean tangent norm. A
+    one-member set yields its member.
     """
     stacks = [basis_stack(subs) for subs in sets]
     means = [None] * len(stacks)
@@ -162,8 +174,13 @@ def karcher_means(
         step, live, out = np.ones_like(best_norm), np.arange(count), np.empty_like(y)
         # a zero last tangent makes the first step 1
         prev_y, prev_tangent = y, np.zeros_like(y)
+        per_block = max(1, LOG_MAP_BLOCK // stack[0].size)
         for _ in range(max_iter):
-            mean_tangent = _log_map(y, stack).sum(axis=1) / n
+            # each set's log maps and their sum are its own, whatever the block
+            blocks = range(0, len(y), per_block)
+            mean_tangent = np.concatenate(
+                [_log_map(y[i : i + per_block], stack[i : i + per_block]).sum(axis=1) for i in blocks]
+            ) / n
             # rounds as a per-set norm; a batched axis=(1, 2) norm does not
             tnorm = np.sqrt(_dots(mean_tangent, mean_tangent))
             best_y = np.where(tnorm < best_norm, y, best_y)

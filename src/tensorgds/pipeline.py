@@ -249,14 +249,22 @@ def _score_bands(candidates, members, config: PipelineConfig, known=None) -> lis
     projected stack)`, or None when the projection failed or the score is
     degenerate. A candidate takes its report from `known`, one report or
     None per candidate, when given there; every other projected candidate is
-    scored in one `fisher_modes` call, made only if there is one. Its class
+    scored in one `fisher_modes` call, made only if there is one.
+
+    A band's orthonormal basis B embeds Gr(k, w) isometrically and totally
+    geodesically in Gr(k, d) (Edelman, Arias & Smith 1998), so the scored
+    stack is B @ proj in the mode's ambient coordinates: the spreads and
+    Karcher means are those of the band coordinates up to rounding, and
+    the candidates of modes of one extent and dimension have one stack
+    shape, so their class sets of one size iterate in one Karcher shape
+    group. The entries keep the band-coordinate stacks; the embedded class
     stacks are released when this returns."""
     known = known or [None] * len(candidates)
-    tasks = [
-        ([proj[idx] for idx in members], band.mode)
-        for (band, proj), report in zip(candidates, known)
-        if proj is not None and report is None
-    ]
+    tasks = []
+    for (band, proj), report in zip(candidates, known):
+        if proj is not None and report is None:
+            embedded = band.basis @ proj
+            tasks.append(([embedded[idx] for idx in members], band.mode))
     reports = iter(
         fisher_modes(
             tasks, karcher_tol=config.karcher_tol, karcher_max_iter=config.karcher_max_iter
@@ -290,7 +298,11 @@ def optimize_gds_dims(
     for alpha = 2..min(`gds_alpha_max`, rank), which drop the leading alpha - 1
     eigenvectors, the shared directions, and keep the whole tail (Fukui &
     Maki 2015). Each is projected, then scored once in one of two batches:
-    every mode's full band first, then every other candidate. Those whose
+    every mode's full band first, then every other candidate. A candidate is
+    scored in the mode's ambient coordinates, as B @ proj with B the band's
+    basis (see `_score_bands`), so class sets of one size share one Karcher
+    shape group whatever their band's width; the chosen bases, and so the
+    references, keep band coordinates. Those whose
     projection collapses, leaves bases of unequal width or whose score is
     degenerate are skipped. A full band of rank equal to its ambient
     dimension is an orthogonal G, so G^T U only rotates the raw bases, and

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tensorgds import dataio, pipeline
+from tensorgds import DenseTensor, dataio, pipeline
 from tensorgds.cli import build_parser, classical_mds, main
 from tensorgds.errors import DimensionError
 from tensorgds.pipeline import SETTINGS
@@ -412,6 +413,32 @@ def test_files_that_do_not_decode_exit_2(dataset_dir, model_dir, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("data error")
     assert ("malformed section payload" if what == "model" else "cannot read") in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("command", ["fit", "eval", "dist"])
+def test_tensor_file_with_a_non_finite_entry_exits_2(
+    dataset_dir, model_dir, tmp_path, capsys, command, value
+):
+    # one bad entry in a training tensor is a data error naming the file, not
+    # an SVD traceback
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    manifest = data / "manifest.txt"
+    entry = next(e for e in dataio.load_manifest(manifest).entries if e.split == "train")
+    tensor = dataio.read_tensor(data / entry.path).data.copy()
+    tensor.flat[5] = value
+    dataio.write_tensor(data / entry.path, DenseTensor(tensor))
+    model, out = str(model_dir / "model.nmdl"), str(tmp_path / "out")
+    argv = {
+        "fit": ["fit", "--manifest", str(manifest), "--out", out],
+        "eval": ["eval", "--model", model, "--manifest", str(manifest), "--split", "train"],
+        "dist": ["dist", "--model", model, "--manifest", str(manifest), "--split", "all"],
+    }[command]
+    assert main(argv + (["--out", out] if command != "fit" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    assert f"{entry.path} has 1 non-finite entries" in err
 
 
 def test_model_with_references_of_mixed_width_exits_2(dataset_dir, model_dir, tmp_path, capsys):

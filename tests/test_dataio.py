@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorgds import (
+    DenseTensor,
     DimensionError,
     FormatError,
     PipelineConfig,
@@ -62,6 +63,19 @@ def test_tensor_roundtrip_bit_identical(tmp_path, rng):
     back = read_tensor(path)
     assert back.dims == t.dims
     assert back.data.tobytes() == t.data.tobytes()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_tensor_file_with_a_non_finite_entry_is_refused(tmp_path, rng, value):
+    # the file is well formed, but no subspace can be taken of its tensor
+    data = random_tensor(rng, (3, 4, 5)).data.copy()
+    data[1, 2, 3] = value
+    path = tmp_path / "t.nmt"
+    write_tensor(path, DenseTensor(data))
+    # the byte format itself holds any float64
+    np.testing.assert_equal(tensor_from_bytes(path.read_bytes()).data, data)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))} has 1 non-finite entries"):
+        read_tensor(path)
 
 
 def test_tensor_bad_magic_names_offset(rng):

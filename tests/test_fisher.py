@@ -20,7 +20,7 @@ from tensorgds import (
 from tensorgds import fisher
 from tensorgds.dataio import SynthSpec, generate_synthetic
 from tensorgds.fisher import FisherReport
-from tensorgds.subspace import canonical_correlations
+from tensorgds.subspace import canonical_correlations, cross_svd
 from conftest import line, random_orthonormal, random_subspace
 
 
@@ -225,6 +225,30 @@ def test_log_map_reaches_a_member_at_the_cut_locus():
     assert np.max(np.abs(reached @ reached.T - x @ x.T)) <= 1e-12
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 8), n=st.integers(1, 7))
+def test_log_map_of_2x2_cross_products_matches_the_lapack_path(seed, d, n):
+    # the closed-form 2 x 2 SVD against LAPACK's, on members at random,
+    # exact, near and far cut-locus angles, the first at angles (0, pi/2):
+    # a member with a cosine of 0 gets the factor pi/2 on both paths
+    rng = np.random.default_rng(seed)
+    base = random_orthonormal(rng, d, 2)
+    stack = members_at_angles(rng, base, n)
+    stack[0] = np.hstack([base[:, :1], np.linalg.qr(np.hstack([base, stack[0]]))[0][:, 2:3]])
+    tangents = fisher._log_map(base[None], stack[None])[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fisher, "cross_svd", np.linalg.svd)
+        lapack = fisher._log_map(base[None], stack[None])[0]
+    # the tangent norms are the angles; at a cosine of 0 either sign of the
+    # tangent reaches the member, so the tangents themselves are compared
+    # only where every cosine is clear of 0
+    angles = np.linalg.svd(tangents, compute_uv=False)
+    assert np.allclose(angles, np.linalg.svd(lapack, compute_uv=False), rtol=0.0, atol=1e-12)
+    assert np.allclose(angles[0], [math.pi / 2, 0.0], rtol=0.0, atol=1e-12)
+    clear = np.linalg.svd(base.T @ stack, compute_uv=False).min(axis=-1) >= 1e-6
+    assert np.max(np.abs(tangents[clear] - lapack[clear]), initial=0.0) <= 1e-12
+
+
 def retired_log_map(base, stack):
     """The log map before the closed form: arctan of the singular values of
     (X - Y M) pinv(M), which loses every direction where M is singular."""
@@ -297,7 +321,9 @@ def _solo_loop(subs, tol, max_iter, next_step):
 
     def log_map(base):
         m = base.T @ stack
-        p, c, qt = np.linalg.svd(m)
+        # the cross-product SVD helper of the batched loop, so that the
+        # comparison stays bitwise
+        p, c, qt = cross_svd(m)
         scale = 1.0 / np.sinc(np.arccos(np.clip(c, 0.0, 1.0)) / np.pi)
         w = (stack - base @ m) @ np.swapaxes(qt, -1, -2)
         return (w * scale[:, None, :]) @ np.swapaxes(p, -1, -2)
@@ -394,9 +420,12 @@ def subspace_sets(draw):
     # below rounding level the iteration never stops, and the step damping
     # and the best iterate act on tangent norms that are rounding noise
     tol=st.sampled_from([1e-8, 1e-300]),
+    # one set per log-map call, a few, and the default block
+    block=st.sampled_from([1, 64, fisher.LOG_MAP_BLOCK]),
 )
-def test_karcher_means_match_per_set_loop_bitwise(sets, max_iter, tol):
-    with warnings.catch_warnings(record=True) as caught:
+def test_karcher_means_match_per_set_loop_bitwise(sets, max_iter, tol, block):
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fisher, "LOG_MAP_BLOCK", block)
         warnings.simplefilter("always", KarcherConvergenceWarning)
         means = karcher_means(sets, tol=tol, max_iter=max_iter)
     expected = [solo_karcher_mean(subs, tol=tol, max_iter=max_iter) for subs in sets]
@@ -463,7 +492,12 @@ def test_fit_karcher_means_converge_within_the_recorded_work():
     # map passes and 2,639 set-iterations here and left 2 means unconverged;
     # the BB step made 200 and 1,543 in 6 `karcher_means` calls. Every mode
     # is a full-rank rotation here, so the full bands reuse the raw reports:
-    # class and grand means of the raw bases, then of the other candidates
+    # class and grand means of the raw bases, then of the other candidates.
+    # Those candidates are scored in ambient coordinates, so their sets of
+    # one size iterate as one shape group: 71 passes, 181 when each band
+    # width was a group of its own, for the same 1,330 set-iterations. The
+    # large group takes its log maps a block of sets at a time
+    # (`LOG_MAP_BLOCK`), so the 71 passes make 84 log-map calls
     spec = SynthSpec(8, 25, (16, 16, 16), shared_dim=1, class_dim=2, within_noise=0.15, seed=7)
     samples, manifest = generate_synthetic(spec, train_fraction=0.7)
     train = [(s, e.label) for s, e in zip(samples, manifest.entries) if e.split == "train"]
@@ -488,7 +522,7 @@ def test_fit_karcher_means_converge_within_the_recorded_work():
             warnings.simplefilter("error", KarcherConvergenceWarning)
             fit(*zip(*train), PipelineConfig(method="nmode-wgds"))
     assert calls == 4
-    assert passes <= 181 and set_iterations <= 1330
+    assert passes <= 84 and set_iterations <= 1330
 
 
 @settings(max_examples=30, deadline=None)
@@ -569,9 +603,9 @@ def test_fisher_modes_match_one_call_per_task_bitwise(tasks, max_iter):
 
 
 def pair_correlations(a, b):
-    """Oracle: clamped singular values of a.T @ b, snapped to 1 as
-    `canonical_correlations` does."""
-    s = np.clip(np.linalg.svd(a.T @ b, compute_uv=False), 0.0, 1.0)
+    """Oracle: clamped singular values of a.T @ b, through the cross-product
+    SVD helper, snapped to 1 as `canonical_correlations` does."""
+    s = np.clip(cross_svd(a.T @ b, compute_uv=False), 0.0, 1.0)
     s[s >= 1.0 - 1e-13] = 1.0
     return s
 

@@ -128,3 +128,22 @@ def test_canonical_angles_come_from_one_kernel():
     }
     for module, defined in definitions():
         assert not defined & retired, module
+
+
+def test_cross_product_svds_come_from_one_helper():
+    # every SVD of a k x k basis cross product, for the canonical
+    # correlations and the Karcher log map, goes through
+    # `subspace.cross_svd`, which alone picks the closed form or LAPACK; the
+    # other SVDs are of an unfolding or its factor, a projection G^T U and a
+    # tangent
+    assert set(calls_of("cross_svd")) == {
+        ("subspace.py", "canonical_correlations"),
+        ("fisher.py", "_log_map"),
+    }
+    assert set(calls_of("svd")) == {
+        ("subspace.py", "cross_svd"),
+        ("subspace.py", "left_singular"),
+        ("tensor.py", "hosvd"),
+        ("gds.py", "project_onto_gds"),
+        ("fisher.py", "_exp_map"),
+    }

@@ -14,6 +14,7 @@ from tensorgds import (
 )
 from tensorgds.subspace import (
     canonical_correlations,
+    cross_svd,
     leading_basis,
     left_factor,
     left_singular,
@@ -261,3 +262,78 @@ def test_geodesic_triangle_inequality(seed):
     assert geodesic_distance(p, q) <= (
         geodesic_distance(p, s) + geodesic_distance(s, q) + 1e-9
     )
+
+
+EPS = np.finfo(np.float64).eps
+KINDS = ("random", "zero", "rank-1", "rotation", "reflection", "cross", "near")
+
+
+def two_by_two(rng, kind):
+    """One 2 x 2 matrix of a kind that stresses a closed-form SVD: zero,
+    rank-1, equal values (c times a rotation), det < 0 with equal values
+    (c times a reflection), or the cross product of two orthonormal bases,
+    random or nearly equal (cosines near 1)."""
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    rot = rng.uniform(0.1, 10.0) * np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    d = int(rng.integers(2, 7))
+    y = random_orthonormal(rng, d, 2)
+    near = np.linalg.qr(y + 10.0 ** -rng.uniform(3, 12) * rng.standard_normal((d, 2)))[0]
+    return {
+        "random": lambda: rng.standard_normal((2, 2)),
+        "zero": lambda: np.zeros((2, 2)),
+        "rank-1": lambda: np.outer(rng.standard_normal(2), rng.standard_normal(2)),
+        "rotation": lambda: rot,
+        "reflection": lambda: rot @ np.diag([1.0, -1.0]),
+        "cross": lambda: y.T @ random_orthonormal(rng, d, 2),
+        "near": lambda: y.T @ near,
+    }[kind]()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=12),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+)
+def test_closed_form_2x2_svd_matches_lapack(seed, kinds, scale):
+    rng = np.random.default_rng(seed)
+    m = np.stack([two_by_two(rng, kind) for kind in kinds]) * scale
+    u, s, vt = cross_svd(m)
+    want = np.linalg.svd(m, compute_uv=False)
+    top = want[:, :1]  # LAPACK's s_1 per matrix
+    assert np.all(s >= 0.0) and np.all(s[:, 0] >= s[:, 1])
+    assert np.all(np.abs(s - want) <= 8 * EPS * top)
+    eye = np.eye(2)
+    assert np.max(np.abs(np.swapaxes(u, 1, 2) @ u - eye)) <= 8 * EPS
+    assert np.max(np.abs(vt @ np.swapaxes(vt, 1, 2) - eye)) <= 8 * EPS
+    assert np.all(np.abs((u * s[:, None, :]) @ vt - m) <= 8 * EPS * top[:, :, None])
+    # the values alone are the same bits, and a matrix gets the same bits
+    # alone as in any stack, so batched and per-set loops agree bitwise
+    assert cross_svd(m, compute_uv=False).tobytes() == s.tobytes()
+    for i, mat in enumerate(m):
+        alone = cross_svd(mat)
+        assert [a.tobytes() for a in alone] == [u[i].tobytes(), s[i].tobytes(), vt[i].tobytes()]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2, 3), (2, 3), (5, 1, 1), (2, 3, 3)])
+def test_cross_svd_takes_lapack_for_every_other_shape(shape, rng):
+    m = rng.standard_normal(shape)
+    for got, want in zip(cross_svd(m), np.linalg.svd(m)):
+        assert got.tobytes() == want.tobytes()
+    assert cross_svd(m, compute_uv=False).tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2, 2), (3, 3)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("compute_uv", [True, False])
+def test_cross_svd_of_a_non_finite_matrix_raises(shape, value, compute_uv):
+    # the closed form raises where LAPACK does, on a nan, instead of
+    # returning nan values; on both paths an infinity raises too, where
+    # LAPACK alone returns nan values
+    m = np.ones(shape)
+    m.flat[-1] = value
+    if math.isnan(value):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(m, compute_uv=compute_uv)
+    with pytest.raises(np.linalg.LinAlgError):
+        cross_svd(m, compute_uv=compute_uv)
