@@ -164,9 +164,14 @@ def write_tensor(path, tensor: DenseTensor) -> None:
 
 
 def read_tensor(path) -> DenseTensor:
-    """The tensor of a tensor file. A NaN or infinite entry is a data error
-    naming the file: no subspace can be taken of it."""
-    tensor = tensor_from_bytes(read_file(path, "tensor file"))
+    """The tensor of a tensor file. A file that does not decode, or has a NaN
+    or infinite entry, is a data error naming the file: no subspace can be
+    taken of it."""
+    buf = read_file(path, "tensor file")
+    try:
+        tensor = tensor_from_bytes(buf)
+    except FormatError as exc:
+        raise FormatError(f"tensor file {path}: {exc}") from exc
     bad = np.count_nonzero(~np.isfinite(tensor.data))
     if bad:
         raise FormatError(f"tensor file {path} has {bad} non-finite entries")

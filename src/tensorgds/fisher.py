@@ -45,8 +45,8 @@ DEFAULT_KARCHER_MAX_ITER = 100
 # cap does
 STEP_MAX = 1000.0
 # Member-basis entries per log-map call of a Karcher pass: a shape group of
-# many sets, such as the band candidates of `pipeline._score_bands`, takes
-# its log maps a block of sets at a time, so that each of the pass's
+# many sets, such as the class sets that `pipeline.optimize_gds_dims` scores,
+# takes its log maps a block of sets at a time, so that each of the pass's
 # temporaries stays near 256 KiB
 LOG_MAP_BLOCK = 32768
 

@@ -215,14 +215,15 @@ class EvalMetrics:
 
 @dataclass(frozen=True)
 class GdsSearchResult:
-    """The chosen band per mode, its report, the search trace, and per mode
-    the (N, w, k) stack of the training bases projected onto the chosen
-    band, in sample order."""
+    """The chosen band per mode, its report, the search trace, per mode the
+    (N, w, k) stack of the training bases projected onto the chosen band, in
+    sample order, and per mode the report of the raw training bases."""
 
     bases: tuple[GdsBasis, ...]
     reports: tuple[FisherReport, ...]
     trace: tuple[dict, ...]
     parts: tuple[np.ndarray, ...]
+    raw_reports: tuple[FisherReport, ...]
 
 
 def _class_members(labels, class_ids) -> list[list[int]]:
@@ -244,74 +245,38 @@ def _project_band(band: GdsBasis, stack: np.ndarray) -> np.ndarray | None:
     return np.stack(parts)
 
 
-def _score_bands(candidates, members, config: PipelineConfig, known=None) -> list:
-    """Per `(band, projected stack)` candidate, the entry `(band, report,
-    projected stack)`, or None when the projection failed or the score is
-    degenerate. A candidate takes its report from `known`, one report or
-    None per candidate, when given there; every other projected candidate is
-    scored in one `fisher_modes` call, made only if there is one.
-
-    A band's orthonormal basis B embeds Gr(k, w) isometrically and totally
-    geodesically in Gr(k, d) (Edelman, Arias & Smith 1998), so the scored
-    stack is B @ proj in the mode's ambient coordinates: the spreads and
-    Karcher means are those of the band coordinates up to rounding, and
-    the candidates of modes of one extent and dimension have one stack
-    shape, so their class sets of one size iterate in one Karcher shape
-    group. The entries keep the band-coordinate stacks; the embedded class
-    stacks are released when this returns."""
-    known = known or [None] * len(candidates)
-    tasks = []
-    for (band, proj), report in zip(candidates, known):
-        if proj is not None and report is None:
-            embedded = band.basis @ proj
-            tasks.append(([embedded[idx] for idx in members], band.mode))
-    reports = iter(
-        fisher_modes(
-            tasks, karcher_tol=config.karcher_tol, karcher_max_iter=config.karcher_max_iter
-        )
-        if tasks
-        else ()
-    )
-    entries = []
-    for (band, proj), report in zip(candidates, known):
-        if proj is not None and report is None:
-            report = next(reports)
-        usable = proj is not None and report is not None and report.flag is None
-        entries.append((band, report, proj) if usable else None)
-    return entries
-
-
 def optimize_gds_dims(
     grams: Sequence[GdsBasis],
     stacks: Sequence[np.ndarray],
     labels: Sequence[int],
     config: PipelineConfig,
-    raw_reports: Sequence[FisherReport] | None = None,
 ) -> GdsSearchResult:
     """Choose the retained eigenvector band per mode by maximizing the
     combined separability score of the projected training subspaces.
 
-    `grams` holds each mode's full band (`mode_gram`), `stacks` per mode the
-    (N, d, k) stack of the training bases, in the order of `labels`, and
-    `raw_reports`, when given, per mode the `fisher_modes` report of those
-    bases. A mode's candidates are its full band and the bands alpha..rank
-    for alpha = 2..min(`gds_alpha_max`, rank), which drop the leading alpha - 1
+    `grams` holds each mode's full band (`mode_gram`) and `stacks` per mode
+    the (N, d, k) stack of the training bases, in the order of `labels`. A
+    mode's candidates are its full band and the bands alpha..rank for alpha
+    = 2..min(`gds_alpha_max`, rank), which drop the leading alpha - 1
     eigenvectors, the shared directions, and keep the whole tail (Fukui &
-    Maki 2015). Each is projected, then scored once in one of two batches:
-    every mode's full band first, then every other candidate. A candidate is
-    scored in the mode's ambient coordinates, as B @ proj with B the band's
-    basis (see `_score_bands`), so class sets of one size share one Karcher
-    shape group whatever their band's width; the chosen bases, and so the
-    references, keep band coordinates. Those whose
-    projection collapses, leaves bases of unequal width or whose score is
-    degenerate are skipped. A full band of rank equal to its ambient
-    dimension is an orthogonal G, so G^T U only rotates the raw bases, and
-    geodesic distances, and so Karcher means and spreads, do not see a
-    rotation (Edelman, Arias & Smith 1998): given the raw reports, such a
-    band takes its mode's raw report, equal to its score up to rounding,
-    and is not scored. Coordinate ascent then sweeps one mode's scored
-    candidates at a time, the other modes at their current best, from the
-    full band until a round changes no band; ties go to the smallest alpha.
+    Maki 2015). One `fisher_modes` call scores each mode's raw bases and
+    every projected candidate, each once. A candidate is scored in the
+    mode's ambient coordinates, as B @ proj with B the band's basis: a
+    band's orthonormal basis embeds Gr(k, w) isometrically and totally
+    geodesically in Gr(k, d) (Edelman, Arias & Smith 1998), so the spreads
+    and Karcher means are those of the band coordinates up to rounding, and
+    class sets of one size share one Karcher shape group whatever their
+    band's width; the chosen bases, and so the references, keep band
+    coordinates. A full band of rank equal to its ambient dimension is an
+    orthogonal G, so G^T U only rotates the raw bases, which geodesic
+    distances, and so Karcher means and spreads, do not see: such a band
+    takes its mode's raw report, equal to its score up to rounding, and is
+    not scored. Candidates whose projection collapses, leaves bases of
+    unequal width or whose score is degenerate are skipped; a skipped full
+    band is a `DegeneracyError`. Coordinate ascent then sweeps one mode's
+    usable candidates at a time, the other modes at their current best,
+    from the full band until a round changes no band; ties go to the
+    smallest alpha.
 
     The fixed point is a global optimum: the combined score is a ratio of
     per-mode sums, so at a fixed point with ratio r each mode's band
@@ -326,39 +291,43 @@ def optimize_gds_dims(
         raise DimensionError(
             f"{len(stacks)} basis stacks for the modes {[g.mode for g in grams]}"
         )
-    if raw_reports is not None and [r.mode for r in raw_reports] != [g.mode for g in grams]:
-        raise DimensionError(
-            f"raw reports of the modes {[r.mode for r in raw_reports]} "
-            f"for the modes {[g.mode for g in grams]}"
-        )
     for gram, stack in zip(grams, stacks):
         if len(stack) != len(labels):
             raise DimensionError(
                 f"mode {gram.mode}: {len(stack)} training bases for {len(labels)} labels"
             )
 
-    # per mode, each candidate band (full band first) with its projected stack
+    # the raw class sets of every mode, then those of each scored candidate;
+    # per mode, each candidate band (full band first) with its projected
+    # stack and whether it is scored: a full band of full rank is not
+    tasks = [([stack[idx] for idx in members], gram.mode) for gram, stack in zip(grams, stacks)]
     candidates = []
     for gram, stack in zip(grams, stacks):
         alphas = range(2, min(config.gds_alpha_max, gram.rank) + 1)
         bands = [gram] + [gds_from_gram(gram, a) for a in alphas]
-        candidates.append([(band, _project_band(band, stack)) for band in bands])
-    known = [
-        raw if gram.rank == gram.ambient_dim else None
-        for gram, raw in zip(grams, raw_reports or [None] * len(grams))
-    ]
-    full = _score_bands([c[0] for c in candidates], members, config, known)
-    if any(entry is None for entry in full):
-        raise DegeneracyError(
-            "separability is degenerate at the full eigenvector band; "
-            "the classes cannot be told apart"
-        )
-    rest = iter(_score_bands([c for cs in candidates for c in cs[1:]], members, config))
+        candidates.append([])
+        for band in bands:
+            proj = _project_band(band, stack)
+            fresh = proj is not None and not (band is gram and gram.rank == gram.ambient_dim)
+            if fresh:
+                embedded = band.basis @ proj
+                tasks.append(([embedded[idx] for idx in members], band.mode))
+            candidates[-1].append((band, proj, fresh))
+    reports = fisher_modes(
+        tasks, karcher_tol=config.karcher_tol, karcher_max_iter=config.karcher_max_iter
+    )
+    raw_reports, rest = reports[: len(grams)], iter(reports[len(grams) :])
     # per mode, the usable candidates in candidate order, full band first
-    scored = [
-        [entry] + [e for e in itertools.islice(rest, len(cs) - 1) if e is not None]
-        for entry, cs in zip(full, candidates)
-    ]
+    scored = []
+    for raw, cands in zip(raw_reports, candidates):
+        entries = [(band, next(rest) if fresh else raw, proj) for band, proj, fresh in cands]
+        usable = [e for e in entries if e[2] is not None and e[1].flag is None]
+        if not usable or usable[0] is not entries[0]:  # the full band is unusable
+            raise DegeneracyError(
+                "separability is degenerate at the full eigenvector band; "
+                "the classes cannot be told apart"
+            )
+        scored.append(usable)
     chosen = [0] * len(grams)
     trace: list[dict] = []
     # A band changes only to a candidate with a higher combined score, or an
@@ -382,7 +351,7 @@ def optimize_gds_dims(
         if chosen == start:
             break
     bases, reports, parts = zip(*(scored[p][i] for p, i in enumerate(chosen)))
-    return GdsSearchResult(bases, reports, tuple(trace), parts)
+    return GdsSearchResult(bases, reports, tuple(trace), parts, tuple(raw_reports))
 
 
 def check_angle_counts(counts, modes, widths) -> None:
@@ -471,24 +440,17 @@ def fit(
         )
     )
     check_angle_counts(config.angle_counts, modes, dims)
-    members = _class_members(labels, class_ids)
-
-    raw_reports = fisher_modes(
-        [([stack[idx] for idx in members], mode) for stack, mode in zip(stacks, modes)],
-        karcher_tol=config.karcher_tol,
-        karcher_max_iter=config.karcher_max_iter,
-    )
-    fisher_raw = nmode_fisher(raw_reports)
     raw_angles = [_class_pair_mean_angle(c) for c in class_stacks]
 
     bases = None
     search_trace: tuple = ()
     if config.uses_gds:
         grams = [mode_gram(c, mode) for c, mode in zip(class_stacks, modes)]
-        result = optimize_gds_dims(grams, stacks, labels, config, raw_reports)
+        result = optimize_gds_dims(grams, stacks, labels, config)
         bases = result.bases
         search_trace = result.trace
         stacks = result.parts  # the references keep the projected bases
+        fisher_raw = nmode_fisher(result.raw_reports)
         fisher_final = nmode_fisher(result.reports)
         proj_angles = [
             _class_pair_mean_angle(project_onto_gds(b, c))
@@ -496,7 +458,13 @@ def fit(
         ]
         angle_diag = tuple(zip(raw_angles, proj_angles))
     else:
-        fisher_final = fisher_raw
+        members = _class_members(labels, class_ids)
+        raw_reports = fisher_modes(
+            [([stack[idx] for idx in members], mode) for stack, mode in zip(stacks, modes)],
+            karcher_tol=config.karcher_tol,
+            karcher_max_iter=config.karcher_max_iter,
+        )
+        fisher_raw = fisher_final = nmode_fisher(raw_reports)
         angle_diag = tuple((a, None) for a in raw_angles)
     references = tuple(
         ProductPoint(tuple(map(Subspace, parts)), label=label)
@@ -596,18 +564,18 @@ def pairwise_distances(model: TrainedModel, points: Sequence[ProductPoint]) -> n
 
 def _class_mean_stacks(model: TrainedModel) -> tuple[np.ndarray, ...]:
     """Per mode, the (C, d, k) stack of the class mean points in class order,
-    computed on the first call."""
+    computed on the first call with one `karcher_means` call for every mode."""
     if "class_means" not in model._cache:
         members = [np.flatnonzero(model.reference_labels == cid) for cid in model.class_ids]
-        means = [
-            karcher_means(
-                [stack[idx] for idx in members],
-                tol=model.config.karcher_tol,
-                max_iter=model.config.karcher_max_iter,
-            )
-            for stack in model.reference_stacks
-        ]
-        model._cache["class_means"] = tuple(np.stack(ms) for ms in means)
+        means = karcher_means(
+            [stack[idx] for stack in model.reference_stacks for idx in members],
+            tol=model.config.karcher_tol,
+            max_iter=model.config.karcher_max_iter,
+        )
+        count = len(members)
+        model._cache["class_means"] = tuple(
+            np.stack(means[i : i + count]) for i in range(0, len(means), count)
+        )
     return model._cache["class_means"]
 
 

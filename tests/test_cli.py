@@ -441,6 +441,21 @@ def test_tensor_file_with_a_non_finite_entry_exits_2(
     assert f"{entry.path} has 1 non-finite entries" in err
 
 
+def test_tensor_file_that_fails_to_decode_exits_2_naming_it(dataset_dir, tmp_path, capsys):
+    # a decode error names the file, as the non-finite check does, so the
+    # bad file of a large set can be found from the message alone
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    manifest = data / "manifest.txt"
+    entry = next(e for e in dataio.load_manifest(manifest).entries if e.split == "train")
+    path = data / entry.path
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+    assert main(["fit", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error")
+    assert f"tensor file {path}: bad magic at offset 0: expected b'NMT1', got b'XXXX'" in err
+
+
 def test_model_with_references_of_mixed_width_exits_2(dataset_dir, model_dir, tmp_path, capsys):
     def narrow(basis):
         assert basis.shape[1] >= 2

@@ -147,3 +147,17 @@ def test_cross_product_svds_come_from_one_helper():
         ("gds.py", "project_onto_gds"),
         ("fisher.py", "_exp_map"),
     }
+
+
+def test_separability_and_karcher_means_have_few_callers():
+    # a fit scores the raw bases and every band candidate in one
+    # `fisher_modes` call, made by the band search or, for `pgm`, by `fit`;
+    # Karcher means are taken only there and for the class-karcher means
+    assert set(calls_of("fisher_modes")) == {
+        ("pipeline.py", "optimize_gds_dims"),
+        ("pipeline.py", "fit"),
+    }
+    assert set(calls_of("karcher_means")) == {
+        ("fisher.py", "fisher_modes"),
+        ("pipeline.py", "_class_mean_stacks"),
+    }
