@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 from .subspace import (
-    RANK_RTOL,
+    EPS,
     Subspace,
     basis_stack,
     eigh_descending,
@@ -108,10 +108,15 @@ def project_onto_gds(gds: GdsBasis, subspaces):
     in an ambient space as wide as the GDS.
 
     Each result is spanned by G^T U. One SVD of the stack gives its basis:
-    the left-singular vectors whose singular values exceed `RANK_RTOL` times
-    the largest (the rank rule of `left_singular`). The singular values are
-    the cosines of the canonical angles between span(U) and the GDS (Bjorck
-    & Golub 1973), so the dropped directions are those the GDS cannot see.
+    the left-singular vectors whose singular values s keep s^2 above
+    (w + k) * eps * s_1^2 for a w-column GDS and k-column U, the rank rule
+    of `gram_spectrum` for the Gram of G^T U. The singular values are the
+    cosines of the canonical angles between span(U) and the GDS (Bjorck &
+    Golub 1973), so the dropped directions are those the GDS cannot see.
+    A GDS is a band of Gram eigenvectors, which leaks the directions beside
+    the band by about eps * lambda_1 / gap for the eigenvalue gap at its
+    edge, so a cosine of 1e-10 can be rounding; under this rule the leak
+    counts only where that gap is below about sqrt(eps) * lambda_1.
     """
     single = isinstance(subspaces, Subspace)
     stack = subspaces.basis[None] if single else np.asarray(subspaces)
@@ -122,6 +127,7 @@ def project_onto_gds(gds: GdsBasis, subspaces):
         raise DegeneracyError(
             "subspace is orthogonal to the difference subspace within tolerance"
         )
-    widths = np.sum(s > RANK_RTOL * s[:, :1], axis=1)
+    cut = (gds.basis.shape[1] + stack.shape[2]) * EPS
+    widths = np.sum(s * s > cut * s[:, :1] ** 2, axis=1)
     projected = [b[:, :w] for b, w in zip(u, widths)]
     return Subspace(projected[0]) if single else projected

@@ -30,13 +30,12 @@ from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesi
 from .subspace import (
     Subspace,
     canonical_correlations,
+    gram_spectrum,
     group_by_shape,
     leading_basis,
-    left_factor,
-    left_singular,
     select_dim,
 )
-from .tensor import DenseTensor, unfold
+from .tensor import DenseTensor, unfolding_gram
 
 # The values each string setting accepts: `PipelineConfig` checks them and
 # the CLI offers them as flag choices.
@@ -375,24 +374,26 @@ def _class_pair_mean_angle(class_bases: Sequence) -> float:
 
 def _mode_bases(samples, mode: int, dim: int | None, mu: float):
     """The one rule of `fit` and the queries for the samples' bases in a mode:
-    each unfolding's `left_factor` (releasing the unfolding), one batched SVD
-    of the factor stack, the dimension (`dim`, or the median energy dimension
-    of `mu` when None) and that many leading left-singular vectors. Returns
-    the dimension, the (N, d, dim) stack of bases and the factor stack."""
-    factors = np.stack([left_factor(unfold(s, mode)) for s in samples])
-    u, lam = left_singular(factors)
+    each sample's `unfolding_gram`, one `gram_spectrum` of the (N, d, d)
+    stack, the dimension (`dim`, or the median energy dimension of `mu` when
+    None) and that many leading eigenvectors. Returns the dimension, the
+    (N, d, dim) stack of bases, the Gram stack and the Grams' exponents."""
+    grams, exps = map(np.array, zip(*(unfolding_gram(s, mode) for s in samples)))
+    u, lam = gram_spectrum(grams, samples[0].size // grams.shape[-1])
     dim = int(round(float(np.median(select_dim(lam, mu))))) if dim is None else int(dim)
-    return dim, leading_basis(u, lam, dim), factors
+    return dim, leading_basis(u, lam, dim), grams, exps
 
 
 def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
     """One mode of `fit`: the dimension, the (N, d, dim) stack of sample
-    bases of `_mode_bases` and the (C, d, dim) stack of class bases, each
-    from the stacked factors of the class's samples."""
-    dim, stack, factors = _mode_bases(samples, mode, dim, mu)
+    bases of `_mode_bases` and the (C, d, dim) stack of class bases from the
+    sum of each class's Grams, the Gram of its stacked unfoldings, each
+    member's Gram first scaled to the class's largest exponent."""
+    dim, stack, grams, exps = _mode_bases(samples, mode, dim, mu)
     members = _class_members(labels, class_ids)
-    classes = [leading_basis(*left_singular(np.hstack(factors[i])), dim) for i in members]
-    return dim, stack, np.stack(classes)
+    sums = [np.sum(np.ldexp(grams[i], exps[i, None, None] - max(exps[i])), 0) for i in members]
+    cols = [len(i) * samples[0].size // stack.shape[1] for i in members]
+    return dim, stack, leading_basis(*gram_spectrum(np.stack(sums), cols), dim)
 
 
 def fit(

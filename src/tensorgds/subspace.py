@@ -1,16 +1,21 @@
 """Orthonormal-basis subspaces, energy-based dimension selection, the one
 canonical-correlation kernel, Grassmann geodesic distances, and the
-linear-algebra helpers the other modules share (projector average, sorted
-eigenpairs, grouping by shape, sign-fixed eigenvectors and QR factors).
+linear-algebra helpers the other modules share (Gram spectra, projector
+average, sorted eigenpairs, grouping by shape, sign-fixed eigenvectors and
+QR factors).
 
-Bases are always the leading left-singular vectors of the raw unfolding; no
-mean is subtracted, so they coincide with the top eigenvectors of the
-non-centered autocorrelation of the column samples. A wide unfolding is
-taken through its R factor: a Householder QR of the transposed unfolding,
-then the SVD of the small triangular factor (the R-SVD, Chan 1982; Golub &
-Van Loan, section 8.6). Both steps are backward stable, so the vectors and
-values are exact for a matrix within O(eps * ||X||) of the unfolding X, as
-a direct SVD's are.
+Bases are the leading eigenvectors of the non-centered autocorrelation X X^T
+of the raw unfolding X, with no mean subtracted, from one batched `eigh` of
+a stack of Grams (`gram_spectrum`); a class basis comes from the sum of its
+members' Grams, the Gram of their stacked unfoldings. The product rounds by
+about cols * eps * lambda_1 and `eigh` by rows * eps * lambda_1, so values
+at or below (rows + cols) * eps * lambda_1 count as zero (the rule that
+`gds.project_onto_gds` applies to squared cosines), and squaring makes
+a vector's error about eps * lambda_1 / gap(lambda), against eps * s_1 /
+gap(s) for an SVD of X. Each Gram is scaled by the power of two of its trace
+before `eigh`, so LAPACK never rescales it by another factor, and
+`unfolding_gram` scales data whose Gram would overflow or underflow: 2^k
+times the data gives the same bits.
 
 Every SVD of a k x k basis cross product Y^T X, for the canonical
 correlations here and for the Karcher log map, goes through `cross_svd`.
@@ -30,9 +35,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-# Singular values below RANK_RTOL times the largest do not count toward the
-# numerical rank.
-RANK_RTOL = 1e-10
+EPS = np.finfo(np.float64).eps
 # Correlations within this of 1 are snapped to exactly 1, so angles between
 # numerically identical subspaces come out as an exact 0.
 CORRELATION_SNAP = 1e-13
@@ -75,7 +78,7 @@ class Subspace:
 def select_dim(values: np.ndarray, mu: float):
     """Smallest K whose leading eigenvalues carry at least the fraction `mu`
     of the total energy of a non-increasing, non-negative spectrum, such as
-    the `lam` of `left_singular`; one K per row for a stack of spectra."""
+    the `lam` of `gram_spectrum`; one K per row for a stack of spectra."""
     if not 0.0 < mu <= 1.0:
         raise ValueError(f"mu must be in (0, 1], got {mu}")
     values = np.asarray(values, dtype=np.float64)
@@ -92,57 +95,26 @@ def select_dim(values: np.ndarray, mu: float):
     return np.argmax(cum / total >= mu, axis=-1) + 1
 
 
-def _as_matrix(matrix: np.ndarray) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=np.float64)
-    if mat.ndim < 2 or mat.size == 0:
-        raise DimensionError("unfolding must be a non-empty matrix or stack of matrices")
-    return mat
-
-
-def lq_factor(matrix: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L of `matrix = L Q^T`, with Q column-orthonormal:
-    the transposed R factor of a Householder QR of `matrix^T`, shaped
-    rows x min(rows, cols), one per matrix of a stack. L has the
-    left-singular vectors and singular values of `matrix`, and the horizontal
-    stack of several matrices' L factors has those of the stack of the
-    matrices (the block-diagonal of their Q factors is column-orthonormal)."""
-    return np.swapaxes(np.linalg.qr(np.swapaxes(_as_matrix(matrix), -1, -2), mode="r"), -1, -2)
-
-
-def left_factor(matrix: np.ndarray) -> np.ndarray:
-    """A matrix, or stack, with the left-singular vectors and singular values
-    of `matrix` and no more columns than rows: for a wide matrix its
-    `lq_factor` (the R-SVD of Chan 1982), so the long right factor is never
-    formed; a square or tall one, such as a factor already taken, as it is,
-    since a QR would save its SVD nothing."""
-    mat = _as_matrix(matrix)
-    return lq_factor(mat) if mat.shape[-1] > mat.shape[-2] else mat
-
-
-def left_singular(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left-singular vectors of a non-empty matrix, or of each in a stack, and
-    the eigenvalues of its non-centered autocorrelation (the squared singular
-    values), with the values beyond the numerical rank set to zero.
-
-    They come from the SVD of the matrix's `left_factor`. Householder QR is
-    backward stable, so the result is the exact (U, s) of a matrix within
-    O(eps * s_0) of the input, the guarantee a direct SVD gives. The rank
-    cut-off `RANK_RTOL * s_0` lies six orders above that perturbation, so
-    only a singular value within about eps * s_0 of the cut-off could land
-    on the other side of it. A stack takes one batched SVD, which runs the
-    same LAPACK call on each matrix, so each result equals the matrix's own.
-    """
-    u, s, _ = np.linalg.svd(left_factor(matrix), full_matrices=False)
-    if np.any(s[..., 0] <= 0.0):
+def gram_spectrum(grams: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvectors and eigenvalues, descending, of a Gram X X^T of a matrix
+    with `cols` columns, or of each in a stack (`cols` one count or one per
+    Gram), each Gram scaled by the power of two of its trace; values at or
+    below (rows + cols) * eps * lambda_1 are set to zero. A stack's batched
+    `eigh` gives each Gram its own bits. A NaN or infinity is a LinAlgError."""
+    grams = np.asarray(grams, dtype=np.float64)
+    if not np.isfinite(grams).all():
+        raise np.linalg.LinAlgError("eigh did not converge: non-finite Gram")
+    exponent = np.frexp(np.trace(grams, axis1=-2, axis2=-1))[1]
+    lam, vecs = eigh_descending(np.ldexp(grams, -exponent[..., None, None]))
+    if np.any(lam[..., 0] <= 0.0):
         raise DegeneracyError("all-zero matrix spans no subspace")
-    lam = s * s
-    lam[s <= RANK_RTOL * s[..., :1]] = 0.0
-    return u, lam
+    lam[lam <= (grams.shape[-1] + np.asarray(cols))[..., None] * EPS * lam[..., :1]] = 0.0
+    return vecs, lam
 
 
 def leading_basis(u: np.ndarray, lam: np.ndarray, dim: int) -> np.ndarray:
     """A contiguous copy of the first `dim` columns of `u`, as returned with
-    `lam` by `left_singular` for one matrix or a stack; `dim` may not exceed
+    `lam` by `gram_spectrum` for one matrix or a stack; `dim` may not exceed
     the numerical rank of any matrix. The copy lets the full `u` go."""
     k = int(dim)
     if k < 1:

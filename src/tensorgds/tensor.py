@@ -1,4 +1,5 @@
-"""Dense n-mode tensors: mode-k unfolding/folding, mode products, and HOSVD."""
+"""Dense n-mode tensors: mode-k unfolding/folding, unfolding Grams, mode
+products, and HOSVD."""
 
 from __future__ import annotations
 
@@ -78,6 +79,26 @@ def unfold(tensor: DenseTensor, mode: int) -> np.ndarray:
     """
     k = _check_mode(mode, tensor.order)
     return np.moveaxis(tensor.data, k, 0).reshape((tensor.dims[k], -1), order="F")
+
+
+def unfolding_gram(tensor: DenseTensor, mode: int) -> tuple[np.ndarray, int]:
+    """The Gram X X^T of the mode-`mode` unfolding X as (C, e), X X^T = 2^e C.
+    It takes one product of the data reshaped to (I_mode, rest) with the
+    other extents in C order, which permutes X's columns and so leaves the
+    Gram alone: a view for the first and last modes, one copy the size of
+    the data for the others. e is 0, unless the trace of C leaves (2^-900,
+    2^900): then C is the product of the data scaled by the power of two of
+    its largest entry, 2^-s, and e = 2s. Every scaling is exact, so 2^k
+    times the data moves C by a power of two only."""
+    k = _check_mode(mode, tensor.order)
+    x, shift = np.moveaxis(tensor.data, k, 0).reshape(tensor.dims[k], -1), 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the trace test catches it
+        gram = x @ x.T
+        if not 2.0**-900 < np.trace(gram) < 2.0**900:
+            shift = int(np.frexp(np.max(np.abs(x)))[1])
+            x = np.ldexp(x, -shift)
+            gram = x @ x.T
+    return gram, 2 * shift
 
 
 def fold(matrix: np.ndarray, mode: int, dims) -> DenseTensor:

@@ -47,7 +47,7 @@ from tensorgds.dataio import (
     _section,
 )
 from tensorgds.pipeline import CHOICES
-from tensorgds.subspace import Subspace, canonical_correlations, leading_basis, left_singular
+from tensorgds.subspace import Subspace, canonical_correlations
 from conftest import edit_model_conf, edit_model_matrix, random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -217,7 +217,7 @@ def test_generator_noiseless_no_shared_plants_blocks_exactly():
                     if e.label == j
                 ]
             )
-            sub = leading_basis(*left_singular(cols), spec.class_dim)
+            sub = np.linalg.svd(cols, full_matrices=False)[0][:, : spec.class_dim]
             planted = Subspace(blocks[j])
             angles = np.arccos(canonical_correlations(sub, planted))
             assert np.max(angles) <= 1e-8
@@ -244,7 +244,7 @@ def test_generator_shared_direction_overlaps_classes():
                     if e.label == j
                 ]
             )
-            subs.append(leading_basis(*left_singular(cols), d))
+            subs.append(np.linalg.svd(cols, full_matrices=False)[0][:, :d])
         for a in range(spec.classes):
             for b in range(a + 1, spec.classes):
                 smallest = np.arccos(canonical_correlations(subs[a], subs[b]))[0]
@@ -794,7 +794,7 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
     bands = tuple(gds_from_gram(g, g.alpha, g.rank - 1) for g in model.gds)
     stacks = [
         project_onto_gds(
-            band, np.stack([leading_basis(*left_singular(unfold(s, mode)), dim) for s in train])
+            band, np.linalg.svd(np.stack([unfold(s, mode) for s in train]))[0][..., :dim]
         )
         for band, mode, dim in zip(bands, model.modes, model.dims)
     ]

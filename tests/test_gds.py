@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorgds import (
@@ -247,9 +247,13 @@ def test_project_onto_gds_stack_rank_and_span(seed, d, n, data):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(4, 9), classes=st.integers(2, 4))
+@example(seed=375, d=7, classes=2)  # eigenvalue gap 4.5e-7, leak 3.2e-10
 def test_projection_removes_an_exactly_shared_direction(seed, d, classes):
     # every class contains e, so e is a Gram eigenvector with eigenvalue 1;
-    # the band from alpha = 2 excludes it and a sample containing e loses it
+    # the band from alpha = 2 excludes it and a sample containing e loses it.
+    # How much of e the band keeps is an eigenvector error, about eps / gap
+    # for the gap below the eigenvalue 1 (Davis-Kahan); 72,000 draws held
+    # it within 0.8 d eps / gap
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(d)
     e /= np.linalg.norm(e)
@@ -261,7 +265,8 @@ def test_projection_removes_an_exactly_shared_direction(seed, d, classes):
     g = mode_gram([containing_e(k) for _ in range(classes)], mode=1)
     assert abs(g.eigvals[0] - 1.0) <= 1e-12
     band = gds_from_gram(g, 2)
-    assert np.max(np.abs(band.basis.T @ e)) <= 1e-10
+    gap = g.eigvals[0] - g.eigvals[1]
+    assert np.max(np.abs(band.basis.T @ e)) <= 2 * d * np.finfo(float).eps / gap
     assert project_onto_gds(band, containing_e(k)).dim == k - 1
 
 

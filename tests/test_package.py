@@ -96,16 +96,19 @@ def test_fisher_builds_no_subspace_and_no_spectrum_type_remains():
 
 
 def test_sample_bases_come_from_one_helper():
-    # `fit` and the queries take their sample bases from `pipeline._mode_bases`;
-    # besides it, only `_fit_mode` factors a matrix, for its class bases
+    # `fit` and the queries take their sample bases from `pipeline._mode_bases`,
+    # from one Gram per sample; besides it, only `_fit_mode` takes a spectrum,
+    # for its class bases. No unfolding is copied or factored on the way
     def callers(name):
         return {where for module, where in calls_of(name) if module == "pipeline.py"}
 
-    assert callers("left_factor") == {"_mode_bases"}
-    for name in ("left_singular", "leading_basis"):
+    assert callers("unfolding_gram") == {"_mode_bases"}
+    for name in ("gram_spectrum", "leading_basis"):
         assert callers(name) == {"_mode_bases", "_fit_mode"}, name
+    assert not callers("unfold") and not callers("qr")
+    retired = {"basis_from_unfolding", "lq_factor", "left_factor", "left_singular"}
     for module, defined in definitions():
-        assert "basis_from_unfolding" not in defined, module
+        assert not defined & retired, module
 
 
 def test_canonical_angles_come_from_one_kernel():
@@ -134,7 +137,7 @@ def test_cross_product_svds_come_from_one_helper():
     # every SVD of a k x k basis cross product, for the canonical
     # correlations and the Karcher log map, goes through
     # `subspace.cross_svd`, which alone picks the closed form or LAPACK; the
-    # other SVDs are of an unfolding or its factor, a projection G^T U and a
+    # other SVDs are of an unfolding in `hosvd`, a projection G^T U and a
     # tangent
     assert set(calls_of("cross_svd")) == {
         ("subspace.py", "canonical_correlations"),
@@ -142,7 +145,6 @@ def test_cross_product_svds_come_from_one_helper():
     }
     assert set(calls_of("svd")) == {
         ("subspace.py", "cross_svd"),
-        ("subspace.py", "left_singular"),
         ("tensor.py", "hosvd"),
         ("gds.py", "project_onto_gds"),
         ("fisher.py", "_exp_map"),

@@ -31,15 +31,10 @@ from tensorgds import (
     unfold,
 )
 from tensorgds import fisher, pipeline
-from tensorgds.dataio import SynthSpec, generate_synthetic
+from tensorgds.dataio import SynthSpec, generate_synthetic, model_to_bytes
 from tensorgds.pipeline import CHOICES, RETIRED_VALUES, SETTINGS, _fit_mode
-from tensorgds.subspace import (
-    canonical_correlations,
-    leading_basis,
-    left_factor,
-    left_singular,
-    select_dim,
-)
+from tensorgds.subspace import canonical_correlations, gram_spectrum, leading_basis, select_dim
+from tensorgds.tensor import fold, unfolding_gram
 from conftest import random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -65,7 +60,7 @@ def benchmark_split(noise=0.15, seed=7):
 
 def leading(matrix, dim):
     """The first `dim` left-singular vectors of the matrix's own SVD."""
-    return leading_basis(*left_singular(matrix), dim)
+    return np.linalg.svd(matrix, full_matrices=False)[0][:, :dim]
 
 
 def tilted_two_class_points(sigma=0.3, seed=5, n=10):
@@ -92,13 +87,19 @@ def tilted_two_class_points(sigma=0.3, seed=5, n=10):
 # --- extraction -----------------------------------------------------------
 
 
+def sample_spectrum(t, mode):
+    """The eigenvectors and values of the sample's own unfolding Gram."""
+    gram, _ = unfolding_gram(t, mode)
+    return gram_spectrum(gram, t.size // t.dims[mode - 1])
+
+
 def sample_bases(t, modes=(1, 2, 3), dims=None, mu=None):
     """Per mode of `modes`, the basis of the sample's unfolding, from the
-    unfolding's own SVD, at the fixed dimension in `dims`, or at the energy
+    unfolding's own Gram, at the fixed dimension in `dims`, or at the energy
     dimension of `mu`."""
     parts = []
     for p, mode in enumerate(modes):
-        u, lam = left_singular(unfold(t, mode))
+        u, lam = sample_spectrum(t, mode)
         dim = select_dim(lam, mu) if dims is None else dims[p]
         parts.append(Subspace(leading_basis(u, lam, dim)))
     return parts
@@ -516,8 +517,8 @@ def test_msm_single_mode_equals_manual_nearest_neighbor():
     mu=st.floats(0.3, 1.0),
 )
 def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
-    # fit's one SVD per unfolding must give the dimensions and bases that
-    # per-sample extraction gives on its own
+    # fit's batched eigh of the unfolding Grams must give the dimensions and
+    # bases that per-sample extraction gives on its own, bit for bit
     rng = np.random.default_rng(seed)
     samples = [random_tensor(rng, extents) for _ in range(6)]
     config = PipelineConfig(method="pgm", energy_mu=mu)
@@ -528,8 +529,8 @@ def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
     )
     for t, ref in zip(samples, model.references):
         for p, mode in enumerate(model.modes):
-            want = leading(unfold(t, mode), model.dims[p])
-            assert np.array_equal(ref.parts[p].basis, want)
+            want = leading_basis(*sample_spectrum(t, mode), model.dims[p])
+            assert ref.parts[p].basis.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -539,11 +540,11 @@ def test_fit_dims_and_bases_match_per_sample_extraction(seed, extents, mu):
     sizes=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     mode=st.integers(1, 3),
 )
-def test_fit_class_subspaces_from_stacked_factors_match_the_raw_stack(
+def test_fit_class_subspaces_from_summed_grams_match_the_raw_stack(
     seed, extents, sizes, mode
 ):
-    # fit stacks the members' L factors, not their unfoldings; the two stacks
-    # differ by an orthonormal block-diagonal, so their leading subspaces agree
+    # fit sums the members' Grams instead of stacking their unfoldings; the
+    # sum is the Gram of the stack, so their leading subspaces agree
     rng = np.random.default_rng(seed)
     labels = [j for j, size in enumerate(sizes) for _ in range(size)]
     samples = [random_tensor(rng, extents) for _ in labels]
@@ -557,27 +558,60 @@ def test_fit_class_subspaces_from_stacked_factors_match_the_raw_stack(
         assert np.max(np.abs(sub.basis @ sub.basis.T - want)) <= 1e-12
 
 
-def test_fit_mode_factors_each_unfolding_once(monkeypatch, rng):
-    # one QR per (wide) sample unfolding and one per class stack of factors;
-    # the square factors go straight to their SVD
+def test_fit_mode_takes_one_eigh_for_the_samples_and_one_for_the_classes(monkeypatch, rng):
+    # no unfolding is factored: one batched eigh of the sample Grams and one
+    # of the class sums
     samples = [random_tensor(rng, (4, 5, 6)) for _ in range(7)]
     labels = [0, 0, 0, 1, 1, 1, 1]
-    qr, calls = np.linalg.qr, []
-    monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
-    _fit_mode(samples, labels, (0, 1), 1, 2, 0.9)
-    assert len(calls) == len(samples) + 2
+    calls = []
+
+    def counted(name):
+        call = getattr(np.linalg, name)
+        return lambda a, *rest, **kw: calls.append((name, a.shape)) or call(a, *rest, **kw)
+
+    for name in ("qr", "svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    _fit_mode(samples, labels, (0, 1), 2, 2, 0.9)
+    assert calls == [("eigh", (7, 5, 5)), ("eigh", (2, 5, 5))]
+
+
+def test_fixed_dims_beyond_a_class_sums_gram_rank_raise(rng):
+    # every member's mode-1 unfolding has singular values (1, 0.8, 0.6, 2e-7)
+    # on one shared frame, so the 4th squared value is 4e-14 of the 1st: it
+    # clears a sample Gram's rank cut, (4 + 30) eps = 7.5e-15, but not that of
+    # a 20-member class sum, (4 + 600) eps = 1.3e-13. A fixed dimension of 4
+    # fails on the class basis, where a singular-value cut of 1e-10 kept it
+    frame = np.linalg.qr(rng.standard_normal((4, 4)))[0] * [1.0, 0.8, 0.6, 2e-7]
+    unfoldings = [frame @ np.linalg.qr(rng.standard_normal((30, 4)))[0].T for _ in range(40)]
+    samples = [fold(x, 1, (4, 5, 6)) for x in unfoldings]
+    labels = [0] * 20 + [1] * 20
+    s = np.linalg.svd(np.hstack(unfoldings[:20]), compute_uv=False)
+    assert 1e-10 * s[0] < s[3] < 1e-6 * s[0]
+    assert _fit_mode(samples, labels, (0, 1), 1, 3, 0.9)[2].shape == (2, 4, 3)
+    with pytest.raises(DegeneracyError, match="requested 4 basis vectors but the numerical rank is 3"):
+        fit(samples, labels, PipelineConfig(method="pgm", per_mode_dims=(4, 2, 2)))
+    assert _fit_mode(samples[:1] + samples[20:21], [0, 1], (0, 1), 1, 4, 0.9)[0] == 4
 
 
 def per_sample_fit_mode(samples, labels, class_ids, mode, dim, mu):
-    """`_fit_mode` as one SVD, one energy dimension and one basis per sample:
-    the loop that the batched version replaced."""
-    factors = [left_factor(unfold(s, mode)) for s in samples]
-    svds = [left_singular(f) for f in factors]
+    """`_fit_mode` as one Gram, eigh, energy dimension and basis per sample,
+    and per class one sum of its members' Grams, each scaled to the class's
+    largest exponent in sample order, and one eigh: the loop that the batched
+    version replaced."""
+    grams = [unfolding_gram(s, mode) for s in samples]
+    cols = samples[0].size // samples[0].dims[mode - 1]
+    spectra = [gram_spectrum(gram, cols) for gram, _ in grams]
     if dim is None:
-        dim = int(round(float(np.median([select_dim(lam, mu) for _, lam in svds]))))
-    stack = np.stack([leading_basis(u, lam, dim) for u, lam in svds])
-    groups = [[f for f, label in zip(factors, labels) if label == cid] for cid in class_ids]
-    classes = [leading_basis(*left_singular(np.hstack(g)), dim) for g in groups]
+        dim = int(round(float(np.median([select_dim(lam, mu) for _, lam in spectra]))))
+    stack = np.stack([leading_basis(u, lam, dim) for u, lam in spectra])
+    classes = []
+    for cid in class_ids:
+        group = [g for g, label in zip(grams, labels) if label == cid]
+        top = max(e for _, e in group)
+        total = np.ldexp(group[0][0], group[0][1] - top)
+        for gram, e in group[1:]:
+            total = total + np.ldexp(gram, e - top)
+        classes.append(leading_basis(*gram_spectrum(total, len(group) * cols), dim))
     return dim, stack, np.stack(classes)
 
 
@@ -1006,6 +1040,82 @@ def test_fit_ignores_the_training_order_and_a_rotation_of_mode_1(seed, noise):
         assert other_decisions == decisions
         assert np.max(np.abs(other_weights - weights)) <= 1e-10
         assert abs(other_margin - margin) <= 1e-10
+
+
+def scaled_split(seed, factor):
+    """4 classes x 20 samples at 8 x 9 x 10, noise 0.6, every tensor passed
+    through `factor`: the train and test tensors and labels."""
+    spec = SynthSpec(4, 20, (8, 9, 10), shared_dim=1, class_dim=2, within_noise=0.6, seed=seed)
+    samples, manifest = generate_synthetic(spec)
+    split = {"train": ([], []), "test": ([], [])}
+    for sample, entry in zip(samples, manifest.entries):
+        split[entry.split][0].append(DenseTensor(factor(sample.data)))
+        split[entry.split][1].append(entry.label)
+    return split["train"], split["test"]
+
+
+def fit_and_evaluate(method, seed, factor):
+    """The fitted model, or the error text of a failed fit, and its test
+    metrics on the split of `scaled_split`."""
+    (tr_s, tr_l), (te_s, te_l) = scaled_split(seed, factor)
+    try:
+        model = fit(tr_s, tr_l, PipelineConfig(method=method))
+    except DegeneracyError as exc:
+        return str(exc), None
+    return model, evaluate(model, te_s, te_l)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    method=st.sampled_from(["pgm", "nmode-wgds"]),
+    seed=st.integers(0, 2**31 - 1),
+    k=st.sampled_from([40, -40, 300, -300, 700, -700]),
+)
+def test_fit_and_evaluate_are_exact_under_a_power_of_two_scale(method, seed, k):
+    # every spectrum is scaled by powers of two only, so 2^k times every
+    # tensor gives the same model bytes and the same evaluation, bit for bit,
+    # also where the unscaled Grams would overflow or underflow (|k| = 700)
+    base, base_eval = fit_and_evaluate(method, seed, lambda x: x)
+    model, metrics = fit_and_evaluate(method, seed, lambda x: np.ldexp(x, k))
+    if isinstance(base, str):
+        assert model == base
+        return
+    assert model_to_bytes(model) == model_to_bytes(base)
+    assert metrics.accuracy == base_eval.accuracy
+    assert metrics.mean_margin == base_eval.mean_margin
+    assert metrics.confusion.tobytes() == base_eval.confusion.tobytes()
+
+
+@settings(max_examples=12, deadline=None)
+@given(method=st.sampled_from(["pgm", "nmode-wgds"]), p=st.sampled_from([150, 160, 200]))
+def test_fit_and_evaluate_ignore_a_decimal_scale_of_the_data(method, p):
+    # 10^p and 10^-p are not powers of two, so the spectra move by rounding:
+    # the dims, bands and accuracy stay, and the weights and mean margin
+    # agree within 6e-16 on this set (seed 3)
+    base, base_eval = fit_and_evaluate(method, 3, lambda x: x)
+    for factor in (10.0**p, 10.0**-p):
+        model, metrics = fit_and_evaluate(method, 3, lambda x: x * factor)
+        assert model.dims == base.dims
+        assert [(g.alpha, g.beta) for g in model.gds or ()] == [
+            (g.alpha, g.beta) for g in base.gds or ()
+        ]
+        assert metrics.accuracy == base_eval.accuracy
+        assert np.max(np.abs(model.weights.weights - base.weights.weights)) <= 1e-14
+        assert abs(metrics.mean_margin - base_eval.mean_margin) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_and_classify_raise_on_a_non_finite_entry(bad):
+    # the file reader refuses such tensors; through the API a NaN or infinite
+    # entry reaches the spectrum and raises LinAlgError there
+    (tr_s, tr_l), _ = scaled_split(3, lambda x: x)
+    data = tr_s[0].data.copy()
+    data[1, 2, 3] = bad
+    with pytest.raises(np.linalg.LinAlgError):
+        fit([DenseTensor(data)] + tr_s[1:], tr_l, PipelineConfig(method="pgm"))
+    model = fit(tr_s, tr_l, PipelineConfig(method="nmode-wgds"))
+    with pytest.raises(np.linalg.LinAlgError):
+        classify(model, DenseTensor(data))
 
 
 def test_class_karcher_classifier_runs():

@@ -15,10 +15,8 @@ from tensorgds import (
 from tensorgds.subspace import (
     canonical_correlations,
     cross_svd,
+    gram_spectrum,
     leading_basis,
-    left_factor,
-    left_singular,
-    lq_factor,
 )
 from conftest import random_orthonormal, random_subspace
 
@@ -41,13 +39,18 @@ def test_subspace_invariants():
     assert s.ambient_dim == 4 and s.dim == 2
 
 
+def spectrum_of(mat):
+    """`gram_spectrum` of the Gram of one matrix or a stack of them."""
+    return gram_spectrum(mat @ np.swapaxes(mat, -1, -2), mat.shape[-1])
+
+
 def test_leading_basis_keeps_the_dominant_direction():
     mat = np.column_stack([3.0 * np.eye(4)[:, 0], 1.0 * np.eye(4)[:, 1]])
-    u, lam = left_singular(mat)
+    u, lam = spectrum_of(mat)
     assert select_dim(lam, 0.90) == 1
     assert np.allclose(np.abs(leading_basis(u, lam, 1).ravel()), np.eye(4)[:, 0])
     # the identity spreads its energy evenly, so 90 % of it takes every direction
-    u, lam = left_singular(np.eye(4))
+    u, lam = spectrum_of(np.eye(4))
     assert leading_basis(u, lam, select_dim(lam, 0.90)).shape == (4, 4)
 
 
@@ -61,22 +64,35 @@ EPS = np.finfo(float).eps
     cols=st.integers(1, 40),
     scale=st.sampled_from([1e-8, 1.0, 1e8]),
 )
-def test_left_singular_matches_the_direct_svd(seed, rows, cols, scale):
-    # the R-factor route against np.linalg.svd on wide, tall and square
-    # matrices: the same singular values and, wherever the spectrum has a
-    # gap, the same leading subspaces
+def test_gram_spectrum_matches_the_direct_svd(seed, rows, cols, scale):
+    # the Gram route against np.linalg.svd of the matrix on wide, tall and
+    # square matrices: the squared singular values, relative to the largest,
+    # within twice the rank rule's (rows + cols) * eps, and, wherever the
+    # spectrum has a gap, the same leading subspaces within 8 (rows + cols) *
+    # eps * lambda_1 / gap; 70,000 draws read at most 1.4 and 4.8 of the unit
     mat = scale * np.random.default_rng(seed).standard_normal((rows, cols))
-    u, lam = left_singular(mat)
-    w, s, _ = np.linalg.svd(mat, full_matrices=False)
-    assert u.shape == w.shape and lam.shape == s.shape
-    assert np.max(np.abs(np.sqrt(lam) - s)) <= 64 * EPS * s[0]
-    assert np.allclose(u.T @ u, np.eye(u.shape[1]), rtol=0.0, atol=1e-13)
-    assert np.array_equal(lq_factor(mat), np.tril(lq_factor(mat)))
-    for k in range(1, s.size):
-        gap = s[k - 1] - s[k]
-        if gap > 1e-6 * s[0]:
+    u, lam = spectrum_of(mat)
+    w, s, _ = np.linalg.svd(mat, full_matrices=True)
+    rel = np.zeros(rows)
+    rel[: s.size] = (s / s[0]) ** 2
+    assert u.shape == (rows, rows) and lam.shape == (rows,)
+    assert np.max(np.abs(lam / lam[0] - rel)) <= 2 * (rows + cols) * EPS
+    assert np.allclose(u.T @ u, np.eye(rows), rtol=0.0, atol=1e-13)
+    for k in range(1, rows):
+        gap = rel[k - 1] - rel[k]
+        if gap > 1e-6:
             diff = u[:, :k] @ u[:, :k].T - w[:, :k] @ w[:, :k].T
-            assert np.linalg.norm(diff, 2) <= 256 * EPS * s[0] / gap
+            assert np.linalg.norm(diff, 2) <= 8 * (rows + cols) * EPS / gap
+
+
+def product_of_rank(rng, rows, cols, rank, scale):
+    """A rows x cols product of exact rank `rank` whose nonzero singular
+    values lie in [1e-3, 1] times `scale`, so the kept Gram values clear the
+    rank rule by six orders whatever the draw."""
+    left = np.linalg.qr(rng.standard_normal((rows, rank)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, rank)))[0]
+    values = np.sort(10.0 ** rng.uniform(-3.0, 0.0, size=rank))[::-1]
+    return scale * (left * values) @ right.T
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,13 +103,28 @@ def test_left_singular_matches_the_direct_svd(seed, rows, cols, scale):
     rank=st.integers(1, 9),
     scale=st.sampled_from([1e-8, 1.0, 1e8]),
 )
-def test_left_singular_counts_the_rank_of_a_product(seed, rows, cols, rank, scale):
+def test_gram_spectrum_counts_the_rank_of_a_product(seed, rows, cols, rank, scale):
     rng = np.random.default_rng(seed)
     rank = min(rank, rows, cols)
-    mat = scale * rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
-    _, lam = left_singular(mat)
+    _, lam = spectrum_of(product_of_rank(rng, rows, cols, rank, scale))
     assert np.count_nonzero(lam) == rank
     assert np.all(lam[:rank] > 0.0)
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 4096), (8, 64), (32, 1024)])
+@pytest.mark.parametrize("seed", range(4))
+def test_gram_spectrum_reads_the_rank_of_long_products(rows, cols, seed):
+    # the null eigenvalues of a long product's Gram come out near eps *
+    # lambda_1, some above rows * eps * lambda_1; (rows + cols) * eps *
+    # lambda_1 zeroes them, and a rank-deficient sum of Grams too
+    rng = np.random.default_rng(seed)
+    for rank in (1, rows // 2, rows - 1):
+        mat = product_of_rank(rng, rows, cols, rank, 1.0)
+        _, lam = spectrum_of(mat)
+        assert np.count_nonzero(lam) == rank, rank
+        halves = mat[:, : cols // 2], mat[:, cols // 2 :]
+        total = sum(h @ h.T for h in halves)
+        assert np.count_nonzero(gram_spectrum(total, cols)[1]) == rank, rank
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,20 +136,18 @@ def test_left_singular_counts_the_rank_of_a_product(seed, rows, cols, rank, scal
     mu=st.floats(0.05, 1.0),
 )
 def test_stacked_helpers_match_the_per_matrix_calls_bitwise(seed, count, rows, cols, mu):
-    # wide, square and tall stacks whose members differ in scale and rank:
+    # stacks of Grams whose members differ in scale, rank and column count:
     # each batched result is the member's own, bit for bit
     rng = np.random.default_rng(seed)
-    ranks = rng.integers(1, min(rows, cols) + 1, size=count)
+    widths = rng.integers(1, cols + 1, size=count)
+    ranks = [int(rng.integers(1, min(rows, c) + 1)) for c in widths]
     scales = 10.0 ** rng.integers(-8, 9, size=count)
-    stack = np.stack([
-        s * rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
-        for r, s in zip(ranks, scales)
-    ])
-    u, lam = left_singular(stack)
+    mats = [product_of_rank(rng, rows, c, r, s) for c, r, s in zip(widths, ranks, scales)]
+    stack = np.stack([m @ m.T for m in mats])
+    u, lam = gram_spectrum(stack, widths)
     dims = select_dim(lam, mu)
-    solo = [left_singular(m) for m in stack]
+    solo = [gram_spectrum(g, c) for g, c in zip(stack, widths)]
     for i, (ui, lami) in enumerate(solo):
-        assert left_factor(stack)[i].tobytes() == left_factor(stack[i]).tobytes()
         assert u[i].tobytes() == ui.tobytes() and lam[i].tobytes() == lami.tobytes()
         assert dims[i] == select_dim(lami, mu)
     top = int(np.count_nonzero(lam, axis=-1).min())
@@ -133,21 +162,35 @@ def test_stacked_helpers_match_the_per_matrix_calls_bitwise(seed, count, rows, c
             leading_basis(u, lam, top + 1)
 
 
+@pytest.mark.parametrize("exponent", [-1000, -300, -40, 40, 300, 1000])
+def test_gram_spectrum_is_exact_under_a_power_of_two(exponent, rng):
+    # each Gram is scaled by the power of two of its trace before `eigh`, so
+    # a power of two of the Gram, which is exact while every entry stays
+    # normal, leaves every bit of the spectrum unchanged
+    stack = np.stack([m @ m.T for m in rng.standard_normal((3, 5, 7))])
+    scaled = np.ldexp(stack, exponent)
+    assert np.isfinite(scaled).all() and np.min(np.abs(scaled)) >= np.finfo(float).tiny
+    for a, b in zip(gram_spectrum(stack, 7), gram_spectrum(scaled, 7)):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (4, 4)])
-def test_left_singular_rejects_zero_and_empty_matrices(shape):
-    with pytest.raises(DegeneracyError):
-        left_singular(np.zeros(shape))
-    with pytest.raises(DimensionError):
-        left_singular(np.zeros((shape[0], 0)))
-    with pytest.raises(DimensionError):
-        left_singular(np.zeros(shape[0]))
+def test_gram_spectrum_rejects_zero_and_non_finite_grams(shape):
+    rows, cols = shape
+    with pytest.raises(DegeneracyError, match="all-zero"):
+        gram_spectrum(np.zeros((rows, rows)), cols)
     # one all-zero member makes the whole stack degenerate
     with pytest.raises(DegeneracyError):
-        left_singular(np.stack([np.eye(*shape), np.zeros(shape)]))
+        gram_spectrum(np.stack([np.eye(rows), np.zeros((rows, rows))]), cols)
+    for bad in (np.nan, np.inf, -np.inf):
+        gram = np.eye(rows)
+        gram[-1, -1] = bad
+        with pytest.raises(np.linalg.LinAlgError):
+            gram_spectrum(gram, cols)
     # a rank-one matrix has no second basis vector, whatever its shape
-    rank1 = np.outer(np.arange(1.0, shape[0] + 1), np.arange(1.0, shape[1] + 1))
+    rank1 = np.outer(np.arange(1.0, rows + 1), np.arange(1.0, cols + 1))
     with pytest.raises(DegeneracyError, match="numerical rank is 1"):
-        leading_basis(*left_singular(rank1), 2)
+        leading_basis(*spectrum_of(rank1), 2)
 
 
 @pytest.mark.parametrize(

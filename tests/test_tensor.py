@@ -11,6 +11,7 @@ from tensorgds import (
     mode_multiply,
     unfold,
 )
+from tensorgds.tensor import unfolding_gram
 from conftest import random_tensor
 
 dims_strategy = st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4)
@@ -62,6 +63,45 @@ def test_unfold_mode_out_of_range(rng):
     for mode in (0, 3, -1):
         with pytest.raises(DimensionError):
             unfold(t, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=dims_strategy, seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_unfolding_gram_is_the_gram_of_the_unfolding(dims, seed, data):
+    # extents of 1 before, at and after the mode included
+    mode = data.draw(st.integers(1, len(dims)))
+    t = DenseTensor(np.random.default_rng(seed).standard_normal(dims))
+    gram, exponent = unfolding_gram(t, mode)
+    x = unfold(t, mode)
+    want = x @ x.T
+    assert gram.shape == want.shape and exponent == 0
+    err = np.max(np.abs(np.ldexp(gram, exponent) - want))
+    assert err <= 2 * x.shape[1] * np.finfo(float).eps * np.trace(want)
+
+
+@pytest.mark.parametrize("k", [-900, -700, -300, -40, 40, 300, 700, 900])
+def test_unfolding_gram_is_exact_under_a_power_of_two(rng, k):
+    # beyond about 2^+-450 the unscaled Gram would overflow or underflow, and
+    # the data is scaled first; either way 2^k times the data moves the Gram
+    # by a power of two only
+    t = random_tensor(rng, (3, 4, 5))
+    scaled = DenseTensor(np.ldexp(t.data, k))
+    assert np.min(np.abs(scaled.data)) >= np.finfo(float).tiny
+    for mode in (1, 2, 3):
+        gram, exponent = unfolding_gram(t, mode)
+        got, got_exponent = unfolding_gram(scaled, mode)
+        assert exponent == 0 and (got_exponent == 0) == (abs(k) < 450)
+        assert np.ldexp(got, got_exponent - 2 * k).tobytes() == gram.tobytes()
+
+
+def test_unfolding_gram_of_zero_and_non_finite_tensors():
+    gram, exponent = unfolding_gram(DenseTensor(np.zeros((2, 3, 4))), 2)
+    assert not gram.any() and exponent == 0
+    for bad in (np.nan, np.inf):
+        data = np.ones((2, 3, 4))
+        data[1, 1, 1] = bad
+        for mode in (1, 2, 3):
+            assert not np.isfinite(unfolding_gram(DenseTensor(data), mode)[0]).all()
 
 
 def test_fold_of_hand_enumerated_matrix():
