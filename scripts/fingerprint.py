@@ -23,13 +23,12 @@ work of the run, `karcher_calls` (calls of `fisher.karcher_means`),
 one per block of sets where a pass takes its log maps in blocks of
 `fisher.LOG_MAP_BLOCK` entries) and
 `karcher_set_iterations` (the sets those calls stepped, summed). `--compare`
-reads two such files, taking a configuration in `RENAMED` under its new
-name, and prints, per configuration, whether the discrete outputs match
-(error, bands, dims, both models' decisions, the search trace's bands and
-the warning count), the warning count and Karcher work of both runs, and
-the largest absolute deviation of each other array, then one `largest:`
-line per such array with its largest deviation over all configurations and
-the configuration where it occurs.
+reads two such files and prints, per configuration, whether the discrete
+outputs match (error, bands, dims, both models' decisions, the search
+trace's bands and the warning count), the warning count and Karcher work
+of both runs, and the largest absolute deviation of each other array, then
+one `largest:` line per such array with its largest deviation over all
+configurations and the configuration where it occurs.
 `--compare` exits 1 when any discrete output differs.
 
 Usage, from the root of a source checkout (under a minute per run):
@@ -89,16 +88,6 @@ CONFIGS = {
     "nmode-wgds-angles1-full": PipelineConfig(
         method="nmode-wgds", angle_counts=(1, 1, 1), full_spectrum=True
     ),
-}
-# Configurations renamed since older dumps were written, old name -> new;
-# `--compare` reads a dump's runs under their new names.
-RENAMED = {
-    "nmode-wgds-angles1-full-seed5": "nmode-wgds-angles1-full",
-    # runs of the retired values `msm`, `gds` and `exhaustive`, which fitted
-    # these models (bytes apart from that setting)
-    "msm-mode1": "pgm-mode1",
-    "gds-mode2": "nmode-gds-mode2",
-    "nmode-wgds-exhaustive": "nmode-wgds-alpha3",
 }
 
 
@@ -240,8 +229,6 @@ def _grouped(npz) -> dict:
     runs = {}
     for key in npz.files:
         name, output = key.rsplit("|", 1)
-        set_name, _, config = name.rpartition("/")
-        name = f"{set_name}/{RENAMED.get(config, config)}"
         runs.setdefault(name, {})[output] = npz[key]
     return runs
 

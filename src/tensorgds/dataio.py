@@ -433,7 +433,7 @@ def _model_conf(model: TrainedModel) -> dict[str, str]:
     conf.update(
         format_version=str(MODEL_VERSION),
         mode_ambients=_fmt_tuple(model.mode_ambients),
-        data_dims="none" if model.data_dims is None else _fmt_tuple(model.data_dims),
+        data_dims=_fmt_tuple(model.data_dims),
         class_ids=_fmt_tuple(model.class_ids),
         labels=_fmt_tuple(r.label for r in model.references),
         n_refs=str(len(model.references)),
@@ -570,18 +570,19 @@ def _bands_from_conf(conf: NamedValues, matrices: NamedValues, modes) -> tuple[G
     return tuple(gds)
 
 
-def _check_mode_shapes(
-    conf, matrices, modes, dims, mode_ambients, data_dims, gds, parts
-) -> None:
+def _check_mode_shapes(conf, matrices, modes, dims, data_dims, gds, parts) -> None:
     """Each mode's entries against what is stored: a band as wide as the
-    rows of the references projected onto it; an ambient equal to the rows
-    of the mode's spectrum, or of its references without bands; references
-    of one width (one that differs from most is named), at most `dims`, and
-    exactly that when no band can have narrowed them. `data_dims`, when
-    recorded, gives each mode its ambient."""
-    for key, values in (("dims", dims), ("mode_ambients", mode_ambients)):
-        if values is None or len(values) != len(modes):
-            raise conf.bad(key, f"need one entry for each of the {len(modes)} modes")
+    rows of the references projected onto it; an extent in `data_dims` equal
+    to the rows of the mode's spectrum, or of its references without bands;
+    references of one width (one that differs from most is named), at most
+    `dims`, and exactly that when no band can have narrowed them. The
+    extents must be a tensor's, or no query could match them."""
+    if dims is None or len(dims) != len(modes):
+        raise conf.bad("dims", f"need one entry for each of the {len(modes)} modes")
+    if not 2 <= len(data_dims) <= MAX_ORDER or min(data_dims) < 1:
+        raise conf.bad("data_dims", f"a tensor has 2..{MAX_ORDER} extents, each at least 1")
+    if len(data_dims) < modes[-1]:
+        raise conf.bad("data_dims", f"{len(data_dims)} extents for mode {modes[-1]}")
     for p, mode in enumerate(modes):
         shapes = {ref[p].basis.shape for ref in parts}
         rows, widths = {r for r, _ in shapes}, {w for _, w in shapes}
@@ -592,10 +593,10 @@ def _check_mode_shapes(
                 f"is {band.basis.shape[1]} wide but the references are {rows.pop()} wide"
             )
         ambients = {band.ambient_dim} if band else rows
-        if ambients - {mode_ambients[p]}:
+        if ambients - {data_dims[mode - 1]}:
             stored = "spectrum" if band else "references"
             reason = f"mode {mode}: {ambients.pop()} rows in the stored {stored}"
-            raise conf.bad("mode_ambients", reason)
+            raise conf.bad("data_dims", reason)
         if len(widths) > 1:
             common = Counter(ref[p].dim for ref in parts).most_common(1)[0][0]
             i = next(i for i, ref in enumerate(parts) if ref[p].dim != common)
@@ -603,10 +604,6 @@ def _check_mode_shapes(
             raise matrices.bad(f"ref{i}_m{mode}", reason)
         if any(w > dims[p] for w in widths) or (band is None and widths - {dims[p]}):
             raise conf.bad("dims", f"mode {mode}: the references are {max(widths)} wide")
-        if data_dims is not None and len(data_dims) < mode:
-            raise conf.bad("data_dims", f"{len(data_dims)} extents for mode {mode}")
-        if data_dims is not None and data_dims[mode - 1] != mode_ambients[p]:
-            raise conf.bad("data_dims", f"mode {mode}: mode_ambients gives {mode_ambients[p]}")
 
 
 def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
@@ -631,9 +628,8 @@ def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
     parts = [tuple(matrices.parse(f"ref{i}_m{m}", Subspace) for m in modes) for i in range(n_refs)]
     if len(labels) != n_refs:
         raise conf.bad("labels", f"{len(labels)} labels for n_refs={n_refs}")
-    mode_ambients = conf.parse("mode_ambients", int, many=True)
-    data_dims = None if conf["data_dims"] == "none" else conf.parse("data_dims", int, many=True)
-    _check_mode_shapes(conf, matrices, modes, dims, mode_ambients, data_dims, gds, parts)
+    data_dims = conf.parse("data_dims", int, many=True)
+    _check_mode_shapes(conf, matrices, modes, dims, data_dims, gds, parts)
     widths = [b.dim for b in parts[0]]  # a model has references of 2 classes at least
     try:
         check_angle_counts(config.angle_counts, modes, widths)
@@ -649,8 +645,7 @@ def _build_model(conf: NamedValues, matrices: NamedValues) -> TrainedModel:
     if gds is not None:
         projected = _per_mode(conf, "angle_diag_projected", modes, "angles")
     return TrainedModel(
-        config=config, modes=modes, dims=dims, mode_ambients=mode_ambients, data_dims=data_dims,
-        class_ids=tuple(sorted(set(labels))), gds=gds, weights=weights,
+        config=config, data_dims=data_dims, gds=gds, weights=weights,
         references=tuple(ProductPoint(ref, label=label) for ref, label in zip(parts, labels)),
         fisher_raw=_fisher_from_conf("fisher_raw", conf, modes), fisher=fisher,
         angle_diag=tuple(zip(raw, projected)),

@@ -174,14 +174,12 @@ SETTINGS = (
 
 @dataclass
 class TrainedModel:
-    """Everything classification needs, plus training diagnostics."""
+    """Everything classification needs, plus training diagnostics. It holds
+    what `fit` chose and derives the rest: `modes` and `dims` from `config`,
+    `mode_ambients` from `data_dims`, `class_ids` from the reference labels."""
 
     config: PipelineConfig
-    modes: tuple[int, ...]
-    dims: tuple[int, ...]
-    mode_ambients: tuple[int, ...]
-    data_dims: tuple[int, ...] | None
-    class_ids: tuple[int, ...]
+    data_dims: tuple[int, ...]
     gds: tuple[GdsBasis, ...] | None
     weights: WeightVector
     references: tuple[ProductPoint, ...]
@@ -190,9 +188,10 @@ class TrainedModel:
     angle_diag: tuple[tuple[float, float | None], ...]
     search_trace: tuple = ()
     # derived from `references` once per model: per mode the (R, d, k)
-    # stack of their bases, and their labels in the same order
+    # stack of their bases, their labels in the same order, and the classes
     reference_stacks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     reference_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    class_ids: tuple[int, ...] = field(init=False, compare=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -201,6 +200,19 @@ class TrainedModel:
             raise DimensionError(f"references of {len(groups)} part shapes do not stack")
         self.reference_stacks = groups[0][1] if groups else ()
         self.reference_labels = np.array([r.label for r in self.references], dtype=np.int64)
+        self.class_ids = tuple(sorted({r.label for r in self.references}))
+
+    @property
+    def modes(self) -> tuple[int, ...]:
+        return self.config.modes_used
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.config.per_mode_dims
+
+    @property
+    def mode_ambients(self) -> tuple[int, ...]:
+        return tuple(self.data_dims[m - 1] for m in self.modes)
 
 
 @dataclass(frozen=True)
@@ -478,11 +490,7 @@ def fit(
     resolved = dataclasses.replace(config, modes_used=modes, per_mode_dims=dims)
     return TrainedModel(
         config=resolved,
-        modes=modes,
-        dims=dims,
-        mode_ambients=tuple(data_dims[m - 1] for m in modes),
         data_dims=data_dims,
-        class_ids=class_ids,
         gds=bases,
         weights=method_weights(config, fisher_final),
         references=references,
@@ -504,18 +512,14 @@ def method_weights(config: PipelineConfig, fisher: NModeFisher) -> WeightVector:
 def _query_bases(model: TrainedModel, samples: Sequence[DenseTensor]) -> list[tuple]:
     """Each sample's tuple of per-mode bases: per mode one `_mode_bases` at
     the model's dimension, then one `project_onto_gds` when the model has
-    bands (it can narrow a basis). The samples share one dims, the model's;
-    the ambient check serves models saved without them."""
-    dims = model.data_dims or samples[0].dims
-    bad = [s.dims for s in samples if s.dims != dims]
+    bands (it can narrow a basis). Every sample must have the model's
+    `data_dims`, which also fixes each mode's ambient dimension."""
+    bad = [s.dims for s in samples if s.dims != model.data_dims]
     if bad:
-        raise DimensionError(f"tensor dims {bad[0]} do not match {dims}")
-    extents = dict(enumerate(dims, start=1))
+        raise DimensionError(f"tensor dims {bad[0]} do not match {model.data_dims}")
     per_mode = []
     bands = model.gds or [None] * len(model.modes)
-    for mode, dim, want, gds in zip(model.modes, model.dims, model.mode_ambients, bands):
-        if extents.get(mode) != want:
-            raise DimensionError(f"mode {mode}: ambient {extents.get(mode)} is not {want}")
+    for mode, dim, gds in zip(model.modes, model.dims, bands):
         stack = _mode_bases(samples, mode, dim, model.config.energy_mu)[1]
         per_mode.append(stack if gds is None else project_onto_gds(gds, stack))
     return list(zip(*per_mode))
@@ -583,22 +587,22 @@ def _class_mean_stacks(model: TrainedModel) -> tuple[np.ndarray, ...]:
 def _class_scores(model: TrainedModel, stacks: Sequence[np.ndarray]) -> np.ndarray:
     """The (Q, C) per-class distances of the queries in per-mode (Q, d, k)
     stacks of one part shape, in class-id order: to the nearest reference of
-    each class (nn; inf for a class without references) or to each class
-    mean point (class-karcher). The queries broadcast against the model's
-    per-mode stacks, one SVD per mode."""
+    each class (nn; every class has one) or to each class mean point
+    (class-karcher). The queries broadcast against the model's per-mode
+    stacks, one SVD per mode."""
     queries = [s[:, None] for s in stacks]
     if model.config.classifier == "nn":
         dists = _distances(model, queries, model.reference_stacks)
         owned = model.reference_labels == np.array(model.class_ids)[:, None]
-        return np.where(owned, dists[:, None], np.inf).min(axis=-1, initial=np.inf)
+        return np.where(owned, dists[:, None], np.inf).min(axis=-1)
     return _distances(model, queries, _class_mean_stacks(model))
 
 
 def classify(model: TrainedModel, sample) -> tuple[int, np.ndarray]:
     """Label a sample: nearest reference (nn) or nearest class mean point
     (class-karcher). Returns the winning class id and the per-class minimum
-    distances, ordered by class id (inf for a class without references); ties
-    go to the smallest class id."""
+    distances, ordered by class id, the sorted labels of the model's
+    references; ties go to the smallest class id."""
     ((_, stacks),) = group_by_shape(_query_bases(model, [sample]))
     scores = _class_scores(model, stacks)[0]
     return model.class_ids[int(np.argmin(scores))], scores

@@ -410,13 +410,19 @@ def seed7_model_bytes(method):
         # narrower, in a model without a band that could have narrowed it
         ("pgm", "dims", "3,2,3", "mode 3: the references are 2 wide"),
         ("nmode-wgds", "dims", "3,2", "need one entry for each of the 3 modes"),
-        ("nmode-wgds", "mode_ambients", "13,12,12", "mode 1: 12 rows in the stored spectrum"),
-        ("pgm", "mode_ambients", "12,12,11", "mode 3: 12 rows in the stored references"),
-        ("pgm", "mode_ambients", "12,12", "need one entry for each of the 3 modes"),
         ("nmode-wgds", "modes", "none", "a model names the modes it uses"),
-        # the tensor extents must agree with the per-mode ambients
-        ("nmode-wgds", "data_dims", "13,12,12", "mode 1: mode_ambients gives 12"),
+        # each mode's extent must be the rows of its stored spectrum, or of
+        # its references without bands; every model records its extents
+        ("nmode-wgds", "data_dims", "13,12,12", "mode 1: 12 rows in the stored spectrum"),
+        ("pgm", "data_dims", "12,12,11", "mode 3: 12 rows in the stored references"),
         ("pgm", "data_dims", "12,12", "2 extents for mode 3"),
+        ("pgm", "data_dims", "12,12,12,0", "a tensor has 2..8 extents, each at least 1"),
+        ("pgm", "data_dims", "12,12,12,1,1,1,1,1,1", "a tensor has 2..8 extents, each at least 1"),
+        ("nmode-wgds", "data_dims", "none", "invalid literal for int() with base 10: 'none'"),
+        # the per-mode ambients are derived from the extents
+        ("nmode-wgds", "mode_ambients", "13,12,12", "need '12,12,12'"),
+        ("pgm", "mode_ambients", "12,12,11", "need '12,12,12'"),
+        ("pgm", "mode_ambients", "12,12", "need '12,12,12'"),
         # one finite, non-negative spread per model mode; the mode ids and
         # flags are derived from them
         ("nmode-wgds", "fisher_modes", "1,2", "need '1,2,3'"),
@@ -770,10 +776,9 @@ def test_model_of_fewer_than_2_classes_is_refused(kept):
     # `fit` writes no such model; one class would win every query
     model = model_from_bytes(seed7_model_bytes("nmode-wgds"))
     few = dataclasses.replace(
-        model,
-        class_ids=kept,
-        references=tuple(r for r in model.references if r.label in kept),
+        model, references=tuple(r for r in model.references if r.label in kept)
     )
+    assert few.class_ids == kept
     with pytest.raises(FormatError, match=f"CONF key 'labels': .*got {len(kept)}"):
         model_from_bytes(model_to_bytes(few))
 
@@ -819,8 +824,6 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
         # the beta search's narrowed bands are stored in `alphas` and `betas`,
         # and its key in the writer's (sorted) place is ignored
         (narrowed, insert_conf_line("gds_beta_search=true")),
-        # a model that did not record its data dims checks each mode's ambient
-        (model, set_conf_value("data_dims", "none")),
     )
     for fitted, edit in cases:
         edited = edit_model_conf(model_to_bytes(fitted), edit)
@@ -834,9 +837,8 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
             assert p1 == p2
             assert s1.tobytes() == s2.tobytes()
     assert b"gds_beta_search=true\n" in edit_model_conf(model_to_bytes(narrowed), cases[1][1])
-    # the last model has no data dims; the per-mode ambient check still holds
-    assert back.data_dims is None
-    with pytest.raises(DimensionError, match="mode 1: ambient 5"):
+    # the stored extents fix each mode's ambient dimension
+    with pytest.raises(DimensionError, match=r"tensor dims \(5, 12, 12\) do not match"):
         classify(back, random_tensor(np.random.default_rng(0), (5, 12, 12)))
 
 

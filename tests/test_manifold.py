@@ -190,15 +190,15 @@ def metric_model(n_modes, weights, angle_counts=None, full_spectrum=False):
     rule over `n_modes` modes of ambient 6, with no references."""
     report = nmode_fisher([FisherReport(mode=1, between=1.0, within=1.0, score=1.0)])
     config = PipelineConfig(
-        method="pgm", angle_counts=angle_counts, full_spectrum=full_spectrum
+        method="pgm",
+        modes_used=tuple(range(1, n_modes + 1)),
+        per_mode_dims=(2,) * n_modes,
+        angle_counts=angle_counts,
+        full_spectrum=full_spectrum,
     )
     return TrainedModel(
         config=config,
-        modes=tuple(range(1, n_modes + 1)),
-        dims=(2,) * n_modes,
-        mode_ambients=(6,) * n_modes,
-        data_dims=None,
-        class_ids=(0,),
+        data_dims=(6,) * n_modes,
         gds=None,
         weights=weights,
         references=(),

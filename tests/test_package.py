@@ -4,7 +4,7 @@ import types
 from pathlib import Path
 
 import tensorgds
-from tensorgds.pipeline import PipelineConfig
+from tensorgds.pipeline import PipelineConfig, TrainedModel
 
 # PipelineConfig fields that no code reads, each with the reason it stays.
 UNREAD_FIELDS = {
@@ -50,6 +50,24 @@ def test_every_config_field_is_read_outside_the_config_class():
                     read.add(node.attr)
     fields = {f.name for f in dataclasses.fields(PipelineConfig)}
     assert fields - read == UNREAD_FIELDS
+
+
+def test_a_model_takes_only_what_fit_chose():
+    # the modes, dims, per-mode ambients and class ids are derived from the
+    # config, the tensor extents and the reference labels, so no copy of
+    # them can disagree with its source
+    init = [f.name for f in dataclasses.fields(TrainedModel) if f.init]
+    assert init == [
+        "config",
+        "data_dims",
+        "gds",
+        "weights",
+        "references",
+        "fisher_raw",
+        "fisher",
+        "angle_diag",
+        "search_trace",
+    ]
 
 
 def calls_of(name: str):

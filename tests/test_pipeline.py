@@ -798,11 +798,7 @@ def test_classify_tie_breaks_to_smaller_class_id(monkeypatch):
     rep = nmode_fisher([FisherReport(mode=1, between=1.0, within=1.0, score=1.0)])
     model = TrainedModel(
         config=PipelineConfig(method="pgm", modes_used=(1,), per_mode_dims=(1,)),
-        modes=(1,),
-        dims=(1,),
-        mode_ambients=(4,),
-        data_dims=None,
-        class_ids=(0, 1),
+        data_dims=(4, 4),
         gds=None,
         weights=WeightVector(np.ones(1)),
         references=(
@@ -996,9 +992,11 @@ def test_fit_and_classify_deterministic():
 @given(seed=st.integers(0, 2**31 - 1), noise=st.sampled_from([0.3, 0.8]))
 def test_fit_ignores_the_training_order_and_a_rotation_of_mode_1(seed, noise):
     # an nmode-wgds model must not depend on the order of its training
-    # samples, nor on a change of basis in one mode's space: the bands and
-    # the test decisions are the same, and the weights and mean margin
-    # agree to rounding (within 1.5e-13 over 80 such fits)
+    # samples, on a change of basis in one mode's space, on the names of the
+    # classes, nor on the order of the tensor axes: the bands and dims, read
+    # in the original modes, and the test decisions, read in the original
+    # class ids, are the same, and the weights and mean margin agree to
+    # rounding (within 1.5e-13 over 80 fits of the first three runs)
     spec = SynthSpec(
         classes=3,
         samples_per_class=6,
@@ -1014,29 +1012,50 @@ def test_fit_ignores_the_training_order_and_a_rotation_of_mode_1(seed, noise):
         split[entry.split][0].append(sample)
         split[entry.split][1].append(entry.label)
     rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))[0]
+    renamed = {0: 7, 1: 3, 2: 40}  # non-contiguous ids in another order
+    axes = (2, 0, 1)  # axis i of a permuted tensor is axis axes[i] of the original
 
     def rotated(tensors):
         return [mode_multiply(t, rotation, 1) for t in tensors]
 
+    def permuted(tensors):
+        return [DenseTensor(np.transpose(t.data, axes)) for t in tensors]
+
     (tr_s, tr_l), (te_s, te_l) = split["train"], split["test"]
     config = PipelineConfig(method="nmode-wgds")
+    original = {cid: cid for cid in renamed}
+    back = {new: old for old, new in renamed.items()}
+    # per run: the model, its test set and labels, the original class id of
+    # each of its class ids, and per original mode the index of its mode
     runs = [
-        (fit(tr_s, tr_l, config), te_s),
-        (fit(tr_s[::-1], tr_l[::-1], config), te_s),
-        (fit(rotated(tr_s), tr_l, config), rotated(te_s)),
+        (fit(tr_s, tr_l, config), te_s, te_l, original, (0, 1, 2)),
+        (fit(tr_s[::-1], tr_l[::-1], config), te_s, te_l, original, (0, 1, 2)),
+        (fit(rotated(tr_s), tr_l, config), rotated(te_s), te_l, original, (0, 1, 2)),
+        (
+            fit(tr_s, [renamed[l] for l in tr_l], config),
+            te_s,
+            [renamed[l] for l in te_l],
+            back,
+            (0, 1, 2),
+        ),
+        (fit(permuted(tr_s), tr_l, config), permuted(te_s), te_l, original, np.argsort(axes)),
     ]
+    assert runs[3][0].class_ids == (3, 7, 40)
+    assert runs[4][0].data_dims == (8, 6, 7)
     outputs = [
         (
-            [(b.alpha, b.beta) for b in model.gds],
-            [classify(model, t)[0] for t in tests],
-            model.weights.weights,
-            evaluate(model, tests, te_l).mean_margin,
+            [(model.gds[i].alpha, model.gds[i].beta) for i in order],
+            [model.dims[i] for i in order],
+            [ids[classify(model, t)[0]] for t in tests],
+            model.weights.weights[list(order)],
+            evaluate(model, tests, labels).mean_margin,
         )
-        for model, tests in runs
+        for model, tests, labels, ids, order in runs
     ]
-    bands, decisions, weights, margin = outputs[0]
-    for other_bands, other_decisions, other_weights, other_margin in outputs[1:]:
+    bands, dims, decisions, weights, margin = outputs[0]
+    for other_bands, other_dims, other_decisions, other_weights, other_margin in outputs[1:]:
         assert other_bands == bands
+        assert other_dims == dims
         assert other_decisions == decisions
         assert np.max(np.abs(other_weights - weights)) <= 1e-10
         assert abs(other_margin - margin) <= 1e-10

@@ -1,10 +1,13 @@
 import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_run_benchmark_small_dataset(tmp_path):
@@ -109,20 +112,6 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
         "karcher warnings 0 -> 0, calls 0 -> 0, passes 0 -> ?, set-iterations 0 -> 0"
     )
 
-    # a dump that spells a renamed configuration by its old name pairs with
-    # one that spells the new name
-    with np.load(before) as npz:
-        run = {
-            key.split("|")[1]: npz[key]
-            for key in npz.files
-            if key.startswith("small/nmode-wgds|")
-        }
-    for path, name in ((tmp_path / "old.npz", "-seed5"), (tmp_path / "new.npz", "")):
-        np.savez(path, **{f"small/nmode-wgds-angles1-full{name}|{k}": v for k, v in run.items()})
-    assert main(["--compare", str(tmp_path / "old.npz"), str(tmp_path / "new.npz")]) == 0
-    line = capsys.readouterr().out.splitlines()[0]
-    assert line.startswith("small/nmode-wgds-angles1-full: discrete match;")
-
 
 def test_accuracy_grid_small_spec():
     script = runpy.run_path(str(SCRIPTS / "accuracy.py"))
@@ -161,3 +150,13 @@ def test_accuracy_grid_small_spec():
     gds = noise_free["nmode-gds"]
     assert gds["failures"] == 1 and gds["accuracies"] == [0.0]
     assert gds["errors"][0].startswith("seed 1: DegeneracyError: ")
+
+
+def test_benchmark_reference_checker_passes():
+    # the benchmark builds models with `TrainedModel`'s constructor and checks
+    # `transform` and `pairwise_distances` against its own reference; its
+    # self-test fails when a change breaks that contract
+    done = subprocess.run(
+        [sys.executable, "perfbench/check_reference.py"], cwd=ROOT, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
