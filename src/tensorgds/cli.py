@@ -175,10 +175,11 @@ def _build_pipeline_config(args) -> PipelineConfig:
     """PipelineConfig from the keys set in the config file and by flags, flags
     taking precedence; unset keys keep the PipelineConfig defaults.
 
-    Older config files and `run_config.txt` echoes may spell three retired
-    keys: `seed` is ignored, and `weights` and `beta-search` are accepted only
-    as what the fit does anyway (`weights` as `auto` or the weighting `method`
-    implies, `beta-search` as `false`), so a run never changes silently. A
+    Older config files and `run_config.txt` echoes may spell five retired
+    keys: `seed` is ignored, and the others are accepted only as what the fit
+    does anyway (`weights` as `auto` or the weighting `method` implies,
+    `beta-search` as `false`, `karcher-tol` and `karcher-max-iter` as the
+    fixed 1e-08 and 100), so a run never changes silently. A
     retired value such as `method=msm` reads as its new value (`pgm`; see
     `pipeline.RETIRED_VALUES`); flags take only the current values."""
     values: dict = {}
@@ -190,6 +191,11 @@ def _build_pipeline_config(args) -> PipelineConfig:
         beta_search = config.pop("beta-search", "false")
         if beta_search.lower() != "false":
             raise UsageError(f"beta-search={beta_search}: the beta search is retired")
+        for key in ("karcher-tol", "karcher-max-iter"):
+            kept = dataio.RETIRED_KEYS[key.replace("-", "_")]
+            if key in config and config.parse(key, type(kept)) != kept:
+                raise UsageError(f"{key}={config[key]}: the Karcher stopping rule is fixed")
+            config.pop(key, None)
         for key, text in config.items():
             if key not in _CONFIG_KEYS:
                 raise FormatError(f"unknown config key {key!r}")

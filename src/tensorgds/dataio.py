@@ -36,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError, FormatError
-from .fisher import FisherReport, NModeFisher, nmode_fisher, separability_ratio
+from .fisher import DEFAULT_KARCHER_MAX_ITER, DEFAULT_KARCHER_TOL, FisherReport, NModeFisher
+from .fisher import nmode_fisher, separability_ratio
 from .gds import GRAM_RANK_TOL, GdsBasis, full_band, gds_from_gram
 from .manifold import ProductPoint
 from .pipeline import SETTINGS, PipelineConfig, TrainedModel, check_angle_counts, method_weights
@@ -411,8 +412,10 @@ def generate_synthetic(
 # ---------------------------------------------------------------------------
 # model container
 
-# Keys of older files that nothing reads any more; the reader drops them.
-RETIRED_KEYS = frozenset({"seed", "projection_tol", "weights_scheme", "gds_beta_search"})
+# Keys of older files that nothing reads any more; the reader drops them. A key
+# with a value was a setting now fixed at it, and a file must state that value.
+RETIRED_KEYS = dict.fromkeys(("seed", "projection_tol", "weights_scheme", "gds_beta_search"))
+RETIRED_KEYS.update(karcher_tol=DEFAULT_KARCHER_TOL, karcher_max_iter=DEFAULT_KARCHER_MAX_ITER)
 # Settings by model key; the reader reads a retired value as its new value.
 _MODEL_KEYS = {s.model_key: s for s in SETTINGS}
 
@@ -500,8 +503,7 @@ def _read_sections(buf: bytes) -> tuple[NamedValues, NamedValues]:
                 for key, _, value in (line.partition("=") for line in lines):
                     if key in _MODEL_KEYS:
                         value = _MODEL_KEYS[key].current(value)
-                    if key not in RETIRED_KEYS:
-                        conf.add(key, value)
+                    conf.add(key, value)
             elif tag == b"MATX":
                 name_len = struct.unpack_from("<H", payload, 0)[0]
                 name = payload[2 : 2 + name_len].decode()
@@ -511,6 +513,10 @@ def _read_sections(buf: bytes) -> tuple[NamedValues, NamedValues]:
         except (UnicodeDecodeError, struct.error) as exc:
             raise FormatError(f"malformed section payload at offset {pos}: {exc}") from exc
         pos += length
+    for key, kept in RETIRED_KEYS.items():
+        if kept is not None and key in conf and conf.parse(key, type(kept)) != kept:
+            raise conf.bad(key, f"need '{kept}'")
+        conf.pop(key, None)
     return conf, matrices
 
 

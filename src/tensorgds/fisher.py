@@ -221,8 +221,6 @@ def karcher_means(
 def fisher_modes(
     tasks: Sequence[tuple[Sequence, int]],
     sim: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    karcher_tol: float = DEFAULT_KARCHER_TOL,
-    karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER,
 ) -> list[FisherReport]:
     """Between/within separability of each `(classes, mode)` task, in task
     order: one mode's class-grouped subspaces, each class a sequence of
@@ -243,12 +241,10 @@ def fisher_modes(
     for classes, _ in tasks:
         if len(classes) < 2:
             raise DimensionError(f"need at least 2 classes, got {len(classes)}")
-    flat = iter(
-        karcher_means([c for classes, _ in tasks for c in classes], karcher_tol, karcher_max_iter)
-    )
+    flat = iter(karcher_means([c for classes, _ in tasks for c in classes]))
     class_means = [list(itertools.islice(flat, len(classes))) for classes, _ in tasks]
     mean_stacks = [np.stack(means) for means in class_means]
-    grand_means = karcher_means(mean_stacks, karcher_tol, karcher_max_iter)
+    grand_means = karcher_means(mean_stacks)
     reports = []
     for (classes, mode), means, stack, grand_mean in zip(
         tasks, class_means, mean_stacks, grand_means

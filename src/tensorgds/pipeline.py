@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .fisher import DEFAULT_KARCHER_MAX_ITER, DEFAULT_KARCHER_TOL, FisherReport, NModeFisher
-from .fisher import fisher_modes, karcher_means, nmode_fisher
+from .fisher import FisherReport, NModeFisher, fisher_modes, karcher_means, nmode_fisher
 from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
 from .subspace import (
@@ -61,10 +59,12 @@ class PipelineConfig:
 
     `modes_used`, `per_mode_dims`, and `angle_counts` are aligned with each
     other; None means "all modes", "median of the energy-selected dimensions",
-    and "all available angles" respectively.
+    and "all available angles" respectively. The modes are kept sorted, and
+    a list with one entry per mode is permuted with them.
 
     `gds_search` selects no code: its one value, `coordinate`, names the
     band search of `optimize_gds_dims`. The benchmark workloads spell it.
+    Every Karcher mean stops by the defaults of `fisher.karcher_means`.
     """
 
     method: str = "nmode-wgds"
@@ -74,8 +74,6 @@ class PipelineConfig:
     angle_counts: tuple[int, ...] | None = None
     gds_alpha_max: int = 6
     gds_search: str = "coordinate"
-    karcher_tol: float = DEFAULT_KARCHER_TOL
-    karcher_max_iter: int = DEFAULT_KARCHER_MAX_ITER
     classifier: str = "nn"
     full_spectrum: bool = False
 
@@ -88,10 +86,6 @@ class PipelineConfig:
             raise ValueError(f"energy_mu must be in (0, 1], got {self.energy_mu}")
         if self.gds_alpha_max < 1:
             raise ValueError("gds_alpha_max must be >= 1")
-        if not 0.0 < self.karcher_tol < math.inf:
-            raise ValueError(f"karcher_tol must be finite and > 0, got {self.karcher_tol}")
-        if self.karcher_max_iter < 1:
-            raise ValueError(f"karcher_max_iter must be >= 1, got {self.karcher_max_iter}")
         for name in ("per_mode_dims", "angle_counts"):
             values = getattr(self, name)
             if values is not None and any(v < 1 for v in values):
@@ -102,6 +96,11 @@ class PipelineConfig:
                 raise ValueError("modes_used must be non-empty when given")
             if len(set(modes)) != len(modes) or any(m < 1 for m in modes):
                 raise ValueError(f"modes_used must be distinct indices >= 1, got {modes}")
+            order = sorted(range(len(modes)), key=modes.__getitem__)
+            for name in ("per_mode_dims", "angle_counts"):
+                values = getattr(self, name)
+                if values is not None and len(values) == len(modes):
+                    object.__setattr__(self, name, tuple(values[i] for i in order))
             object.__setattr__(self, "modes_used", tuple(sorted(modes)))
 
     @property
@@ -165,8 +164,6 @@ SETTINGS = (
     Setting("angle_counts", "angles", "angle_counts", "per-mode canonical angle counts"),
     Setting("gds_alpha_max", "alpha-max", "gds_alpha_max", "search bound for the leading cut"),
     Setting("gds_search", "search", "gds_search", "the one band search"),
-    Setting("karcher_tol", "karcher-tol", "karcher_tol"),
-    Setting("karcher_max_iter", "karcher-max-iter", "karcher_max_iter"),
     Setting("classifier", "classifier", "classifier"),
     Setting("full_spectrum", "full-spectrum", "full_spectrum"),
 )
@@ -324,9 +321,7 @@ def optimize_gds_dims(
                 embedded = band.basis @ proj
                 tasks.append(([embedded[idx] for idx in members], band.mode))
             candidates[-1].append((band, proj, fresh))
-    reports = fisher_modes(
-        tasks, karcher_tol=config.karcher_tol, karcher_max_iter=config.karcher_max_iter
-    )
+    reports = fisher_modes(tasks)
     raw_reports, rest = reports[: len(grams)], iter(reports[len(grams) :])
     # per mode, the usable candidates in candidate order, full band first
     scored = []
@@ -473,9 +468,7 @@ def fit(
     else:
         members = _class_members(labels, class_ids)
         raw_reports = fisher_modes(
-            [([stack[idx] for idx in members], mode) for stack, mode in zip(stacks, modes)],
-            karcher_tol=config.karcher_tol,
-            karcher_max_iter=config.karcher_max_iter,
+            [([stack[idx] for idx in members], mode) for stack, mode in zip(stacks, modes)]
         )
         fisher_raw = fisher_final = nmode_fisher(raw_reports)
         angle_diag = tuple((a, None) for a in raw_angles)
@@ -572,11 +565,7 @@ def _class_mean_stacks(model: TrainedModel) -> tuple[np.ndarray, ...]:
     computed on the first call with one `karcher_means` call for every mode."""
     if "class_means" not in model._cache:
         members = [np.flatnonzero(model.reference_labels == cid) for cid in model.class_ids]
-        means = karcher_means(
-            [stack[idx] for stack in model.reference_stacks for idx in members],
-            tol=model.config.karcher_tol,
-            max_iter=model.config.karcher_max_iter,
-        )
+        means = karcher_means([stack[idx] for stack in model.reference_stacks for idx in members])
         count = len(members)
         model._cache["class_means"] = tuple(
             np.stack(means[i : i + count]) for i in range(0, len(means), count)

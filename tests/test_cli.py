@@ -280,7 +280,9 @@ def test_config_file_with_flag_override(dataset_dir, tmp_path):
     assert float(echo["mu"]) == 0.95  # 17-digit float echo parses back exactly
 
 
-@pytest.mark.parametrize("line", ["mu=abc", "modes=1,x", "full-spectrum=yes"])
+@pytest.mark.parametrize(
+    "line", ["mu=abc", "modes=1,x", "full-spectrum=yes", "karcher-max-iter=1e2"]
+)
 def test_config_file_bad_value_exits_2(dataset_dir, tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -386,6 +388,34 @@ def test_model_with_malformed_bands_or_labels_exits_2(
     ]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error") and f"CONF key '{key}': bad value" in err
+
+
+@pytest.mark.parametrize(
+    "line, code",
+    [
+        ("karcher_tol=1e-08", 0),
+        ("karcher_max_iter=100", 0),
+        ("karcher_tol=1e-07", 2),
+        ("karcher_max_iter=50", 2),
+    ],
+)
+def test_model_with_a_retired_karcher_key_loads_only_at_the_fixed_rule(
+    dataset_dir, model_dir, tmp_path, capsys, line, code
+):
+    # older writers saved the Karcher stopping rule; the reader drops it at
+    # the rule every fit now runs and refuses any other value by its key
+    old = tmp_path / "old.nmdl"
+    old.write_bytes(
+        edit_model_conf((model_dir / "model.nmdl").read_bytes(), lambda text: text + line + "\n")
+    )
+    assert main([
+        "eval", "--model", str(old), "--manifest", str(dataset_dir / "manifest.txt"),
+        "--split", "test", "--out", str(tmp_path / "eval"),
+    ]) == code
+    key, _, value = line.partition("=")
+    if code:
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and f"CONF key '{key}': bad value '{value}'" in err
 
 
 @pytest.mark.parametrize("what", ["model", "manifest", "config"])
@@ -546,7 +576,6 @@ def test_fit_flags_are_the_settings_keys():
         for opt in action.option_strings
     } - {"-h", "--help", "--manifest", "--data-dir", "--out", "--config"}
     assert flags == {f"--{s.key}" for s in SETTINGS}
-    assert len(flags) == 11
 
 
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
@@ -556,7 +585,7 @@ def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
     assert main([
         "fit", "--manifest", manifest, "--out", str(first),
         "--method", "nmode-wgds", "--alpha-max", "3",
-        "--angles", "1,1,1", "--full-spectrum", "--karcher-tol", "1e-7",
+        "--angles", "1,1,1", "--full-spectrum", "--mu", "0.85",
     ]) == 0
     settings = [
         line
@@ -575,9 +604,10 @@ def test_run_config_settings_reproduce_the_fit(dataset_dir, tmp_path):
 @pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
 @pytest.mark.parametrize("method", ["pgm", "nmode-gds", "nmode-wgds"])
 def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, method):
-    # an echo written while `seed`, `weights` and `beta-search` were settings
-    # carries all three; `seed` is ignored, `weights` restates the weighting
-    # the method implies and `beta-search=false` the band search that is left
+    # an echo written while `seed`, `weights`, `beta-search` and the Karcher
+    # stopping rule were settings carries them all; `seed` is ignored,
+    # `weights` restates the weighting the method implies, `beta-search=false`
+    # the band search that is left and the Karcher keys the fixed rule
     manifest = str(dataset_dir / "manifest.txt")
     first = tmp_path / "flags"
     assert main(["fit", "--manifest", manifest, "--out", str(first), "--method", method]) == 0
@@ -588,7 +618,10 @@ def test_echo_with_retired_keys_refits_the_same_model(dataset_dir, tmp_path, met
     ]
     weights = "fisher" if method == "nmode-wgds" else "uniform"
     cfg = tmp_path / "echo.cfg"
-    retired = ["seed=0", f"weights={weights}", "beta-search=false"]
+    retired = [
+        "seed=0", f"weights={weights}", "beta-search=false",
+        "karcher-tol=1e-08", "karcher-max-iter=100",
+    ]
     cfg.write_text("\n".join(sorted(settings + retired)) + "\n")
     second = tmp_path / "config"
     assert main(
@@ -641,8 +674,12 @@ def test_retired_values_as_flags_exit_1(dataset_dir, tmp_path, capsys, flags):
         ("weights=uniform\n", []),  # the default method is nmode-wgds
         ("weights=fisher\n", ["--method", "nmode-gds"]),
         ("weights=foo\n", []),
-        # the retired beta search cannot be turned on: it would change the run
+        # the retired beta search cannot be turned on, nor the Karcher
+        # stopping rule moved from 1e-08 and 100: either would change the run
         ("beta-search=true\n", []),
+        ("karcher-tol=nan\n", []),
+        ("karcher-tol=1e-07\n", []),
+        ("karcher-max-iter=0\n", []),
     ],
 )
 def test_config_file_weights_that_contradict_the_method_exit_1(
@@ -702,25 +739,15 @@ def test_mode_dims_beyond_the_extent_or_the_rank(dataset_dir, tmp_path, capsys, 
     assert capsys.readouterr().err.strip() == message
 
 
-@pytest.mark.parametrize(
-    "flags, line",
-    [
-        (["--karcher-max-iter", "0"], None),
-        ([], "karcher-max-iter=0"),
-        ([], "karcher-tol=nan"),
-    ],
-)
-def test_bad_karcher_settings_exit_1(dataset_dir, tmp_path, capsys, flags, line):
-    if line is not None:
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
-        flags = ["--config", str(cfg)]
-    code = main([
-        "fit", "--manifest", str(dataset_dir / "manifest.txt"),
-        "--out", str(tmp_path / "fit"), *flags,
-    ])
-    assert code == 1
-    assert "karcher_" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--karcher-tol", "--karcher-max-iter"])
+def test_karcher_flags_are_unknown(dataset_dir, tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "fit", "--manifest", str(dataset_dir / "manifest.txt"),
+            "--out", str(tmp_path / "fit"), flag, "100",
+        ])
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {flag} 100" in capsys.readouterr().err
 
 
 def test_model_with_a_reference_that_is_not_orthonormal_exits_2(

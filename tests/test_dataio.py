@@ -316,10 +316,13 @@ def drop_conf_line(*keys):
     )
 
 
-def insert_conf_line(line):
-    """Add `key=value` where a writer that wrote the key put it: in key order."""
+def insert_conf_line(*lines):
+    """Add each `key=value` where a writer that wrote the key put it: in key order."""
     return lambda text: "".join(
-        sorted(text.splitlines(keepends=True) + [line + "\n"], key=lambda l: l.partition("=")[0])
+        sorted(
+            text.splitlines(keepends=True) + [line + "\n" for line in lines],
+            key=lambda l: l.partition("=")[0],
+        )
     )
 
 
@@ -354,7 +357,6 @@ def test_model_missing_matrix_section_names_it():
         # values that parse but that PipelineConfig rejects
         ("method", "foo"),
         ("gds_search", "foo"),
-        ("karcher_max_iter", "0"),
         ("dims", "0,2,2"),
         ("angle_counts", "0,1,1"),
         # reference and band values that parse but disagree with the model:
@@ -454,8 +456,9 @@ def seed7_model_bytes(method):
         ("nmode-wgds", "format_version", "x", "need '1'"),
         ("pgm", "format_version", "2", "need '1'"),
         ("nmode-wgds", "ranks", "12,8,7", "need '12,8,8'"),
-        ("nmode-wgds", "karcher_tol", "1e-8", "need '1e-08'"),
-        ("pgm", "modes", "3,2,1", "need '1,2,3'"),
+        ("nmode-wgds", "energy_mu", "0.9", "need '0.90000000000000002'"),
+        # dims 3,2,2 read in the order 1,3,2 pair as they are written
+        ("pgm", "modes", "1,3,2", "need '1,2,3'"),
         ("nmode-wgds", "has_gds", "false", "need 'true'"),
     ],
 )
@@ -812,6 +815,12 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
         ),
     )
     assert all(g.beta < g.rank for g in narrowed.gds)
+    # the class means of a class-karcher model are Karcher means of its
+    # references, taken at the one stopping rule the retired keys state
+    karcher = dataclasses.replace(
+        model, config=dataclasses.replace(model.config, classifier="class-karcher")
+    )
+    karcher_lines = ("karcher_tol=1e-08", "karcher_max_iter=100")
     cases = (
         # no setting reads these keys any more, so the reader ignores them;
         # the weights come from the `weights` section whatever the scheme says
@@ -819,11 +828,13 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
             model,
             lambda text: text
             + "projection_tol=1.0000000000000001e-10\nseed=5\nweights_scheme=uniform\n"
-            + "gds_beta_search=true\n",
+            + "gds_beta_search=true\nkarcher_tol=1e-08\nkarcher_max_iter=100\n",
         ),
         # the beta search's narrowed bands are stored in `alphas` and `betas`,
         # and its key in the writer's (sorted) place is ignored
         (narrowed, insert_conf_line("gds_beta_search=true")),
+        # the Karcher keys in the writer's places, as older writers put them
+        (karcher, insert_conf_line(*karcher_lines)),
     )
     for fitted, edit in cases:
         edited = edit_model_conf(model_to_bytes(fitted), edit)
@@ -837,6 +848,22 @@ def test_model_with_the_retired_projection_tol_key_still_loads():
             assert p1 == p2
             assert s1.tobytes() == s2.tobytes()
     assert b"gds_beta_search=true\n" in edit_model_conf(model_to_bytes(narrowed), cases[1][1])
+    old_karcher = edit_model_conf(model_to_bytes(karcher), cases[2][1])
+    assert all(line.encode() + b"\n" in old_karcher for line in karcher_lines)
+    # another stopping rule would give another class-karcher model
+    for line, need in (
+        ("karcher_tol=1e-07", "1e-08"),
+        ("karcher_tol=nan", "1e-08"),
+        ("karcher_max_iter=50", "100"),
+    ):
+        key, _, value = line.partition("=")
+        with pytest.raises(FormatError) as err:
+            model_from_bytes(edit_model_conf(model_to_bytes(karcher), insert_conf_line(line)))
+        assert str(err.value) == f"CONF key '{key}': bad value '{value}' (need '{need}')"
+    with pytest.raises(FormatError, match="CONF key 'karcher_max_iter': bad value '1e2'"):
+        model_from_bytes(
+            edit_model_conf(model_to_bytes(karcher), insert_conf_line("karcher_max_iter=1e2"))
+        )
     # the stored extents fix each mode's ambient dimension
     with pytest.raises(DimensionError, match=r"tensor dims \(5, 12, 12\) do not match"):
         classify(back, random_tensor(np.random.default_rng(0), (5, 12, 12)))

@@ -70,6 +70,23 @@ def test_a_model_takes_only_what_fit_chose():
     ]
 
 
+def test_the_config_holds_only_the_named_settings():
+    # each field is a flag, a config-file key and a model key, so a new
+    # setting must be named here; the Karcher stopping rule is not one
+    fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert fields == [
+        "method",
+        "modes_used",
+        "energy_mu",
+        "per_mode_dims",
+        "angle_counts",
+        "gds_alpha_max",
+        "gds_search",
+        "classifier",
+        "full_spectrum",
+    ]
+
+
 def calls_of(name: str):
     """Per package module, each top-level definition (or `<module>`) that
     calls `name`, by plain name or as an attribute."""

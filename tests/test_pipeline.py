@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorgds import (
@@ -136,9 +136,10 @@ def brute_force_search(grams, stacks, labels, config):
     """Best combined score over every combination of usable bands and its
     first-found pairs: per mode, every band alpha..rank with alpha up to
     `gds_alpha_max` is built with `gds_from_gram`, the training bases are
-    projected one `Subspace` at a time with `project_onto_gds` and scored
-    with its own `fisher_modes` call; the combinations are then ranked by
-    `nmode_fisher`.
+    projected one `Subspace` at a time with `project_onto_gds`, embedded in
+    the mode's ambient space as B @ proj with B the band's basis, as the
+    search scores them, and scored with their own `fisher_modes` call; the
+    combinations are then ranked by `nmode_fisher`.
     The reference the band search must reach."""
     class_ids = sorted(set(labels))
     usable = []
@@ -149,17 +150,13 @@ def brute_force_search(grams, stacks, labels, config):
                 basis = gds_from_gram(gram, a)
                 grouped = [
                     [
-                        project_onto_gds(basis, Subspace(b))
+                        Subspace(basis.basis @ project_onto_gds(basis, Subspace(b)).basis)
                         for b, label in zip(stacks[p], labels)
                         if label == cid
                     ]
                     for cid in class_ids
                 ]
-                (report,) = fisher_modes(
-                    [(grouped, gram.mode)],
-                    karcher_tol=config.karcher_tol,
-                    karcher_max_iter=config.karcher_max_iter,
-                )
+                (report,) = fisher_modes([(grouped, gram.mode)])
             except (DegeneracyError, DimensionError):
                 continue
             if report.flag is None:
@@ -277,6 +274,8 @@ def labelled_points(seed, classes, modes, per_class=3, shapes=None):
     modes=st.integers(1, 3),
     alpha_max=st.integers(1, 3),
 )
+# scored in band coordinates, this draw's oracle missed the search by 3.7e-12
+@example(seed=152798, classes=2, modes=3, alpha_max=1)
 def test_band_search_reaches_the_brute_force_optimum(seed, classes, modes, alpha_max):
     grams, stacks, labels = labelled_points(seed, classes, modes)
     config = PipelineConfig(method="nmode-gds", gds_alpha_max=alpha_max)
@@ -988,6 +987,47 @@ def test_fit_and_classify_deterministic():
         assert np.array_equal(s1, s2)
 
 
+@st.composite
+def aligned_mode_lists(draw):
+    """Distinct modes of a 3-way tensor in any order, with a dimension and an
+    angle count at most that dimension for each."""
+    modes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3, unique=True))
+    dims = [draw(st.integers(1, 3)) for _ in modes]
+    return modes, dims, [draw(st.integers(1, dim)) for dim in dims]
+
+
+@settings(max_examples=8, deadline=None)
+@given(drawn=aligned_mode_lists(), method=st.sampled_from(CHOICES["method"]))
+def test_fit_pairs_each_dim_and_angle_count_with_its_mode_in_any_order(drawn, method):
+    # the config keeps the modes sorted and permutes the aligned lists with
+    # them, so every order of the same pairs is one config and one model
+    modes, dims, angles = drawn
+    order = sorted(range(len(modes)), key=modes.__getitem__)
+    as_given = PipelineConfig(
+        method=method, modes_used=modes, per_mode_dims=dims, angle_counts=angles
+    )
+    in_order = PipelineConfig(
+        method=method,
+        modes_used=sorted(modes),
+        per_mode_dims=[dims[i] for i in order],
+        angle_counts=[angles[i] for i in order],
+    )
+    assert as_given == in_order
+    tr_s, tr_l, _, _ = benchmark_split()
+    outcomes = []
+    for config in (as_given, in_order):
+        try:
+            model = fit(tr_s, tr_l, config)
+        except (DimensionError, DegeneracyError) as exc:
+            outcomes.append(repr(exc))
+            continue
+        assert dict(zip(model.modes, model.dims)) == dict(zip(modes, dims))
+        widths = [stack.shape[2] for stack in model.reference_stacks]
+        assert config.uses_gds or widths == list(model.dims)
+        outcomes.append(model_to_bytes(model))
+    assert outcomes[0] == outcomes[1]
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), noise=st.sampled_from([0.3, 0.8]))
 def test_fit_ignores_the_training_order_and_a_rotation_of_mode_1(seed, noise):
@@ -1153,7 +1193,7 @@ def test_settings_table_has_one_row_per_config_field():
         f.name for f in dataclasses.fields(PipelineConfig)
     ]
     keys = [s.key for s in SETTINGS]
-    assert len(set(keys)) == len(keys) == 11
+    assert len(set(keys)) == len(keys)
     assert len({s.model_key for s in SETTINGS}) == len(SETTINGS)
 
 
@@ -1186,19 +1226,7 @@ def test_config_refuses_retired_values(name, value):
         PipelineConfig(**{name: value})
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        {"karcher_max_iter": 0},
-        {"karcher_max_iter": -3},
-        {"karcher_tol": 0.0},
-        {"karcher_tol": -1e-8},
-        {"karcher_tol": math.nan},
-        {"karcher_tol": math.inf},
-        {"per_mode_dims": (2, 0, 2)},
-        {"angle_counts": (1, 1, -1)},
-    ],
-)
-def test_config_rejects_bad_karcher_settings(bad):
+@pytest.mark.parametrize("bad", [{"per_mode_dims": (2, 0, 2)}, {"angle_counts": (1, 1, -1)}])
+def test_config_rejects_per_mode_entries_below_1(bad):
     with pytest.raises(ValueError, match=next(iter(bad))):
         PipelineConfig(**bad)
