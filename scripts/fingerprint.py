@@ -19,9 +19,7 @@ an .npz file, together with three unhashed arrays: `reference_projectors`,
 per model reference the concatenated projectors B B^T of its parts, which
 a change that only rotates the stored bases leaves alone, and the Karcher
 work of the run, `karcher_calls` (calls of `fisher.karcher_means`),
-`karcher_passes` (calls of the batched log map: one per loop pass, or
-one per block of sets where a pass takes its log maps in blocks of
-`fisher.LOG_MAP_BLOCK` entries) and
+`karcher_passes` (calls of `fisher._mean_tangent`, one per loop pass) and
 `karcher_set_iterations` (the sets those calls stepped, summed). `--compare`
 reads two such files and prints, per configuration, whether the discrete
 outputs match (error, bands, dims, both models' decisions, the search
@@ -143,12 +141,12 @@ def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tu
     digest = hashlib.sha256()
     out = {}
     work = Counter()
-    log_map, karcher_means = fisher._log_map, fisher.karcher_means
+    mean_tangent, karcher_means = fisher._mean_tangent, fisher.karcher_means
 
-    def counting(base, stack):
+    def counting(base, members):
         work["karcher_passes"] += 1
-        work["karcher_set_iterations"] += stack.shape[0]
-        return log_map(base, stack)
+        work["karcher_set_iterations"] += members.shape[0]
+        return mean_tangent(base, members)
 
     def counting_means(*args, **kwargs):
         work["karcher_calls"] += 1
@@ -157,7 +155,7 @@ def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tu
     # `pipeline` calls `karcher_means` for the class-karcher class means
     with (
         warnings.catch_warnings(record=True) as caught,
-        mock.patch.object(fisher, "_log_map", counting),
+        mock.patch.object(fisher, "_mean_tangent", counting),
         mock.patch.object(fisher, "karcher_means", counting_means),
         mock.patch.object(pipeline, "karcher_means", counting_means),
     ):

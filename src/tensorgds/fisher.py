@@ -11,9 +11,11 @@ Karcher steps use the closed-form log map
 Log_Y(X) = (X - Y M) Q diag(theta / sin theta) P^T, with M = Y^T X =
 P cos(Theta) Q^T (Edelman, Arias & Smith 1998, SIAM J. Matrix Anal. Appl.
 20(2); Absil, Mahony & Sepulchre 2004, Acta Appl. Math. 80): one k x k SVD
-per member (`subspace.cross_svd`, in closed form for k = 2) and no inverse
-of M. arccos is inaccurate only for cosines near 1, where theta / sin theta
-is flat, so the factor's error is O(theta * dtheta).
+per member (`subspace.cross_svd`, in closed form for k = 2), no inverse of
+M, and no member's tangent, as a set's mean tangent is two products with
+its members (`_mean_tangent`). arccos is inaccurate only for cosines near
+1, where theta / sin theta is flat, so the factor's error is
+O(theta * dtheta). The exp map needs one `eigh` of a k x k Gram.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ DEFAULT_KARCHER_MAX_ITER = 100
 # fits a cap of 10 left 36 means unconverged, 100 one, and 1000 none, as no
 # cap does
 STEP_MAX = 1000.0
-# Member-basis entries per log-map call of a Karcher pass: a shape group of
-# many sets, such as the class sets that `pipeline.optimize_gds_dims` scores,
-# takes its log maps a block of sets at a time, so that each of the pass's
-# temporaries stays near 256 KiB
-LOG_MAP_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -89,41 +86,37 @@ def separability_ratio(between: float, within: float) -> tuple[float, str | None
     return between / within, None
 
 
-def _log_map(base: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Tangent vectors at each span in a (C, d, k) base toward the spans of
-    its row of a (C, N, d, k) stack, as a (C, N, d, k) stack.
+def _mean_tangent(base: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Mean tangent at each span Y in a (C, d, k) base toward the spans of
+    its set, a (C, d, n k) array of the n member bases X_i side by side.
 
-    In closed form, with M = Y^T X = P cos(Theta) Q^T the SVD of each k x k
-    cross product (`cross_svd`), Log_Y(X) = (X - Y M) Q diag(theta / sin
-    theta) P^T. The columns of (X - Y M) Q are orthogonal with norms sin
-    theta, so this is the textbook W arctan(S) V^T of (X - Y M) M^-1 = W S
-    V^T (Edelman, Arias & Smith 1998; Absil, Mahony & Sepulchre 2004)
-    without forming M^-1. At the cut locus (a cosine of 0) the factor is
-    pi/2 and the tangent reaches the member. arccos is inaccurate only near
-    a cosine of 1, where theta / sin theta = 1 + theta^2 / 6 is flat, so the
-    factor's error is O(theta * dtheta).
+    Log_Y(X_i) = (X_i - Y M_i) A_i with A_i = Q diag(theta / sin theta) P^T
+    and M_i = Y^T X_i = P cos(Theta) Q^T (`cross_svd`). The columns of (X_i -
+    Y M_i) Q are orthogonal with norms sin theta, so this is the textbook W
+    arctan(S) V^T of (X_i - Y M_i) M_i^-1 = W S V^T without forming M_i^-1.
+    With the A_i stacked as an (n k, k) column A and M = Y^T [X_1 ... X_n],
+    the mean is ([X_1 ... X_n] A - Y (M A)) / n. At the cut locus (a cosine
+    of 0) the factor is pi/2 and the tangent reaches the member.
     """
-    base = base[:, None]
-    m = np.swapaxes(base, -1, -2) @ stack
-    p, c, qt = cross_svd(m)
-    theta = np.arccos(np.clip(c, 0.0, 1.0))
+    count, k, n = len(base), base.shape[-1], members.shape[-1] // base.shape[-1]
+    m = np.swapaxes(base, -1, -2) @ members
+    p, c, qt = cross_svd(np.swapaxes(m.reshape(count, k, n, k), 1, 2))
     # theta / sin(theta), exactly 1 at theta = 0
-    scale = 1.0 / np.sinc(theta / np.pi)
-    # X - Y M, then times Q and the factors; in place where the rounding
-    # allows, so that at most two arrays of the stack's size are alive
-    w = base @ m
-    np.subtract(stack, w, out=w)
-    w = w @ np.swapaxes(qt, -1, -2)
-    w *= scale[..., None, :]
-    return w @ np.swapaxes(p, -1, -2)
+    scale = 1.0 / np.sinc(np.arccos(np.clip(c, 0.0, 1.0)) / np.pi)
+    a = (np.swapaxes(qt, -1, -2) * scale[..., None, :]) @ np.swapaxes(p, -1, -2)
+    a = a.reshape(count, n * k, k)
+    return (members @ a - base @ (m @ a)) / n
 
 
 def _exp_map(base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Geodesic step from each span(base) along its tangent, both (C, d, k)."""
-    w, s, vt = np.linalg.svd(tangent, full_matrices=False)
-    s = s[..., None, :]
-    y = (base @ np.swapaxes(vt, -1, -2)) * np.cos(s) + w * np.sin(s)
-    return qr_positive(y @ vt)
+    """Geodesic step from each span(base) along its tangent, both (C, d, k):
+    span((Y V cos S + T V sinc S) V^T) with T^T T = V S^2 V^T, as T = (T V
+    S^-1) S V^T; cos S and sinc S are smooth in S^2, so its rounding errors
+    move them as little."""
+    s2, v = np.linalg.eigh(np.swapaxes(tangent, -1, -2) @ tangent)
+    s = np.sqrt(np.clip(s2, 0.0, None))[..., None, :]
+    y = (base @ v) * np.cos(s) + (tangent @ v) * np.sinc(s / np.pi)
+    return qr_positive(y @ np.swapaxes(v, -1, -2))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,12 +144,12 @@ def karcher_means(
     STEP_MAX], from the last step s and the change delta of the negated mean
     tangent, both at the current iterate; 1 when <s, delta> is not positive,
     where the rule has no curvature to go by. Sets of one stack shape
-    iterate as one (C, N, d, k) array, each with its own step size, best
-    iterate and stop, so every mean equals its set's solo run; a pass takes
-    their log maps a block of `LOG_MAP_BLOCK` member-basis entries at a
-    time. At the iteration cap a set warns (KarcherConvergenceWarning) and
-    yields its best iterate, the one of smallest mean tangent norm. A
-    one-member set yields its member.
+    iterate as one (C, d, N k) array of their members side by side, each
+    set with its own step size, best iterate and stop, so every mean equals
+    its set's solo run; a pass is one `_mean_tangent` call. At the iteration
+    cap a set warns (KarcherConvergenceWarning) and yields its best iterate,
+    the one of smallest mean tangent norm. A one-member set yields its
+    member.
     """
     stacks = [basis_stack(subs) for subs in sets]
     means = [None] * len(stacks)
@@ -168,19 +161,18 @@ def karcher_means(
             continue
         _, evecs = eigh_descending(projector_mean(stack))
         y = best_y = np.ascontiguousarray(evecs[..., :k])
+        # each set's members side by side, [X_1 ... X_n], in place of the stack;
+        # C-ordered for every k, as the rounding of products depends on layout
+        members = np.ascontiguousarray(np.swapaxes(stack, 1, 2).reshape(count, d, n * k))
+        del stack
         # per-set state, shaped (C, 1, 1) to broadcast against the iterates;
         # a set that stops leaves every array and its mean goes to `out`
         best_norm = np.full((count, 1, 1), math.inf)
         step, live, out = np.ones_like(best_norm), np.arange(count), np.empty_like(y)
         # a zero last tangent makes the first step 1
         prev_y, prev_tangent = y, np.zeros_like(y)
-        per_block = max(1, LOG_MAP_BLOCK // stack[0].size)
         for _ in range(max_iter):
-            # each set's log maps and their sum are its own, whatever the block
-            blocks = range(0, len(y), per_block)
-            mean_tangent = np.concatenate(
-                [_log_map(y[i : i + per_block], stack[i : i + per_block]).sum(axis=1) for i in blocks]
-            ) / n
+            mean_tangent = _mean_tangent(y, members)
             # rounds as a per-set norm; a batched axis=(1, 2) norm does not
             tnorm = np.sqrt(_dots(mean_tangent, mean_tangent))
             best_y = np.where(tnorm < best_norm, y, best_y)
@@ -188,10 +180,10 @@ def karcher_means(
             stop = tnorm.ravel() < tol
             if stop.any():
                 out[live[stop]] = best_y[stop]
-                live, y, stack, mean_tangent, best_y, best_norm, step, prev_y, prev_tangent = (
+                live, y, members, mean_tangent, best_y, best_norm, step, prev_y, prev_tangent = (
                     a[~stop]
                     for a in (
-                        live, y, stack, mean_tangent, best_y, best_norm, step, prev_y, prev_tangent
+                        live, y, members, mean_tangent, best_y, best_norm, step, prev_y, prev_tangent
                     )
                 )
                 if not live.size:

@@ -373,10 +373,14 @@ def check_angle_counts(counts, modes, widths) -> None:
 
 
 def _class_pair_mean_angle(class_bases: Sequence) -> float:
-    """The mean over class pairs of their mean canonical angle; pair by
-    pair, since projection can leave class bases of unequal width."""
-    pairs = itertools.combinations(class_bases, 2)
-    return float(np.mean([np.mean(np.arccos(canonical_correlations(a, b))) for a, b in pairs]))
+    """The mean over class pairs, in pair order, of their mean canonical
+    angle: one `canonical_correlations` call per pair of part shapes, since
+    projection can leave class bases of unequal width."""
+    pairs = list(itertools.combinations(class_bases, 2))
+    means = np.empty(len(pairs))
+    for idx, (a, b) in group_by_shape(pairs):
+        means[idx] = np.mean(np.arccos(canonical_correlations(a, b)), axis=-1)
+    return float(np.mean(means))
 
 
 def _mode_bases(samples, mode: int, dim: int | None, mu: float):

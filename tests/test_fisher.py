@@ -214,13 +214,19 @@ def test_karcher_commutes_with_rotation_and_converges(seed, n, k, extra):
     assert err <= 1e-10
 
 
+def log_maps(base, stack):
+    """The tangent at `base` toward each basis of an (n, d, k) stack: the
+    mean tangent of the one-member set."""
+    return np.stack([fisher._mean_tangent(base[None], x[None])[0] for x in stack])
+
+
 def test_log_map_reaches_a_member_at_the_cut_locus():
     # span(e1, e3) meets span(e1, e2) at angles (0, pi/2): M = Y^T X is
     # singular, and a pseudo-inverse would drop the direction e3 and return
     # the zero tangent, as if the member were the base
     eye = np.eye(4)
     y, x = eye[:, [0, 1]], eye[:, [0, 2]]
-    tangent = fisher._log_map(y[None], x[None, None])[0, 0]
+    tangent = fisher._mean_tangent(y[None], x[None])[0]
     s = np.linalg.svd(tangent, compute_uv=False)
     assert np.allclose(s, [math.pi / 2, 0.0], rtol=0.0, atol=1e-12)
     reached = fisher._exp_map(y[None], tangent[None])[0]
@@ -237,10 +243,10 @@ def test_log_map_of_2x2_cross_products_matches_the_lapack_path(seed, d, n):
     base = random_orthonormal(rng, d, 2)
     stack = members_at_angles(rng, base, n)
     stack[0] = np.hstack([base[:, :1], np.linalg.qr(np.hstack([base, stack[0]]))[0][:, 2:3]])
-    tangents = fisher._log_map(base[None], stack[None])[0]
+    tangents = log_maps(base, stack)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(fisher, "cross_svd", np.linalg.svd)
-        lapack = fisher._log_map(base[None], stack[None])[0]
+        lapack = log_maps(base, stack)
     # the tangent norms are the angles; at a cosine of 0 either sign of the
     # tangent reaches the member, so the tangents themselves are compared
     # only where every cosine is clear of 0
@@ -261,9 +267,10 @@ def retired_log_map(base, stack):
     return (w * np.arctan(s)[..., None, :]) @ vt
 
 
-def members_at_angles(rng, base, n):
+def members_at_angles(rng, base, n, cut_locus=True):
     """`n` bases at canonical angles to `base` mixing random angles with
-    exact, near and far cut-locus angles, each in a random basis."""
+    exact, near and far cut-locus angles, each in a random basis; without
+    `cut_locus`, no angle is placed at or near pi/2."""
     d, k = base.shape
     r = min(k, d - k)  # angles that can be nonzero
     choices = [
@@ -273,6 +280,8 @@ def members_at_angles(rng, base, n):
         lambda: 10.0 ** -rng.uniform(0, 12),
         lambda: 0.0,
     ]
+    if not cut_locus:
+        del choices[1:3]
     out = []
     for _ in range(n):
         theta = np.zeros(k)
@@ -298,7 +307,7 @@ def test_log_map_inverts_the_exp_map_and_matches_the_retired_formula(seed, d, k,
     k = min(k, d)
     base = random_orthonormal(rng, d, k)
     stack = members_at_angles(rng, base, n)
-    tangents = fisher._log_map(base[None], stack[None])[0]
+    tangents = log_maps(base, stack)
     for x, tangent in zip(stack, tangents):
         reached = fisher._exp_map(base[None], tangent[None])[0]
         assert np.max(np.abs(reached @ reached.T - x @ x.T)) <= 1e-12
@@ -310,43 +319,74 @@ def test_log_map_inverts_the_exp_map_and_matches_the_retired_formula(seed, d, k,
     assert np.max(np.abs(tangents[far] - retired[far]), initial=0.0) <= 1e-11
 
 
+def side_by_side(stack):
+    """An (n, d, k) stack of bases as the (d, n k) array [X_1 ... X_n]."""
+    return np.hstack(list(stack))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 9),
+    k=st.integers(1, 3),
+    n=st.integers(1, 7),
+)
+def test_mean_tangent_is_the_mean_of_the_retired_log_maps(seed, d, k, n):
+    # away from the cut locus, the two products of a set's mean tangent
+    # give the mean of its members' tangents by the pseudo-inverse formula
+    rng = np.random.default_rng(seed)
+    k = min(k, d)
+    base = random_orthonormal(rng, d, k)
+    stack = members_at_angles(rng, base, n, cut_locus=False)
+    stack = stack[np.linalg.svd(base.T @ stack, compute_uv=False).min(axis=-1) >= 1e-3]
+    if not len(stack):
+        return
+    mean = fisher._mean_tangent(base[None], side_by_side(stack)[None])[0]
+    retired = retired_log_map(base[None], stack[None])[0].mean(axis=0)
+    assert np.max(np.abs(mean - retired)) <= 1e-11
+
+
 def _solo_loop(subs, tol, max_iter, next_step):
     """The per-set Karcher loop that `karcher_means` batches, with its own
-    2-D log map, exp map, projector average and eigen and QR helpers, and a
-    step rule `next_step(y, mean_tangent, tnorm)` called before each step.
-    Returns the mean basis, whether the iteration converged and the mean
-    tangent norms it saw."""
-    stack = np.stack([s.basis for s in subs])
+    2-D mean tangent, exp map, projector average and eigen and QR helpers,
+    and a step rule `next_step(y, mean_tangent, tnorm)` called before each
+    step. Returns the mean basis, whether the iteration converged and the
+    mean tangent norms it saw."""
+    n, (d, k) = len(subs), subs[0].basis.shape
+    members = side_by_side([s.basis for s in subs])
     norms = []
-    if len(subs) == 1:
+    if n == 1:
         return subs[0].basis, True, norms
 
-    def log_map(base):
-        m = base.T @ stack
+    def mean_tangent_at(base):
+        m = base.T @ members
         # the cross-product SVD helper of the batched loop, so that the
         # comparison stays bitwise
-        p, c, qt = cross_svd(m)
+        p, c, qt = cross_svd(np.swapaxes(m.reshape(k, n, k), 0, 1))
         scale = 1.0 / np.sinc(np.arccos(np.clip(c, 0.0, 1.0)) / np.pi)
-        w = (stack - base @ m) @ np.swapaxes(qt, -1, -2)
-        return (w * scale[:, None, :]) @ np.swapaxes(p, -1, -2)
+        a = (np.swapaxes(qt, -1, -2) * scale[:, None, :]) @ np.swapaxes(p, -1, -2)
+        a = a.reshape(n * k, k)
+        return (members @ a - base @ (m @ a)) / n
 
     def exp_map(base, tangent):
-        w, s, vt = np.linalg.svd(tangent, full_matrices=False)
-        q, r = np.linalg.qr(((base @ vt.T) * np.cos(s) + w * np.sin(s)) @ vt)
+        s2, v = np.linalg.eigh(tangent.T @ tangent)
+        s = np.sqrt(np.clip(s2, 0.0, None))
+        y = (base @ v) * np.cos(s) + (tangent @ v) * np.sinc(s / np.pi)
+        q, r = np.linalg.qr(y @ v.T)
         signs = np.sign(np.diag(r))
         signs[signs == 0] = 1.0
         return q * signs
 
-    acc = np.zeros((stack.shape[1],) * 2)
+    acc = np.zeros((d, d))
     for s in subs:
         acc += s.basis @ s.basis.T
-    acc /= len(subs)
+    acc /= n
     evals, evecs = np.linalg.eigh(acc)
     order = np.argsort(-evals, kind="stable")
-    y = np.ascontiguousarray(evecs[:, order][:, : stack.shape[2]])
+    y = np.ascontiguousarray(evecs[:, order][:, :k])
     best_y, best_norm = y, math.inf
     for _ in range(max_iter):
-        mean_tangent = log_map(y).sum(axis=0) / len(subs)
+        mean_tangent = mean_tangent_at(y)
         tnorm = float(np.linalg.norm(mean_tangent))
         norms.append(tnorm)
         if tnorm < best_norm:
@@ -422,12 +462,9 @@ def subspace_sets(draw):
     # below rounding level the iteration never stops, and the step damping
     # and the best iterate act on tangent norms that are rounding noise
     tol=st.sampled_from([1e-8, 1e-300]),
-    # one set per log-map call, a few, and the default block
-    block=st.sampled_from([1, 64, fisher.LOG_MAP_BLOCK]),
 )
-def test_karcher_means_match_per_set_loop_bitwise(sets, max_iter, tol, block):
-    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fisher, "LOG_MAP_BLOCK", block)
+def test_karcher_means_match_per_set_loop_bitwise(sets, max_iter, tol):
+    with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", KarcherConvergenceWarning)
         means = karcher_means(sets, tol=tol, max_iter=max_iter)
     expected = [solo_karcher_mean(subs, tol=tol, max_iter=max_iter) for subs in sets]
@@ -442,17 +479,17 @@ def test_karcher_means_match_per_set_loop_bitwise(sets, max_iter, tol, block):
 @settings(max_examples=30, deadline=None)
 @given(sets=subspace_sets(), max_iter=st.integers(0, 100))
 def test_karcher_means_log_map_only_the_sets_still_iterating(sets, max_iter):
-    # a set that has stopped leaves the batch: the member log maps computed
-    # are exactly those of the per-set loops, iteration by iteration
+    # a set that has stopped leaves the batch: the members the mean tangents
+    # reach are exactly those of the per-set loops, iteration by iteration
     computed = []
-    log_map = fisher._log_map
+    mean_tangent = fisher._mean_tangent
 
-    def counting(base, stack):
-        computed.append(stack.shape[0] * stack.shape[1])
-        return log_map(base, stack)
+    def counting(base, members):
+        computed.append(members.shape[-1] // base.shape[-1] * members.shape[0])
+        return mean_tangent(base, members)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fisher, "_log_map", counting)
+        patch.setattr(fisher, "_mean_tangent", counting)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", KarcherConvergenceWarning)
             karcher_means(sets, max_iter=max_iter)
@@ -497,22 +534,22 @@ def test_fit_karcher_means_converge_within_the_recorded_work():
     # and one `fisher_modes` call scores the raw bases and the other
     # candidates: one call for the class means and one for the grand means.
     # The candidates are scored in ambient coordinates, so their sets of one
-    # size iterate in one shape group with the raw sets: 66 log-map calls,
-    # 84 (in 71 passes) when the raw bases were a batch of their own and 181
-    # passes when each band width was a group of its own, for the same 1,330
-    # set-iterations. The large group takes its log maps a block of sets at
-    # a time (`LOG_MAP_BLOCK`), so a pass can make more than one log-map call
+    # size iterate in one shape group with the raw sets: 52 passes, one
+    # `_mean_tangent` call each, for 1,330 set-iterations; 66 log-map calls
+    # when the large group took its log maps a block of sets at a time, 71
+    # passes when the raw bases were a batch of their own and 181 when each
+    # band width was a group of its own
     spec = SynthSpec(8, 25, (16, 16, 16), shared_dim=1, class_dim=2, within_noise=0.15, seed=7)
     samples, manifest = generate_synthetic(spec, train_fraction=0.7)
     train = [(s, e.label) for s, e in zip(samples, manifest.entries) if e.split == "train"]
     calls = passes = set_iterations = 0
-    log_map, means = fisher._log_map, fisher.karcher_means
+    mean_tangent, means = fisher._mean_tangent, fisher.karcher_means
 
-    def counting(base, stack):
+    def counting(base, members):
         nonlocal passes, set_iterations
         passes += 1
-        set_iterations += stack.shape[0]
-        return log_map(base, stack)
+        set_iterations += members.shape[0]
+        return mean_tangent(base, members)
 
     def counting_means(*args, **kwargs):
         nonlocal calls
@@ -520,13 +557,13 @@ def test_fit_karcher_means_converge_within_the_recorded_work():
         return means(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fisher, "_log_map", counting)
+        patch.setattr(fisher, "_mean_tangent", counting)
         patch.setattr(fisher, "karcher_means", counting_means)
         with warnings.catch_warnings():
             warnings.simplefilter("error", KarcherConvergenceWarning)
             fit(*zip(*train), PipelineConfig(method="nmode-wgds"))
     assert calls == 2
-    assert passes <= 66 and set_iterations <= 1330
+    assert passes <= 52 and set_iterations <= 1330
 
 
 @settings(max_examples=30, deadline=None)

@@ -101,12 +101,20 @@ def calls_of(name: str):
 
 def definitions():
     """Per package module, its name and the names of the functions and
-    classes it defines at any depth."""
+    classes it defines at any depth and of the constants it assigns at the
+    top level."""
     for path in Path(tensorgds.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
         yield path.name, {
             node.name
-            for node in ast.walk(ast.parse(path.read_text()))
+            for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        } | {
+            target.id
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign)
+            for target in stmt.targets
+            if isinstance(target, ast.Name)
         }
 
 
@@ -170,20 +178,22 @@ def test_canonical_angles_come_from_one_kernel():
 
 def test_cross_product_svds_come_from_one_helper():
     # every SVD of a k x k basis cross product, for the canonical
-    # correlations and the Karcher log map, goes through
+    # correlations and the Karcher mean tangent, goes through
     # `subspace.cross_svd`, which alone picks the closed form or LAPACK; the
-    # other SVDs are of an unfolding in `hosvd`, a projection G^T U and a
-    # tangent
+    # other SVDs are of an unfolding in `hosvd` and a projection G^T U. The
+    # exp map takes a tangent's Gram to `eigh`, and no per-member log map or
+    # block size of one is left beside the mean tangent
     assert set(calls_of("cross_svd")) == {
         ("subspace.py", "canonical_correlations"),
-        ("fisher.py", "_log_map"),
+        ("fisher.py", "_mean_tangent"),
     }
     assert set(calls_of("svd")) == {
         ("subspace.py", "cross_svd"),
         ("tensor.py", "hosvd"),
         ("gds.py", "project_onto_gds"),
-        ("fisher.py", "_exp_map"),
     }
+    for module, defined in definitions():
+        assert not defined & {"_log_map", "LOG_MAP_BLOCK"}, module
 
 
 def test_separability_and_karcher_means_have_few_callers():

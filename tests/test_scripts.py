@@ -62,7 +62,7 @@ def test_fingerprint_dump_and_compare(tmp_path, capsys):
     assert arrays["small/nmode-wgds|reference_projectors"].shape == (6, np.sum(widths**2))
     assert str(arrays["small/pgm-failing|error"]).startswith("DimensionError")
     # the Karcher work of the run, counted at `karcher_means` and at the
-    # batched log map; one `fisher_modes` call scores the raw bases and
+    # mean tangent of each pass; one `fisher_modes` call scores the raw bases and
     # every band candidate: one call for the class means and one for the
     # grand means
     calls = int(arrays["small/nmode-wgds|karcher_calls"])
