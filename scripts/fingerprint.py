@@ -51,7 +51,7 @@ from tensorgds import (
     fit,
     pairwise_distances,
     pipeline,
-    transform,
+    transform_all,
 )
 from tensorgds.cli import classical_mds
 from tensorgds.dataio import (
@@ -183,7 +183,7 @@ def run(config: PipelineConfig, spec: SynthSpec, unbalanced: bool = False) -> tu
                     scores.append(row)
                 out[tag + "decisions"] = np.array(decisions)
                 out[tag + "scores"] = np.array(scores)
-            dist = pairwise_distances(model, [transform(model, s) for s in split["test"][0]])
+            dist = pairwise_distances(model, transform_all(model, split["test"][0]))
             coords, evals = classical_mds(dist, 3)
             for arr in (dist, coords, evals):
                 digest.update(np.ascontiguousarray(arr).tobytes())

@@ -24,7 +24,7 @@ from tensorgds import (
     evaluate,
     fit,
     pairwise_distances,
-    transform,
+    transform_all,
 )
 from tensorgds.cli import classical_mds
 from tensorgds.dataio import SynthSpec, generate_synthetic
@@ -143,7 +143,7 @@ def main(argv=None):
 
     # distance matrix and 3-D embedding for external plotting
     everything = tr_s + te_s
-    points = [transform(model, s) for s in everything]
+    points = transform_all(model, everything)
     dist = pairwise_distances(model, points)
     np.savetxt(out / "distances.csv", dist, delimiter=",")
     coords, evals = classical_mds(dist, 3)

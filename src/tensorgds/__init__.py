@@ -27,6 +27,7 @@ from .pipeline import (
     optimize_gds_dims,
     pairwise_distances,
     transform,
+    transform_all,
 )
 from .subspace import (
     Subspace,
@@ -78,5 +79,6 @@ __all__ = [
     "project_onto_gds",
     "select_dim",
     "transform",
+    "transform_all",
     "unfold",
 ]

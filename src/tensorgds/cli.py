@@ -355,7 +355,7 @@ def _cmd_eval(args) -> int:
 def _cmd_dist(args) -> int:
     model = dataio.read_model(args.model)
     manifest, samples, labels = _load_split(args, args.split)
-    points = [pipeline.transform(model, s) for s in samples]
+    points = pipeline.transform_all(model, samples)
     dist = pipeline.pairwise_distances(model, points)
     out = _outdir(args)
     _write_csv(out / "distances.csv", None, dist.tolist())

@@ -7,10 +7,10 @@ that carries the difference information between classes. Projecting class or
 sample subspaces onto that basis acts as a quasi-orthogonalization, enlarging
 the canonical angles between classes.
 
-A whole stack of bases U is projected at once: one SVD of G^T U gives each
-projection its orthonormal basis, and drops the directions whose singular
-value, the cosine of a canonical angle between span(U) and the GDS, is
-negligible.
+Whole stacks of bases U are projected at once, for every mode's band: one
+SVD per shape of the products G^T U gives each projection its orthonormal
+basis, and drops the directions whose singular value, the cosine of a
+canonical angle between span(U) and the GDS, is negligible.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .subspace import (
     basis_stack,
     eigh_descending,
     fix_column_signs,
+    group_by_shape,
     projector_mean,
 )
 
@@ -103,12 +104,21 @@ def gds_from_gram(gram: GdsBasis, alpha: int, beta: int | None = None) -> GdsBas
 
 
 def project_onto_gds(gds: GdsBasis, subspaces):
-    """Project one `Subspace`, or each basis U of an (N, d, k) stack, onto the
-    difference subspace G: a `Subspace`, or a list of N bases in stack order,
-    in an ambient space as wide as the GDS.
+    """`project_onto_bands` of one band: one `Subspace`, or each basis of an
+    (N, d, k) stack, projected onto the difference subspace, as a `Subspace`
+    or a list of N bases in stack order, as wide as the GDS."""
+    single = isinstance(subspaces, Subspace)
+    (projected,) = project_onto_bands([gds], [subspaces.basis[None] if single else subspaces])
+    return Subspace(projected[0]) if single else projected
 
-    Each result is spanned by G^T U. One SVD of the stack gives its basis:
-    the left-singular vectors whose singular values s keep s^2 above
+
+def project_onto_bands(bands, stacks) -> list[list[np.ndarray]]:
+    """Per band G and (N, d, k) stack of bases U, the list of N projected
+    bases in stack order, with one SVD per shape of the products G^T U, all
+    checked first; a product gets the same bits in a stack as alone.
+
+    Each result is spanned by G^T U. Its SVD gives the basis: the
+    left-singular vectors whose singular values s keep s^2 above
     (w + k) * eps * s_1^2 for a w-column GDS and k-column U, the rank rule
     of `gram_spectrum` for the Gram of G^T U. The singular values are the
     cosines of the canonical angles between span(U) and the GDS (Bjorck &
@@ -118,16 +128,20 @@ def project_onto_gds(gds: GdsBasis, subspaces):
     edge, so a cosine of 1e-10 can be rounding; under this rule the leak
     counts only where that gap is below about sqrt(eps) * lambda_1.
     """
-    single = isinstance(subspaces, Subspace)
-    stack = subspaces.basis[None] if single else np.asarray(subspaces)
-    if stack.ndim != 3 or stack.shape[1] != gds.ambient_dim:
-        raise DimensionError(f"ambient mismatch: GDS {gds.ambient_dim} vs bases {stack.shape}")
-    u, s, _ = np.linalg.svd(gds.basis.T @ stack, full_matrices=False)
-    if np.any(s[:, 0] <= 0.0):
-        raise DegeneracyError(
-            "subspace is orthogonal to the difference subspace within tolerance"
-        )
-    cut = (gds.basis.shape[1] + stack.shape[2]) * EPS
-    widths = np.sum(s * s > cut * s[:, :1] ** 2, axis=1)
-    projected = [b[:, :w] for b, w in zip(u, widths)]
-    return Subspace(projected[0]) if single else projected
+    products = []
+    for gds, stack in zip(bands, map(np.asarray, stacks)):
+        if stack.ndim != 3 or stack.shape[1] != gds.ambient_dim:
+            raise DimensionError(f"ambient mismatch: GDS {gds.ambient_dim} vs bases {stack.shape}")
+        products.append((gds.basis.T @ stack,))
+    out = [None] * len(products)
+    for idx, (group,) in group_by_shape(products):
+        u, s, _ = np.linalg.svd(group, full_matrices=False)
+        if np.any(s[..., 0] <= 0.0):
+            raise DegeneracyError(
+                "subspace is orthogonal to the difference subspace within tolerance"
+            )
+        cut = (group.shape[-2] + group.shape[-1]) * EPS
+        widths = np.sum(s * s > cut * s[..., :1] ** 2, axis=-1)
+        for i, bases, row in zip(idx, u, widths):
+            out[i] = [b[:, :w] for b, w in zip(bases, row)]
+    return out

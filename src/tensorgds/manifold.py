@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneracyError, DimensionError
-from .subspace import Subspace, canonical_correlations
+from .subspace import Subspace, correlations_by_shape
 
 @dataclass(frozen=True)
 class ProductPoint:
@@ -78,8 +78,8 @@ def weighted_geodesics(
     """Weighted distances between the points of `left` and `right`, which
     hold per mode a (d, k) basis or an (N, d, k) stack of bases; the stacks
     broadcast, so one basis against N bases gives N distances and two
-    N-stacks give N pairs. Each mode takes one SVD of its basis cross
-    products.
+    N-stacks give N pairs. The modes whose basis cross products share a
+    shape take one SVD of them (`correlations_by_shape`).
 
     Per mode, the contribution is the mean of the first `angle_counts[i]`
     canonical angles (or all available angles when no counts are given),
@@ -99,9 +99,9 @@ def weighted_geodesics(
             f"angle count vector has {len(angle_counts)} entries for {n} modes"
         )
     terms = np.empty(np.broadcast_shapes(*(np.shape(b)[:-2] for b in (*left, *right))) + (n,))
-    for i, (p, q) in enumerate(zip(left, right)):
-        count = None if angle_counts is None else int(angle_counts[i])
-        angles = np.arccos(canonical_correlations(p, q, count))
+    counts = [None] * n if angle_counts is None else angle_counts
+    for i, correlations in enumerate(correlations_by_shape(zip(left, right, counts))):
+        angles = np.arccos(correlations)
         if full_spectrum:
             values = np.sqrt(np.sum(angles * angles, axis=-1))
         else:

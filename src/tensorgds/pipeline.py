@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 from .fisher import FisherReport, NModeFisher, fisher_modes, karcher_means, nmode_fisher
-from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_gds
+from .gds import GdsBasis, gds_from_gram, mode_gram, project_onto_bands, project_onto_gds
 from .manifold import ProductPoint, WeightVector, mode_weights, weighted_geodesics
 from .subspace import (
     Subspace,
@@ -383,24 +383,34 @@ def _class_pair_mean_angle(class_bases: Sequence) -> float:
     return float(np.mean(means))
 
 
-def _mode_bases(samples, mode: int, dim: int | None, mu: float):
-    """The one rule of `fit` and the queries for the samples' bases in a mode:
-    each sample's `unfolding_gram`, one `gram_spectrum` of the (N, d, d)
-    stack, the dimension (`dim`, or the median energy dimension of `mu` when
-    None) and that many leading eigenvectors. Returns the dimension, the
-    (N, d, dim) stack of bases, the Gram stack and the Grams' exponents."""
-    grams, exps = map(np.array, zip(*(unfolding_gram(s, mode) for s in samples)))
-    u, lam = gram_spectrum(grams, samples[0].size // grams.shape[-1])
-    dim = int(round(float(np.median(select_dim(lam, mu))))) if dim is None else int(dim)
-    return dim, leading_basis(u, lam, dim), grams, exps
+def _mode_bases(samples, modes, dims, mu: float) -> list[tuple]:
+    """The one rule of `fit` and the queries for the samples' bases in each of
+    `modes`: their `unfolding_gram`s, one `gram_spectrum` per extent d of the
+    (modes x N, d, d) stack, then per mode the dimension (`dims`, or for None
+    the median energy dimension of `mu`) and that many leading eigenvectors;
+    per mode, the dimension, the (N, d, dim) bases, the Grams and exponents."""
+    n, out = len(samples), [None] * len(modes)
+    extents = [samples[0].dims[m - 1] for m in modes]
+    for extent in dict.fromkeys(extents):
+        group = [i for i, e in enumerate(extents) if e == extent]
+        pairs = (unfolding_gram(s, modes[i]) for i in group for s in samples)
+        grams, exps = map(np.array, zip(*pairs))
+        u, lam = gram_spectrum(grams, samples[0].size // extent)
+        for j, i in enumerate(group):
+            part, dim = slice(j * n, (j + 1) * n), dims[i]
+            if dim is None:
+                dim = int(round(float(np.median(select_dim(lam[part], mu)))))
+            out[i] = int(dim), leading_basis(u[part], lam[part], dim), grams[part], exps[part]
+    return out
 
 
 def _fit_mode(samples, labels, class_ids, mode: int, dim: int | None, mu: float):
     """One mode of `fit`: the dimension, the (N, d, dim) stack of sample
-    bases of `_mode_bases` and the (C, d, dim) stack of class bases from the
-    sum of each class's Grams, the Gram of its stacked unfoldings, each
-    member's Gram first scaled to the class's largest exponent."""
-    dim, stack, grams, exps = _mode_bases(samples, mode, dim, mu)
+    bases of `_mode_bases` (for this mode alone, to hold one mode's Grams)
+    and the (C, d, dim) stack of class bases from the sum of each class's
+    Grams, the Gram of its stacked unfoldings, each member's Gram first
+    scaled to the class's largest exponent."""
+    ((dim, stack, grams, exps),) = _mode_bases(samples, [mode], [dim], mu)
     members = _class_members(labels, class_ids)
     sums = [np.sum(np.ldexp(grams[i], exps[i, None, None] - max(exps[i])), 0) for i in members]
     cols = [len(i) * samples[0].size // stack.shape[1] for i in members]
@@ -464,10 +474,7 @@ def fit(
         stacks = result.parts  # the references keep the projected bases
         fisher_raw = nmode_fisher(result.raw_reports)
         fisher_final = nmode_fisher(result.reports)
-        proj_angles = [
-            _class_pair_mean_angle(project_onto_gds(b, c))
-            for b, c in zip(bases, class_stacks)
-        ]
+        proj_angles = [_class_pair_mean_angle(c) for c in project_onto_bands(bases, class_stacks)]
         angle_diag = tuple(zip(raw_angles, proj_angles))
     else:
         members = _class_members(labels, class_ids)
@@ -507,24 +514,28 @@ def method_weights(config: PipelineConfig, fisher: NModeFisher) -> WeightVector:
 
 
 def _query_bases(model: TrainedModel, samples: Sequence[DenseTensor]) -> list[tuple]:
-    """Each sample's tuple of per-mode bases: per mode one `_mode_bases` at
-    the model's dimension, then one `project_onto_gds` when the model has
-    bands (it can narrow a basis). Every sample must have the model's
+    """Each sample's tuple of per-mode bases: one `_mode_bases` of every mode
+    at the model's dimensions, then one `project_onto_bands` when the model
+    has bands (it can narrow a basis). Every sample must have the model's
     `data_dims`, which also fixes each mode's ambient dimension."""
     bad = [s.dims for s in samples if s.dims != model.data_dims]
     if bad:
         raise DimensionError(f"tensor dims {bad[0]} do not match {model.data_dims}")
-    per_mode = []
-    bands = model.gds or [None] * len(model.modes)
-    for mode, dim, gds in zip(model.modes, model.dims, bands):
-        stack = _mode_bases(samples, mode, dim, model.config.energy_mu)[1]
-        per_mode.append(stack if gds is None else project_onto_gds(gds, stack))
+    per_mode = [b[1] for b in _mode_bases(samples, model.modes, model.dims, model.config.energy_mu)]
+    if model.gds is not None:
+        per_mode = project_onto_bands(model.gds, per_mode)
     return list(zip(*per_mode))
 
 
+def transform_all(model: TrainedModel, samples: Sequence[DenseTensor]) -> list[ProductPoint]:
+    """The samples' product points in the model's dims and bands, from one `_query_bases` call."""
+    points = _query_bases(model, samples) if len(samples) else []
+    return [ProductPoint(tuple(map(Subspace, bases))) for bases in points]
+
+
 def transform(model: TrainedModel, sample: DenseTensor) -> ProductPoint:
-    """A sample's product point with the model's dimensions and projections."""
-    return ProductPoint(tuple(map(Subspace, _query_bases(model, [sample])[0])))
+    """A sample's product point: the one-sample `transform_all`."""
+    return transform_all(model, [sample])[0]
 
 
 def _distances(model: TrainedModel, left, right) -> np.ndarray:

@@ -193,26 +193,36 @@ def cross_svd(m: np.ndarray, compute_uv: bool = True):
     return np.linalg.svd(m, compute_uv=compute_uv)
 
 
+def correlations_by_shape(pairs) -> list[np.ndarray]:
+    """`canonical_correlations(p, q, count)` of each (p, q, count) triple,
+    all checked first, with one `cross_svd` per shape of the cross products
+    (a lone pair's is not copied): a matrix gets its bits alone in a stack."""
+    products, out = [], []
+    for p, q, count in pairs:
+        p, q = (np.asarray(getattr(x, "basis", x)) for x in (p, q))
+        if p.shape[-2] != q.shape[-2]:
+            raise DimensionError(f"ambient dimensions differ: {p.shape[-2]} vs {q.shape[-2]}")
+        cmax = min(p.shape[-1], q.shape[-1])
+        count = cmax if count is None else int(count)
+        if not 1 <= count <= cmax:
+            raise DimensionError(f"count must be in 1..{cmax}, got {count}")
+        products.append((np.swapaxes(p, -1, -2) @ q,))
+        out.append(count)  # until the pair's correlations replace it
+    groups = group_by_shape(products) if len(products) > 1 else [([0], (products[0][0][None],))]
+    for idx, (stack,) in groups:
+        s = np.clip(cross_svd(stack, compute_uv=False), 0.0, 1.0)
+        s[s >= 1.0 - CORRELATION_SNAP] = 1.0
+        for i, values in zip(idx, s):
+            out[i] = values[..., : out[i]]
+    return out
+
+
 def canonical_correlations(p, q, count: int | None = None) -> np.ndarray:
     """First `count` canonical correlations of `p` with `q`, each a `Subspace`,
     a (d, k) basis or an (N, d, k) stack, which broadcasts to (N, count):
     singular values of the basis cross products (`cross_svd`), clamped to
     [0, 1]."""
-    p, q = (np.asarray(getattr(x, "basis", x)) for x in (p, q))
-    if p.shape[-2] != q.shape[-2]:
-        raise DimensionError(
-            f"ambient dimensions differ: {p.shape[-2]} vs {q.shape[-2]}"
-        )
-    cmax = min(p.shape[-1], q.shape[-1])
-    if count is None:
-        count = cmax
-    count = int(count)
-    if not 1 <= count <= cmax:
-        raise DimensionError(f"count must be in 1..{cmax}, got {count}")
-    s = cross_svd(np.swapaxes(p, -1, -2) @ q, compute_uv=False)[..., :count]
-    s = np.clip(s, 0.0, 1.0)
-    s[s >= 1.0 - CORRELATION_SNAP] = 1.0
-    return s
+    return correlations_by_shape([(p, q, count)])[0]
 
 
 def geodesic_distance(p, q):
@@ -237,9 +247,12 @@ def projector_mean(stack: np.ndarray) -> np.ndarray:
 
 
 def eigh_descending(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a symmetric matrix or stack, eigenvalues descending;
-    equal eigenvalues keep the ascending order `eigh` returns them in."""
+    """Eigenpairs of a symmetric matrix or stack, eigenvalues descending:
+    `eigh`'s ascending output reversed, as views, where no value is repeated,
+    else gathered so that equal values keep the order `eigh` gives them."""
     evals, evecs = np.linalg.eigh(matrix)
+    if np.all(np.diff(evals, axis=-1) > 0.0):
+        return evals[..., ::-1], evecs[..., ::-1]
     order = np.argsort(-evals, axis=-1, kind="stable")
     evecs = np.take_along_axis(evecs, order[..., None, :], -1)
     return np.take_along_axis(evals, order, -1), evecs

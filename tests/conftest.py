@@ -36,6 +36,14 @@ def random_subspace(rng, n, k):
     return Subspace(random_orthonormal(rng, n, k))
 
 
+def gathered_eigh_descending(matrix):
+    """`eigh`'s eigenpairs reordered by a stable argsort of the negated
+    eigenvalues, so that equal values keep `eigh`'s ascending order."""
+    evals, evecs = np.linalg.eigh(matrix)
+    order = np.argsort(-evals, axis=-1, kind="stable")
+    return np.take_along_axis(evals, order, -1), np.take_along_axis(evecs, order[..., None, :], -1)
+
+
 def line(degrees):
     """1-dim subspace of the plane at the given angle from the x axis."""
     t = math.radians(degrees)

@@ -140,11 +140,15 @@ def test_fisher_builds_no_subspace_and_no_spectrum_type_remains():
 
 def test_sample_bases_come_from_one_helper():
     # `fit` and the queries take their sample bases from `pipeline._mode_bases`,
-    # from one Gram per sample; besides it, only `_fit_mode` takes a spectrum,
-    # for its class bases. No unfolding is copied or factored on the way
+    # from one Gram per sample: `fit` one mode at a time, through `_fit_mode`,
+    # and the queries every mode at once; besides it, only `_fit_mode` takes
+    # a spectrum, for its class bases. No unfolding is copied or factored on
+    # the way
     def callers(name):
         return {where for module, where in calls_of(name) if module == "pipeline.py"}
 
+    assert callers("_mode_bases") == {"_fit_mode", "_query_bases"}
+    assert callers("_query_bases") == {"transform_all", "classify", "evaluate"}
     assert callers("unfolding_gram") == {"_mode_bases"}
     for name in ("gram_spectrum", "leading_basis"):
         assert callers(name) == {"_mode_bases", "_fit_mode"}, name
@@ -155,11 +159,16 @@ def test_sample_bases_come_from_one_helper():
 
 
 def test_canonical_angles_come_from_one_kernel():
-    # every canonical angle is the arccosine of `canonical_correlations`,
-    # called directly; the per-pair wrappers around it and the helpers that
-    # grouped bases by shape apart from `subspace.group_by_shape` are gone
-    assert set(calls_of("canonical_correlations")) == {
+    # every canonical angle is the arccosine of `correlations_by_shape`, one
+    # SVD per shape of the cross products of several pairs, called directly
+    # or through its one-pair case `canonical_correlations`; the per-pair
+    # wrappers around it and the helpers that grouped bases by shape apart
+    # from `subspace.group_by_shape` are gone
+    assert set(calls_of("correlations_by_shape")) == {
+        ("subspace.py", "canonical_correlations"),
         ("manifold.py", "weighted_geodesics"),
+    }
+    assert set(calls_of("canonical_correlations")) == {
         ("subspace.py", "geodesic_distance"),
         ("pipeline.py", "_class_pair_mean_angle"),
     }
@@ -180,17 +189,23 @@ def test_cross_product_svds_come_from_one_helper():
     # every SVD of a k x k basis cross product, for the canonical
     # correlations and the Karcher mean tangent, goes through
     # `subspace.cross_svd`, which alone picks the closed form or LAPACK; the
-    # other SVDs are of an unfolding in `hosvd` and a projection G^T U. The
+    # other SVDs are of an unfolding in `hosvd` and of the projections G^T U,
+    # one per product shape in `project_onto_bands`. The
     # exp map takes a tangent's Gram to `eigh`, and no per-member log map or
     # block size of one is left beside the mean tangent
     assert set(calls_of("cross_svd")) == {
-        ("subspace.py", "canonical_correlations"),
+        ("subspace.py", "correlations_by_shape"),
         ("fisher.py", "_mean_tangent"),
     }
     assert set(calls_of("svd")) == {
         ("subspace.py", "cross_svd"),
         ("tensor.py", "hosvd"),
+        ("gds.py", "project_onto_bands"),
+    }
+    assert set(calls_of("project_onto_bands")) == {
         ("gds.py", "project_onto_gds"),
+        ("pipeline.py", "fit"),
+        ("pipeline.py", "_query_bases"),
     }
     for module, defined in definitions():
         assert not defined & {"_log_map", "LOG_MAP_BLOCK"}, module

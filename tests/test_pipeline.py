@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tensorgds import (
@@ -28,14 +28,15 @@ from tensorgds import (
     pairwise_distances,
     project_onto_gds,
     transform,
+    transform_all,
     unfold,
 )
-from tensorgds import fisher, pipeline
+from tensorgds import fisher, pipeline, subspace
 from tensorgds.dataio import SynthSpec, generate_synthetic, model_to_bytes
 from tensorgds.pipeline import CHOICES, RETIRED_VALUES, SETTINGS, _fit_mode
 from tensorgds.subspace import canonical_correlations, gram_spectrum, leading_basis, select_dim
 from tensorgds.tensor import fold, unfolding_gram
-from conftest import random_tensor
+from conftest import gathered_eigh_descending, random_tensor
 
 pytestmark = pytest.mark.filterwarnings("ignore::tensorgds.KarcherConvergenceWarning")
 
@@ -762,17 +763,14 @@ def test_classify_builds_no_reference_stack_after_the_first_query(classifier, mo
         return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
 
     def restacked(arrays, *a, **k):
-        # a query stacks its own one-sample factors and bases; a reference
-        # stack would gather one basis per reference
+        # a query stacks its own one-sample bases and its per-mode products,
+        # one per mode; a reference stack would gather one basis per reference
         arrays = list(arrays)
-        if len(arrays) > 1:
+        if len(arrays) >= len(model.references):
             calls.append("stack")
         return np_stack(arrays, *a, **k)
 
-    from tensorgds import subspace
-
-    for module in (subspace, fisher):
-        monkeypatch.setattr(module, "group_by_shape", counted(subspace.group_by_shape))
+    monkeypatch.setattr(fisher, "group_by_shape", counted(subspace.group_by_shape))
     monkeypatch.setattr(pipeline, "karcher_means", counted(fisher.karcher_means))
     np_stack = np.stack
     monkeypatch.setattr(np, "stack", restacked)
@@ -934,6 +932,160 @@ def test_evaluate_equals_a_loop_of_classify_bitwise(seed, method, classifier, ki
     assert metrics.mean_margin == float(np.mean(margins))
     assert metrics.accuracy == np.trace(confusion) / len(queries)
     assert metrics.count == len(queries)
+
+
+def per_mode_query_bases(model, samples):
+    """The query bases one mode at a time: per mode one `gram_spectrum` of
+    the (N, d, d) Gram stack, its leading eigenvectors and one
+    `project_onto_gds` when the model has bands."""
+    per_mode = []
+    bands = model.gds or [None] * len(model.modes)
+    for mode, dim, gds in zip(model.modes, model.dims, bands):
+        grams = np.array([unfolding_gram(s, mode)[0] for s in samples])
+        stack = leading_basis(*gram_spectrum(grams, samples[0].size // grams.shape[-1]), dim)
+        per_mode.append(stack if gds is None else project_onto_gds(gds, stack))
+    return list(zip(*per_mode))
+
+
+def per_mode_geodesics(left, right, weights, angle_counts=None, full_spectrum=False):
+    """`weighted_geodesics` with one `canonical_correlations` call per mode."""
+    n = len(left)
+    terms = np.empty(np.broadcast_shapes(*(np.shape(b)[:-2] for b in (*left, *right))) + (n,))
+    for i, (p, q) in enumerate(zip(left, right)):
+        count = None if angle_counts is None else int(angle_counts[i])
+        angles = np.arccos(canonical_correlations(p, q, count))
+        if full_spectrum:
+            values = np.sqrt(np.sum(angles * angles, axis=-1))
+        else:
+            values = np.mean(angles, axis=-1)
+        terms[..., i] = weights.weights[i] * values
+    return np.sqrt(np.sum(terms * terms, axis=-1))
+
+
+def query_outputs(model, queries, labels):
+    """Every query output as bytes, array by array, or the error it raises:
+    the batch's bases, each query's `classify`, the batch's `evaluate` and
+    the `pairwise_distances` of its points."""
+
+    def as_bytes(value):
+        if isinstance(value, (tuple, list)):
+            return tuple(map(as_bytes, value))
+        if dataclasses.is_dataclass(value):
+            return as_bytes(dataclasses.astuple(value))
+        return np.asarray(value).tobytes()
+
+    def outcome(call, *args):
+        try:
+            return as_bytes(call(*args))
+        except (DimensionError, DegeneracyError) as exc:
+            return repr(exc)
+
+    def points():
+        return [ProductPoint(tuple(map(Subspace, b))) for b in pipeline._query_bases(model, queries)]
+
+    return (
+        outcome(pipeline._query_bases, model, queries),
+        [outcome(classify, model, q) for q in queries],
+        outcome(evaluate, model, queries, labels),
+        outcome(lambda: pairwise_distances(model, points())),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extents=st.sampled_from([(7, 7, 7), (7, 6, 7), (5, 6, 7), (6, 7)]),
+    method=st.sampled_from(["pgm", "nmode-gds", "nmode-wgds"]),
+    classifier=st.sampled_from(["nn", "class-karcher"]),
+    data=st.data(),
+    full_spectrum=st.booleans(),
+    kinds=st.lists(st.booleans(), min_size=1, max_size=5),
+)
+def test_query_path_matches_the_per_mode_loop_bitwise(
+    seed, extents, method, classifier, data, full_spectrum, kinds
+):
+    # the query path takes one `gram_spectrum` per mode extent, one
+    # projection SVD per product shape and one cross-product SVD per shape
+    # across the modes; every output must be the per-mode loop's, bit for
+    # bit. The extents leave some modes alone in their extent group, fixed
+    # dims can differ by mode, and queries of kind True are narrowed by
+    # projection where the model allows it, so the queries mix widths
+    n = len(extents)
+    dims = data.draw(st.none() | st.tuples(*(st.integers(1, 3) for _ in range(n))))
+    counts = data.draw(st.none() | st.tuples(*(st.integers(1, 3) for _ in range(n))))
+    spec = SynthSpec(
+        classes=3,
+        samples_per_class=4,
+        dims=extents,
+        shared_dim=1,
+        class_dim=2,
+        within_noise=0.2,
+        seed=seed,
+    )
+    samples, manifest = generate_synthetic(spec, train_fraction=1.0)
+    config = PipelineConfig(
+        method=method,
+        per_mode_dims=dims,
+        angle_counts=counts,
+        classifier=classifier,
+        full_spectrum=full_spectrum,
+    )
+    try:
+        model = fit(samples, [e.label for e in manifest.entries], config)
+    except (DimensionError, DegeneracyError):  # angle counts above a mode's widths
+        assume(False)
+    rng = np.random.default_rng(seed)
+    narrow = narrowing_query(model, rng) is not None
+    queries = [
+        narrowing_query(model, rng) if kind and narrow else random_tensor(rng, model.data_dims)
+        for kind in kinds
+    ]
+    labels = [int(rng.choice(model.class_ids)) for _ in queries]
+
+    batched = query_outputs(model, queries, labels)
+    with mock.patch.object(subspace, "eigh_descending", gathered_eigh_descending), mock.patch.object(
+        pipeline, "_query_bases", per_mode_query_bases
+    ), mock.patch.object(pipeline, "weighted_geodesics", per_mode_geodesics):
+        oracle = query_outputs(model, queries, labels)
+    assert batched == oracle
+    if isinstance(batched[0], tuple):  # no query raised
+        points = transform_all(model, queries)
+        assert tuple(tuple(b.tobytes() for b in pt.bases) for pt in points) == batched[0]
+        assert tuple(b.tobytes() for b in transform(model, queries[0]).bases) == batched[0][0]
+
+
+@pytest.mark.parametrize(
+    "extents, dims, shapes", [((8, 8, 8), (2, 2, 2), 1), ((4, 5, 6), (1, 2, 3), 3)]
+)
+def test_a_query_takes_one_eigh_and_one_svd_of_each_kind_per_shape(
+    extents, dims, shapes, monkeypatch, rng
+):
+    # the three modes of a cubic model share one extent, one projection
+    # product shape and one cross-product shape, so a one-tensor `classify`
+    # takes one batched `eigh` of its 3 mode Grams and one SVD of each kind;
+    # on a 4x5x6 model with dims 1, 2, 3 each mode takes its own
+    spec = SynthSpec(3, 4, extents, shared_dim=1, class_dim=2, within_noise=0.2, seed=5)
+    samples, manifest = generate_synthetic(spec, train_fraction=1.0)
+    config = PipelineConfig(method="nmode-gds", per_mode_dims=dims, gds_alpha_max=1)
+    model = fit(samples, [e.label for e in manifest.entries], config)
+    assert len({(g.basis.shape[1], k) for g, k in zip(model.gds, dims)}) == shapes
+    calls = []
+
+    def counted(name, fn):
+        return lambda a, *rest, **kw: calls.append((name, a.shape, tuple(kw))) or fn(a, *rest, **kw)
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(subspace, "cross_svd", counted("cross_svd", subspace.cross_svd))
+    classify(model, random_tensor(rng, extents))
+    eighs = [shape for name, shape, _ in calls if name == "eigh"]
+    projections = [c for c in calls if c[0] == "svd" and "full_matrices" in c[2]]
+    crosses = [c for c in calls if c[0] == "cross_svd"]
+    if shapes == 1:
+        assert eighs == [(3, 8, 8)]
+    else:
+        assert eighs == [(1, 4, 4), (1, 5, 5), (1, 6, 6)]
+    assert len(projections) == len(crosses) == shapes
 
 
 # --- method lattice and determinism ----------------------------------------

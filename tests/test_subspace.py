@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorgds import (
@@ -15,10 +15,11 @@ from tensorgds import (
 from tensorgds.subspace import (
     canonical_correlations,
     cross_svd,
+    eigh_descending,
     gram_spectrum,
     leading_basis,
 )
-from conftest import random_orthonormal, random_subspace
+from conftest import gathered_eigh_descending, random_orthonormal, random_subspace
 
 
 def r3_pair():
@@ -160,6 +161,37 @@ def test_stacked_helpers_match_the_per_matrix_calls_bitwise(seed, count, rows, c
     if top < u.shape[-1]:
         with pytest.raises(DegeneracyError, match=f"numerical rank is {top}"):
             leading_basis(u, lam, top + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(["symmetric", "diagonal", "zero"]), min_size=1, max_size=5),
+)
+@example(seed=1, d=4, kinds=["symmetric", "diagonal", "symmetric"])
+@example(seed=1, d=3, kinds=["symmetric"])
+def test_eigh_descending_equals_the_stable_gathers_bitwise(seed, d, kinds):
+    # `eigh` returns ascending eigenvalues. Where none is exactly repeated,
+    # the descending pairs are their reversal; where one is, the stable
+    # gathers keep tied vectors in `eigh`'s order. Either way each matrix,
+    # alone or in a stack that mixes tied and untied members, gets the
+    # gathers' bits. A diagonal of d >= 4 entries from {0, 1, 2} repeats one
+    rng = np.random.default_rng(seed)
+
+    def member(kind):
+        if kind == "symmetric":
+            a = rng.standard_normal((d, d))
+            return a + a.T
+        return np.diag(rng.integers(0, 3, size=d) * (kind == "diagonal")).astype(float)
+
+    stack = np.stack([member(kind) for kind in kinds])
+    for matrix in (*stack, stack):
+        got, want = eigh_descending(matrix), gathered_eigh_descending(matrix)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    if d >= 4 and "diagonal" in kinds:
+        assert np.any(np.diff(np.linalg.eigh(stack)[0], axis=-1) == 0.0)
 
 
 @pytest.mark.parametrize("exponent", [-1000, -300, -40, 40, 300, 1000])
